@@ -6,7 +6,8 @@
         protocol-baseline scale-smoke scale-baseline \
         pageload-smoke pageload-baseline pageload-bench \
         timeline-smoke timeline-baseline \
-        store-pipeline-smoke store-bench store-bench-baseline
+        store-pipeline-smoke store-bench store-bench-baseline \
+        perf perf-test
 
 build:
 	cargo build --workspace --release
@@ -48,6 +49,7 @@ ci: fmt-check clippy
 	cargo build --workspace --release --offline
 	cargo test --workspace -q
 	$(MAKE) perf-smoke
+	$(MAKE) perf-test
 
 fmt-check:
 	cargo fmt --all -- --check
@@ -65,6 +67,20 @@ perf-smoke:
 	    headline \
 	    --metrics target/ci/metrics.json --baseline ci/baseline-metrics.json
 	rm -rf target/ci/store
+
+# The perf benchmark (perfbench/README.md): exactly the command
+# BENCHMARK.json declares. Runs the four workloads, checks every output
+# and prints each end-to-end metric. For `--workload NAME`, `--trace 1`
+# or `--repeat N`, append them after `run` on the same cargo command.
+perf:
+	cargo run --offline --release --quiet --manifest-path perfbench/Cargo.toml -- run
+
+# The benchmark's own tests (perf_smoke: every workload at scale 0.01,
+# every BENCHMARK.json metric printed, one trace per workload).
+# perfbench/ is a workspace of its own, so `cargo test --workspace`
+# does not reach them.
+perf-test:
+	cargo test --offline --release --manifest-path perfbench/Cargo.toml
 
 # Scaling gate (DESIGN.md §14): time the scale-0.25 campaign serial,
 # with the old per-country work units, and with sub-country sharding +

@@ -112,6 +112,26 @@ mod tests {
         assert!(cis.doh1.contains(cis.doh1.estimate));
     }
 
+    /// Pins every bit of the headline CIs. The bootstrap kernel may be
+    /// rewritten only if these bits stay put.
+    #[test]
+    fn headline_cis_are_bit_stable() {
+        let cis = headline_cis(shared_dataset(), 11).unwrap();
+        let bits = |ci: ConfidenceInterval| [ci.estimate, ci.lo, ci.hi].map(f64::to_bits);
+        assert_eq!(
+            bits(cis.doh1),
+            [0x407c21f6a619da9e, 0x407bdd07ce4572d1, 0x407c642db61bb05e]
+        );
+        assert_eq!(
+            bits(cis.dohr),
+            [0x407239b9ee88df38, 0x40721336049ecb32, 0x40726c41aceb85f6]
+        );
+        assert_eq!(
+            bits(cis.do53),
+            [0x406a719d80e496ee, 0x406a1591a3245cd7, 0x406ad218ae45f909]
+        );
+    }
+
     #[test]
     fn dohr_sits_between_do53_and_doh1() {
         let cis = headline_cis(shared_dataset(), 11).unwrap();

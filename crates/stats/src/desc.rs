@@ -1,6 +1,7 @@
 //! Descriptive statistics and empirical CDFs.
 
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// Arithmetic mean; NaN for an empty slice.
 pub fn mean(xs: &[f64]) -> f64 {
@@ -38,16 +39,36 @@ pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return f64::NAN;
     }
+    quantile_by_rank(sorted.len(), q, |k| sorted[k])
+}
+
+/// The type-7 quantile `q` of `len > 0` sorted values, where `at(k)`
+/// returns the k-th smallest. `at` is called with non-decreasing ranks
+/// (at most twice), so it may walk a running prefix scan.
+pub(crate) fn quantile_by_rank(len: usize, q: f64, mut at: impl FnMut(usize) -> f64) -> f64 {
     let q = q.clamp(0.0, 1.0);
-    let pos = q * (sorted.len() - 1) as f64;
+    let pos = q * (len - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
     if lo == hi {
-        sorted[lo]
+        at(lo)
     } else {
         let frac = pos - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        let (a, b) = (at(lo), at(hi));
+        a * (1.0 - frac) + b * frac
     }
+}
+
+/// Stable ascending index order of `xs`: `order[k]` is the index of the
+/// k-th smallest value, equal values keep their input order. `None` if
+/// `xs` holds a NaN.
+pub(crate) fn argsort(xs: &[f64]) -> Option<Vec<usize>> {
+    if xs.iter().any(|x| x.is_nan()) {
+        return None;
+    }
+    let mut order: Vec<usize> = (0..xs.len()).collect();
+    order.sort_by(|&a, &b| xs[a].partial_cmp(&xs[b]).unwrap_or(Ordering::Equal));
+    Some(order)
 }
 
 /// Median (0.5 quantile).
@@ -58,7 +79,8 @@ pub fn median(xs: &[f64]) -> f64 {
 /// Weighted quantile with the Harrell–Davis-free "sorted cumulative
 /// weight" definition: sort by value, walk the cumulative normalised
 /// weight, return the first value whose cumulative weight reaches `q`.
-/// Weights must be non-negative; NaN for empty/degenerate input.
+/// Weights must be non-negative; NaN for empty/degenerate input or a NaN
+/// value.
 pub fn weighted_quantile(xs: &[f64], weights: &[f64], q: f64) -> f64 {
     if xs.is_empty() || xs.len() != weights.len() {
         return f64::NAN;
@@ -67,8 +89,9 @@ pub fn weighted_quantile(xs: &[f64], weights: &[f64], q: f64) -> f64 {
     if total <= 0.0 {
         return f64::NAN;
     }
-    let mut order: Vec<usize> = (0..xs.len()).collect();
-    order.sort_by(|&a, &b| xs[a].partial_cmp(&xs[b]).expect("NaN in weighted_quantile"));
+    let Some(order) = argsort(xs) else {
+        return f64::NAN;
+    };
     let q = q.clamp(0.0, 1.0);
     let mut cumulative = 0.0;
     for &i in &order {
@@ -234,6 +257,17 @@ mod tests {
         assert!(weighted_quantile(&[1.0], &[], 0.5).is_nan());
         assert!(weighted_quantile(&[1.0], &[0.0], 0.5).is_nan());
         assert!(weighted_quantile(&[1.0, 2.0], &[-1.0, 1.0], 0.5) == 2.0);
+    }
+
+    #[test]
+    fn argsort_is_stable_and_rejects_nan() {
+        assert_eq!(
+            argsort(&[3.0, 1.0, 3.0, 2.0, 1.0]).unwrap(),
+            vec![1, 4, 3, 0, 2]
+        );
+        assert_eq!(argsort(&[]).unwrap(), Vec::<usize>::new());
+        assert!(argsort(&[1.0, f64::NAN]).is_none());
+        assert!(weighted_median(&[1.0, f64::NAN], &[1.0, 1.0]).is_nan());
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! statistics, with a deterministic internal PRNG (xorshift) so reports
 //! are reproducible without threading an RNG through the analyses.
 
+use crate::desc;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// A two-sided confidence interval around a point estimate.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -35,7 +37,8 @@ impl ConfidenceInterval {
 /// Percentile bootstrap for an arbitrary statistic.
 ///
 /// `resamples` of 1,000–2,000 are plenty for 95% intervals. Deterministic:
-/// the same inputs always produce the same interval.
+/// the same inputs always produce the same interval. `None` for empty
+/// input, a level outside [0, 1), a NaN in `xs`, or a NaN statistic.
 pub fn bootstrap_ci<F>(
     xs: &[f64],
     statistic: F,
@@ -46,11 +49,11 @@ pub fn bootstrap_ci<F>(
 where
     F: Fn(&[f64]) -> f64,
 {
-    if xs.is_empty() || !(0.0..1.0).contains(&level) {
+    if xs.is_empty() || !(0.0..1.0).contains(&level) || xs.iter().any(|x| x.is_nan()) {
         return None;
     }
     let estimate = statistic(xs);
-    let mut rng = XorShift::new(seed ^ 0x9E3779B97F4A7C15);
+    let mut rng = XorShift::new(seed);
     let mut stats = Vec::with_capacity(resamples);
     let mut buffer = vec![0.0; xs.len()];
     for _ in 0..resamples.max(1) {
@@ -59,10 +62,70 @@ where
         }
         stats.push(statistic(&buffer));
     }
-    stats.sort_by(|a, b| a.partial_cmp(b).expect("finite statistic"));
+    percentile_interval(estimate, stats, level)
+}
+
+/// Bootstrap CI for the median — the workhorse for latency summaries.
+///
+/// Bit-identical to `bootstrap_ci(xs, desc::median, 1000, level, seed)`,
+/// by a rank-count kernel: `xs` is sorted once, and each resample draws
+/// the same n indices from the same xorshift stream but only counts how
+/// often each rank is drawn. A prefix scan over the counts then finds the
+/// two middle order statistics, which are combined with the arithmetic of
+/// `desc::quantile_sorted`. O(n) per resample, with no comparisons and
+/// no allocation inside the resample loop. (A `-0.0` drawn beside a
+/// `+0.0` may come out with either sign in the generic path; latencies
+/// are never `-0.0`.)
+pub fn median_ci(xs: &[f64], level: f64, seed: u64) -> Option<ConfidenceInterval> {
+    const RESAMPLES: usize = 1000;
+    if xs.is_empty() || !(0.0..1.0).contains(&level) {
+        return None;
+    }
+    let order = desc::argsort(xs)?;
+    let n = xs.len();
+    let sorted: Vec<f64> = order.iter().map(|&i| xs[i]).collect();
+    let mut rank = vec![0usize; n];
+    for (r, &i) in order.iter().enumerate() {
+        rank[i] = r;
+    }
+    drop(order);
+    let estimate = desc::quantile_sorted(&sorted, 0.5);
+    let mut rng = XorShift::new(seed);
+    let mut counts = vec![0u32; n];
+    let mut stats = Vec::with_capacity(RESAMPLES);
+    for _ in 0..RESAMPLES {
+        for _ in 0..n {
+            counts[rank[rng.next_index(n)]] += 1;
+        }
+        // Running prefix scan: `next` is the first rank not yet passed,
+        // `below` how many draws fall on ranks before it.
+        let (mut next, mut below) = (0, 0);
+        stats.push(desc::quantile_by_rank(n, 0.5, |k| {
+            while below <= k {
+                below += counts[next] as usize;
+                next += 1;
+            }
+            sorted[next - 1]
+        }));
+        counts.fill(0);
+    }
+    percentile_interval(estimate, stats, level)
+}
+
+/// The percentile interval at `level` over the bootstrap statistics;
+/// `None` if any statistic is NaN.
+fn percentile_interval(
+    estimate: f64,
+    mut stats: Vec<f64>,
+    level: f64,
+) -> Option<ConfidenceInterval> {
+    if stats.iter().any(|s| s.is_nan()) {
+        return None;
+    }
+    stats.sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
     let alpha = (1.0 - level) / 2.0;
-    let lo = crate::desc::quantile_sorted(&stats, alpha);
-    let hi = crate::desc::quantile_sorted(&stats, 1.0 - alpha);
+    let lo = desc::quantile_sorted(&stats, alpha);
+    let hi = desc::quantile_sorted(&stats, 1.0 - alpha);
     Some(ConfidenceInterval {
         estimate,
         lo,
@@ -71,25 +134,20 @@ where
     })
 }
 
-/// Bootstrap CI for the median — the workhorse for latency summaries.
-pub fn median_ci(xs: &[f64], level: f64, seed: u64) -> Option<ConfidenceInterval> {
-    bootstrap_ci(xs, crate::desc::median, 1000, level, seed)
-}
-
 /// Spearman rank correlation between two equal-length samples.
-/// Returns `None` on mismatched/short input.
+/// Returns `None` on mismatched/short input or a NaN.
 pub fn spearman(xs: &[f64], ys: &[f64]) -> Option<f64> {
     if xs.len() != ys.len() || xs.len() < 2 {
         return None;
     }
-    let rx = ranks(xs);
-    let ry = ranks(ys);
+    let rx = ranks(xs)?;
+    let ry = ranks(ys)?;
     pearson(&rx, &ry)
 }
 
-fn ranks(xs: &[f64]) -> Vec<f64> {
-    let mut order: Vec<usize> = (0..xs.len()).collect();
-    order.sort_by(|&a, &b| xs[a].partial_cmp(&xs[b]).expect("finite"));
+/// 1-based ranks, averaged over ties; `None` on a NaN.
+fn ranks(xs: &[f64]) -> Option<Vec<f64>> {
+    let order = desc::argsort(xs)?;
     let mut out = vec![0.0; xs.len()];
     let mut i = 0;
     while i < order.len() {
@@ -104,7 +162,7 @@ fn ranks(xs: &[f64]) -> Vec<f64> {
         }
         i = j + 1;
     }
-    out
+    Some(out)
 }
 
 fn pearson(xs: &[f64], ys: &[f64]) -> Option<f64> {
@@ -132,7 +190,9 @@ struct XorShift {
 
 impl XorShift {
     fn new(seed: u64) -> Self {
-        XorShift { state: seed.max(1) }
+        XorShift {
+            state: (seed ^ 0x9E3779B97F4A7C15).max(1),
+        }
     }
     fn next_u64(&mut self) -> u64 {
         let mut x = self.state;
@@ -197,6 +257,31 @@ mod tests {
     fn empty_and_bad_level_rejected() {
         assert!(median_ci(&[], 0.95, 1).is_none());
         assert!(median_ci(&[1.0], 1.5, 1).is_none());
+    }
+
+    #[test]
+    fn median_ci_returns_none_on_nan() {
+        let mut xs = sample(100);
+        xs[37] = f64::NAN;
+        assert!(median_ci(&xs, 0.95, 7).is_none());
+    }
+
+    #[test]
+    fn bootstrap_ci_returns_none_on_nan() {
+        let mut xs = sample(100);
+        xs[0] = f64::NAN;
+        assert!(bootstrap_ci(&xs, crate::desc::median, 100, 0.95, 7).is_none());
+        // A statistic that is NaN on finite input is rejected too.
+        let nan_stat = |_: &[f64]| f64::NAN;
+        assert!(bootstrap_ci(&sample(10), nan_stat, 100, 0.95, 7).is_none());
+    }
+
+    #[test]
+    fn spearman_returns_none_on_nan() {
+        let xs = [1.0, 2.0, f64::NAN, 4.0];
+        let ys = [1.0, 2.0, 3.0, 4.0];
+        assert!(spearman(&xs, &ys).is_none());
+        assert!(spearman(&ys, &xs).is_none());
     }
 
     #[test]
