@@ -2,8 +2,10 @@
 //! §12): the pooled/by-reference variants against their allocating
 //! ancestors, plus the timer-wheel event queue under a churn workload.
 //!
-//! The full-campaign throughput number lives in `alloc_check` (and
-//! `BENCH_alloc.json`); these isolate where the win comes from.
+//! Full-campaign timings come from the perf benchmark (`make perf`, see
+//! `perfbench/README.md`) and the zero-allocation contract is gated by
+//! the `integration_alloc` test (`make alloc`); these isolate where the
+//! win comes from.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dohperf_core::testbed::{format_subdomain, SUBDOMAIN_BUF_LEN};

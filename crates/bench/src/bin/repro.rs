@@ -10,6 +10,7 @@
 //!       [--trace-sample N] <experiment>...
 //! repro all                    # everything, in paper order
 //! repro explain --query ID     # replay one client, annotated timeline
+//! repro gate [--bless] [NAME...] # run (or re-bless) the CI gates
 //! ```
 //!
 //! `--protocols do53,doh,dot,doq` (any non-empty subset) additionally
@@ -73,57 +74,32 @@
 //! experiments finish and prints the human-readable table to stderr.
 //! `--baseline PATH` additionally compares the snapshot's deterministic
 //! section against a previously written one, exiting with code 3 when any
-//! metric drifts beyond `--tolerance` (relative, default 0 = exact). This
-//! is the CI perf-smoke gate.
+//! metric drifts beyond `--tolerance` (relative, default 0 = exact).
 //!
-//! Experiments: table1 table2 table3 table4 table5 table6
-//!              fig3 fig4 fig5 fig6 fig7 fig8 fig9
-//!              sec4-3 sec4-4 headline
+//! `gate` runs the rows of `dohperf_bench::gates::GATES`: every
+//! byte-identity and metrics gate CI holds the tree to (metrics vs
+//! `ci/baseline-metrics*.json`, `--from-store` and thread/shard byte
+//! identity, golden traces). `--bless` rewrites the checked-in files
+//! instead of comparing against them.
+//!
+//! Experiments are the rows of `dohperf_bench::EXPERIMENTS`, in paper
+//! order; `repro --help` lists them.
 
-use dohperf_bench::{OutFormat, ReproConfig, ReproContext};
-
-const EXPERIMENTS: [&str; 30] = [
-    "table1",
-    "table2",
-    "sec4-3",
-    "sec4-4",
-    "table3",
-    "fig3",
-    "fig8",
-    "headline",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig9",
-    "fig7",
-    "table4",
-    "table5",
-    "table6",
-    "regions",
-    "robustness",
-    "ablation-tls12",
-    "ablation-anycast",
-    "ablation-cache",
-    "ablation-loss",
-    "ablation-vantage",
-    "compare-dot",
-    "transports",
-    "pageload",
-    "timeline",
-    "export",
-    "figdata",
-    "report",
-];
+use dohperf_bench::{OutFormat, ReproConfig, ReproContext, EXPERIMENTS};
 
 fn main() {
     let mut config = ReproConfig::default();
-    let mut requested: Vec<String> = Vec::new();
+    let mut requested = Vec::new();
     let mut metrics_path: Option<std::path::PathBuf> = None;
     let mut baseline_path: Option<std::path::PathBuf> = None;
     let mut tolerance = 0.0f64;
     let mut explain_mode = false;
     let mut explain_query: Option<u64> = None;
-    let mut args = std::env::args().skip(1);
+    let mut args = std::env::args().skip(1).peekable();
+    if args.peek().map(String::as_str) == Some("gate") {
+        let rest: Vec<String> = args.skip(1).collect();
+        std::process::exit(dohperf_bench::gates::run(&rest));
+    }
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "explain" => explain_mode = true,
@@ -242,9 +218,11 @@ fn main() {
                 );
             }
             "--help" | "-h" => usage(""),
-            "all" => requested.extend(EXPERIMENTS.iter().map(|s| s.to_string())),
-            other if EXPERIMENTS.contains(&other) => requested.push(other.to_string()),
-            other => usage(&format!("unknown experiment {other:?}")),
+            "all" => requested.extend(EXPERIMENTS),
+            other => match EXPERIMENTS.iter().find(|(name, _)| *name == other) {
+                Some(experiment) => requested.push(experiment),
+                None => usage(&format!("unknown experiment {other:?}")),
+            },
         }
     }
     if explain_mode {
@@ -283,60 +261,8 @@ fn main() {
         requested.len()
     );
     let mut ctx = ReproContext::new(config);
-    for name in requested {
-        let output = match name.as_str() {
-            "table1" => ctx.table1(),
-            "table2" => ctx.table2(),
-            "table3" => ctx.table3(),
-            "table4" => ctx.table4(),
-            "table5" => ctx.table5(),
-            "table6" => ctx.table6(),
-            "fig3" => ctx.fig3(),
-            "fig4" => ctx.fig4(),
-            "fig5" => ctx.fig5(),
-            "fig6" => ctx.fig6(),
-            "fig7" => ctx.fig7(),
-            "fig8" => ctx.fig8(),
-            "fig9" => ctx.fig9(),
-            "sec4-3" => ctx.sec4_3(),
-            "sec4-4" => ctx.sec4_4(),
-            "headline" => ctx.headline(),
-            "regions" => ctx.regions(),
-            "robustness" => ctx.robustness(),
-            // Write failures are recorded for exit-code propagation —
-            // a run that lost its artifacts must not exit 0.
-            "report" => match ctx.report(std::path::Path::new("target/report.md")) {
-                Ok(text) => text,
-                Err(e) => {
-                    ctx.record_io_error("report failed", &e);
-                    format!("report failed: {e}\n")
-                }
-            },
-            "figdata" => match ctx.figdata(std::path::Path::new("target/figdata")) {
-                Ok(text) => text,
-                Err(e) => {
-                    ctx.record_io_error("figdata failed", &e);
-                    format!("figdata failed: {e}\n")
-                }
-            },
-            "export" => match ctx.export(std::path::Path::new("target/dataset")) {
-                Ok(text) => text,
-                Err(e) => {
-                    ctx.record_io_error("export failed", &e);
-                    format!("export failed: {e}\n")
-                }
-            },
-            "ablation-tls12" => ctx.ablation_tls12(),
-            "ablation-anycast" => ctx.ablation_anycast(),
-            "ablation-cache" => ctx.ablation_cache(),
-            "ablation-loss" => ctx.ablation_loss(),
-            "ablation-vantage" => ctx.ablation_vantage(),
-            "compare-dot" => ctx.compare_dot(),
-            "transports" => ctx.transports(),
-            "pageload" => ctx.pageload(),
-            "timeline" => ctx.timeline(),
-            _ => unreachable!("validated above"),
-        };
+    for (_, render) in requested {
+        let output = render(&mut ctx);
         println!("{}", "=".repeat(100));
         println!("{output}");
     }
@@ -401,8 +327,13 @@ fn usage(err: &str) -> ! {
          [--baseline PATH] [--tolerance F] [--protocols do53,doh,dot,doq] [--pages N] \
          [--window-hours H] [--out-format both|csv|jsonl|store] \
          [--store-dir DIR] [--from-store DIR] [--trace-out PATH] [--trace-sample N] \
-         <experiment>...\n       repro all\n       repro explain --query ID\nexperiments: {}",
-        EXPERIMENTS.join(" ")
+         <experiment>...\n       repro all\n       repro explain --query ID\n       \
+         repro gate [--bless] [NAME...]\nexperiments: {}",
+        EXPERIMENTS
+            .iter()
+            .map(|(name, _)| *name)
+            .collect::<Vec<_>>()
+            .join(" ")
     );
     std::process::exit(if err.is_empty() { 0 } else { 2 });
 }

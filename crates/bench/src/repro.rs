@@ -128,6 +128,54 @@ pub fn window_nanos(hours: f64) -> u64 {
     }
 }
 
+/// One `repro` experiment: its CLI name and the function that renders it.
+pub type Experiment = (&'static str, fn(&mut ReproContext) -> String);
+
+/// Every experiment `repro` knows, in paper order (`repro all` runs them
+/// in this order). The artifact writers record a write failure for
+/// exit-code propagation: a run that lost its artifacts must not exit 0.
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("table1", |c| c.table1()),
+    ("table2", |c| c.table2()),
+    ("sec4-3", |c| c.sec4_3()),
+    ("sec4-4", |c| c.sec4_4()),
+    ("table3", |c| c.table3()),
+    ("fig3", |c| c.fig3()),
+    ("fig8", |c| c.fig8()),
+    ("headline", |c| c.headline()),
+    ("fig4", |c| c.fig4()),
+    ("fig5", |c| c.fig5()),
+    ("fig6", |c| c.fig6()),
+    ("fig9", |c| c.fig9()),
+    ("fig7", |c| c.fig7()),
+    ("table4", |c| c.table4()),
+    ("table5", |c| c.table5()),
+    ("table6", |c| c.table6()),
+    ("regions", |c| c.regions()),
+    ("robustness", |c| c.robustness()),
+    ("ablation-tls12", |c| c.ablation_tls12()),
+    ("ablation-anycast", |c| c.ablation_anycast()),
+    ("ablation-cache", |c| c.ablation_cache()),
+    ("ablation-loss", |c| c.ablation_loss()),
+    ("ablation-vantage", |c| c.ablation_vantage()),
+    ("compare-dot", |c| c.compare_dot()),
+    ("transports", |c| c.transports()),
+    ("pageload", |c| c.pageload()),
+    ("timeline", |c| c.timeline()),
+    ("export", |c| {
+        let written = c.export(std::path::Path::new("target/dataset"));
+        c.or_io_error("export", written)
+    }),
+    ("figdata", |c| {
+        let written = c.figdata(std::path::Path::new("target/figdata"));
+        c.or_io_error("figdata", written)
+    }),
+    ("report", |c| {
+        let written = c.report(std::path::Path::new("target/report.md"));
+        c.or_io_error("report", written)
+    }),
+];
+
 /// Lazily runs the campaign once and serves every experiment from it.
 pub struct ReproContext {
     config: ReproConfig,
@@ -157,6 +205,14 @@ impl ReproContext {
     pub fn record_io_error(&mut self, context: &str, err: &std::io::Error) {
         eprintln!("error: {context}: {err}");
         self.io_errors.push(format!("{context}: {err}"));
+    }
+
+    /// An artifact writer's text, or its failure recorded and reported.
+    fn or_io_error(&mut self, what: &str, written: std::io::Result<String>) -> String {
+        written.unwrap_or_else(|e| {
+            self.record_io_error(&format!("{what} failed"), &e);
+            format!("{what} failed: {e}\n")
+        })
     }
 
     /// The campaign configuration every dataset-producing path uses.

@@ -66,7 +66,7 @@ pub fn doh_n_ms(t_doh_ms: f64, t_dohr_ms: f64, n: u32) -> f64 {
 ///
 /// All columns are preallocated via [`DerivationBatch::with_capacity`] and
 /// recycled with [`DerivationBatch::clear`], so steady-state use never
-/// allocates (the alloc-smoke gate covers this through the campaign).
+/// allocates (`integration_alloc` covers this through the campaign).
 #[derive(Debug, Default)]
 pub struct DerivationBatch {
     tb_ta_ms: Vec<f64>,

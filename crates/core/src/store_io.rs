@@ -151,8 +151,8 @@ pub fn record_from_store(r: &StoreRecord) -> Result<ClientRecord> {
             })?;
             Ok(DohSample {
                 provider,
-                t_doh_ms: s.t_doh_ms,
-                t_dohr_ms: s.t_dohr_ms,
+                t_doh_ms: finite(s.t_doh_ms, r.client_id, "t_doh_ms")?,
+                t_dohr_ms: finite(s.t_dohr_ms, r.client_id, "t_dohr_ms")?,
                 pop_index: s.pop_index as usize,
                 pop_distance_miles: s.pop_distance_miles,
                 nearest_pop_distance_miles: s.nearest_pop_distance_miles,
@@ -263,7 +263,10 @@ pub fn record_from_store(r: &StoreRecord) -> Result<ClientRecord> {
         position: GeoPoint::new(r.lat, r.lon),
         nameserver_distance_miles: r.nameserver_distance_miles,
         doh,
-        do53_ms: r.do53_ms,
+        do53_ms: r
+            .do53_ms
+            .map(|ms| finite(ms, r.client_id, "do53_ms"))
+            .transpose()?,
         do53_source: match r.do53_source {
             0 => Do53Source::BrightDataHeader,
             1 => Do53Source::RipeAtlasRemedy,
@@ -278,6 +281,18 @@ pub fn record_from_store(r: &StoreRecord) -> Result<ClientRecord> {
         pages,
         windows,
     })
+}
+
+/// A latency the analyses can order. The store keeps raw f64 bits, so a
+/// chunk whose CRC checks out can still carry a NaN or an infinity.
+fn finite(ms: f64, client_id: u64, field: &str) -> Result<f64> {
+    if ms.is_finite() {
+        Ok(ms)
+    } else {
+        Err(StoreError::Corrupt(format!(
+            "client {client_id}: {field} is {ms}, not a finite latency"
+        )))
+    }
 }
 
 /// Two ASCII bytes from an ISO code (or the `"??"` failed-lookup marker).

@@ -17,7 +17,7 @@
 //!   per-run gauges `alloc.count` / `alloc.bytes` (machine-dependent,
 //!   never baseline-gated) and the deterministic counter
 //!   `alloc.steady_state_allocs`, which must be **zero** and is gated
-//!   against `ci/baseline-metrics.json` by the CI alloc-smoke job.
+//!   against every `ci/baseline-metrics*.json` by `repro gate`.
 //!
 //! The scope guards are always compiled — they are two thread-local
 //! `Cell` bumps, cheap enough to leave in release builds — so the hot

@@ -23,8 +23,8 @@
 //! `(tid, ts, span id)` before rendering so the output is independent of
 //! collection order and thus of `--threads`.
 //!
-//! [`validate_chrome_trace`] is the structural checker the `trace-smoke`
-//! CI step runs: well-formed JSON, mandatory keys, non-negative `dur`,
+//! [`validate_chrome_trace`] is the structural checker every trace row
+//! of `repro gate` runs: well-formed JSON, mandatory keys, non-negative `dur`,
 //! matched `B`/`E` pairs per thread, and per-thread monotonic `ts`.
 
 use crate::flight::QueryTrace;

@@ -9,7 +9,7 @@
 //! Everything here reads the wall clock, so it is strictly
 //! [`crate::Determinism::PerRun`]: [`publish`] registers per-run gauges
 //! (`phase.<path>.total_ms` / `phase.<path>.self_ms`) which land in the
-//! per-run section of the metrics snapshot the CI perf-smoke job archives
+//! per-run section of the metrics snapshot the CI gate jobs archive
 //! — and never in the deterministic section CI gates byte-exactly, nor in
 //! the flight-recorder trace export.
 

@@ -13,7 +13,7 @@
 //!    under the counting allocator (thread-local pools don't leak state
 //!    across shard assignments).
 //!
-//! Built with `--features alloc-count` (as the CI alloc-smoke job does)
+//! Built with `--features alloc-count` (as the CI alloc job does)
 //! the counting allocator is installed and check 1 has teeth. Without
 //! the feature the totals stay zero and the test still exercises the
 //! determinism checks.
@@ -33,8 +33,8 @@ static ALLOC: alloc::CountingAllocator = alloc::CountingAllocator;
 fn config(threads: usize) -> CampaignConfig {
     // `pages_per_client: 2` folds the page-load workload into every run
     // here, so the warm pair gates the DAG scheduler, the bounded page
-    // cache and the multiplexed-connection path too (ISSUE 8: alloc-smoke
-    // stays at 0 with pageload in the warm pair).
+    // cache and the multiplexed-connection path too: the steady count
+    // stays at 0 with pageload in the warm pair.
     CampaignConfig {
         threads,
         pages_per_client: 2,

@@ -5,7 +5,9 @@
 //! the process level: unknown `--protocols` values must exit 2 and name
 //! the accepted list, `--shard-size` must reject 0 and non-numeric
 //! values with a usage hint, and a valid protocol list must run the
-//! `transports` experiment end to end.
+//! `transports` experiment end to end. `repro gate` must reject unknown
+//! rows with exit 2, and fail a row whose golden trace or metrics
+//! baseline no longer matches (exit 3 for metrics drift).
 
 use std::process::Command;
 
@@ -322,4 +324,83 @@ fn timeline_without_windowing_points_at_the_flag() {
         "legacy run must explain how to enable windowing:\n{stdout}"
     );
     assert!(stdout.contains("--window-hours 1"), "{stdout}");
+}
+
+/// A scratch working directory holding a copy of the checked-in `ci/`
+/// files, so a test can corrupt them without touching the tree.
+fn ci_copy(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("dohperf-cli-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(dir.join("ci")).expect("create scratch ci/");
+    let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../ci");
+    for entry in std::fs::read_dir(&src).expect("read ci/") {
+        let path = entry.expect("ci/ entry").path();
+        std::fs::copy(&path, dir.join("ci").join(path.file_name().unwrap())).expect("copy ci file");
+    }
+    dir
+}
+
+#[test]
+fn unknown_gate_exits_2_and_lists_the_rows() {
+    let out = repro()
+        .args(["gate", "nope"])
+        .output()
+        .expect("spawn repro");
+    assert_eq!(out.status.code(), Some(2), "an unknown gate must exit 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown gate \"nope\""), "{stderr}");
+    for row in dohperf_bench::gates::GATES {
+        assert!(
+            stderr.contains(row.name),
+            "stderr must list {}:\n{stderr}",
+            row.name
+        );
+    }
+}
+
+#[test]
+fn a_flipped_golden_trace_byte_fails_its_gate_by_name() {
+    let dir = ci_copy("golden");
+    let golden = dir.join("ci/golden-trace.json");
+    let mut bytes = std::fs::read(&golden).expect("read golden");
+    bytes[100] ^= 1;
+    std::fs::write(&golden, bytes).expect("write golden");
+    let out = repro()
+        .args(["gate", "trace-headline"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !out.status.success(),
+        "a corrupted golden must fail:\n{stderr}"
+    );
+    assert!(stderr.contains("gate trace-headline: FAILED"), "{stderr}");
+    assert!(stderr.contains("ci/golden-trace.json"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_drifted_metrics_baseline_fails_its_gate_with_exit_3() {
+    let dir = ci_copy("baseline");
+    let baseline = dir.join("ci/baseline-metrics-doh.json");
+    let text = std::fs::read_to_string(&baseline).expect("read baseline");
+    let key = "\"campaign.doh_queries\": {\"kind\": \"counter\", \"value\": ";
+    let at = text.find(key).expect("baseline pins campaign.doh_queries") + key.len();
+    let digits = text[at..].find('}').expect("value ends") + at;
+    let queries: u64 = text[at..digits].trim().parse().expect("a count");
+    let drifted = format!("{}{}{}", &text[..at], queries + 1, &text[digits..]);
+    std::fs::write(&baseline, drifted).expect("write baseline");
+    let out = repro()
+        .args(["gate", "doh"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn repro");
+    assert_eq!(
+        out.status.code(),
+        Some(3),
+        "metrics drift must exit 3:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -15,8 +15,9 @@ use dohperf_analysis::streaming::{
     cdfs_from_store, cdfs_from_store_threads, headline_from_store, headline_from_store_threads,
 };
 use dohperf_core::campaign::{Campaign, CampaignConfig, ProtocolSet};
+use dohperf_core::store_io::write_dataset;
 use dohperf_core::{read_dataset, read_dataset_threads};
-use dohperf_store::{PipelineConfig, MANIFEST_FILE, RECORDS_FILE};
+use dohperf_store::{PipelineConfig, StoreError, MANIFEST_FILE, RECORDS_FILE};
 use std::fs;
 use std::path::PathBuf;
 
@@ -251,4 +252,45 @@ fn tiny_chunk_budget_changes_bytes_but_not_records() {
     assert_eq!(a.countries, b.countries);
     let _ = fs::remove_dir_all(&roomy);
     let _ = fs::remove_dir_all(&tight);
+}
+
+#[test]
+fn non_finite_latencies_are_rejected_with_a_typed_error() {
+    // The store keeps raw f64 bits, so a chunk with valid CRCs can carry
+    // a NaN; reading it back must fail cleanly instead of panicking in
+    // the analysis medians downstream.
+    let clean = Campaign::new(CampaignConfig {
+        scale: 0.01,
+        ..CampaignConfig::quick(2021)
+    })
+    .run();
+    let at = clean
+        .records
+        .iter()
+        .position(|r| r.do53_ms.is_some() && !r.doh.is_empty())
+        .expect("a client with Do53 and DoH samples");
+    let client = clean.records[at].client_id;
+    type Poison = fn(&mut dohperf_core::records::ClientRecord);
+    let poisons: [(&str, Poison); 3] = [
+        ("t_doh_ms", |r| r.doh[0].t_doh_ms = f64::NAN),
+        ("t_dohr_ms", |r| r.doh[0].t_dohr_ms = f64::INFINITY),
+        ("do53_ms", |r| r.do53_ms = Some(f64::NAN)),
+    ];
+    for (field, poison) in poisons {
+        let mut ds = clean.clone();
+        poison(&mut ds.records[at]);
+        let dir = temp_store(&format!("nan-{field}"));
+        write_dataset(&ds, &dir, 0).expect("the writer stores any bits");
+        match read_dataset_threads(&dir, 2) {
+            Err(StoreError::Corrupt(msg)) => {
+                assert!(msg.contains(&format!("client {client}")), "{msg}");
+                assert!(msg.contains(field), "{msg}");
+            }
+            other => panic!(
+                "{field}: expected StoreError::Corrupt, got {:?}",
+                other.map(|ds| ds.records.len())
+            ),
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
 }
