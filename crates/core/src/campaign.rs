@@ -40,7 +40,9 @@ use crate::testbed::{format_subdomain, Testbed, SUBDOMAIN_BUF_LEN};
 use crossbeam::deque;
 use dohperf_netsim::connection::DnsTransport;
 use dohperf_netsim::rng::SimRng;
+use dohperf_netsim::topology::GeoPoint;
 use dohperf_providers::anycast::AnycastPolicy;
+use dohperf_providers::pops::{PopDeployment, PopRanking};
 use dohperf_providers::provider::ALL_PROVIDERS;
 use dohperf_proxy::atlas::AtlasNetwork;
 use dohperf_proxy::exitnode::ExitNode;
@@ -821,7 +823,11 @@ impl Campaign {
         let sites = plan
             .population
             .client_sites(spec.country, &mut root_rng.clone());
-        let mut batch = DerivationBatch::with_capacity(self.config.runs_per_client as usize);
+        let fleet_max = tb.deployments.iter().map(PopDeployment::len).max();
+        let mut scratch = ClientScratch {
+            batch: DerivationBatch::with_capacity(self.config.runs_per_client as usize),
+            ranking: PopRanking::with_capacity(fleet_max.unwrap_or_default()),
+        };
         // Page shape parameters are a per-country fork of the root
         // stream, so every range of a country sees the same profile.
         let page_profile = (self.config.pages_per_client > 0)
@@ -889,7 +895,7 @@ impl Campaign {
                 &exit,
                 &geoloc,
                 &mut client_rng,
-                &mut batch,
+                &mut scratch,
                 page_profile.as_ref(),
             );
             let agrees = record.countries_agree();
@@ -965,9 +971,10 @@ impl Campaign {
         exit: &ExitNode,
         geoloc: &GeolocationService,
         client_rng: &mut SimRng,
-        batch: &mut DerivationBatch,
+        scratch: &mut ClientScratch,
         page_profile: Option<&pageload::PageProfile>,
     ) -> ClientRecord {
+        let ClientScratch { batch, ranking } = scratch;
         let mut doh = Vec::with_capacity(ALL_PROVIDERS.len());
         for (pi, &provider) in ALL_PROVIDERS.iter().enumerate() {
             let deployment = &tb.deployments[pi];
@@ -978,7 +985,13 @@ impl Campaign {
             } else {
                 provider.anycast_policy()
             };
-            let pop_index = policy.assign(deployment, &exit.position, &mut anycast_rng);
+            // One ranking per (client, provider) feeds the assignment and
+            // both distance columns.
+            let pop_index = {
+                let _hot = dohperf_telemetry::alloc::hot_scope();
+                deployment.rank_into(&exit.position, policy.ranking_depth(), ranking);
+                policy.assign_ranked(ranking, &mut anycast_rng)
+            };
             batch.clear();
             for run in 0..self.config.runs_per_client {
                 let mut run_rng =
@@ -1013,7 +1026,11 @@ impl Campaign {
             // Batched Eq 1-8 over the run block: two column-wise loops the
             // compiler can vectorize, bit-identical to the scalar path.
             batch.derive();
-            let nearest = deployment.nearest_index(&exit.position);
+            // A severe misroute can land outside the ranked prefix.
+            let pop_km = ranking.km_to(pop_index).unwrap_or_else(|| {
+                exit.position
+                    .distance_km(&deployment.sites()[pop_index].position)
+            });
             let t_doh_ms = median(batch.t_doh_ms_mut());
             let t_dohr_ms = median(batch.t_dohr_ms_mut());
             if flight::active() {
@@ -1029,8 +1046,8 @@ impl Campaign {
                 t_doh_ms,
                 t_dohr_ms,
                 pop_index,
-                pop_distance_miles: deployment.distance_miles(&exit.position, pop_index),
-                nearest_pop_distance_miles: deployment.distance_miles(&exit.position, nearest),
+                pop_distance_miles: pop_km / GeoPoint::KM_PER_MILE,
+                nearest_pop_distance_miles: ranking.nearest().km / GeoPoint::KM_PER_MILE,
             });
         }
 
@@ -1428,6 +1445,15 @@ impl<W: std::io::Write> RangeSink for StoreSink<W> {
     fn chunk_boundary(&mut self) -> std::io::Result<()> {
         self.writer.flush_boundary().map_err(std::io::Error::from)
     }
+}
+
+/// Buffers one range reuses for every client it measures, so the
+/// steady-state hot path allocates nothing.
+struct ClientScratch {
+    /// Eq 1-8 over one (client, provider) run block.
+    batch: DerivationBatch,
+    /// The nearest-PoP ranking of one (client, provider) pair.
+    ranking: PopRanking,
 }
 
 /// What a client-ID range reports after its records have gone to the sink.

@@ -482,7 +482,7 @@ pub fn measure_page(
         visits >= 2,
         "a page measurement needs a cold visit plus at least one revisit"
     );
-    let pop = deployment.sites[pop_index].node;
+    let pop = deployment.sites()[pop_index].node;
     let recording = flight::active();
     let n = model.len();
 

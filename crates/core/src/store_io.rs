@@ -154,8 +154,16 @@ pub fn record_from_store(r: &StoreRecord) -> Result<ClientRecord> {
                 t_doh_ms: finite(s.t_doh_ms, r.client_id, "t_doh_ms")?,
                 t_dohr_ms: finite(s.t_dohr_ms, r.client_id, "t_dohr_ms")?,
                 pop_index: s.pop_index as usize,
-                pop_distance_miles: s.pop_distance_miles,
-                nearest_pop_distance_miles: s.nearest_pop_distance_miles,
+                pop_distance_miles: finite(
+                    s.pop_distance_miles,
+                    r.client_id,
+                    "pop_distance_miles",
+                )?,
+                nearest_pop_distance_miles: finite(
+                    s.nearest_pop_distance_miles,
+                    r.client_id,
+                    "nearest_pop_distance_miles",
+                )?,
             })
         })
         .collect::<Result<Vec<_>>>()?;
@@ -182,10 +190,10 @@ pub fn record_from_store(r: &StoreRecord) -> Result<ClientRecord> {
             Ok(TransportSample {
                 transport,
                 provider,
-                cold_ms: s.cold_ms,
-                warm_ms: s.warm_ms,
-                resumed_ms: s.resumed_ms,
-                handshake_ms: s.handshake_ms,
+                cold_ms: finite(s.cold_ms, r.client_id, "cold_ms")?,
+                warm_ms: finite(s.warm_ms, r.client_id, "warm_ms")?,
+                resumed_ms: finite(s.resumed_ms, r.client_id, "resumed_ms")?,
+                handshake_ms: finite(s.handshake_ms, r.client_id, "handshake_ms")?,
             })
         })
         .collect::<Result<Vec<_>>>()?;
@@ -215,8 +223,8 @@ pub fn record_from_store(r: &StoreRecord) -> Result<ClientRecord> {
                 domains: s.domains,
                 unique_names: s.unique_names,
                 depth: s.depth,
-                plt_cold_ms: s.plt_cold_ms,
-                plt_warm_ms: s.plt_warm_ms,
+                plt_cold_ms: finite(s.plt_cold_ms, r.client_id, "plt_cold_ms")?,
+                plt_warm_ms: finite(s.plt_warm_ms, r.client_id, "plt_warm_ms")?,
                 cold_cache_hits: s.cold_cache_hits,
                 warm_cache_hits: s.warm_cache_hits,
             })
@@ -248,7 +256,7 @@ pub fn record_from_store(r: &StoreRecord) -> Result<ClientRecord> {
                 transport,
                 queries: s.queries,
                 successes: s.successes,
-                latency_ms: s.latency_ms,
+                latency_ms: finite(s.latency_ms, r.client_id, "latency_ms")?,
                 cache_lookups: s.cache_lookups,
                 cache_hits: s.cache_hits,
             })
@@ -261,7 +269,11 @@ pub fn record_from_store(r: &StoreRecord) -> Result<ClientRecord> {
         prefix: Prefix24(r.prefix),
         maxmind_country: intern_iso(r.maxmind_country, r.client_id)?,
         position: GeoPoint::new(r.lat, r.lon),
-        nameserver_distance_miles: r.nameserver_distance_miles,
+        nameserver_distance_miles: finite(
+            r.nameserver_distance_miles,
+            r.client_id,
+            "nameserver_distance_miles",
+        )?,
         doh,
         do53_ms: r
             .do53_ms
@@ -283,14 +295,15 @@ pub fn record_from_store(r: &StoreRecord) -> Result<ClientRecord> {
     })
 }
 
-/// A latency the analyses can order. The store keeps raw f64 bits, so a
-/// chunk whose CRC checks out can still carry a NaN or an infinity.
-fn finite(ms: f64, client_id: u64, field: &str) -> Result<f64> {
-    if ms.is_finite() {
-        Ok(ms)
+/// A latency or distance the analyses can order. The store keeps raw f64
+/// bits, so a chunk whose CRC checks out can still carry a NaN or an
+/// infinity.
+fn finite(value: f64, client_id: u64, field: &str) -> Result<f64> {
+    if value.is_finite() {
+        Ok(value)
     } else {
         Err(StoreError::Corrupt(format!(
-            "client {client_id}: {field} is {ms}, not a finite latency"
+            "client {client_id}: {field} is {value}, not a finite number"
         )))
     }
 }

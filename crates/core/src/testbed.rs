@@ -131,7 +131,7 @@ mod tests {
     #[test]
     fn testbed_assembles_every_component() {
         let tb = Testbed::new(1);
-        assert_eq!(tb.network.super_proxies.len(), 11);
+        assert_eq!(tb.network.super_proxies().len(), 11);
         assert_eq!(tb.deployments.len(), 4);
         assert_eq!(tb.deployment(ProviderKind::Cloudflare).len(), 146);
         assert_eq!(tb.deployment(ProviderKind::Google).len(), 26);

@@ -19,7 +19,7 @@
 //! campaign. Stickiness comes from deriving the draw from a client-keyed
 //! RNG.
 
-use crate::pops::PopDeployment;
+use crate::pops::{PopDeployment, PopRanking};
 use dohperf_netsim::rng::SimRng;
 use dohperf_netsim::topology::GeoPoint;
 use serde::{Deserialize, Serialize};
@@ -58,25 +58,34 @@ impl AnycastPolicy {
         pos: &GeoPoint,
         client_rng: &mut SimRng,
     ) -> usize {
-        let n = deployment.len();
-        debug_assert!(n > 0, "empty deployment");
+        let mut ranking = PopRanking::default();
+        deployment.rank_into(pos, self.ranking_depth(), &mut ranking);
+        self.assign_ranked(&ranking, client_rng)
+    }
+
+    /// How many nearest PoPs [`Self::assign_ranked`] reads: the nearest
+    /// one plus the `candidate_pool` alternatives.
+    pub fn ranking_depth(&self) -> usize {
+        self.candidate_pool + 1
+    }
+
+    /// [`Self::assign`] over a ranking of the client's position at least
+    /// [`Self::ranking_depth`] deep (or the whole fleet).
+    pub fn assign_ranked(&self, ranking: &PopRanking, client_rng: &mut SimRng) -> usize {
+        let n = ranking.fleet_len();
+        let pool = &ranking.ranked()[..self.ranking_depth().min(n)];
         // Severe misroute: anywhere in the fleet.
         if client_rng.chance(self.p_far_misroute) {
             return client_rng.index(n);
         }
         if client_rng.chance(self.p_optimal_renormalised()) {
-            return deployment.nearest_index(pos);
+            return pool[0].index;
         }
         // Mild misroute: one of the next-nearest PoPs, explicitly
         // *excluding* the nearest — the optimal-assignment probability is
         // exactly `p_optimal`, as Figure 6 reports it for Quad9 (21%).
-        let pool = deployment.nearest_k_indices(pos, (self.candidate_pool + 1).min(n));
-        let alternatives = if pool.len() > 1 {
-            &pool[1..]
-        } else {
-            &pool[..]
-        };
-        *client_rng.choose(alternatives)
+        let alternatives = if pool.len() > 1 { &pool[1..] } else { pool };
+        client_rng.choose(alternatives).index
     }
 
     /// `p_optimal` is defined unconditionally, but the severe branch is

@@ -34,7 +34,85 @@ pub struct PopDeployment {
     /// Which provider.
     pub kind: ProviderKind,
     /// Deployed sites.
-    pub sites: Vec<PopSite>,
+    sites: Vec<PopSite>,
+    /// Unit vector of each site, in `sites` order (see [`unit_vector`]).
+    units: Vec<[f64; 3]>,
+}
+
+/// Bound on the chord estimate's error, in haversine units. The two ways
+/// of computing sin²(θ/2) — the chord `(1 − u·v)/2` from unit vectors and
+/// the haversine term inside [`GeoPoint::distance_km`] — each land within
+/// ~1e-15 of the exact value, so this leaves six orders of magnitude of
+/// margin (DESIGN.md §4, "Nearest-PoP ranking").
+const SLACK: f64 = 1e-9;
+
+/// One entry of a [`PopRanking`]: a site and its exact distance.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RankedPop {
+    /// Index into [`PopDeployment::sites`].
+    pub index: usize,
+    /// `pos.distance_km(&site.position)`, bit for bit.
+    pub km: f64,
+}
+
+/// The `k` PoPs nearest a position, closest first, written by
+/// [`PopDeployment::rank_into`]. It doubles as the ranking's scratch: a
+/// ranking reused across calls stops allocating once its buffers have
+/// grown to the fleet size.
+#[derive(Debug, Clone, Default)]
+pub struct PopRanking {
+    /// Chord estimate per site, in site order.
+    chord: Vec<f64>,
+    /// A copy of `chord` that the k-th-smallest selection reorders.
+    select: Vec<f64>,
+    /// The shortlist, then the ranked prefix.
+    ranked: Vec<RankedPop>,
+    /// Fleet size of the deployment ranked last.
+    fleet: usize,
+}
+
+impl PopRanking {
+    /// A ranking whose buffers already hold fleets of up to `sites` PoPs.
+    pub fn with_capacity(sites: usize) -> Self {
+        PopRanking {
+            chord: Vec::with_capacity(sites),
+            select: Vec::with_capacity(sites),
+            ranked: Vec::with_capacity(sites),
+            fleet: 0,
+        }
+    }
+
+    /// The ranked PoPs, closest first (ties by site index).
+    pub fn ranked(&self) -> &[RankedPop] {
+        &self.ranked
+    }
+
+    /// The nearest PoP.
+    pub fn nearest(&self) -> RankedPop {
+        *self.ranked.first().expect("ranking is filled")
+    }
+
+    /// Exact distance to site `index`, if it made the ranking.
+    pub fn km_to(&self, index: usize) -> Option<f64> {
+        self.ranked.iter().find(|r| r.index == index).map(|r| r.km)
+    }
+
+    /// Number of sites in the deployment ranked last.
+    pub fn fleet_len(&self) -> usize {
+        self.fleet
+    }
+}
+
+/// Unit vector of a position: x toward (0°, 0°), z toward the north pole.
+fn unit_vector(p: &GeoPoint) -> [f64; 3] {
+    let (sin_lat, cos_lat) = p.lat.to_radians().sin_cos();
+    let (sin_lon, cos_lon) = p.lon.to_radians().sin_cos();
+    [cos_lat * cos_lon, cos_lat * sin_lon, sin_lat]
+}
+
+/// Chord estimate of the haversine sin²(θ/2) between two unit vectors.
+fn chord(u: &[f64; 3], v: &[f64; 3]) -> f64 {
+    (1.0 - (u[0] * v[0] + u[1] * v[1] + u[2] * v[2])) / 2.0
 }
 
 /// Google's hub cities: the 26 interconnection points observed in the
@@ -150,7 +228,13 @@ impl PopDeployment {
                 city_index,
             });
         }
-        PopDeployment { kind, sites }
+        let units = sites.iter().map(|s| unit_vector(&s.position)).collect();
+        PopDeployment { kind, sites, units }
+    }
+
+    /// Deployed sites.
+    pub fn sites(&self) -> &[PopSite] {
+        &self.sites
     }
 
     /// Number of deployed PoPs.
@@ -163,30 +247,53 @@ impl PopDeployment {
         self.sites.is_empty()
     }
 
-    /// Index of the geographically nearest PoP to `pos`.
-    pub fn nearest_index(&self, pos: &GeoPoint) -> usize {
-        self.sites
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                pos.distance_km(&a.position)
-                    .partial_cmp(&pos.distance_km(&b.position))
-                    .expect("distances are finite")
-            })
-            .map(|(i, _)| i)
-            .expect("deployment is non-empty")
+    /// Rank the `k` PoPs nearest `pos` (clamped to `1..=len`) into
+    /// `out`: the same indices, order, ties and km bits as stable-sorting
+    /// every site by `pos.distance_km(&site.position)` and keeping `k`.
+    ///
+    /// The chord estimate `(1 − u·v)/2` (three multiply-adds per site, no
+    /// libm call) finds the k-th smallest estimate `t`; only sites within
+    /// `t + 2·SLACK` get the exact haversine, and that shortlist is sorted
+    /// by (km, index). A site beyond the cutoff sits at least `SLACK`
+    /// further out in haversine terms than each of the `k` sites at or
+    /// under `t`, and since d = 2R·asin(√h) has dd/dh ≥ 2R, that is at
+    /// least 2R·SLACK ≈ 1.3e-5 km — six orders of magnitude above the
+    /// rounding of `distance_km` — so it ranks strictly behind `k` sites
+    /// and cannot be in the top `k`.
+    pub fn rank_into(&self, pos: &GeoPoint, k: usize, out: &mut PopRanking) {
+        let n = self.sites.len();
+        assert!(n > 0, "deployment is non-empty");
+        let k = k.clamp(1, n);
+        let u = unit_vector(pos);
+        out.chord.clear();
+        out.chord.extend(self.units.iter().map(|v| chord(&u, v)));
+        out.select.clear();
+        out.select.extend_from_slice(&out.chord);
+        let (_, kth, _) = out.select.select_nth_unstable_by(k - 1, f64::total_cmp);
+        let cutoff = *kth + 2.0 * SLACK;
+        out.ranked.clear();
+        for (index, (&h, site)) in out.chord.iter().zip(&self.sites).enumerate() {
+            if h <= cutoff {
+                let km = pos.distance_km(&site.position);
+                out.ranked.push(RankedPop { index, km });
+            }
+        }
+        assert!(out.ranked.len() >= k, "ranking needs a finite position");
+        out.ranked.sort_unstable_by(|a, b| {
+            a.km.partial_cmp(&b.km)
+                .expect("distances are finite")
+                .then(a.index.cmp(&b.index))
+        });
+        out.ranked.truncate(k);
+        out.fleet = n;
     }
 
-    /// Indices of the `k` nearest PoPs, closest first.
-    pub fn nearest_k_indices(&self, pos: &GeoPoint, k: usize) -> Vec<usize> {
-        let mut order: Vec<(usize, f64)> = self
-            .sites
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (i, pos.distance_km(&s.position)))
-            .collect();
-        order.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"));
-        order.into_iter().take(k.max(1)).map(|(i, _)| i).collect()
+    /// Index of the geographically nearest PoP to `pos` (the lowest index
+    /// among equally near sites).
+    pub fn nearest_index(&self, pos: &GeoPoint) -> usize {
+        let mut ranking = PopRanking::default();
+        self.rank_into(pos, 1, &mut ranking);
+        ranking.nearest().index
     }
 
     /// Distance in miles from `pos` to PoP `index`.
@@ -266,8 +373,8 @@ mod tests {
         let dep = PopDeployment::deploy(ProviderKind::Cloudflare, &mut sim);
         let client = GeoPoint::new(48.8, 2.3); // Paris
         let nearest = dep.nearest_index(&client);
-        let d_nearest = client.distance_km(&dep.sites[nearest].position);
-        for site in &dep.sites {
+        let d_nearest = client.distance_km(&dep.sites()[nearest].position);
+        for site in dep.sites() {
             assert!(client.distance_km(&site.position) >= d_nearest - 1e-9);
         }
         assert!(d_nearest < 500.0, "Paris should be near a Cloudflare PoP");
@@ -278,14 +385,12 @@ mod tests {
         let mut sim = Simulator::new(3);
         let dep = PopDeployment::deploy(ProviderKind::Quad9, &mut sim);
         let pos = GeoPoint::new(-1.29, 36.82); // Nairobi
-        let idx = dep.nearest_k_indices(&pos, 5);
-        assert_eq!(idx.len(), 5);
-        let dists: Vec<f64> = idx
-            .iter()
-            .map(|&i| pos.distance_km(&dep.sites[i].position))
-            .collect();
-        for w in dists.windows(2) {
-            assert!(w[0] <= w[1]);
+        let mut ranking = PopRanking::default();
+        dep.rank_into(&pos, 5, &mut ranking);
+        assert_eq!(ranking.ranked().len(), 5);
+        for (r, w) in ranking.ranked().iter().zip(ranking.ranked().windows(2)) {
+            assert_eq!(r.km, pos.distance_km(&dep.sites()[r.index].position));
+            assert!(w[0].km <= w[1].km);
         }
     }
 

@@ -4,12 +4,72 @@ use dohperf_netsim::engine::Simulator;
 use dohperf_netsim::rng::SimRng;
 use dohperf_netsim::topology::GeoPoint;
 use dohperf_providers::anycast::AnycastPolicy;
-use dohperf_providers::pops::PopDeployment;
+use dohperf_providers::pops::{PopDeployment, PopRanking};
 use dohperf_providers::provider::ALL_PROVIDERS;
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 fn arb_geo() -> impl Strategy<Value = GeoPoint> {
     (-60.0f64..70.0, -179.0f64..179.0).prop_map(|(lat, lon)| GeoPoint::new(lat, lon))
+}
+
+/// One deployment per provider, built once for every case.
+fn deployments() -> &'static [PopDeployment] {
+    static DEPLOYMENTS: OnceLock<Vec<PopDeployment>> = OnceLock::new();
+    DEPLOYMENTS.get_or_init(|| {
+        let mut sim = Simulator::new(1);
+        ALL_PROVIDERS
+            .iter()
+            .map(|&kind| PopDeployment::deploy(kind, &mut sim))
+            .collect()
+    })
+}
+
+/// Test-only oracle: stable-sort every site by its exact distance.
+fn stable_sort_oracle(dep: &PopDeployment, pos: &GeoPoint) -> Vec<(usize, u64)> {
+    let mut all: Vec<(usize, f64)> = dep
+        .sites()
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (i, pos.distance_km(&s.position)))
+        .collect();
+    all.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite distances"));
+    all.into_iter().map(|(i, km)| (i, km.to_bits())).collect()
+}
+
+/// A random position (probes 0–1) or an adversarial one: exactly on a
+/// site (2), a site's antipode (3), a pole (4), the ±180° meridian (5),
+/// or the great-circle midpoint of two sites (6). Sites come from the
+/// deployment `pick.0`.
+fn probe_position(probe: usize, pick: (usize, usize, usize), lat: f64, lon: f64) -> GeoPoint {
+    let sites = deployments()[pick.0].sites();
+    let a = sites[pick.1 % sites.len()].position;
+    let b = sites[pick.2 % sites.len()].position;
+    let sign = if pick.1.is_multiple_of(2) { 1.0 } else { -1.0 };
+    match probe {
+        2 => a,
+        3 => GeoPoint::new(
+            -a.lat,
+            if a.lon > 0.0 {
+                a.lon - 180.0
+            } else {
+                a.lon + 180.0
+            },
+        ),
+        4 => GeoPoint::new(90.0 * sign, lon),
+        5 => GeoPoint::new(lat, 180.0 * sign),
+        6 => {
+            let unit = |p: GeoPoint| {
+                let (lat, lon) = (p.lat.to_radians(), p.lon.to_radians());
+                [lat.cos() * lon.cos(), lat.cos() * lon.sin(), lat.sin()]
+            };
+            let (u, v) = (unit(a), unit(b));
+            let m = [u[0] + v[0], u[1] + v[1], u[2] + v[2]];
+            let lat = m[2].atan2(m[0].hypot(m[1])).to_degrees();
+            GeoPoint::new(lat, m[1].atan2(m[0]).to_degrees())
+        }
+        _ => GeoPoint::new(lat, lon),
+    }
 }
 
 proptest! {
@@ -35,17 +95,17 @@ proptest! {
         );
     }
 
-    /// nearest_k distances ascend, and k=1 equals nearest_index.
+    /// Ranked distances ascend, and k=1 equals nearest_index.
     #[test]
     fn nearest_k_sorted_and_consistent(pos in arb_geo(), k in 1usize..20, pi in 0usize..4) {
-        let mut sim = Simulator::new(2);
-        let dep = PopDeployment::deploy(ALL_PROVIDERS[pi], &mut sim);
-        let idx = dep.nearest_k_indices(&pos, k);
-        prop_assert_eq!(idx.len(), k.min(dep.len()));
-        prop_assert_eq!(idx[0], dep.nearest_index(&pos));
-        let dists: Vec<f64> = idx.iter().map(|&i| dep.distance_miles(&pos, i)).collect();
-        for w in dists.windows(2) {
-            prop_assert!(w[0] <= w[1] + 1e-9);
+        let dep = &deployments()[pi];
+        let mut ranking = PopRanking::default();
+        dep.rank_into(&pos, k, &mut ranking);
+        let ranked = ranking.ranked();
+        prop_assert_eq!(ranked.len(), k.min(dep.len()));
+        prop_assert_eq!(ranked[0].index, dep.nearest_index(&pos));
+        for w in ranked.windows(2) {
+            prop_assert!(w[0].km <= w[1].km);
         }
     }
 
@@ -75,5 +135,37 @@ proptest! {
             .anycast_policy()
             .assign(&dep, &pos, &mut SimRng::new(seed).fork("c"));
         prop_assert_eq!(a, b);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The chord-prefiltered ranking is the stable sort of every site's
+    /// exact distance, bit for bit, for every deployment and every depth,
+    /// including on sites, at antipodes, at the poles, on the ±180°
+    /// meridian and at great-circle midpoints between two sites.
+    #[test]
+    fn ranking_is_the_stable_sort_of_every_site(
+        probe in 0usize..7,
+        pick in (0usize..4, 0usize..4096, 0usize..4096),
+        lat in -90.0f64..90.0,
+        lon in -180.0f64..180.0,
+    ) {
+        let pos = probe_position(probe, pick, lat, lon);
+        let mut ranking = PopRanking::default();
+        for dep in deployments() {
+            let oracle = stable_sort_oracle(dep, &pos);
+            for k in 1..=dep.len() {
+                dep.rank_into(&pos, k, &mut ranking);
+                let ranked: Vec<(usize, u64)> =
+                    ranking.ranked().iter().map(|r| (r.index, r.km.to_bits())).collect();
+                prop_assert!(
+                    ranked[..] == oracle[..k],
+                    "{:?} at {:?}, k={}: ranking {:?} != oracle {:?}",
+                    dep.kind, pos, k, ranked, &oracle[..k]
+                );
+            }
+        }
     }
 }

@@ -183,7 +183,7 @@ impl BrightDataNetwork {
         cache_hit_p: f64,
         rng: &mut SimRng,
     ) -> TransportObservation {
-        let pop = deployment.sites[pop_index].node;
+        let pop = deployment.sites()[pop_index].node;
         dohperf_telemetry::counter!("proxy.transport_measurements").inc();
         let recording = flight::active();
         let mut conn = Connection::new(transport);

@@ -14,12 +14,13 @@ use dohperf_http::luminati::TunTimeline;
 use dohperf_netsim::engine::Simulator;
 use dohperf_netsim::rng::SimRng;
 use dohperf_netsim::time::SimDuration;
-use dohperf_netsim::topology::NodeId;
+use dohperf_netsim::topology::{GeoPoint, NodeId};
 use dohperf_netsim::transport::TlsVersion;
 use dohperf_providers::pops::PopDeployment;
 use dohperf_providers::provider::ProviderKind;
 use dohperf_telemetry::flight;
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 
 /// Probability the exit node's resolver has a DoH provider's bootstrap
 /// A record cached (popular hostnames are nearly always warm).
@@ -100,7 +101,10 @@ fn forwarding_overhead(rng: &mut SimRng) -> SimDuration {
 #[derive(Debug)]
 pub struct BrightDataNetwork {
     /// Super Proxy fleet (11 countries).
-    pub super_proxies: Vec<SuperProxy>,
+    super_proxies: Vec<SuperProxy>,
+    /// The last client position served and its Super Proxy: a testbed
+    /// measures from one fixed client, so this resolves it once.
+    last_served: Cell<Option<(GeoPoint, SuperProxy)>>,
 }
 
 impl BrightDataNetwork {
@@ -108,13 +112,29 @@ impl BrightDataNetwork {
     pub fn deploy(sim: &mut Simulator) -> Self {
         BrightDataNetwork {
             super_proxies: SuperProxy::deploy_fleet(sim),
+            last_served: Cell::new(None),
         }
+    }
+
+    /// The Super Proxy fleet (11 countries).
+    pub fn super_proxies(&self) -> &[SuperProxy] {
+        &self.super_proxies
     }
 
     /// The Super Proxy that will serve a given measurement client.
     pub fn super_proxy_for(&self, sim: &Simulator, client: NodeId) -> SuperProxy {
         let pos = sim.topology().node(client).spec.position;
-        *nearest_super_proxy(&self.super_proxies, &pos)
+        let same = |p: &GeoPoint| {
+            p.lat.to_bits() == pos.lat.to_bits() && p.lon.to_bits() == pos.lon.to_bits()
+        };
+        match self.last_served.get() {
+            Some((p, sp)) if same(&p) => sp,
+            _ => {
+                let sp = *nearest_super_proxy(&self.super_proxies, &pos);
+                self.last_served.set(Some((pos, sp)));
+                sp
+            }
+        }
     }
 
     /// Round trip of the CONNECT tunnel path: client ↔ Super Proxy ↔ exit.
@@ -169,7 +189,7 @@ impl BrightDataNetwork {
         opts: &MeasurementOptions,
     ) -> DohObservation {
         let sp = self.super_proxy_for(sim, client);
-        let pop = deployment.sites[pop_index].node;
+        let pop = deployment.sites()[pop_index].node;
         dohperf_telemetry::counter!("proxy.connect_tunnels").inc();
         let recording = flight::active();
 

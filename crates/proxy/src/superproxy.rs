@@ -67,16 +67,15 @@ impl SuperProxy {
     }
 }
 
-/// Pick the fleet member nearest to a client position.
+/// Pick the fleet member nearest to a client position (the first of
+/// equally near members), one haversine per member.
 pub fn nearest_super_proxy<'a>(fleet: &'a [SuperProxy], pos: &GeoPoint) -> &'a SuperProxy {
     fleet
         .iter()
-        .min_by(|a, b| {
-            pos.distance_km(&a.position)
-                .partial_cmp(&pos.distance_km(&b.position))
-                .expect("finite distances")
-        })
+        .map(|sp| (sp, pos.distance_km(&sp.position)))
+        .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite distances"))
         .expect("fleet is non-empty")
+        .0
 }
 
 #[cfg(test)]

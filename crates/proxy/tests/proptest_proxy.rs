@@ -9,6 +9,7 @@ use dohperf_providers::pops::PopDeployment;
 use dohperf_providers::provider::{ProviderKind, ALL_PROVIDERS};
 use dohperf_proxy::exitnode::ExitNode;
 use dohperf_proxy::network::BrightDataNetwork;
+use dohperf_proxy::superproxy::{nearest_super_proxy, SuperProxy};
 use dohperf_world::countries::all_countries;
 use dohperf_world::geoloc::GeolocationService;
 use proptest::prelude::*;
@@ -139,6 +140,73 @@ proptest! {
             prop_assert_eq!(obs.tun.dns, obs.truth_t_do53);
         }
         prop_assert!(obs.truth_t_do53.as_millis_f64() > 0.0);
+    }
+}
+
+/// Test-only oracle: index of the first fleet member at the smallest
+/// exact distance, by stable-sorting the whole fleet.
+fn brute_force_nearest(fleet: &[SuperProxy], pos: &GeoPoint) -> usize {
+    let mut all: Vec<(usize, f64)> = fleet
+        .iter()
+        .enumerate()
+        .map(|(i, sp)| (i, pos.distance_km(&sp.position)))
+        .collect();
+    all.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite distances"));
+    all[0].0
+}
+
+/// A random position (probes 0–1), a fleet member's own position (2), its
+/// antipode (3), a pole (4) or the ±180° meridian (5).
+fn probe_position(fleet: &[SuperProxy], probe: usize, pick: usize, lat: f64, lon: f64) -> GeoPoint {
+    let member = fleet[pick % fleet.len()].position;
+    let sign = if pick.is_multiple_of(2) { 1.0 } else { -1.0 };
+    match probe {
+        2 => member,
+        3 => GeoPoint::new(
+            -member.lat,
+            if member.lon > 0.0 {
+                member.lon - 180.0
+            } else {
+                member.lon + 180.0
+            },
+        ),
+        4 => GeoPoint::new(90.0 * sign, lon),
+        5 => GeoPoint::new(lat, 180.0 * sign),
+        _ => GeoPoint::new(lat, lon),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `nearest_super_proxy` is the brute-force nearest member, and the
+    /// network's memoised `super_proxy_for` agrees with it as the client
+    /// it serves moves between two positions.
+    #[test]
+    fn nearest_super_proxy_is_the_brute_force_nearest(
+        probes in (0usize..6, 0usize..6),
+        picks in (0usize..64, 0usize..64),
+        lats in (-90.0f64..90.0, -90.0f64..90.0),
+        lons in (-180.0f64..180.0, -180.0f64..180.0),
+    ) {
+        let mut sim = Simulator::new(1);
+        let network = BrightDataNetwork::deploy(&mut sim);
+        let fleet = network.super_proxies();
+        let p = probe_position(fleet, probes.0, picks.0, lats.0, lons.0);
+        let q = probe_position(fleet, probes.1, picks.1, lats.1, lons.1);
+        let nearest = |pos: &GeoPoint| {
+            let sp = nearest_super_proxy(fleet, pos);
+            fleet.iter().position(|m| std::ptr::eq(m, sp)).expect("a fleet member")
+        };
+        prop_assert_eq!(nearest(&p), brute_force_nearest(fleet, &p));
+        prop_assert_eq!(nearest(&q), brute_force_nearest(fleet, &q));
+        let at_p = sim.add_node(NodeSpec::new("p", p, NodeRole::Server));
+        let at_q = sim.add_node(NodeSpec::new("q", q, NodeRole::Server));
+        for client in [at_p, at_p, at_q, at_p, at_q, at_q] {
+            let pos = sim.topology().node(client).spec.position;
+            let served = network.super_proxy_for(&sim, client);
+            prop_assert_eq!(served.node, fleet[brute_force_nearest(fleet, &pos)].node);
+        }
     }
 }
 

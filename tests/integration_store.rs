@@ -15,6 +15,7 @@ use dohperf_analysis::streaming::{
     cdfs_from_store, cdfs_from_store_threads, headline_from_store, headline_from_store_threads,
 };
 use dohperf_core::campaign::{Campaign, CampaignConfig, ProtocolSet};
+use dohperf_core::records::{ClientRecord, Dataset};
 use dohperf_core::store_io::write_dataset;
 use dohperf_core::{read_dataset, read_dataset_threads};
 use dohperf_store::{PipelineConfig, StoreError, MANIFEST_FILE, RECORDS_FILE};
@@ -254,28 +255,26 @@ fn tiny_chunk_budget_changes_bytes_but_not_records() {
     let _ = fs::remove_dir_all(&tight);
 }
 
-#[test]
-fn non_finite_latencies_are_rejected_with_a_typed_error() {
-    // The store keeps raw f64 bits, so a chunk with valid CRCs can carry
-    // a NaN; reading it back must fail cleanly instead of panicking in
-    // the analysis medians downstream.
-    let clean = Campaign::new(CampaignConfig {
-        scale: 0.01,
-        ..CampaignConfig::quick(2021)
-    })
-    .run();
+type Poison = fn(&mut ClientRecord);
+
+/// Write `clean` with each poison applied to one client in turn and
+/// assert the read fails with `StoreError::Corrupt` naming the client and
+/// the poisoned field. The store keeps raw f64 bits, so a chunk with
+/// valid CRCs can carry a NaN; reading it back must fail cleanly instead
+/// of panicking in the analysis medians downstream.
+fn assert_poisons_rejected(clean: &Dataset, poisons: &[(&str, Poison)]) {
     let at = clean
         .records
         .iter()
-        .position(|r| r.do53_ms.is_some() && !r.doh.is_empty())
-        .expect("a client with Do53 and DoH samples");
+        .position(|r| {
+            r.do53_ms.is_some()
+                && !r.doh.is_empty()
+                && !r.transports.is_empty()
+                && !r.pages.is_empty()
+                && !r.windows.is_empty()
+        })
+        .expect("a client with every column group");
     let client = clean.records[at].client_id;
-    type Poison = fn(&mut dohperf_core::records::ClientRecord);
-    let poisons: [(&str, Poison); 3] = [
-        ("t_doh_ms", |r| r.doh[0].t_doh_ms = f64::NAN),
-        ("t_dohr_ms", |r| r.doh[0].t_dohr_ms = f64::INFINITY),
-        ("do53_ms", |r| r.do53_ms = Some(f64::NAN)),
-    ];
     for (field, poison) in poisons {
         let mut ds = clean.clone();
         poison(&mut ds.records[at]);
@@ -284,7 +283,7 @@ fn non_finite_latencies_are_rejected_with_a_typed_error() {
         match read_dataset_threads(&dir, 2) {
             Err(StoreError::Corrupt(msg)) => {
                 assert!(msg.contains(&format!("client {client}")), "{msg}");
-                assert!(msg.contains(field), "{msg}");
+                assert!(msg.contains(&format!("{field} is ")), "{msg}");
             }
             other => panic!(
                 "{field}: expected StoreError::Corrupt, got {:?}",
@@ -293,4 +292,79 @@ fn non_finite_latencies_are_rejected_with_a_typed_error() {
         }
         let _ = fs::remove_dir_all(&dir);
     }
+}
+
+/// A small campaign with every column group filled: DoH and Do53,
+/// extended transports, page loads and window samples.
+fn every_column_group() -> Dataset {
+    Campaign::new(CampaignConfig {
+        scale: 0.01,
+        protocols: ProtocolSet::all(),
+        pages_per_client: 2,
+        window_nanos: 3_600_000_000_000,
+        ..CampaignConfig::quick(2021)
+    })
+    .run()
+}
+
+#[test]
+fn non_finite_latencies_are_rejected_with_a_typed_error() {
+    assert_poisons_rejected(
+        &every_column_group(),
+        &[
+            ("t_doh_ms", |r| r.doh[0].t_doh_ms = f64::NAN),
+            ("t_dohr_ms", |r| r.doh[0].t_dohr_ms = f64::INFINITY),
+            ("do53_ms", |r| r.do53_ms = Some(f64::NAN)),
+        ],
+    );
+}
+
+#[test]
+fn non_finite_distances_are_rejected_with_a_typed_error() {
+    assert_poisons_rejected(
+        &every_column_group(),
+        &[
+            ("pop_distance_miles", |r| {
+                r.doh[1].pop_distance_miles = f64::NAN
+            }),
+            ("nearest_pop_distance_miles", |r| {
+                r.doh[2].nearest_pop_distance_miles = f64::INFINITY
+            }),
+            ("nameserver_distance_miles", |r| {
+                r.nameserver_distance_miles = f64::NAN
+            }),
+        ],
+    );
+}
+
+#[test]
+fn non_finite_transport_latencies_are_rejected_with_a_typed_error() {
+    assert_poisons_rejected(
+        &every_column_group(),
+        &[
+            ("cold_ms", |r| r.transports[0].cold_ms = f64::NAN),
+            ("warm_ms", |r| r.transports[1].warm_ms = f64::NEG_INFINITY),
+            ("resumed_ms", |r| r.transports[2].resumed_ms = f64::NAN),
+            ("handshake_ms", |r| r.transports[3].handshake_ms = f64::NAN),
+        ],
+    );
+}
+
+#[test]
+fn non_finite_page_load_times_are_rejected_with_a_typed_error() {
+    assert_poisons_rejected(
+        &every_column_group(),
+        &[
+            ("plt_cold_ms", |r| r.pages[0].plt_cold_ms = f64::NAN),
+            ("plt_warm_ms", |r| r.pages[0].plt_warm_ms = f64::INFINITY),
+        ],
+    );
+}
+
+#[test]
+fn non_finite_window_latency_is_rejected_with_a_typed_error() {
+    assert_poisons_rejected(
+        &every_column_group(),
+        &[("latency_ms", |r| r.windows[0].latency_ms = f64::NAN)],
+    );
 }
