@@ -12,8 +12,9 @@ test:
 bench:
 	cargo bench -p dohperf-bench
 
+# API docs; a broken intra-doc link fails the build (as in CI).
 doc:
-	cargo doc --workspace --no-deps
+	RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline
 
 # Quick reproduction of every table and figure (25% scale, ~1 min).
 repro:
@@ -25,7 +26,7 @@ repro-full:
 
 # Mirror of .github/workflows/ci.yml, runnable locally and offline: the
 # same build, test, lint, gate, allocation and benchmark-test jobs.
-ci: fmt-check clippy build test gates alloc perf-test
+ci: fmt-check clippy doc build test gates alloc perf-test
 
 # CI plus the determinism check that 1-worker and multi-worker campaigns
 # serialize identically.

@@ -10,8 +10,9 @@
 //!   provider.
 //! * [`geography`] — Figure 5: per-country median DoH per provider plus
 //!   PoP counts.
-//! * [`pop_improvement`] — Figures 6 and 9: potential improvement in
-//!   distance to PoP, and per-client distance to the servicing PoP.
+//! * [`pop_improvement`](mod@pop_improvement) — Figures 6 and 9:
+//!   potential improvement in distance to PoP, and per-client distance
+//!   to the servicing PoP.
 //! * [`deltas`] — Figure 7: the per-country Do53→DoH10 delta by resolver.
 //! * [`covariates`] — the §6.1 explanatory-variable join.
 //! * [`logistic_model`] — Table 4: odds of slowdown under DoH-N.
@@ -21,8 +22,9 @@
 //!   columnar store directory, via mergeable quantile sketches.
 //! * [`transports`] — per-protocol (Do53/DoH/DoT/DoQ) lifecycle headline
 //!   tables and cold/warm/resumed CDFs for extended-transport campaigns.
-//! * [`timeline`] — per-window p50/p95/p99 latency, availability, and
-//!   cache-hit-rate series for windowed campaigns (`repro timeline`).
+//! * [`timeline`](mod@timeline) — per-window p50/p95/p99 latency,
+//!   availability, and cache-hit-rate series for windowed campaigns
+//!   (`repro timeline`).
 
 pub mod cdfs;
 pub mod covariates;

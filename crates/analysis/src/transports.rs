@@ -2,8 +2,9 @@
 //!
 //! When a campaign runs with a non-empty
 //! [`dohperf_core::campaign::ProtocolSet`], every retained record carries
-//! one [`TransportSample`] per (transport, provider) pair. This module
-//! reduces those to the per-protocol headline table and CDFs that
+//! one [`TransportSample`](dohperf_core::records::TransportSample) per
+//! (transport, provider) pair. This module reduces those to the
+//! per-protocol headline table and CDFs that
 //! `repro --protocols ...` renders: cold (first-request), warm
 //! (connection-reuse) and resumed (post-idle, session-ticket / 0-RTT)
 //! query times, plus the bare handshake cost — the Eq T1–T6 analogues of

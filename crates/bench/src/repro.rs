@@ -14,8 +14,7 @@ use dohperf_analysis::render::{f, pct, pval, table};
 use dohperf_core::campaign::{Campaign, CampaignConfig, ClientExplain, ProtocolSet};
 use dohperf_core::records::Dataset;
 use dohperf_core::validation;
-use dohperf_netsim::connection::DnsTransport;
-use dohperf_netsim::transport::TlsVersion;
+use dohperf_netsim::connection::{DnsTransport, TlsVersion};
 use dohperf_providers::provider::{ProviderKind, ALL_PROVIDERS};
 use dohperf_stats::desc::median;
 use dohperf_telemetry::flight::{QueryTrace, SpanRecord};
@@ -158,7 +157,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ("ablation-cache", |c| c.ablation_cache()),
     ("ablation-loss", |c| c.ablation_loss()),
     ("ablation-vantage", |c| c.ablation_vantage()),
-    ("compare-dot", |c| c.compare_dot()),
     ("transports", |c| c.transports()),
     ("pageload", |c| c.pageload()),
     ("timeline", |c| c.timeline()),
@@ -1034,38 +1032,6 @@ so DoH-by-default remains a first-connection tax even in a warm-cache world.
         out += "BrightData's exit distribution over-represents thin markets, inflating both medians relative to
 a traffic-weighted view of the Internet — the direction of bias the paper's §7 anticipates.
 ";
-        out
-    }
-
-    /// Comparison: DoT vs DoH (the Doan et al. §8 contrast, executable).
-    pub fn compare_dot(&self) -> String {
-        use dohperf_proxy::network::EncryptedProtocol;
-        let doh = self.variant_dataset(|_| {});
-        let dot = self.variant_dataset(|cfg| cfg.measurement.protocol = EncryptedProtocol::DoT);
-        let mut out = String::from(
-            "DoT vs DoH (Doan et al. found DoT slower than Do53 with Cloudflare/Google ahead of Quad9; \
-DoT trades lighter framing for port-853 middlebox exposure)
-",
-        );
-        let doh_cdfs = provider_cdfs(&doh);
-        let dot_cdfs = provider_cdfs(&dot);
-        for (h, t) in doh_cdfs.iter().zip(&dot_cdfs) {
-            let _ = writeln!(
-                out,
-                "{:<11} first-query {:>6.0}ms (DoH) vs {:>6.0}ms (DoT)   reused {:>6.0}ms vs {:>6.0}ms",
-                h.provider.name(),
-                h.doh1.median(),
-                t.doh1.median(),
-                h.dohr.median(),
-                t.dohr.median(),
-            );
-        }
-        let hd = headline_stats(&dot);
-        let _ = writeln!(
-            out,
-            "DoT vs Do53: median first-query {:.0}ms vs {:.0}ms — DoT, like DoH, remains slower than Do53",
-            hd.median_doh1_ms, hd.median_do53_ms
-        );
         out
     }
 

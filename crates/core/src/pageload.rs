@@ -45,7 +45,7 @@ use dohperf_dns::name::DnsName;
 use dohperf_dns::rdata::RData;
 use dohperf_dns::record::ResourceRecord;
 use dohperf_dns::types::RecordType;
-use dohperf_netsim::connection::{Connection, DnsTransport, Warmth};
+use dohperf_netsim::connection::{Connection, DnsTransport};
 use dohperf_netsim::engine::Simulator;
 use dohperf_netsim::event::EventId;
 use dohperf_netsim::rng::SimRng;
@@ -53,7 +53,8 @@ use dohperf_netsim::time::{SimDuration, SimTime};
 use dohperf_netsim::topology::NodeId;
 use dohperf_providers::pops::PopDeployment;
 use dohperf_providers::provider::ProviderKind;
-use dohperf_proxy::exitnode::ExitNode;
+use dohperf_proxy::exitnode::{ExitNode, BOOTSTRAP_CACHE_HIT_P};
+use dohperf_proxy::lifecycle::{handshake_bill, query_leg};
 use dohperf_telemetry::flight;
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
@@ -85,9 +86,6 @@ const EVICT_TICK: SimDuration = SimDuration::from_millis(1_000);
 /// TTLs assigned to unique names. The 2 s bucket expires inside the
 /// inter-visit gap, so warm visits still pay for some re-resolutions.
 const TTL_CHOICES: [u32; 4] = [2, 30, 60, 300];
-/// Probability the exit node's resolver has the provider's bootstrap A
-/// record cached (mirrors `proxy::lifecycle`).
-const BOOTSTRAP_CACHE_HIT_P: f64 = 0.8;
 
 /// Per-country page-shape distribution parameters, drawn once per
 /// country from the campaign root stream.
@@ -320,40 +318,19 @@ fn node_ready(sim: &mut Simulator, run: &Rc<RefCell<PageRun>>, node: u16, at: Si
         s.queries += 1;
         let transport = s.transport;
         let _hot = dohperf_telemetry::alloc::hot_scope();
-        // Same cost model as `proxy::lifecycle::transport_query`, with
-        // the loss asymmetry lifted to page granularity: TCP stalls
-        // every in-flight sibling, QUIC and UDP stay stream-local.
-        let mut leg = sim.rtt(s.exit.node, s.pop);
-        let framing = s
-            .exit
-            .https_overhead(&mut s.rng)
-            .mul_f64(transport.framing_factor());
-        if s.rng.chance(s.extra_loss_p) {
-            match transport {
-                DnsTransport::Do53 => {
-                    leg += dohperf_netsim::transport::UDP_RETRY_TIMEOUT;
-                }
-                DnsTransport::DoH | DnsTransport::DoT => {
-                    let mut stall = SimDuration::ZERO;
-                    for _ in 0..transport.loss_stall_rtts() {
-                        stall += sim.rtt(s.exit.node, s.pop);
-                    }
-                    leg += stall;
-                    stall_others = stall;
-                }
-                DnsTransport::DoQ => {
-                    for _ in 0..transport.loss_stall_rtts() {
-                        leg += sim.rtt(s.exit.node, s.pop);
-                    }
-                }
-            }
+        // The lifecycle query bill, with the loss asymmetry lifted to
+        // page granularity: TCP stalls every in-flight sibling, QUIC
+        // and UDP stay stream-local.
+        let q = query_leg(sim, &s.exit, s.pop, transport, s.extra_loss_p, &mut s.rng);
+        if let (Some(stall), DnsTransport::DoH | DnsTransport::DoT) = (q.stall, transport) {
+            stall_others = stall;
         }
         // Page hostnames are synthetic and per-campaign, so the
         // provider's recursive cache never has them: full recursion.
         let recursion = sim.rtt(s.pop, s.auth);
         let processing = s.provider.processing_time(&mut s.rng)
             + s.provider.forwarding_penalty(s.exit.id, &mut s.rng);
-        leg + framing + recursion + processing
+        q.leg + q.framing + recursion + processing
     };
     if !hit {
         dohperf_telemetry::counter!("campaign.page_queries").inc();
@@ -577,14 +554,7 @@ pub fn measure_page(
             }
             let acq = conn.acquire(sim.now());
             s.generation = acq.generation;
-            let mut handshake = SimDuration::ZERO;
-            for _ in 0..transport.handshake_rtts(acq.warmth) {
-                handshake += sim.rtt(s.exit.node, pop);
-            }
-            if transport.is_encrypted() && acq.warmth == Warmth::Cold {
-                handshake += s.exit.handshake_crypto_overhead(&mut s.rng);
-            }
-            sim.advance(handshake);
+            handshake_bill(sim, &s.exit, pop, transport, acq.warmth, &mut s.rng);
             s.last_done = sim.now();
             if recording {
                 flight::attr(visit_span, "warmth", acq.warmth.name());

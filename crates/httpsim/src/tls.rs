@@ -2,11 +2,11 @@
 //!
 //! This is a *protocol-shape* model, not a cryptographic implementation:
 //! it tracks the message flights of TLS 1.2 and 1.3 (full and resumed) so
-//! the transport-cost accounting in the simulator provably corresponds to
-//! real handshake round trips, and so tests can assert ordering invariants
-//! (e.g. "Finished never precedes ServerHello").
+//! the transport cost model (`dohperf_netsim::connection`) provably
+//! corresponds to real handshake round trips, and so tests can assert
+//! ordering invariants (e.g. "Finished never precedes ServerHello").
 
-use dohperf_netsim::transport::TlsVersion;
+use dohperf_netsim::connection::TlsVersion;
 use serde::{Deserialize, Serialize};
 
 /// Which side of the handshake this endpoint plays.
@@ -196,8 +196,23 @@ mod tests {
 
     #[test]
     fn machine_matches_transport_cost_model() {
-        // The netsim transport layer must charge exactly as many RTTs as
-        // the protocol state machine performs.
+        use dohperf_netsim::connection::{DnsTransport, Warmth};
+        // The netsim cost model must charge exactly as many RTTs as the
+        // protocol state machine performs: the TLS table itself, and the
+        // DoH/DoT lifecycle rows as one TCP round trip plus TLS 1.3.
+        for (kind, warmth) in [
+            (HandshakeKind::Full, Warmth::Cold),
+            (HandshakeKind::Resumed, Warmth::Resumed),
+        ] {
+            let tls13 = TlsHandshake::new(TlsVersion::V1_3, kind).run_to_completion();
+            for transport in [DnsTransport::DoH, DnsTransport::DoT] {
+                assert_eq!(
+                    transport.handshake_rtts(warmth),
+                    1 + tls13,
+                    "{transport:?} {warmth:?}"
+                );
+            }
+        }
         for (version, kind) in [
             (TlsVersion::V1_3, HandshakeKind::Full),
             (TlsVersion::V1_3, HandshakeKind::Resumed),

@@ -1,10 +1,13 @@
-//! Per-(client, provider) connection lifecycle for encrypted DNS
-//! transports (DESIGN.md §13).
+//! The transport cost model: per-(client, provider) connection
+//! lifecycle for the DNS transports (DESIGN.md §13).
 //!
-//! The paper measures DoH against Do53 only; this module adds the
-//! connection-state machinery needed to compare the full encrypted-DNS
-//! family — DoH (RFC 8484), DoT (RFC 7858) and DoQ (RFC 9250) — under
-//! explicit cold/warm/resumed connection states:
+//! Every handshake, framing and loss cost the simulator charges is
+//! written here once: the TLS round-trip table ([`TlsVersion`]), the
+//! Do53 retransmission timer ([`UDP_RETRY_TIMEOUT`]) and the
+//! per-transport tables of [`DnsTransport`]. The paper measures DoH
+//! against Do53 only; the connection-state machinery compares the full
+//! encrypted-DNS family — DoH (RFC 8484), DoT (RFC 7858) and DoQ
+//! (RFC 9250) — under explicit cold/warm/resumed connection states:
 //!
 //! * **Cold** — no prior state. DoT and DoH pay a TCP three-way
 //!   handshake (1 RTT) plus a TLS 1.3 full handshake (1 RTT). DoQ
@@ -22,8 +25,8 @@
 //! (head-of-line blocking, ≈2 RTTs until recovery), while QUIC
 //! retransmits within the affected stream only (≈1 RTT). The
 //! [`loss_stall_rtts`](DnsTransport::loss_stall_rtts) constants encode
-//! that asymmetry so a fault injector's loss knob visibly separates
-//! H2 from QUIC in the tail quantiles.
+//! that asymmetry so the campaign's loss knob (`extra_loss_p`) visibly
+//! separates H2 from QUIC in the tail quantiles.
 //!
 //! Everything here is deterministic: the state machine consumes no
 //! randomness, idle timeouts are fixed per transport, and each
@@ -33,6 +36,44 @@
 
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+
+/// Round trips of a TCP three-way handshake (SYN/SYN-ACK; the first
+/// data segment rides with the final ACK).
+const TCP_HANDSHAKE_RTTS: u32 = 1;
+
+/// Stub-resolver retransmission timeout: what a lost Do53 datagram
+/// costs.
+pub const UDP_RETRY_TIMEOUT: SimDuration = SimDuration::from_millis(1000);
+
+/// TLS protocol version, which determines handshake round trips. The
+/// encrypted transports run TLS 1.3; the tunnel methodology's
+/// `ablation-tls12` measures DoH over TLS 1.2.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum TlsVersion {
+    /// Two round-trip full handshake (RFC 5246), one when resumed.
+    V1_2,
+    /// One round-trip full handshake (RFC 8446), zero when resumed.
+    V1_3,
+}
+
+impl TlsVersion {
+    /// Round trips for a full handshake.
+    pub fn full_handshake_rtts(self) -> u32 {
+        match self {
+            TlsVersion::V1_2 => 2,
+            TlsVersion::V1_3 => 1,
+        }
+    }
+
+    /// Round trips for a resumed handshake (session tickets / PSK;
+    /// TLS 1.3 sends the query as 0-RTT early data).
+    pub fn resumed_handshake_rtts(self) -> u32 {
+        match self {
+            TlsVersion::V1_2 => 1,
+            TlsVersion::V1_3 => 0,
+        }
+    }
+}
 
 /// The four DNS transports of the extended campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -92,10 +133,13 @@ impl DnsTransport {
         match (self, warmth) {
             (DnsTransport::Do53, _) => 0,
             (_, Warmth::Warm) => 0,
-            // TCP 3-way (1) + TLS 1.3 full handshake (1).
-            (DnsTransport::DoH | DnsTransport::DoT, Warmth::Cold) => 2,
-            // TCP 3-way (1) + TLS 1.3 PSK resumption (0).
-            (DnsTransport::DoH | DnsTransport::DoT, Warmth::Resumed) => 1,
+            (DnsTransport::DoH | DnsTransport::DoT, Warmth::Cold) => {
+                TCP_HANDSHAKE_RTTS + TlsVersion::V1_3.full_handshake_rtts()
+            }
+            // A fresh TCP connection, then TLS 1.3 PSK resumption.
+            (DnsTransport::DoH | DnsTransport::DoT, Warmth::Resumed) => {
+                TCP_HANDSHAKE_RTTS + TlsVersion::V1_3.resumed_handshake_rtts()
+            }
             // QUIC combines transport + crypto in one Initial flight.
             (DnsTransport::DoQ, Warmth::Cold) => 1,
             // QUIC 0-RTT: the query rides in the first flight.
@@ -108,7 +152,7 @@ impl DnsTransport {
     /// behind the retransmission — detection plus recovery costs about
     /// two extra round trips. QUIC recovers within the affected stream
     /// in one. Do53 instead waits out the stub-resolver retransmission
-    /// timer (see [`crate::transport::UDP_RETRY_TIMEOUT`]).
+    /// timer ([`UDP_RETRY_TIMEOUT`]).
     pub fn loss_stall_rtts(self) -> u32 {
         match self {
             DnsTransport::Do53 => 0,
@@ -119,8 +163,8 @@ impl DnsTransport {
 
     /// Application-framing multiplier applied to the HTTPS message
     /// overhead draw. DoH pays full HTTP/2 HEADERS+DATA framing
-    /// (factor 1); DoT's 2-byte length prefix trims it to the same
-    /// 0.65 factor the legacy `compare-dot` ablation uses; DoQ's
+    /// (factor 1); DoT's 2-byte length prefix carries no HTTP headers
+    /// to serialise or parse, which trims it to 0.65; DoQ's
     /// QUIC+"doq" framing sits between the two. Do53 carries bare
     /// DNS messages.
     pub fn framing_factor(self) -> f64 {
@@ -471,6 +515,23 @@ mod tests {
         assert_eq!(DoQ.handshake_rtts(Warmth::Cold), 1);
         assert_eq!(DoQ.handshake_rtts(Warmth::Resumed), 0);
         assert_eq!(DoQ.handshake_rtts(Warmth::Warm), 0);
+    }
+
+    #[test]
+    fn tls13_is_one_rtt_and_tls12_is_two() {
+        assert_eq!(TlsVersion::V1_3.full_handshake_rtts(), 1);
+        assert_eq!(TlsVersion::V1_2.full_handshake_rtts(), 2);
+        assert_eq!(TlsVersion::V1_2.resumed_handshake_rtts(), 1);
+    }
+
+    #[test]
+    fn resumed_tls13_is_free() {
+        assert_eq!(TlsVersion::V1_3.resumed_handshake_rtts(), 0);
+        assert_eq!(
+            DnsTransport::DoH.handshake_rtts(Warmth::Resumed),
+            TCP_HANDSHAKE_RTTS,
+            "a resumed DoH connection pays for TCP only"
+        );
     }
 
     #[test]

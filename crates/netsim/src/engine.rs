@@ -1,10 +1,11 @@
 //! The simulation engine.
 //!
 //! [`Simulator`] owns the clock, topology, latency model, trace log and the
-//! future-event list. Most measurement code uses the *sequential* facade
-//! ([`crate::transport::Session`]) which advances the clock directly; the
-//! event queue exists for concurrent workloads (e.g. many clients measured
-//! in one simulated campaign) and for timer-driven protocol behaviour.
+//! future-event list. The measurement choreographies are sequential: they
+//! sample RTTs ([`Simulator::rtt`]) and advance the clock directly
+//! ([`Simulator::advance`]). The event queue exists for concurrent
+//! workloads (the page-load DAGs resolve many hostnames at once) and for
+//! timer-driven protocol behaviour.
 
 use crate::event::{EventId, EventQueue};
 use crate::latency::{LatencyModel, PathModel};

@@ -15,8 +15,11 @@
 //!    type-level tricks.
 //! 2. **Determinism**: every run with the same seed yields bit-identical
 //!    event orderings and latencies, so experiments are exactly repeatable.
-//! 3. **Fault injection as a first-class feature**: packet loss and jitter
-//!    can be dialed in per link, mirroring `--drop-chance`-style options.
+//! 3. **One transport cost model**: every handshake, framing and loss
+//!    cost is a table of [`connection`], so DoH, DoT, DoQ and Do53 are
+//!    compared inside one frame. Jitter comes from the [`latency`]
+//!    model; extra packet loss is one per-query probability that the
+//!    transports' loss tables turn into stalls or retransmission timers.
 //!
 //! ## Layers
 //!
@@ -29,15 +32,12 @@
 //! * [`topology`] — nodes with geographic positions and roles.
 //! * [`latency`] — the generative latency model: geodesic propagation,
 //!   infrastructure-dependent path inflation, last-mile distributions.
-//! * [`transport`] — cost models for UDP datagrams, TCP handshakes and TLS
-//!   session establishment, plus a sequential "session" facade used by the
-//!   protocol layers.
-//! * [`connection`] — the per-(client, provider) connection lifecycle for
-//!   encrypted DNS transports (DoH/DoT/DoQ): cold, resumed and warm
-//!   handshake costs, keep-alive reuse with deterministic idle timeout,
-//!   generation-tagged re-establishment, and the H2-vs-QUIC loss-stall
-//!   asymmetry.
-//! * [`fault`] — packet loss / jitter injection.
+//! * [`connection`] — the transport cost model: TLS 1.2/1.3 handshake
+//!   round trips, the Do53 retransmission timer, and the per-(client,
+//!   provider) connection lifecycle for encrypted DNS transports
+//!   (DoH/DoT/DoQ): cold, resumed and warm handshake costs, keep-alive
+//!   reuse with deterministic idle timeout, generation-tagged
+//!   re-establishment, and the H2-vs-QUIC loss-stall asymmetry.
 //! * [`trace`] — a pcap-like event log used by the §4.3 experiment.
 //!
 //! ## Quick example
@@ -55,38 +55,32 @@
 pub mod connection;
 pub mod engine;
 pub mod event;
-pub mod fault;
 pub mod latency;
 pub mod pcap;
 pub mod rng;
-pub mod shaper;
 pub mod time;
 pub mod topology;
 pub mod trace;
-pub mod transport;
 
-pub use connection::{Acquired, ConnState, Connection, DnsTransport, Warmth};
+pub use connection::{Acquired, ConnState, Connection, DnsTransport, TlsVersion, Warmth};
 pub use engine::Simulator;
 pub use event::{EventId, EventQueue};
-pub use fault::FaultInjector;
 pub use latency::{InfraProfile, LatencyModel, PathModel};
 pub use pcap::to_pcap;
 pub use rng::SimRng;
-pub use shaper::{OverflowPolicy, ShapeDecision, TokenBucket};
 pub use time::{SimDuration, SimTime};
 pub use topology::{GeoPoint, NodeId, NodeRole, NodeSpec, Topology};
 pub use trace::{PacketDirection, PacketRecord, TraceLog};
-pub use transport::{Session, TlsVersion, TransportCost};
 
 /// Convenience re-exports for downstream crates and examples.
 pub mod prelude {
-    pub use crate::connection::{Acquired, ConnState, Connection, DnsTransport, Warmth};
+    pub use crate::connection::{
+        Acquired, ConnState, Connection, DnsTransport, TlsVersion, Warmth,
+    };
     pub use crate::engine::Simulator;
-    pub use crate::fault::FaultInjector;
     pub use crate::latency::{InfraProfile, LatencyModel, PathModel};
     pub use crate::rng::SimRng;
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::{GeoPoint, NodeId, NodeRole, NodeSpec, Topology};
     pub use crate::trace::{PacketDirection, PacketRecord, TraceLog};
-    pub use crate::transport::{Session, TlsVersion, TransportCost};
 }

@@ -13,6 +13,11 @@ use dohperf_providers::ispresolver::IspResolverModel;
 use dohperf_world::countries::Country;
 use dohperf_world::geoloc::{GeolocationService, Prefix24};
 
+/// Probability the exit node's resolver has a provider's bootstrap A
+/// record cached ([`ExitNode::do53_bootstrap`]): popular DoH/DoT/DoQ
+/// hostnames are nearly always warm.
+pub const BOOTSTRAP_CACHE_HIT_P: f64 = 0.8;
+
 /// What kind of machine the exit node is.
 ///
 /// The distinction matters for the §4 validation: the paper's

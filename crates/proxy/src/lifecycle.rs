@@ -1,13 +1,21 @@
-//! Multi-transport measurement with an explicit connection lifecycle.
+//! Multi-transport measurement with an explicit connection lifecycle,
+//! and the one handshake and query bill every lifecycle path charges.
 //!
-//! The legacy [`crate::network`] choreography reproduces the paper's
-//! Figure 2 tunnel methodology for DoH and Do53. This module adds the
-//! extended campaign's transport comparison: the same provider PoP is
-//! queried over each of the four DNS transports — Do53 (plain UDP to
-//! the provider's public resolver), DoH, DoT and DoQ — driving the
+//! The [`crate::network`] choreography reproduces the paper's Figure 2
+//! tunnel methodology for DoH and Do53. This module runs the extended
+//! campaign's transport comparison: the same provider PoP is queried
+//! over each of the four DNS transports — Do53 (plain UDP to the
+//! provider's public resolver), DoH, DoT and DoQ — driving the
 //! [`Connection`] state machine through its full lifecycle so every
 //! observation records a **cold**, **warm** and **resumed** query on
-//! the same (client, provider) pair.
+//! the same (client, provider) pair. DoT versus DoH is measured here
+//! and nowhere else (`repro --protocols do53,doh,dot transports`).
+//!
+//! The costs come from the tables of `dohperf_netsim::connection`;
+//! [`handshake_bill`] and [`query_leg`] turn them into sampled
+//! durations. They live here rather than in netsim because the crypto
+//! and framing draws are [`ExitNode`] methods, and the page-load
+//! workload (`dohperf_core::pageload`) charges the same two bills.
 //!
 //! Unlike the tunnel methodology, these measurements are taken at the
 //! exit node itself (the simulator can observe exit-local time
@@ -22,9 +30,9 @@
 //! enabling the extra transports never perturbs the legacy DoH/Do53
 //! draw sequences.
 
-use crate::exitnode::ExitNode;
+use crate::exitnode::{ExitNode, BOOTSTRAP_CACHE_HIT_P};
 use crate::network::BrightDataNetwork;
-use dohperf_netsim::connection::{Connection, DnsTransport, Warmth};
+use dohperf_netsim::connection::{Connection, DnsTransport, Warmth, UDP_RETRY_TIMEOUT};
 use dohperf_netsim::engine::Simulator;
 use dohperf_netsim::rng::SimRng;
 use dohperf_netsim::time::{SimDuration, SimTime};
@@ -33,10 +41,6 @@ use dohperf_providers::pops::PopDeployment;
 use dohperf_providers::provider::ProviderKind;
 use dohperf_telemetry::flight;
 use serde::{Deserialize, Serialize};
-
-/// Probability the exit node's resolver has the provider's bootstrap
-/// A record cached (mirrors the legacy DoH path).
-const BOOTSTRAP_CACHE_HIT_P: f64 = 0.8;
 
 /// One transport's full connection-lifecycle observation for one
 /// (client, provider) pair: timestamps bracketing the cold handshake
@@ -77,8 +81,53 @@ pub struct TransportObservation {
     pub resumed_generation: u32,
 }
 
-/// One query on an acquired connection: request leg, framing, optional
-/// loss stall, recursion to the authoritative, provider processing.
+/// The network side of one query on an acquired connection.
+#[derive(Debug, Clone, Copy)]
+pub struct QueryLeg {
+    /// The request round trip plus any loss recovery.
+    pub leg: SimDuration,
+    /// Application-framing component ([`DnsTransport::framing_factor`]).
+    pub framing: SimDuration,
+    /// The loss recovery inside `leg`, when a loss was drawn: the
+    /// transport's stall round trips, or the Do53 retransmission timer.
+    pub stall: Option<SimDuration>,
+}
+
+/// Draw the network side of one query from the exit node to `pop`: the
+/// request round trip, the framing overhead, and — with probability
+/// `extra_loss_p` — the transport's loss recovery
+/// ([`DnsTransport::loss_stall_rtts`] round trips, or
+/// [`UDP_RETRY_TIMEOUT`] for Do53). Does not advance the clock; loss
+/// counters stay with the callers.
+pub fn query_leg(
+    sim: &mut Simulator,
+    exit: &ExitNode,
+    pop: NodeId,
+    transport: DnsTransport,
+    extra_loss_p: f64,
+    rng: &mut SimRng,
+) -> QueryLeg {
+    let rtt = sim.rtt(exit.node, pop);
+    let framing = exit.https_overhead(rng).mul_f64(transport.framing_factor());
+    let stall = rng.chance(extra_loss_p).then(|| match transport {
+        DnsTransport::Do53 => UDP_RETRY_TIMEOUT,
+        _ => {
+            let mut stall = SimDuration::ZERO;
+            for _ in 0..transport.loss_stall_rtts() {
+                stall += sim.rtt(exit.node, pop);
+            }
+            stall
+        }
+    });
+    QueryLeg {
+        leg: rtt + stall.unwrap_or(SimDuration::ZERO),
+        framing,
+        stall,
+    }
+}
+
+/// One query on an acquired connection: [`query_leg`], recursion to the
+/// authoritative, provider processing.
 struct QueryOutcome {
     elapsed: SimDuration,
     framing: SimDuration,
@@ -96,30 +145,18 @@ fn transport_query(
     cache_hit_p: f64,
     rng: &mut SimRng,
 ) -> QueryOutcome {
-    let mut leg = sim.rtt(exit.node, pop);
-    let framing = exit.https_overhead(rng).mul_f64(transport.framing_factor());
-    if rng.chance(extra_loss_p) {
+    let QueryLeg {
+        leg,
+        framing,
+        stall,
+    } = query_leg(sim, exit, pop, transport, extra_loss_p, rng);
+    if stall.is_some() {
         match transport {
-            DnsTransport::Do53 => {
-                // A lost datagram burns the stub retransmission timer.
-                dohperf_telemetry::counter!("proxy.transport_udp_timeouts").inc();
-                leg += dohperf_netsim::transport::UDP_RETRY_TIMEOUT;
-            }
+            DnsTransport::Do53 => dohperf_telemetry::counter!("proxy.transport_udp_timeouts").inc(),
             DnsTransport::DoH | DnsTransport::DoT => {
-                // TCP head-of-line blocking: every stream stalls for
-                // detection + retransmission (≈2 RTTs).
-                dohperf_telemetry::counter!("proxy.h2_loss_stalls").inc();
-                for _ in 0..transport.loss_stall_rtts() {
-                    leg += sim.rtt(exit.node, pop);
-                }
+                dohperf_telemetry::counter!("proxy.h2_loss_stalls").inc()
             }
-            DnsTransport::DoQ => {
-                // QUIC recovers inside the affected stream (≈1 RTT).
-                dohperf_telemetry::counter!("proxy.quic_loss_stalls").inc();
-                for _ in 0..transport.loss_stall_rtts() {
-                    leg += sim.rtt(exit.node, pop);
-                }
-            }
+            DnsTransport::DoQ => dohperf_telemetry::counter!("proxy.quic_loss_stalls").inc(),
         }
     }
     let cache_hit = rng.chance(cache_hit_p);
@@ -138,11 +175,12 @@ fn transport_query(
     QueryOutcome { elapsed, framing }
 }
 
-/// Charge the handshake bill for one acquisition: `handshake_rtts`
-/// sampled round trips plus (on full handshakes of encrypted
-/// transports) the endpoint crypto overhead. Resumed handshakes are
-/// ticket-based and skip the asymmetric crypto.
-fn handshake_bill(
+/// Charge the handshake bill for one acquisition and advance the clock
+/// by it: [`DnsTransport::handshake_rtts`] sampled round trips plus (on
+/// full handshakes of encrypted transports) the endpoint crypto
+/// overhead. Resumed handshakes are ticket-based and skip the
+/// asymmetric crypto.
+pub fn handshake_bill(
     sim: &mut Simulator,
     exit: &ExitNode,
     pop: NodeId,

@@ -7,48 +7,20 @@
 //! in the real network — and the §4 ground-truth validation becomes a
 //! meaningful test of the Equation 7/8 derivation rather than a tautology.
 
-use crate::exitnode::ExitNode;
+use crate::exitnode::{ExitNode, BOOTSTRAP_CACHE_HIT_P};
 use crate::observation::{Do53Observation, DohObservation};
 use crate::superproxy::{nearest_super_proxy, SuperProxy};
 use dohperf_http::luminati::TunTimeline;
+use dohperf_netsim::connection::{TlsVersion, UDP_RETRY_TIMEOUT};
 use dohperf_netsim::engine::Simulator;
 use dohperf_netsim::rng::SimRng;
 use dohperf_netsim::time::SimDuration;
 use dohperf_netsim::topology::{GeoPoint, NodeId};
-use dohperf_netsim::transport::TlsVersion;
 use dohperf_providers::pops::PopDeployment;
 use dohperf_providers::provider::ProviderKind;
 use dohperf_telemetry::flight;
 use serde::{Deserialize, Serialize};
 use std::cell::Cell;
-
-/// Probability the exit node's resolver has a DoH provider's bootstrap
-/// A record cached (popular hostnames are nearly always warm).
-const BOOTSTRAP_CACHE_HIT_P: f64 = 0.8;
-
-/// Which encrypted transport carries the DNS query.
-///
-/// The paper measures DoH; DoT (RFC 7858) shares the TCP+TLS handshake
-/// structure but frames queries with a 2-octet length prefix on port 853
-/// instead of HTTP on 443. Two behavioural differences matter here:
-/// lighter per-query framing (no HTTP request/response headers), and
-/// exposure to port-based middlebox interference that port 443 does not
-/// suffer (§2's reason DoH won deployment).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum EncryptedProtocol {
-    /// DNS over HTTPS (RFC 8484) — the paper's subject.
-    DoH,
-    /// DNS over TLS (RFC 7858) — the Doan et al. comparison point.
-    DoT,
-}
-
-/// Fraction of DoT's per-query framing overhead relative to DoH's (no
-/// HTTP headers to serialise or parse).
-const DOT_OVERHEAD_FACTOR: f64 = 0.65;
-
-/// Probability a middlebox interferes with port 853 in restrictive
-/// networks (per-query extra RTT-scale delay; DoH's 443 is untouched).
-const DOT_MIDDLEBOX_P: f64 = 0.03;
 
 /// Knobs for ablation studies (§7 of the paper and DESIGN.md).
 ///
@@ -68,8 +40,6 @@ pub struct MeasurementOptions {
     pub doh_cache_hit_p: f64,
     /// Probability the ISP resolver answers from cache.
     pub do53_cache_hit_p: f64,
-    /// Encrypted transport for the measurement.
-    pub protocol: EncryptedProtocol,
     /// Extra per-query packet-loss probability injected on the access
     /// link (ablation). Loss hurts the two transports asymmetrically:
     /// a lost Do53 datagram costs a full stub retransmission timeout
@@ -85,7 +55,6 @@ impl Default for MeasurementOptions {
             doh_cache_hit_p: 0.0,
             do53_cache_hit_p: 0.0,
             extra_loss_p: 0.0,
-            protocol: EncryptedProtocol::DoH,
         }
     }
 }
@@ -237,8 +206,8 @@ impl BrightDataNetwork {
             flight::end_span(connect_span, t_b.as_nanos());
         }
 
-        // --- Steps 9–14: the TLS handshake (one round trip for 1.3; a
-        // TLS 1.2 ablation pays a second round trip). ---
+        // --- Steps 9–14: the TLS handshake, one flight per round trip of
+        // `opts.tls` (one for 1.3; the TLS 1.2 ablation pays a second). ---
         let t_c = t_b; // ClientHello is sent immediately.
         let tls_span = if recording {
             flight::start_span("proxy", "tls-handshake (steps 9-14)", t_c.as_nanos())
@@ -246,23 +215,19 @@ impl BrightDataNetwork {
             flight::SpanToken::NOOP
         };
         let tunnel_rtt_2 = Self::tunnel_rtt(sim, client, sp.node, exit.node);
-        let framing = |d: SimDuration| match opts.protocol {
-            EncryptedProtocol::DoH => d,
-            EncryptedProtocol::DoT => d.mul_f64(DOT_OVERHEAD_FACTOR),
-        };
         let mut tls_leg = sim.rtt(exit.node, pop)
-            + framing(exit.https_overhead(rng))
+            + exit.https_overhead(rng)
             + exit.handshake_crypto_overhead(rng); // t11+t12
         sim.trace_packet(exit.node, pop, "tls", "ClientHello");
         let overhead_2 = forwarding_overhead(rng);
         sim.advance(tunnel_rtt_2 + tls_leg + overhead_2);
-        if opts.tls == TlsVersion::V1_2 {
-            // Second handshake flight: another tunnel RTT and exit<->PoP leg.
+        for _ in 1..opts.tls.full_handshake_rtts() {
+            // A further flight: another tunnel RTT and exit<->PoP leg.
             let tunnel_rtt_extra = Self::tunnel_rtt(sim, client, sp.node, exit.node);
-            let tls_leg_2 = sim.rtt(exit.node, pop);
+            let flight_leg = sim.rtt(exit.node, pop);
             sim.trace_packet(exit.node, pop, "tls", "ClientKeyExchange");
-            sim.advance(tunnel_rtt_extra + tls_leg_2);
-            tls_leg += tls_leg_2;
+            sim.advance(tunnel_rtt_extra + flight_leg);
+            tls_leg += flight_leg;
         }
         if recording {
             flight::attr(tls_span, "tls_version", format!("{:?}", opts.tls));
@@ -282,15 +247,10 @@ impl BrightDataNetwork {
             flight::SpanToken::NOOP
         };
         let tunnel_rtt_3 = Self::tunnel_rtt(sim, client, sp.node, exit.node);
-        let mut query_leg = sim.rtt(exit.node, pop) + framing(exit.https_overhead(rng)); // t17 + t20
+        let mut query_leg = sim.rtt(exit.node, pop) + exit.https_overhead(rng); // t17 + t20
         if rng.chance(opts.extra_loss_p) {
             // TCP fast retransmit: one extra round trip, not a timer.
             dohperf_telemetry::counter!("proxy.doh_fast_retransmits").inc();
-            query_leg += sim.rtt(exit.node, pop);
-        }
-        if opts.protocol == EncryptedProtocol::DoT && rng.chance(DOT_MIDDLEBOX_P) {
-            // Port-853 middlebox interference: an extra round trip of
-            // stalling that port 443 does not see (§2).
             query_leg += sim.rtt(exit.node, pop);
         }
         let doh_cache_hit = rng.chance(opts.doh_cache_hit_p);
@@ -336,7 +296,7 @@ impl BrightDataNetwork {
             dns_bootstrap + tcp_connect + tls_leg + query_leg + recursion + processing;
         // Ground truth for a reused-connection query: a fresh exchange on
         // the established TLS session.
-        let truth_query_leg = sim.rtt(exit.node, pop) + framing(exit.https_overhead(rng));
+        let truth_query_leg = sim.rtt(exit.node, pop) + exit.https_overhead(rng);
         let truth_cache_hit = rng.chance(opts.doh_cache_hit_p);
         let truth_recursion = if truth_cache_hit {
             SimDuration::ZERO
@@ -436,7 +396,7 @@ impl BrightDataNetwork {
         if rng.chance(opts.extra_loss_p) {
             // A lost UDP datagram burns the whole retransmission timer.
             dohperf_telemetry::counter!("proxy.do53_retry_timeouts").inc();
-            truth_t_do53 += dohperf_netsim::transport::UDP_RETRY_TIMEOUT;
+            truth_t_do53 += UDP_RETRY_TIMEOUT;
         }
 
         let header_dns = if hijacked {

@@ -66,7 +66,8 @@
 //! from [`crate::varint`], so a long-lived writer performs **zero
 //! per-chunk allocations** once its scratch has warmed up. The bytes
 //! are identical to the original byte-at-a-time encoder, which is kept
-//! verbatim in [`reference`] as the proptest/bench baseline.
+//! verbatim in [`reference`](mod@reference) as the proptest/bench
+//! baseline.
 //! [`encode_chunk`] is the convenience wrapper that allocates a fresh
 //! scratch per call.
 

@@ -4,7 +4,7 @@
 //! allocation-free in steady state (DESIGN.md §12). This module provides
 //! the instrumentation that proves it:
 //!
-//! * a [`CountingAllocator`] (behind the `alloc-count` cargo feature) that
+//! * a `CountingAllocator` (behind the `alloc-count` cargo feature) that
 //!   a binary installs as its `#[global_allocator]` to count every heap
 //!   allocation in the process;
 //! * *scope guards* that classify allocations. Code inside a
@@ -136,7 +136,7 @@ pub fn reset() {
 }
 
 /// Whether this build can actually count allocations (the `alloc-count`
-/// feature compiles the [`CountingAllocator`]). Without it the totals
+/// feature compiles the `CountingAllocator`). Without it the totals
 /// stay zero and [`publish`] still registers the metrics, so baselines
 /// keep their shape.
 pub const fn counting_compiled() -> bool {

@@ -7,8 +7,8 @@
 //!   broadband speed and autonomous-system count. Values are approximate
 //!   public figures for 2021 (World Bank, Ookla Speedtest Global Index,
 //!   IPInfo) — the regression covariates of the paper's §6.
-//! * [`cities`] — an embedded table of major world cities used to place
-//!   DoH provider points of presence.
+//! * [`cities`](mod@cities) — an embedded table of major world cities
+//!   used to place DoH provider points of presence.
 //! * [`geoloc`] — a Maxmind-style /24-prefix geolocation service with a
 //!   configurable mislabeling rate (the paper discarded 0.88% of points on
 //!   BrightData/Maxmind country mismatches).

@@ -94,3 +94,74 @@ fn different_seeds_produce_different_measurements() {
         .collect();
     assert_ne!(xa, xb);
 }
+
+/// FNV-1a over the raw bits of every transport and page-load latency.
+fn latency_bits_digest(ds: &dohperf::core::records::Dataset) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |x: u64| {
+        for b in x.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for r in &ds.records {
+        for t in &r.transports {
+            for ms in [t.cold_ms, t.warm_ms, t.resumed_ms, t.handshake_ms] {
+                eat(ms.to_bits());
+            }
+        }
+        for p in &r.pages {
+            eat(p.plt_cold_ms.to_bits());
+            eat(p.plt_warm_ms.to_bits());
+        }
+    }
+    h
+}
+
+/// No gate row runs with loss, so this pins the loss branch of the
+/// transport and page-load query bill: a small all-protocol campaign
+/// with page loads at 5% and 30% extra loss must keep its latency bits,
+/// and every loss counter must move (the branch really runs).
+#[test]
+fn lossy_transport_and_page_latencies_are_pinned() {
+    use dohperf::core::campaign::ProtocolSet;
+    use dohperf::proxy::network::MeasurementOptions;
+    use dohperf::telemetry::global;
+
+    let mut digests = Vec::new();
+    for loss in [0.05, 0.3] {
+        let config = CampaignConfig {
+            scale: 0.02,
+            protocols: ProtocolSet::all(),
+            pages_per_client: 2,
+            measurement: MeasurementOptions {
+                extra_loss_p: loss,
+                ..MeasurementOptions::default()
+            },
+            ..CampaignConfig::quick(515)
+        };
+        let before = global().snapshot();
+        let ds = Campaign::new(config).run();
+        let delta = global().snapshot().since(&before);
+        assert!(ds
+            .records
+            .iter()
+            .all(|r| !r.transports.is_empty() && !r.pages.is_empty()));
+        for counter in [
+            "proxy.h2_loss_stalls",
+            "proxy.quic_loss_stalls",
+            "proxy.transport_udp_timeouts",
+            "campaign.page_tcp_stalls",
+        ] {
+            assert!(
+                delta.counter_value(counter).unwrap_or(0) > 0,
+                "{counter} never moved at loss {loss}"
+            );
+        }
+        digests.push(latency_bits_digest(&ds));
+    }
+    assert_eq!(
+        digests,
+        [6_087_741_811_896_240_288, 15_230_423_816_538_260_089],
+        "lossy latency bits moved"
+    );
+}
