@@ -15,7 +15,16 @@
 //!   fixed number of support points.
 //! * [`headline_from_store`] / [`cdfs_from_store`] — one-pass drivers
 //!   over a store directory; peak memory is one decoded chunk plus the
-//!   sketches.
+//!   sketches. They scan the store as flat columns
+//!   ([`store_io::scan_columns`]) and build no record, yet validate as
+//!   much as a full read: every chunk's CRC over the whole payload, a
+//!   structural decode of every column group, and every check
+//!   `record_from_store` makes (ordinal ranges, finite f64s, ISO
+//!   interning, Do53 source), plus the manifest's record and chunk
+//!   totals. Only t_DoH, t_DoHR, Do53, the country index and the
+//!   provider ordinals reach the sketches, through the same insertion
+//!   kernels as `observe`, so the results are bit-identical to
+//!   observing the records one by one.
 
 use crate::cdfs::{CdfSeries, ProviderCdfs};
 use crate::headline::HeadlineStats;
@@ -25,6 +34,7 @@ use dohperf_core::store_io;
 use dohperf_providers::provider::ALL_PROVIDERS;
 use dohperf_stats::desc::median;
 use dohperf_stats::sketch::GkSketch;
+use dohperf_store::{sample_spans, ChunkColumns};
 use std::path::Path;
 
 /// Default sketch rank error for the streaming analyses.
@@ -101,29 +111,53 @@ impl StreamingHeadline {
 
     /// Fold in one client record.
     pub fn observe(&mut self, r: &ClientRecord) {
+        let doh = r.doh.iter().map(|s| (s.t_doh_ms, s.t_dohr_ms));
+        self.observe_parts(r.country_index, doh, r.do53_ms);
+    }
+
+    /// Fold in one store chunk's projected columns, record by record.
+    fn observe_chunk(&mut self, p: &DohProjection) {
+        for (i, span) in sample_spans(&p.doh_counts).enumerate() {
+            let doh = p.t_doh_ms[span.clone()]
+                .iter()
+                .copied()
+                .zip(p.t_dohr_ms[span].iter().copied());
+            self.observe_parts(p.country_index[i] as usize, doh, p.do53_ms[i]);
+        }
+    }
+
+    /// The one insertion kernel behind [`observe`](Self::observe) and the
+    /// store's column scan: one client's country, its (t_DoH, t_DoHR)
+    /// samples in measurement order, and its Do53 baseline.
+    fn observe_parts(
+        &mut self,
+        country_index: usize,
+        doh: impl Iterator<Item = (f64, f64)> + Clone,
+        do53_ms: Option<f64>,
+    ) {
         self.records += 1;
-        if r.country_index >= self.countries.len() {
+        if country_index >= self.countries.len() {
             self.countries
-                .resize_with(r.country_index + 1, || CountryAcc::new(self.epsilon));
+                .resize_with(country_index + 1, || CountryAcc::new(self.epsilon));
         }
-        for s in &r.doh {
-            self.doh1.insert(s.t_doh_ms);
-            self.dohr.insert(s.t_dohr_ms);
-            self.countries[r.country_index].doh1.insert(s.t_doh_ms);
+        for (t_doh, t_dohr) in doh.clone() {
+            self.doh1.insert(t_doh);
+            self.dohr.insert(t_dohr);
+            self.countries[country_index].doh1.insert(t_doh);
         }
-        if let Some(d53) = r.do53_ms {
+        if let Some(d53) = do53_ms {
             self.do53.insert(d53);
-            self.countries[r.country_index].do53.insert(d53);
-            for s in &r.doh {
+            self.countries[country_index].do53.insert(d53);
+            for (t_doh, t_dohr) in doh {
                 self.comparable += 1;
-                if s.t_doh_ms < d53 {
+                if t_doh < d53 {
                     self.first_speedups += 1;
                 }
-                let d10 = doh_n_ms(s.t_doh_ms, s.t_dohr_ms, 10);
+                let d10 = doh_n_ms(t_doh, t_dohr, 10);
                 if d10 < d53 {
                     self.ten_speedups += 1;
                 }
-                if s.t_doh_ms >= 3.0 * d53 {
+                if t_doh >= 3.0 * d53 {
                     self.tripled += 1;
                 }
                 self.doh10_delta.insert(d10 - d53);
@@ -233,13 +267,43 @@ impl StreamingCdfs {
 
     /// Fold in one client record.
     pub fn observe(&mut self, r: &ClientRecord) {
-        if let Some(d53) = r.do53_ms {
+        let doh = r.doh.iter().map(|s| {
+            let pi = ALL_PROVIDERS
+                .iter()
+                .position(|&p| p == s.provider)
+                .expect("every provider is in ALL_PROVIDERS");
+            (pi, s.t_doh_ms, s.t_dohr_ms)
+        });
+        self.observe_parts(doh, r.do53_ms);
+    }
+
+    /// Fold in one store chunk's projected columns, record by record.
+    fn observe_chunk(&mut self, p: &DohProjection) {
+        for (i, span) in sample_spans(&p.doh_counts).enumerate() {
+            let doh = span.map(|j| (p.provider[j] as usize, p.t_doh_ms[j], p.t_dohr_ms[j]));
+            self.observe_parts(doh, p.do53_ms[i]);
+        }
+    }
+
+    /// The one insertion kernel behind [`observe`](Self::observe) and the
+    /// store's column scan: one client's (provider ordinal, t_DoH,
+    /// t_DoHR) samples in measurement order and its Do53 baseline. Each
+    /// provider's panel takes the client's first sample for it, as
+    /// `ClientRecord::sample` picks it.
+    fn observe_parts(
+        &mut self,
+        doh: impl Iterator<Item = (usize, f64, f64)>,
+        do53_ms: Option<f64>,
+    ) {
+        if let Some(d53) = do53_ms {
             self.do53.insert(d53);
         }
-        for (pi, &provider) in ALL_PROVIDERS.iter().enumerate() {
-            if let Some(s) = r.sample(provider) {
-                self.providers[pi].0.insert(s.t_doh_ms);
-                self.providers[pi].1.insert(s.t_dohr_ms);
+        let mut seen = 0u32;
+        for (pi, t_doh, t_dohr) in doh {
+            if seen & (1 << pi) == 0 {
+                seen |= 1 << pi;
+                self.providers[pi].0.insert(t_doh);
+                self.providers[pi].1.insert(t_dohr);
             }
         }
     }
@@ -269,6 +333,32 @@ fn series_of(sketch: &GkSketch) -> CdfSeries {
     }
 }
 
+/// The columns the streaming §5 analyses fold, copied out of one
+/// checked store chunk: per record the country index, DoH sample count
+/// and Do53 baseline; per DoH sample the provider ordinal, t_DoH and
+/// t_DoHR.
+struct DohProjection {
+    country_index: Vec<u32>,
+    doh_counts: Vec<u32>,
+    do53_ms: Vec<Option<f64>>,
+    provider: Vec<u8>,
+    t_doh_ms: Vec<f64>,
+    t_dohr_ms: Vec<f64>,
+}
+
+impl DohProjection {
+    fn of(c: &ChunkColumns) -> Self {
+        DohProjection {
+            country_index: c.identity.country_index.clone(),
+            doh_counts: c.doh.counts.clone(),
+            do53_ms: c.do53.values.clone(),
+            provider: c.doh.provider.clone(),
+            t_doh_ms: c.doh.t_doh_ms.clone(),
+            t_dohr_ms: c.doh.t_dohr_ms.clone(),
+        }
+    }
+}
+
 /// One-pass headline statistics from a store directory.
 ///
 /// Peak memory: one decoded chunk plus the sketches — independent of
@@ -280,27 +370,31 @@ pub fn headline_from_store(dir: &Path) -> dohperf_store::Result<HeadlineStats> {
 /// [`headline_from_store`] with `threads` decoder threads (0 means all
 /// available cores, 1 means fully serial).
 ///
-/// Chunks are verified/decoded in parallel, but the accumulator folds
-/// them on the calling thread in canonical chunk order, so the result —
-/// every sketch insertion included — is identical to the serial pass at
-/// any thread count.
+/// A column scan ([`store_io::scan_columns`]): no record is built, but
+/// every chunk is CRC-verified, fully decoded and put through every
+/// check `record_from_store` makes before its projected columns reach
+/// the sketches. Chunks are verified/decoded in parallel, but the
+/// accumulator folds them on the calling thread in canonical chunk
+/// order through the same insertion kernel as
+/// [`StreamingHeadline::observe`], so the result — every sketch
+/// insertion included — is identical to observing the store's records
+/// one by one, at any thread count. A store holding fewer records or
+/// chunks than its manifest promises is rejected.
 pub fn headline_from_store_threads(
     dir: &Path,
     threads: usize,
 ) -> dohperf_store::Result<HeadlineStats> {
     let manifest = store_io::read_manifest(dir)?;
-    let atlas: Vec<(usize, Vec<f64>)> = manifest
-        .atlas_do53_ms
-        .iter()
-        .map(|(idx, xs)| (*idx as usize, xs.clone()))
-        .collect();
     let mut acc = StreamingHeadline::new();
-    store_io::fold_chunks(dir, threads, |records| {
-        for r in &records {
-            acc.observe(r);
-        }
+    store_io::scan_columns(dir, &manifest, threads, DohProjection::of, |p| {
+        acc.observe_chunk(&p);
         Ok(())
     })?;
+    let atlas: Vec<(usize, Vec<f64>)> = manifest
+        .atlas_do53_ms
+        .into_iter()
+        .map(|(idx, xs)| (idx as usize, xs))
+        .collect();
     Ok(acc.finish(&atlas))
 }
 
@@ -309,18 +403,17 @@ pub fn cdfs_from_store(dir: &Path) -> dohperf_store::Result<Vec<ProviderCdfs>> {
     cdfs_from_store_threads(dir, 1)
 }
 
-/// [`cdfs_from_store`] with `threads` decoder threads; the in-order
-/// fold makes the panels identical at any thread count (see
-/// [`headline_from_store_threads`]).
+/// [`cdfs_from_store`] with `threads` decoder threads: the same checked
+/// column scan and in-order fold as [`headline_from_store_threads`], so
+/// the panels are identical at any thread count.
 pub fn cdfs_from_store_threads(
     dir: &Path,
     threads: usize,
 ) -> dohperf_store::Result<Vec<ProviderCdfs>> {
+    let manifest = store_io::read_manifest(dir)?;
     let mut acc = StreamingCdfs::new();
-    store_io::fold_chunks(dir, threads, |records| {
-        for r in &records {
-            acc.observe(r);
-        }
+    store_io::scan_columns(dir, &manifest, threads, DohProjection::of, |p| {
+        acc.observe_chunk(&p);
         Ok(())
     })?;
     Ok(acc.finish())

@@ -17,7 +17,12 @@
 //! * [`fold_chunks`] — the parallel streaming primitive: decode and
 //!   convert on `threads` workers, fold record batches on the calling
 //!   thread in canonical chunk order (what keeps sketch-based analyses
-//!   bit-identical to a serial scan at any thread count).
+//!   bit-identical to a serial scan at any thread count);
+//! * [`scan_columns`] — the same scan without records: every chunk is
+//!   CRC-verified, fully decoded into flat columns and put through
+//!   `check_columns` (every [`record_from_store`] check), then a
+//!   caller projection is folded in canonical chunk order. The streaming
+//!   §5 analyses run on it.
 //!
 //! [`crate::campaign::Campaign::run_to_store`] uses the same conversion
 //! while streaming records straight off the measurement loop.
@@ -27,11 +32,11 @@ use crate::records::{
 };
 use dohperf_netsim::connection::DnsTransport;
 use dohperf_netsim::topology::GeoPoint;
-use dohperf_providers::provider::ALL_PROVIDERS;
+use dohperf_providers::provider::{ProviderKind, ALL_PROVIDERS};
 use dohperf_store::{
-    ChunkReader, ChunkWriter, Manifest, ReadStats, Result, StoreDohSample, StoreError,
-    StorePageSample, StoreRecord, StoreTransportSample, StoreWindowSample, WriterStats,
-    MANIFEST_FILE, RECORDS_FILE,
+    sample_spans, ChunkColumns, ChunkReader, ChunkWriter, Manifest, ReadStats, Result,
+    StoreDohSample, StoreError, StorePageSample, StoreRecord, StoreTransportSample,
+    StoreWindowSample, WriterStats, MANIFEST_FILE, RECORDS_FILE,
 };
 use dohperf_world::geoloc::Prefix24;
 use std::fs::File;
@@ -136,32 +141,26 @@ pub fn record_to_store(r: &ClientRecord) -> StoreRecord {
 }
 
 /// Rebuild the rich record, re-interning countries and providers.
+///
+/// Every check here has one definition — `provider_of`,
+/// `transport_of`, `finite`, `intern_iso`, `do53_source_of` — shared
+/// with `check_columns`, which applies the same checks in the same
+/// order to a decoded chunk's columns for [`scan_columns`].
 pub fn record_from_store(r: &StoreRecord) -> Result<ClientRecord> {
+    let id = r.client_id;
     let doh = r
         .doh
         .iter()
         .map(|s| {
-            let provider = *ALL_PROVIDERS.get(s.provider as usize).ok_or_else(|| {
-                StoreError::Corrupt(format!(
-                    "client {}: provider ordinal {} out of range (have {})",
-                    r.client_id,
-                    s.provider,
-                    ALL_PROVIDERS.len()
-                ))
-            })?;
             Ok(DohSample {
-                provider,
-                t_doh_ms: finite(s.t_doh_ms, r.client_id, "t_doh_ms")?,
-                t_dohr_ms: finite(s.t_dohr_ms, r.client_id, "t_dohr_ms")?,
+                provider: provider_of(s.provider, id, "provider")?,
+                t_doh_ms: finite(s.t_doh_ms, id, "t_doh_ms")?,
+                t_dohr_ms: finite(s.t_dohr_ms, id, "t_dohr_ms")?,
                 pop_index: s.pop_index as usize,
-                pop_distance_miles: finite(
-                    s.pop_distance_miles,
-                    r.client_id,
-                    "pop_distance_miles",
-                )?,
+                pop_distance_miles: finite(s.pop_distance_miles, id, "pop_distance_miles")?,
                 nearest_pop_distance_miles: finite(
                     s.nearest_pop_distance_miles,
-                    r.client_id,
+                    id,
                     "nearest_pop_distance_miles",
                 )?,
             })
@@ -171,29 +170,13 @@ pub fn record_from_store(r: &StoreRecord) -> Result<ClientRecord> {
         .transports
         .iter()
         .map(|s| {
-            let transport = *DnsTransport::ALL.get(s.transport as usize).ok_or_else(|| {
-                StoreError::Corrupt(format!(
-                    "client {}: transport ordinal {} out of range (have {})",
-                    r.client_id,
-                    s.transport,
-                    DnsTransport::ALL.len()
-                ))
-            })?;
-            let provider = *ALL_PROVIDERS.get(s.provider as usize).ok_or_else(|| {
-                StoreError::Corrupt(format!(
-                    "client {}: transport provider ordinal {} out of range (have {})",
-                    r.client_id,
-                    s.provider,
-                    ALL_PROVIDERS.len()
-                ))
-            })?;
             Ok(TransportSample {
-                transport,
-                provider,
-                cold_ms: finite(s.cold_ms, r.client_id, "cold_ms")?,
-                warm_ms: finite(s.warm_ms, r.client_id, "warm_ms")?,
-                resumed_ms: finite(s.resumed_ms, r.client_id, "resumed_ms")?,
-                handshake_ms: finite(s.handshake_ms, r.client_id, "handshake_ms")?,
+                transport: transport_of(s.transport, id, "transport")?,
+                provider: provider_of(s.provider, id, "transport provider")?,
+                cold_ms: finite(s.cold_ms, id, "cold_ms")?,
+                warm_ms: finite(s.warm_ms, id, "warm_ms")?,
+                resumed_ms: finite(s.resumed_ms, id, "resumed_ms")?,
+                handshake_ms: finite(s.handshake_ms, id, "handshake_ms")?,
             })
         })
         .collect::<Result<Vec<_>>>()?;
@@ -201,30 +184,14 @@ pub fn record_from_store(r: &StoreRecord) -> Result<ClientRecord> {
         .pages
         .iter()
         .map(|s| {
-            let transport = *DnsTransport::ALL.get(s.transport as usize).ok_or_else(|| {
-                StoreError::Corrupt(format!(
-                    "client {}: page transport ordinal {} out of range (have {})",
-                    r.client_id,
-                    s.transport,
-                    DnsTransport::ALL.len()
-                ))
-            })?;
-            let provider = *ALL_PROVIDERS.get(s.provider as usize).ok_or_else(|| {
-                StoreError::Corrupt(format!(
-                    "client {}: page provider ordinal {} out of range (have {})",
-                    r.client_id,
-                    s.provider,
-                    ALL_PROVIDERS.len()
-                ))
-            })?;
             Ok(PageSample {
-                transport,
-                provider,
+                transport: transport_of(s.transport, id, "page transport")?,
+                provider: provider_of(s.provider, id, "page provider")?,
                 domains: s.domains,
                 unique_names: s.unique_names,
                 depth: s.depth,
-                plt_cold_ms: finite(s.plt_cold_ms, r.client_id, "plt_cold_ms")?,
-                plt_warm_ms: finite(s.plt_warm_ms, r.client_id, "plt_warm_ms")?,
+                plt_cold_ms: finite(s.plt_cold_ms, id, "plt_cold_ms")?,
+                plt_warm_ms: finite(s.plt_warm_ms, id, "plt_warm_ms")?,
                 cold_cache_hits: s.cold_cache_hits,
                 warm_cache_hits: s.warm_cache_hits,
             })
@@ -234,70 +201,142 @@ pub fn record_from_store(r: &StoreRecord) -> Result<ClientRecord> {
         .windows
         .iter()
         .map(|s| {
-            let provider = *ALL_PROVIDERS.get(s.provider as usize).ok_or_else(|| {
-                StoreError::Corrupt(format!(
-                    "client {}: window provider ordinal {} out of range (have {})",
-                    r.client_id,
-                    s.provider,
-                    ALL_PROVIDERS.len()
-                ))
-            })?;
-            let transport = *DnsTransport::ALL.get(s.transport as usize).ok_or_else(|| {
-                StoreError::Corrupt(format!(
-                    "client {}: window transport ordinal {} out of range (have {})",
-                    r.client_id,
-                    s.transport,
-                    DnsTransport::ALL.len()
-                ))
-            })?;
             Ok(WindowSample {
                 window: s.window,
-                provider,
-                transport,
+                provider: provider_of(s.provider, id, "window provider")?,
+                transport: transport_of(s.transport, id, "window transport")?,
                 queries: s.queries,
                 successes: s.successes,
-                latency_ms: finite(s.latency_ms, r.client_id, "latency_ms")?,
+                latency_ms: finite(s.latency_ms, id, "latency_ms")?,
                 cache_lookups: s.cache_lookups,
                 cache_hits: s.cache_hits,
             })
         })
         .collect::<Result<Vec<_>>>()?;
     Ok(ClientRecord {
-        client_id: r.client_id,
-        country_iso: intern_iso(r.country_iso, r.client_id)?,
+        client_id: id,
+        country_iso: intern_iso(r.country_iso, id)?,
         country_index: r.country_index as usize,
         prefix: Prefix24(r.prefix),
-        maxmind_country: intern_iso(r.maxmind_country, r.client_id)?,
+        maxmind_country: intern_iso(r.maxmind_country, id)?,
         position: GeoPoint::new(r.lat, r.lon),
         nameserver_distance_miles: finite(
             r.nameserver_distance_miles,
-            r.client_id,
+            id,
             "nameserver_distance_miles",
         )?,
         doh,
-        do53_ms: r
-            .do53_ms
-            .map(|ms| finite(ms, r.client_id, "do53_ms"))
-            .transpose()?,
-        do53_source: match r.do53_source {
-            0 => Do53Source::BrightDataHeader,
-            1 => Do53Source::RipeAtlasRemedy,
-            n => {
-                return Err(StoreError::Corrupt(format!(
-                    "client {}: do53 source ordinal {n} is neither header (0) nor atlas (1)",
-                    r.client_id
-                )))
-            }
-        },
+        do53_ms: r.do53_ms.map(|ms| finite(ms, id, "do53_ms")).transpose()?,
+        do53_source: do53_source_of(r.do53_source, id)?,
         transports,
         pages,
         windows,
     })
 }
 
+/// Apply every check [`record_from_store`] makes to one decoded chunk,
+/// straight on its columns and without building a record.
+///
+/// Record by record, in [`record_from_store`]'s order and through the
+/// same check functions: provider and transport ordinal ranges, a
+/// finite value in every f64 column the conversion keeps, both ISO
+/// codes interned against the country table, and the Do53 source. So a
+/// chunk passes here exactly when every one of its records converts,
+/// and a failing chunk raises the same `client N: <field> is …` error
+/// the record path would.
+fn check_columns(c: &ChunkColumns) -> Result<()> {
+    let mut doh_spans = sample_spans(&c.doh.counts);
+    let mut transport_spans = sample_spans(&c.transports.counts);
+    let mut page_spans = sample_spans(&c.pages.counts);
+    let mut window_spans = sample_spans(&c.windows.counts);
+    let (d, t, p, w) = (&c.doh, &c.transports, &c.pages, &c.windows);
+    // The ISO columns are run-length encoded, so consecutive records
+    // almost always repeat the pair just interned.
+    let mut interned: Option<([u8; 2], [u8; 2])> = None;
+    for (i, &id) in c.identity.client_id.iter().enumerate() {
+        for j in doh_spans.next().expect("one count per record") {
+            provider_of(d.provider[j], id, "provider")?;
+            finite(d.t_doh_ms[j], id, "t_doh_ms")?;
+            finite(d.t_dohr_ms[j], id, "t_dohr_ms")?;
+            finite(d.pop_distance_miles[j], id, "pop_distance_miles")?;
+            let nearest = d.nearest_pop_distance_miles[j];
+            finite(nearest, id, "nearest_pop_distance_miles")?;
+        }
+        for j in transport_spans.next().expect("one count per record") {
+            transport_of(t.transport[j], id, "transport")?;
+            provider_of(t.provider[j], id, "transport provider")?;
+            finite(t.cold_ms[j], id, "cold_ms")?;
+            finite(t.warm_ms[j], id, "warm_ms")?;
+            finite(t.resumed_ms[j], id, "resumed_ms")?;
+            finite(t.handshake_ms[j], id, "handshake_ms")?;
+        }
+        for j in page_spans.next().expect("one count per record") {
+            transport_of(p.transport[j], id, "page transport")?;
+            provider_of(p.provider[j], id, "page provider")?;
+            finite(p.plt_cold_ms[j], id, "plt_cold_ms")?;
+            finite(p.plt_warm_ms[j], id, "plt_warm_ms")?;
+        }
+        for j in window_spans.next().expect("one count per record") {
+            provider_of(w.provider[j], id, "window provider")?;
+            transport_of(w.transport[j], id, "window transport")?;
+            finite(w.latency_ms[j], id, "latency_ms")?;
+        }
+        let isos = (c.geoloc.country_iso[i], c.geoloc.maxmind_country[i]);
+        if interned != Some(isos) {
+            intern_iso(isos.0, id)?;
+            intern_iso(isos.1, id)?;
+            interned = Some(isos);
+        }
+        let ns = c.geoloc.nameserver_distance_miles[i];
+        finite(ns, id, "nameserver_distance_miles")?;
+        if let Some(ms) = c.do53.values[i] {
+            finite(ms, id, "do53_ms")?;
+        }
+        do53_source_of(c.do53.source[i], id)?;
+    }
+    Ok(())
+}
+
+/// A provider ordinal interned against [`ALL_PROVIDERS`]; `what` names
+/// the column (`provider`, `transport provider`, ...).
+fn provider_of(ordinal: u8, client_id: u64, what: &str) -> Result<ProviderKind> {
+    ALL_PROVIDERS.get(ordinal as usize).copied().ok_or_else(|| {
+        StoreError::Corrupt(format!(
+            "client {client_id}: {what} ordinal {ordinal} out of range (have {})",
+            ALL_PROVIDERS.len()
+        ))
+    })
+}
+
+/// A transport ordinal interned against [`DnsTransport::ALL`]; `what`
+/// names the column (`transport`, `page transport`, ...).
+fn transport_of(ordinal: u8, client_id: u64, what: &str) -> Result<DnsTransport> {
+    DnsTransport::ALL
+        .get(ordinal as usize)
+        .copied()
+        .ok_or_else(|| {
+            StoreError::Corrupt(format!(
+                "client {client_id}: {what} ordinal {ordinal} out of range (have {})",
+                DnsTransport::ALL.len()
+            ))
+        })
+}
+
+/// The Do53 provenance a source ordinal stands for.
+fn do53_source_of(ordinal: u8, client_id: u64) -> Result<Do53Source> {
+    match ordinal {
+        0 => Ok(Do53Source::BrightDataHeader),
+        1 => Ok(Do53Source::RipeAtlasRemedy),
+        n => Err(StoreError::Corrupt(format!(
+            "client {client_id}: do53 source ordinal {n} is neither header (0) nor atlas (1)"
+        ))),
+    }
+}
+
 /// A latency or distance the analyses can order. The store keeps raw f64
 /// bits, so a chunk whose CRC checks out can still carry a NaN or an
 /// infinity.
+#[inline]
 fn finite(value: f64, client_id: u64, field: &str) -> Result<f64> {
     if value.is_finite() {
         Ok(value)
@@ -412,6 +451,75 @@ where
     Ok(stats)
 }
 
+/// Scan a store's chunks as checked columns, with no record built.
+///
+/// The column-level counterpart of [`fold_chunks`] for analyses that
+/// read a few fields. Each chunk gets the same validation the record
+/// path gives it: the CRC over the whole payload, a full structural
+/// decode of every column group (flag-gated ones included), and
+/// `check_columns` — every check [`record_from_store`] makes. Then
+/// `project` copies out what the analysis needs (on the decode workers)
+/// and `fold` consumes it on the calling thread in canonical chunk
+/// order, so a fold is identical at any thread count. Finally the scan
+/// must have seen exactly the records and chunks `manifest` promises;
+/// a store cut at a chunk boundary fails here.
+///
+/// Publishes `store.decode_ms` and `store.records_streamed` like
+/// [`fold_chunks`].
+pub fn scan_columns<T, P, F>(
+    dir: &Path,
+    manifest: &Manifest,
+    threads: usize,
+    project: P,
+    mut fold: F,
+) -> Result<ReadStats>
+where
+    T: Send,
+    P: Fn(&ChunkColumns) -> T + Sync,
+    F: FnMut(T) -> Result<()>,
+{
+    let file = File::open(dir.join(RECORDS_FILE))?;
+    let start = Instant::now();
+    let stats = dohperf_store::scan_columns(
+        BufReader::new(file),
+        threads,
+        |_, columns| {
+            check_columns(columns)?;
+            Ok((columns.len(), project(columns)))
+        },
+        |(records, projected)| {
+            dohperf_telemetry::counter!("store.records_streamed").add(records as u64);
+            fold(projected)
+        },
+    )?;
+    dohperf_telemetry::gauge!("store.decode_ms", per_run).set(start.elapsed().as_millis() as i64);
+    check_totals(dir, manifest, stats)?;
+    Ok(stats)
+}
+
+/// Fail unless a scan saw exactly the records and chunks `manifest`
+/// promises. A store cut at a chunk boundary scans cleanly, so only the
+/// manifest totals reveal the loss.
+fn check_totals(dir: &Path, manifest: &Manifest, stats: ReadStats) -> Result<()> {
+    if stats.records != manifest.total_records {
+        return Err(StoreError::Corrupt(format!(
+            "store {}: manifest promises {} records, chunks hold {}",
+            dir.display(),
+            manifest.total_records,
+            stats.records
+        )));
+    }
+    if stats.chunks != manifest.total_chunks {
+        return Err(StoreError::Corrupt(format!(
+            "store {}: manifest promises {} chunks, {RECORDS_FILE} holds {}",
+            dir.display(),
+            manifest.total_chunks,
+            stats.chunks
+        )));
+    }
+    Ok(())
+}
+
 /// Materialise the full [`Dataset`] from a store directory.
 ///
 /// The result is bit-exact with the dataset that was written: floats
@@ -428,18 +536,11 @@ pub fn read_dataset(dir: &Path) -> Result<Dataset> {
 pub fn read_dataset_threads(dir: &Path, threads: usize) -> Result<Dataset> {
     let manifest = read_manifest(dir)?;
     let mut records = Vec::with_capacity(manifest.total_records as usize);
-    fold_chunks(dir, threads, |mut batch| {
+    let stats = fold_chunks(dir, threads, |mut batch| {
         records.append(&mut batch);
         Ok(())
     })?;
-    if records.len() as u64 != manifest.total_records {
-        return Err(StoreError::Corrupt(format!(
-            "store {}: manifest promises {} records, chunks hold {}",
-            dir.display(),
-            manifest.total_records,
-            records.len()
-        )));
-    }
+    check_totals(dir, &manifest, stats)?;
     let countries = manifest
         .countries
         .iter()
@@ -636,6 +737,171 @@ mod tests {
         store.windows.push(bad_sample(0, 88));
         let err = record_from_store(&store).unwrap_err().to_string();
         assert!(err.contains("window provider ordinal 88"), "{err}");
+    }
+
+    /// Decode `records` as one chunk's columns.
+    fn columns_of(records: &[StoreRecord]) -> ChunkColumns {
+        let bytes = dohperf_store::encode_chunk(records);
+        let header = bytes[..dohperf_store::chunk::CHUNK_HEADER_LEN]
+            .try_into()
+            .unwrap();
+        let (count, _, _, flags) = dohperf_store::chunk::parse_header(header, 0).unwrap();
+        let payload = &bytes[dohperf_store::chunk::CHUNK_HEADER_LEN..];
+        let mut columns = ChunkColumns::new();
+        dohperf_store::decode_chunk_columns(count, flags, payload, 0, &mut columns).unwrap();
+        columns
+    }
+
+    #[test]
+    fn column_checks_raise_the_record_checks_errors() {
+        // A clean chunk passes; a chunk with one bad value anywhere fails
+        // with exactly the error converting its records would raise.
+        let clean: Vec<StoreRecord> = dataset().records[..40]
+            .iter()
+            .map(record_to_store)
+            .collect();
+        check_columns(&columns_of(&clean)).unwrap();
+
+        let transport = StoreTransportSample {
+            transport: 1,
+            provider: 0,
+            cold_ms: 1.0,
+            warm_ms: 1.0,
+            resumed_ms: 1.0,
+            handshake_ms: 1.0,
+        };
+        let page = StorePageSample {
+            transport: 1,
+            provider: 0,
+            domains: 12,
+            unique_names: 10,
+            depth: 3,
+            plt_cold_ms: 1.0,
+            plt_warm_ms: 1.0,
+            cold_cache_hits: 2,
+            warm_cache_hits: 10,
+        };
+        let window = StoreWindowSample {
+            window: 3,
+            provider: 0,
+            transport: 1,
+            queries: 4,
+            successes: 4,
+            latency_ms: 120.0,
+            cache_lookups: 0,
+            cache_hits: 0,
+        };
+        type Poison = Box<dyn Fn(&mut StoreRecord)>;
+        let poisons: Vec<(&str, Poison)> = vec![
+            (
+                "provider ordinal 200",
+                Box::new(|r| r.doh[1].provider = 200),
+            ),
+            (
+                "t_dohr_ms is NaN",
+                Box::new(|r| r.doh[2].t_dohr_ms = f64::NAN),
+            ),
+            (
+                "transport ordinal 9",
+                Box::new(move |r| {
+                    r.transports = vec![transport; 2];
+                    r.transports[1].transport = 9;
+                }),
+            ),
+            (
+                "transport provider ordinal 77",
+                Box::new(move |r| {
+                    r.transports = vec![transport];
+                    r.transports[0].provider = 77;
+                }),
+            ),
+            (
+                "handshake_ms is inf",
+                Box::new(move |r| {
+                    r.transports = vec![transport];
+                    r.transports[0].handshake_ms = f64::INFINITY;
+                }),
+            ),
+            (
+                "page transport ordinal 11",
+                Box::new(move |r| {
+                    r.pages = vec![page];
+                    r.pages[0].transport = 11;
+                }),
+            ),
+            (
+                "page provider ordinal 66",
+                Box::new(move |r| {
+                    r.pages = vec![page];
+                    r.pages[0].provider = 66;
+                }),
+            ),
+            (
+                "plt_warm_ms is NaN",
+                Box::new(move |r| {
+                    r.pages = vec![page];
+                    r.pages[0].plt_warm_ms = f64::NAN;
+                }),
+            ),
+            (
+                "window provider ordinal 88",
+                Box::new(move |r| {
+                    r.windows = vec![window];
+                    r.windows[0].provider = 88;
+                }),
+            ),
+            (
+                "window transport ordinal 13",
+                Box::new(move |r| {
+                    r.windows = vec![window];
+                    r.windows[0].transport = 13;
+                }),
+            ),
+            (
+                "latency_ms is NaN",
+                Box::new(move |r| {
+                    r.windows = vec![window];
+                    r.windows[0].latency_ms = f64::NAN;
+                }),
+            ),
+            (
+                "country \"ZQ\" is not in the embedded table",
+                Box::new(|r| r.country_iso = *b"ZQ"),
+            ),
+            (
+                "country bytes [255, 66] are not ASCII",
+                Box::new(|r| r.maxmind_country = [0xFF, b'B']),
+            ),
+            (
+                "nameserver_distance_miles is NaN",
+                Box::new(|r| r.nameserver_distance_miles = f64::NAN),
+            ),
+            (
+                "do53_ms is -inf",
+                Box::new(|r| r.do53_ms = Some(f64::NEG_INFINITY)),
+            ),
+            ("do53 source ordinal 7", Box::new(|r| r.do53_source = 7)),
+        ];
+        for (expected, poison) in &poisons {
+            for at in [0, 17, 39] {
+                let mut records = clean.clone();
+                poison(&mut records[at]);
+                // A second defect later in the chunk must not change
+                // which error is reported.
+                records[at + 1..].iter_mut().for_each(|r| r.do53_source = 9);
+                let record_err = records
+                    .iter()
+                    .map(record_from_store)
+                    .find_map(|r| r.err())
+                    .expect("a poisoned record fails to convert")
+                    .to_string();
+                assert!(record_err.contains(expected), "{record_err}");
+                let column_err = check_columns(&columns_of(&records))
+                    .expect_err("a poisoned chunk fails its column checks")
+                    .to_string();
+                assert_eq!(column_err, record_err, "poison {expected:?} at record {at}");
+            }
+        }
     }
 
     #[test]

@@ -70,6 +70,16 @@
 //! baseline.
 //! [`encode_chunk`] is the convenience wrapper that allocates a fresh
 //! scratch per call.
+//!
+//! ## Decoding
+//!
+//! [`decode_chunk_columns`] is the one decoder: it checks every group's
+//! framing and decodes every group in full into a reusable
+//! [`ChunkColumns`] (one flat column per field, plus per-record sample
+//! counts), so a decode loop allocates nothing per chunk once warm.
+//! [`decode_chunk`] assembles records from those columns. Corrupt or
+//! hostile bytes fail with [`StoreError::Corrupt`], never a panic, and
+//! no column is sized from a count the payload cannot back.
 
 use crate::checksum::crc32;
 use crate::record::{
@@ -412,82 +422,170 @@ pub fn encode_chunk(records: &[StoreRecord]) -> Vec<u8> {
 }
 
 /// Decode one chunk from `header` + `payload` bytes (already split by the
-/// reader). `flags` comes from [`parse_header`] and gates the optional
-/// trailing groups. `index` labels errors with the chunk's ordinal in the
-/// stream.
+/// reader) into records. `flags` comes from [`parse_header`] and gates
+/// the optional trailing groups. `index` labels errors with the chunk's
+/// ordinal in the stream.
+///
+/// A thin assembly over [`decode_chunk_columns`], so the record path and
+/// the column scan share one decoder and one set of structural checks.
 pub fn decode_chunk(
     record_count: u32,
     flags: u16,
     payload: &[u8],
     index: u64,
 ) -> Result<Vec<StoreRecord>> {
-    let context = format!("chunk {index}");
+    let mut columns = ChunkColumns::new();
+    decode_chunk_columns(record_count, flags, payload, index, &mut columns)?;
+    Ok(columns.to_records())
+}
+
+/// Smallest payload a record can occupy: the geoloc group alone stores
+/// three raw f64s per record. A header whose record count the payload
+/// cannot hold is rejected before any column is sized from it.
+const MIN_BYTES_PER_RECORD: usize = 24;
+
+/// Decode one chunk into `out`, the flat structure-of-arrays form.
+///
+/// This is the store's one structural chunk decoder: every group is
+/// length-checked and decoded in full — the flag-gated transports,
+/// pageload and timeseries groups included — every RLE run sum, varint
+/// and narrowing is checked, and no trailing byte is tolerated.
+/// [`decode_chunk`] assembles records from the same columns.
+///
+/// `out` is reusable scratch: its columns are cleared and refilled, so a
+/// decode loop holding one `ChunkColumns` allocates nothing per chunk
+/// once the capacities have warmed up. On error `out` holds a partial
+/// decode and must not be read.
+pub fn decode_chunk_columns(
+    record_count: u32,
+    flags: u16,
+    payload: &[u8],
+    index: u64,
+    out: &mut ChunkColumns,
+) -> Result<()> {
+    use std::fmt::Write;
+    out.context.clear();
+    let _ = write!(out.context, "chunk {index}");
+    let context = out.context.as_str();
     let n = record_count as usize;
-    if n == 0 || n > MAX_RECORDS_PER_CHUNK {
+    if n == 0 || n > MAX_RECORDS_PER_CHUNK || n > payload.len() / MIN_BYTES_PER_RECORD {
         return Err(StoreError::Corrupt(format!(
-            "{context}: implausible record count {n}"
+            "{context}: implausible record count {n} for a {}-byte payload",
+            payload.len()
         )));
     }
-    let mut cursor = Cursor::new(payload, &context);
+    let mut cursor = Cursor::new(payload, context);
 
     let identity = take_group(&mut cursor, "identity")?;
     let geoloc = take_group(&mut cursor, "geoloc")?;
     let doh = take_group(&mut cursor, "doh")?;
     let do53 = take_group(&mut cursor, "do53")?;
-    let transports = if flags & FLAG_TRANSPORTS != 0 {
-        Some(take_group(&mut cursor, "transports")?)
-    } else {
-        None
-    };
-    let pageload = if flags & FLAG_PAGELOAD != 0 {
-        Some(take_group(&mut cursor, "pageload")?)
-    } else {
-        None
-    };
-    let timeseries = if flags & FLAG_TIMESERIES != 0 {
-        Some(take_group(&mut cursor, "timeseries")?)
-    } else {
-        None
-    };
+    let transports = take_gated_group(&mut cursor, flags & FLAG_TRANSPORTS, "transports")?;
+    let pageload = take_gated_group(&mut cursor, flags & FLAG_PAGELOAD, "pageload")?;
+    let timeseries = take_gated_group(&mut cursor, flags & FLAG_TIMESERIES, "timeseries")?;
     cursor.expect_empty()?;
 
-    let ids = decode_identity(identity, n, &context)?;
-    let geo = decode_geoloc(geoloc, n, &context)?;
-    let samples = decode_doh(doh, n, &context)?;
-    let baselines = decode_do53(do53, n, &context)?;
-    let mut lifecycle = match transports {
-        Some(bytes) => decode_transports(bytes, n, &context)?,
-        None => vec![Vec::new(); n],
-    };
-    let mut pages = match pageload {
-        Some(bytes) => decode_pageload(bytes, n, &context)?,
-        None => vec![Vec::new(); n],
-    };
-    let mut windows = match timeseries {
-        Some(bytes) => decode_timeseries(bytes, n, &context)?,
-        None => vec![Vec::new(); n],
-    };
+    out.identity.decode(identity, n, context)?;
+    out.geoloc.decode(geoloc, n, context)?;
+    out.doh.decode(doh, n, context)?;
+    out.do53.decode(do53, n, context)?;
+    out.transports.decode(transports, n, context)?;
+    out.pages.decode(pageload, n, context)?;
+    out.windows.decode(timeseries, n, context)?;
+    Ok(())
+}
 
-    let mut records = Vec::with_capacity(n);
-    for (i, doh) in samples.into_iter().enumerate() {
-        records.push(StoreRecord {
-            client_id: ids.client_id[i],
-            country_iso: geo.country_iso[i],
-            country_index: ids.country_index[i],
-            prefix: ids.prefix[i],
-            maxmind_country: geo.maxmind[i],
-            lat: geo.lat[i],
-            lon: geo.lon[i],
-            nameserver_distance_miles: geo.ns_distance[i],
-            doh,
-            do53_ms: baselines.values[i],
-            do53_source: baselines.source[i],
-            transports: std::mem::take(&mut lifecycle[i]),
-            pages: std::mem::take(&mut pages[i]),
-            windows: std::mem::take(&mut windows[i]),
-        });
+/// One decoded chunk in flat structure-of-arrays form: one `Vec` per
+/// stored field, filled by [`decode_chunk_columns`].
+///
+/// Per-record columns have one entry per record. Each sample group
+/// (`doh`, `transports`, `pages`, `windows`) carries `counts` — the
+/// record's sample count, one entry per record — and its flattened
+/// sample columns in record order; [`sample_spans`] turns the counts
+/// into per-record index ranges. An absent flag-gated group decodes as
+/// all-zero counts and empty sample columns.
+#[derive(Debug, Default, Clone, PartialEq)]
+pub struct ChunkColumns {
+    /// Identity group: client ids, country indices, /24 prefixes.
+    pub identity: IdentityColumns,
+    /// Geoloc group: ISO codes, coordinates, nameserver distance.
+    pub geoloc: GeolocColumns,
+    /// DoH samples.
+    pub doh: DohColumns,
+    /// Do53 baseline and its provenance.
+    pub do53: Do53Columns,
+    /// Extended-transport lifecycle samples (flag-gated).
+    pub transports: TransportColumns,
+    /// Page-load samples (flag-gated).
+    pub pages: PageColumns,
+    /// Windowed time-series summaries (flag-gated).
+    pub windows: WindowColumns,
+    /// Error-context label (`"chunk N"`), reused across decodes.
+    context: String,
+}
+
+impl ChunkColumns {
+    /// Fresh scratch with empty columns.
+    pub fn new() -> Self {
+        Self::default()
     }
-    Ok(records)
+
+    /// Records in the decoded chunk.
+    pub fn len(&self) -> usize {
+        self.identity.client_id.len()
+    }
+
+    /// Whether no chunk has been decoded into this scratch.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Assemble the chunk's records (what [`decode_chunk`] returns).
+    pub fn to_records(&self) -> Vec<StoreRecord> {
+        let mut doh = sample_spans(&self.doh.counts);
+        let mut transports = sample_spans(&self.transports.counts);
+        let mut pages = sample_spans(&self.pages.counts);
+        let mut windows = sample_spans(&self.windows.counts);
+        let (id, geo) = (&self.identity, &self.geoloc);
+        (0..self.len())
+            .map(|i| StoreRecord {
+                client_id: id.client_id[i],
+                country_iso: geo.country_iso[i],
+                country_index: id.country_index[i],
+                prefix: id.prefix[i],
+                maxmind_country: geo.maxmind_country[i],
+                lat: geo.lat[i],
+                lon: geo.lon[i],
+                nameserver_distance_miles: geo.nameserver_distance_miles[i],
+                doh: next_span(&mut doh).map(|j| self.doh.sample(j)).collect(),
+                do53_ms: self.do53.values[i],
+                do53_source: self.do53.source[i],
+                transports: next_span(&mut transports)
+                    .map(|j| self.transports.sample(j))
+                    .collect(),
+                pages: next_span(&mut pages)
+                    .map(|j| self.pages.sample(j))
+                    .collect(),
+                windows: next_span(&mut windows)
+                    .map(|j| self.windows.sample(j))
+                    .collect(),
+            })
+            .collect()
+    }
+}
+
+/// Per-record index ranges into a sample group's flat columns, from its
+/// `counts` column: record `i`'s samples are the `i`-th range.
+pub fn sample_spans(counts: &[u32]) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+    counts.iter().scan(0usize, |offset, &k| {
+        let start = *offset;
+        *offset += k as usize;
+        Some(start..*offset)
+    })
+}
+
+fn next_span(spans: &mut impl Iterator<Item = std::ops::Range<usize>>) -> std::ops::Range<usize> {
+    spans.next().expect("one count per record")
 }
 
 /// Validate and split a chunk header, returning (record_count, payload_len,
@@ -540,325 +638,497 @@ fn take_group<'a>(cursor: &mut Cursor<'a>, what: &str) -> Result<&'a [u8]> {
     cursor.take(len, what)
 }
 
-// ---------------------------------------------------------------- identity
-
-struct IdentityColumns {
-    client_id: Vec<u64>,
-    country_index: Vec<u32>,
-    prefix: Vec<u32>,
+/// A flag-gated group: present only when its header `flag` bit is set.
+fn take_gated_group<'a>(
+    cursor: &mut Cursor<'a>,
+    flag: u16,
+    what: &str,
+) -> Result<Option<&'a [u8]>> {
+    if flag == 0 {
+        return Ok(None);
+    }
+    take_group(cursor, what).map(Some)
 }
 
-fn decode_identity(bytes: &[u8], n: usize, context: &str) -> Result<IdentityColumns> {
-    let mut c = Cursor::new(bytes, context);
-    let mut client_id = Vec::with_capacity(n);
-    client_id.push(c.u64()?);
-    for _ in 1..n {
-        let prev = *client_id.last().expect("non-empty");
-        client_id.push(prev.wrapping_add(c.i64()? as u64));
-    }
-    let country_index = decode_rle_u32(&mut c, n, "country_index")?;
-    let mut prefix = Vec::with_capacity(n);
-    let first = c.u64()?;
-    prefix
-        .push(u32::try_from(first).map_err(|_| {
-            StoreError::Corrupt(format!("{context}: prefix {first} overflows u32"))
+// ------------------------------------------------------------ column kernels
+
+/// Clear `out` and read a column of `n` raw-bit f64s into it.
+fn f64_column(c: &mut Cursor<'_>, n: usize, out: &mut Vec<f64>) -> Result<()> {
+    out.clear();
+    c.f64_block(n, out)
+}
+
+/// Clear `out` and read a column of `n` varints into it, each narrowed
+/// to u32.
+fn u32_column(
+    c: &mut Cursor<'_>,
+    n: usize,
+    out: &mut Vec<u32>,
+    what: &str,
+    context: &str,
+) -> Result<()> {
+    out.clear();
+    for _ in 0..n {
+        let v = c.u64()?;
+        out.push(u32::try_from(v).map_err(|_| {
+            StoreError::Corrupt(format!("{context}: {what} value {v} overflows u32"))
         })?);
-    for _ in 1..n {
-        let prev = i64::from(*prefix.last().expect("non-empty"));
-        let next = prev + c.i64()?;
-        prefix.push(u32::try_from(next).map_err(|_| {
-            StoreError::Corrupt(format!("{context}: prefix delta leaves u32 range ({next})"))
-        })?);
     }
-    c.expect_empty()?;
-    Ok(IdentityColumns {
-        client_id,
-        country_index,
-        prefix,
-    })
+    Ok(())
+}
+
+/// An ordinal column value narrowed to u8.
+fn ordinal_u8(v: u32, what: &str, context: &str) -> Result<u8> {
+    u8::try_from(v)
+        .map_err(|_| StoreError::Corrupt(format!("{context}: {what} ordinal {v} overflows u8")))
+}
+
+/// Read a sample group's per-record counts into `counts` and return
+/// their sum. The group stores `f64_columns` raw f64s per sample, so a
+/// sum the rest of the group cannot hold is rejected here, before any
+/// column is sized from it.
+fn sample_counts(
+    c: &mut Cursor<'_>,
+    n: usize,
+    counts: &mut Vec<u32>,
+    what: &str,
+    f64_columns: usize,
+    context: &str,
+) -> Result<usize> {
+    counts.clear();
+    let mut total = 0usize;
+    for _ in 0..n {
+        let k = c.len(MAX_SAMPLES_PER_RECORD, what)?;
+        counts.push(k as u32);
+        total += k;
+    }
+    let need = total.saturating_mul(8 * f64_columns);
+    if need > c.remaining() {
+        return Err(StoreError::Corrupt(format!(
+            "{context}: {what}s sum to {total}, whose f64 columns need {need} bytes, \
+             but the group has {} left",
+            c.remaining()
+        )));
+    }
+    Ok(total)
+}
+
+/// An absent flag-gated group: a zero count per record.
+fn zero_counts(counts: &mut Vec<u32>, n: usize) {
+    counts.clear();
+    counts.resize(n, 0);
+}
+
+// ---------------------------------------------------------------- identity
+
+/// The identity group's columns, one entry per record.
+#[derive(Debug, Default, Clone, PartialEq)]
+pub struct IdentityColumns {
+    /// Super Proxy-assigned client ids.
+    pub client_id: Vec<u64>,
+    /// Indices into the campaign's country list.
+    pub country_index: Vec<u32>,
+    /// /24 prefixes.
+    pub prefix: Vec<u32>,
+}
+
+impl IdentityColumns {
+    fn decode(&mut self, bytes: &[u8], n: usize, context: &str) -> Result<()> {
+        let mut c = Cursor::new(bytes, context);
+        self.client_id.clear();
+        let mut id = c.u64()?;
+        self.client_id.push(id);
+        for _ in 1..n {
+            id = id.wrapping_add(c.i64()? as u64);
+            self.client_id.push(id);
+        }
+        decode_rle_into(&mut c, n, "country_index", &mut self.country_index, Ok)?;
+        self.prefix.clear();
+        let first = c.u64()?;
+        let mut prefix = u32::try_from(first)
+            .map_err(|_| StoreError::Corrupt(format!("{context}: prefix {first} overflows u32")))?;
+        self.prefix.push(prefix);
+        for _ in 1..n {
+            let delta = c.i64()?;
+            let next = i64::from(prefix).checked_add(delta);
+            prefix = next.and_then(|v| u32::try_from(v).ok()).ok_or_else(|| {
+                StoreError::Corrupt(format!(
+                    "{context}: prefix delta {delta} leaves u32 range from {prefix}"
+                ))
+            })?;
+            self.prefix.push(prefix);
+        }
+        c.expect_empty()
+    }
 }
 
 // ----------------------------------------------------------------- geoloc
 
-struct GeolocColumns {
-    country_iso: Vec<[u8; 2]>,
-    maxmind: Vec<[u8; 2]>,
-    lat: Vec<f64>,
-    lon: Vec<f64>,
-    ns_distance: Vec<f64>,
+/// The geoloc group's columns, one entry per record.
+#[derive(Debug, Default, Clone, PartialEq)]
+pub struct GeolocColumns {
+    /// Ground-truth ISO codes.
+    pub country_iso: Vec<[u8; 2]>,
+    /// Maxmind-reported ISO codes.
+    pub maxmind_country: Vec<[u8; 2]>,
+    /// Latitudes, degrees north.
+    pub lat: Vec<f64>,
+    /// Longitudes, degrees east.
+    pub lon: Vec<f64>,
+    /// Distances to the authoritative nameserver, miles.
+    pub nameserver_distance_miles: Vec<f64>,
 }
 
-fn decode_geoloc(bytes: &[u8], n: usize, context: &str) -> Result<GeolocColumns> {
-    let mut c = Cursor::new(bytes, context);
-    let country_iso = decode_rle_pair(&mut c, n, "country_iso")?;
-    let maxmind = decode_rle_pair(&mut c, n, "maxmind_country")?;
-    let mut lat = Vec::new();
-    c.f64_block(n, &mut lat)?;
-    let mut lon = Vec::new();
-    c.f64_block(n, &mut lon)?;
-    let mut ns_distance = Vec::new();
-    c.f64_block(n, &mut ns_distance)?;
-    c.expect_empty()?;
-    Ok(GeolocColumns {
-        country_iso,
-        maxmind,
-        lat,
-        lon,
-        ns_distance,
-    })
+impl GeolocColumns {
+    fn decode(&mut self, bytes: &[u8], n: usize, context: &str) -> Result<()> {
+        let mut c = Cursor::new(bytes, context);
+        decode_rle_pair_into(&mut c, n, "country_iso", &mut self.country_iso)?;
+        decode_rle_pair_into(&mut c, n, "maxmind_country", &mut self.maxmind_country)?;
+        f64_column(&mut c, n, &mut self.lat)?;
+        f64_column(&mut c, n, &mut self.lon)?;
+        f64_column(&mut c, n, &mut self.nameserver_distance_miles)?;
+        c.expect_empty()
+    }
 }
 
 // -------------------------------------------------------------------- doh
 
-fn decode_doh(bytes: &[u8], n: usize, context: &str) -> Result<Vec<Vec<StoreDohSample>>> {
-    let mut c = Cursor::new(bytes, context);
-    let mut counts = Vec::with_capacity(n);
-    let mut total = 0usize;
-    for _ in 0..n {
-        let k = c.len(MAX_SAMPLES_PER_RECORD, "doh sample count")?;
-        counts.push(k);
-        total += k;
-    }
-    let providers = decode_rle_u32(&mut c, total, "provider")?;
-    let mut t_doh = Vec::new();
-    c.f64_block(total, &mut t_doh)?;
-    let mut t_dohr = Vec::new();
-    c.f64_block(total, &mut t_dohr)?;
-    let mut pop_index = Vec::with_capacity(total);
-    for _ in 0..total {
-        let v = c.u64()?;
-        pop_index.push(
-            u32::try_from(v).map_err(|_| {
-                StoreError::Corrupt(format!("{context}: pop_index {v} overflows u32"))
-            })?,
-        );
-    }
-    let mut pop_distance = Vec::new();
-    c.f64_block(total, &mut pop_distance)?;
-    let mut nearest = Vec::new();
-    c.f64_block(total, &mut nearest)?;
-    c.expect_empty()?;
+/// The doh group: per-record counts plus flattened sample columns.
+#[derive(Debug, Default, Clone, PartialEq)]
+pub struct DohColumns {
+    /// Samples per record.
+    pub counts: Vec<u32>,
+    /// Provider ordinals.
+    pub provider: Vec<u8>,
+    /// Derived first-request times (Equation 7), ms.
+    pub t_doh_ms: Vec<f64>,
+    /// Derived connection-reuse times (Equation 8), ms.
+    pub t_dohr_ms: Vec<f64>,
+    /// Serving-PoP indices.
+    pub pop_index: Vec<u32>,
+    /// Distances to the serving PoP, miles.
+    pub pop_distance_miles: Vec<f64>,
+    /// Distances to the closest PoP, miles.
+    pub nearest_pop_distance_miles: Vec<f64>,
+}
 
-    let mut samples = Vec::with_capacity(n);
-    let mut offset = 0usize;
-    for &k in &counts {
-        let mut per_record = Vec::with_capacity(k);
-        for j in offset..offset + k {
-            let provider = u8::try_from(providers[j]).map_err(|_| {
-                StoreError::Corrupt(format!(
-                    "{context}: provider ordinal {} overflows u8",
-                    providers[j]
-                ))
-            })?;
-            per_record.push(StoreDohSample {
-                provider,
-                t_doh_ms: t_doh[j],
-                t_dohr_ms: t_dohr[j],
-                pop_index: pop_index[j],
-                pop_distance_miles: pop_distance[j],
-                nearest_pop_distance_miles: nearest[j],
-            });
-        }
-        samples.push(per_record);
-        offset += k;
+impl DohColumns {
+    fn decode(&mut self, bytes: &[u8], n: usize, context: &str) -> Result<()> {
+        let mut c = Cursor::new(bytes, context);
+        let total = sample_counts(&mut c, n, &mut self.counts, "doh sample count", 4, context)?;
+        decode_rle_into(&mut c, total, "provider", &mut self.provider, |v| {
+            ordinal_u8(v, "provider", context)
+        })?;
+        f64_column(&mut c, total, &mut self.t_doh_ms)?;
+        f64_column(&mut c, total, &mut self.t_dohr_ms)?;
+        u32_column(&mut c, total, &mut self.pop_index, "pop_index", context)?;
+        f64_column(&mut c, total, &mut self.pop_distance_miles)?;
+        f64_column(&mut c, total, &mut self.nearest_pop_distance_miles)?;
+        c.expect_empty()
     }
-    Ok(samples)
+
+    /// Flat sample `j` as a record-form sample.
+    fn sample(&self, j: usize) -> StoreDohSample {
+        StoreDohSample {
+            provider: self.provider[j],
+            t_doh_ms: self.t_doh_ms[j],
+            t_dohr_ms: self.t_dohr_ms[j],
+            pop_index: self.pop_index[j],
+            pop_distance_miles: self.pop_distance_miles[j],
+            nearest_pop_distance_miles: self.nearest_pop_distance_miles[j],
+        }
+    }
 }
 
 // ------------------------------------------------------------------- do53
 
-struct Do53Columns {
-    values: Vec<Option<f64>>,
-    source: Vec<u8>,
+/// The do53 group's columns, one entry per record.
+#[derive(Debug, Default, Clone, PartialEq)]
+pub struct Do53Columns {
+    /// Do53 baselines, ms (`None` where the presence bit is clear).
+    pub values: Vec<Option<f64>>,
+    /// Provenance ordinals (0 = header, 1 = Atlas remedy).
+    pub source: Vec<u8>,
 }
 
-fn decode_do53(bytes: &[u8], n: usize, context: &str) -> Result<Do53Columns> {
-    let mut c = Cursor::new(bytes, context);
-    let bitmap = c.take(n.div_ceil(8), "do53 presence bitmap")?.to_vec();
-    let mut values = Vec::with_capacity(n);
-    for i in 0..n {
-        let present = bitmap[i / 8] & (1 << (i % 8)) != 0;
-        values.push(if present { Some(c.f64()?) } else { None });
+impl Do53Columns {
+    fn decode(&mut self, bytes: &[u8], n: usize, context: &str) -> Result<()> {
+        let mut c = Cursor::new(bytes, context);
+        let bitmap = c.take(n.div_ceil(8), "do53 presence bitmap")?;
+        self.values.clear();
+        for i in 0..n {
+            let present = bitmap[i / 8] & (1 << (i % 8)) != 0;
+            self.values
+                .push(if present { Some(c.f64()?) } else { None });
+        }
+        decode_rle_into(&mut c, n, "do53_source", &mut self.source, |v| {
+            ordinal_u8(v, "do53 source", context)
+        })?;
+        c.expect_empty()
     }
-    let source_u32 = decode_rle_u32(&mut c, n, "do53_source")?;
-    let mut source = Vec::with_capacity(n);
-    for v in source_u32 {
-        source.push(u8::try_from(v).map_err(|_| {
-            StoreError::Corrupt(format!("{context}: do53 source ordinal {v} overflows u8"))
-        })?);
-    }
-    c.expect_empty()?;
-    Ok(Do53Columns { values, source })
 }
 
 // ------------------------------------------------------------- transports
 
-fn decode_transports(
-    bytes: &[u8],
-    n: usize,
-    context: &str,
-) -> Result<Vec<Vec<StoreTransportSample>>> {
-    let mut c = Cursor::new(bytes, context);
-    let mut counts = Vec::with_capacity(n);
-    let mut total = 0usize;
-    for _ in 0..n {
-        let k = c.len(MAX_SAMPLES_PER_RECORD, "transport sample count")?;
-        counts.push(k);
-        total += k;
-    }
-    let ordinal_u8 = |v: u32, what: &str| {
-        u8::try_from(v)
-            .map_err(|_| StoreError::Corrupt(format!("{context}: {what} ordinal {v} overflows u8")))
-    };
-    let transports = decode_rle_u32(&mut c, total, "transport")?;
-    let providers = decode_rle_u32(&mut c, total, "transport provider")?;
-    let mut cold = Vec::new();
-    c.f64_block(total, &mut cold)?;
-    let mut warm = Vec::new();
-    c.f64_block(total, &mut warm)?;
-    let mut resumed = Vec::new();
-    c.f64_block(total, &mut resumed)?;
-    let mut handshake = Vec::new();
-    c.f64_block(total, &mut handshake)?;
-    c.expect_empty()?;
+/// The transports group: per-record counts plus flattened sample columns.
+#[derive(Debug, Default, Clone, PartialEq)]
+pub struct TransportColumns {
+    /// Samples per record (all zero when the group is absent).
+    pub counts: Vec<u32>,
+    /// Transport ordinals.
+    pub transport: Vec<u8>,
+    /// Provider ordinals.
+    pub provider: Vec<u8>,
+    /// Cold (first-request) times (Eq T3), ms.
+    pub cold_ms: Vec<f64>,
+    /// Warm query times (Eq T4), ms.
+    pub warm_ms: Vec<f64>,
+    /// Resumed query times (Eq T5), ms.
+    pub resumed_ms: Vec<f64>,
+    /// Connection-establishment times (Eq T2), ms.
+    pub handshake_ms: Vec<f64>,
+}
 
-    let mut samples = Vec::with_capacity(n);
-    let mut offset = 0usize;
-    for &k in &counts {
-        let mut per_record = Vec::with_capacity(k);
-        for j in offset..offset + k {
-            per_record.push(StoreTransportSample {
-                transport: ordinal_u8(transports[j], "transport")?,
-                provider: ordinal_u8(providers[j], "transport provider")?,
-                cold_ms: cold[j],
-                warm_ms: warm[j],
-                resumed_ms: resumed[j],
-                handshake_ms: handshake[j],
-            });
-        }
-        samples.push(per_record);
-        offset += k;
+impl TransportColumns {
+    fn decode(&mut self, bytes: Option<&[u8]>, n: usize, context: &str) -> Result<()> {
+        let Some(bytes) = bytes else {
+            zero_counts(&mut self.counts, n);
+            self.transport.clear();
+            self.provider.clear();
+            for col in [
+                &mut self.cold_ms,
+                &mut self.warm_ms,
+                &mut self.resumed_ms,
+                &mut self.handshake_ms,
+            ] {
+                col.clear();
+            }
+            return Ok(());
+        };
+        let mut c = Cursor::new(bytes, context);
+        let total = sample_counts(
+            &mut c,
+            n,
+            &mut self.counts,
+            "transport sample count",
+            4,
+            context,
+        )?;
+        decode_rle_into(&mut c, total, "transport", &mut self.transport, |v| {
+            ordinal_u8(v, "transport", context)
+        })?;
+        decode_rle_into(
+            &mut c,
+            total,
+            "transport provider",
+            &mut self.provider,
+            |v| ordinal_u8(v, "transport provider", context),
+        )?;
+        f64_column(&mut c, total, &mut self.cold_ms)?;
+        f64_column(&mut c, total, &mut self.warm_ms)?;
+        f64_column(&mut c, total, &mut self.resumed_ms)?;
+        f64_column(&mut c, total, &mut self.handshake_ms)?;
+        c.expect_empty()
     }
-    Ok(samples)
+
+    /// Flat sample `j` as a record-form sample.
+    fn sample(&self, j: usize) -> StoreTransportSample {
+        StoreTransportSample {
+            transport: self.transport[j],
+            provider: self.provider[j],
+            cold_ms: self.cold_ms[j],
+            warm_ms: self.warm_ms[j],
+            resumed_ms: self.resumed_ms[j],
+            handshake_ms: self.handshake_ms[j],
+        }
+    }
 }
 
 // --------------------------------------------------------------- pageload
 
-fn decode_pageload(bytes: &[u8], n: usize, context: &str) -> Result<Vec<Vec<StorePageSample>>> {
-    let mut c = Cursor::new(bytes, context);
-    let mut counts = Vec::with_capacity(n);
-    let mut total = 0usize;
-    for _ in 0..n {
-        let k = c.len(MAX_SAMPLES_PER_RECORD, "page sample count")?;
-        counts.push(k);
-        total += k;
-    }
-    let ordinal_u8 = |v: u32, what: &str| {
-        u8::try_from(v)
-            .map_err(|_| StoreError::Corrupt(format!("{context}: {what} ordinal {v} overflows u8")))
-    };
-    let transports = decode_rle_u32(&mut c, total, "page transport")?;
-    let providers = decode_rle_u32(&mut c, total, "page provider")?;
-    let mut small_u32 = |what: &str| -> Result<Vec<u32>> {
-        let mut col = Vec::with_capacity(total);
-        for _ in 0..total {
-            let v = c.u64()?;
-            col.push(u32::try_from(v).map_err(|_| {
-                StoreError::Corrupt(format!("{context}: {what} value {v} overflows u32"))
-            })?);
-        }
-        Ok(col)
-    };
-    let domains = small_u32("page domains")?;
-    let unique_names = small_u32("page unique_names")?;
-    let depth = small_u32("page depth")?;
-    let cold_hits = small_u32("page cold_cache_hits")?;
-    let warm_hits = small_u32("page warm_cache_hits")?;
-    let mut plt_cold = Vec::new();
-    c.f64_block(total, &mut plt_cold)?;
-    let mut plt_warm = Vec::new();
-    c.f64_block(total, &mut plt_warm)?;
-    c.expect_empty()?;
+/// The pageload group: per-record counts plus flattened sample columns.
+#[derive(Debug, Default, Clone, PartialEq)]
+pub struct PageColumns {
+    /// Samples per record (all zero when the group is absent).
+    pub counts: Vec<u32>,
+    /// Transport ordinals.
+    pub transport: Vec<u8>,
+    /// Provider ordinals.
+    pub provider: Vec<u8>,
+    /// DAG nodes per page.
+    pub domains: Vec<u32>,
+    /// Distinct hostnames per page.
+    pub unique_names: Vec<u32>,
+    /// Longest dependency chain per page.
+    pub depth: Vec<u32>,
+    /// Cache hits during the cold visit.
+    pub cold_cache_hits: Vec<u32>,
+    /// Cache hits summed over the warm revisits.
+    pub warm_cache_hits: Vec<u32>,
+    /// Cold-visit critical-path PLTs, ms.
+    pub plt_cold_ms: Vec<f64>,
+    /// Median warm-revisit PLTs, ms.
+    pub plt_warm_ms: Vec<f64>,
+}
 
-    let mut samples = Vec::with_capacity(n);
-    let mut offset = 0usize;
-    for &k in &counts {
-        let mut per_record = Vec::with_capacity(k);
-        for j in offset..offset + k {
-            per_record.push(StorePageSample {
-                transport: ordinal_u8(transports[j], "page transport")?,
-                provider: ordinal_u8(providers[j], "page provider")?,
-                domains: domains[j],
-                unique_names: unique_names[j],
-                depth: depth[j],
-                plt_cold_ms: plt_cold[j],
-                plt_warm_ms: plt_warm[j],
-                cold_cache_hits: cold_hits[j],
-                warm_cache_hits: warm_hits[j],
-            });
-        }
-        samples.push(per_record);
-        offset += k;
+impl PageColumns {
+    fn decode(&mut self, bytes: Option<&[u8]>, n: usize, context: &str) -> Result<()> {
+        let Some(bytes) = bytes else {
+            zero_counts(&mut self.counts, n);
+            self.transport.clear();
+            self.provider.clear();
+            for col in [
+                &mut self.domains,
+                &mut self.unique_names,
+                &mut self.depth,
+                &mut self.cold_cache_hits,
+                &mut self.warm_cache_hits,
+            ] {
+                col.clear();
+            }
+            self.plt_cold_ms.clear();
+            self.plt_warm_ms.clear();
+            return Ok(());
+        };
+        let mut c = Cursor::new(bytes, context);
+        let total = sample_counts(&mut c, n, &mut self.counts, "page sample count", 2, context)?;
+        decode_rle_into(&mut c, total, "page transport", &mut self.transport, |v| {
+            ordinal_u8(v, "page transport", context)
+        })?;
+        decode_rle_into(&mut c, total, "page provider", &mut self.provider, |v| {
+            ordinal_u8(v, "page provider", context)
+        })?;
+        u32_column(&mut c, total, &mut self.domains, "page domains", context)?;
+        u32_column(
+            &mut c,
+            total,
+            &mut self.unique_names,
+            "page unique_names",
+            context,
+        )?;
+        u32_column(&mut c, total, &mut self.depth, "page depth", context)?;
+        let what = "page cold_cache_hits";
+        u32_column(&mut c, total, &mut self.cold_cache_hits, what, context)?;
+        let what = "page warm_cache_hits";
+        u32_column(&mut c, total, &mut self.warm_cache_hits, what, context)?;
+        f64_column(&mut c, total, &mut self.plt_cold_ms)?;
+        f64_column(&mut c, total, &mut self.plt_warm_ms)?;
+        c.expect_empty()
     }
-    Ok(samples)
+
+    /// Flat sample `j` as a record-form sample.
+    fn sample(&self, j: usize) -> StorePageSample {
+        StorePageSample {
+            transport: self.transport[j],
+            provider: self.provider[j],
+            domains: self.domains[j],
+            unique_names: self.unique_names[j],
+            depth: self.depth[j],
+            plt_cold_ms: self.plt_cold_ms[j],
+            plt_warm_ms: self.plt_warm_ms[j],
+            cold_cache_hits: self.cold_cache_hits[j],
+            warm_cache_hits: self.warm_cache_hits[j],
+        }
+    }
 }
 
 // ------------------------------------------------------------- timeseries
 
-fn decode_timeseries(bytes: &[u8], n: usize, context: &str) -> Result<Vec<Vec<StoreWindowSample>>> {
-    let mut c = Cursor::new(bytes, context);
-    let mut counts = Vec::with_capacity(n);
-    let mut total = 0usize;
-    for _ in 0..n {
-        let k = c.len(MAX_SAMPLES_PER_RECORD, "window sample count")?;
-        counts.push(k);
-        total += k;
-    }
-    let ordinal_u8 = |v: u32, what: &str| {
-        u8::try_from(v)
-            .map_err(|_| StoreError::Corrupt(format!("{context}: {what} ordinal {v} overflows u8")))
-    };
-    let windows = decode_rle_u32(&mut c, total, "window index")?;
-    let providers = decode_rle_u32(&mut c, total, "window provider")?;
-    let transports = decode_rle_u32(&mut c, total, "window transport")?;
-    let mut small_u32 = |what: &str| -> Result<Vec<u32>> {
-        let mut col = Vec::with_capacity(total);
-        for _ in 0..total {
-            let v = c.u64()?;
-            col.push(u32::try_from(v).map_err(|_| {
-                StoreError::Corrupt(format!("{context}: {what} value {v} overflows u32"))
-            })?);
-        }
-        Ok(col)
-    };
-    let queries = small_u32("window queries")?;
-    let successes = small_u32("window successes")?;
-    let cache_lookups = small_u32("window cache_lookups")?;
-    let cache_hits = small_u32("window cache_hits")?;
-    let mut latency = Vec::new();
-    c.f64_block(total, &mut latency)?;
-    c.expect_empty()?;
+/// The timeseries group: per-record counts plus flattened sample columns.
+#[derive(Debug, Default, Clone, PartialEq)]
+pub struct WindowColumns {
+    /// Samples per record (all zero when the group is absent).
+    pub counts: Vec<u32>,
+    /// Simulated-time window indices.
+    pub window: Vec<u32>,
+    /// Provider ordinals.
+    pub provider: Vec<u8>,
+    /// Transport ordinals.
+    pub transport: Vec<u8>,
+    /// Resolutions attempted per cell.
+    pub queries: Vec<u32>,
+    /// Resolutions that succeeded per cell.
+    pub successes: Vec<u32>,
+    /// Cache probes issued per cell.
+    pub cache_lookups: Vec<u32>,
+    /// Cache probes that hit per cell.
+    pub cache_hits: Vec<u32>,
+    /// Representative query latencies, ms.
+    pub latency_ms: Vec<f64>,
+}
 
-    let mut samples = Vec::with_capacity(n);
-    let mut offset = 0usize;
-    for &k in &counts {
-        let mut per_record = Vec::with_capacity(k);
-        for j in offset..offset + k {
-            per_record.push(StoreWindowSample {
-                window: windows[j],
-                provider: ordinal_u8(providers[j], "window provider")?,
-                transport: ordinal_u8(transports[j], "window transport")?,
-                queries: queries[j],
-                successes: successes[j],
-                latency_ms: latency[j],
-                cache_lookups: cache_lookups[j],
-                cache_hits: cache_hits[j],
-            });
-        }
-        samples.push(per_record);
-        offset += k;
+impl WindowColumns {
+    fn decode(&mut self, bytes: Option<&[u8]>, n: usize, context: &str) -> Result<()> {
+        let Some(bytes) = bytes else {
+            zero_counts(&mut self.counts, n);
+            self.provider.clear();
+            self.transport.clear();
+            for col in [
+                &mut self.window,
+                &mut self.queries,
+                &mut self.successes,
+                &mut self.cache_lookups,
+                &mut self.cache_hits,
+            ] {
+                col.clear();
+            }
+            self.latency_ms.clear();
+            return Ok(());
+        };
+        let mut c = Cursor::new(bytes, context);
+        let total = sample_counts(
+            &mut c,
+            n,
+            &mut self.counts,
+            "window sample count",
+            1,
+            context,
+        )?;
+        decode_rle_into(&mut c, total, "window index", &mut self.window, Ok)?;
+        decode_rle_into(&mut c, total, "window provider", &mut self.provider, |v| {
+            ordinal_u8(v, "window provider", context)
+        })?;
+        decode_rle_into(
+            &mut c,
+            total,
+            "window transport",
+            &mut self.transport,
+            |v| ordinal_u8(v, "window transport", context),
+        )?;
+        u32_column(&mut c, total, &mut self.queries, "window queries", context)?;
+        u32_column(
+            &mut c,
+            total,
+            &mut self.successes,
+            "window successes",
+            context,
+        )?;
+        let what = "window cache_lookups";
+        u32_column(&mut c, total, &mut self.cache_lookups, what, context)?;
+        u32_column(
+            &mut c,
+            total,
+            &mut self.cache_hits,
+            "window cache_hits",
+            context,
+        )?;
+        f64_column(&mut c, total, &mut self.latency_ms)?;
+        c.expect_empty()
     }
-    Ok(samples)
+
+    /// Flat sample `j` as a record-form sample.
+    fn sample(&self, j: usize) -> StoreWindowSample {
+        StoreWindowSample {
+            window: self.window[j],
+            provider: self.provider[j],
+            transport: self.transport[j],
+            queries: self.queries[j],
+            successes: self.successes[j],
+            latency_ms: self.latency_ms[j],
+            cache_lookups: self.cache_lookups[j],
+            cache_hits: self.cache_hits[j],
+        }
+    }
 }
 
 // ------------------------------------------------------------ RLE helpers
@@ -888,22 +1158,38 @@ pub fn rle_u32_into(
 
 #[doc(hidden)]
 pub fn decode_rle_u32(c: &mut Cursor<'_>, expected: usize, what: &str) -> Result<Vec<u32>> {
+    let mut values = Vec::new();
+    decode_rle_into(c, expected, what, &mut values, Ok)?;
+    Ok(values)
+}
+
+/// Decode an RLE column of exactly `expected` values into `out` (cleared
+/// first), narrowing each run's value with `narrow`.
+fn decode_rle_into<T: Copy>(
+    c: &mut Cursor<'_>,
+    expected: usize,
+    what: &str,
+    out: &mut Vec<T>,
+    narrow: impl Fn(u32) -> Result<T>,
+) -> Result<()> {
+    out.clear();
     let pairs = c.len(expected.max(1), what)?;
-    let mut values = Vec::with_capacity(expected);
     for _ in 0..pairs {
         let v = c.u64()?;
         let v = u32::try_from(v)
             .map_err(|_| StoreError::Corrupt(format!("{what}: RLE value {v} overflows u32")))?;
-        let run = c.len(expected - values.len(), what)?;
-        values.extend(std::iter::repeat_n(v, run));
+        let run = c.len(expected - out.len(), what)?;
+        if run > 0 {
+            out.extend(std::iter::repeat_n(narrow(v)?, run));
+        }
     }
-    if values.len() != expected {
+    if out.len() != expected {
         return Err(StoreError::Corrupt(format!(
             "{what}: RLE runs sum to {} values, expected {expected}",
-            values.len()
+            out.len()
         )));
     }
-    Ok(values)
+    Ok(())
 }
 
 /// Run-length encode a `[u8; 2]` column (ISO country codes) through
@@ -927,35 +1213,45 @@ fn rle_pair_into(
     }
 }
 
-fn decode_rle_pair(c: &mut Cursor<'_>, expected: usize, what: &str) -> Result<Vec<[u8; 2]>> {
+/// Decode an RLE `[u8; 2]` column of exactly `expected` values into
+/// `out` (cleared first).
+fn decode_rle_pair_into(
+    c: &mut Cursor<'_>,
+    expected: usize,
+    what: &str,
+    out: &mut Vec<[u8; 2]>,
+) -> Result<()> {
+    out.clear();
     let pairs = c.len(expected.max(1), what)?;
-    let mut values = Vec::with_capacity(expected);
     for _ in 0..pairs {
         let bytes = c.take(2, what)?;
         let v = [bytes[0], bytes[1]];
-        let run = c.len(expected - values.len(), what)?;
-        values.extend(std::iter::repeat_n(v, run));
+        let run = c.len(expected - out.len(), what)?;
+        out.extend(std::iter::repeat_n(v, run));
     }
-    if values.len() != expected {
+    if out.len() != expected {
         return Err(StoreError::Corrupt(format!(
             "{what}: RLE runs sum to {} values, expected {expected}",
-            values.len()
+            out.len()
         )));
     }
-    Ok(values)
+    Ok(())
 }
 
 /// The original byte-at-a-time chunk encoder, retained verbatim as the
 /// byte-level reference the block-kernel encoder is proptested (and
 /// benchmarked) against. It uses the scalar varint encoders from
-/// [`crate::varint::scalar`] so the two paths share no kernel code.
+/// [`crate::varint::scalar`] and the bytewise
+/// [`crate::checksum::reference`] CRC, so the two paths share no kernel
+/// code.
 /// Not part of the supported API.
 #[doc(hidden)]
 pub mod reference {
     use super::{
-        crc32, StoreRecord, CHUNK_HEADER_LEN, CHUNK_MAGIC, FLAG_PAGELOAD, FLAG_TIMESERIES,
+        StoreRecord, CHUNK_HEADER_LEN, CHUNK_MAGIC, FLAG_PAGELOAD, FLAG_TIMESERIES,
         FLAG_TRANSPORTS, FORMAT_VERSION, MAX_RECORDS_PER_CHUNK,
     };
+    use crate::checksum::reference::crc32;
     use crate::varint::scalar::{put_f64, put_i64, put_u64};
 
     /// Encode `records` exactly as the pre-kernel scalar encoder did.

@@ -31,6 +31,24 @@
 //! * `manifest.bin` — dataset-level metadata (country table, Atlas
 //!   remedy samples, discard counts, totals), checksummed the same way.
 //!
+//! ## Reading
+//!
+//! Every reader verifies each chunk's CRC-32 over the whole payload
+//! (a slicing-by-8 kernel, [`checksum::crc32`]) and decodes every column
+//! group — the flag-gated ones included — with one structural decoder,
+//! [`decode_chunk_columns`], into flat structure-of-arrays
+//! [`ChunkColumns`]. Two ways to consume them:
+//!
+//! * records — [`ChunkReader`], [`fold_chunks`] and [`decode_chunk`]
+//!   assemble [`StoreRecord`]s from the columns;
+//! * columns — [`scan_columns`] hands each chunk's `&ChunkColumns` to a
+//!   projection on the decode workers and folds the results in
+//!   canonical chunk order, with no record built. Skipping record
+//!   assembly skips no check: the CRC and the structural decode are the
+//!   same. Domain checks (ordinal ranges, finite floats, ISO codes)
+//!   live with the rich schema in `dohperf_core::store_io`, which
+//!   applies them to records and to columns alike.
+//!
 //! ## Determinism contract
 //!
 //! Chunk bytes are a pure function of the record sequence and the chunk
@@ -72,11 +90,13 @@ pub mod varint;
 pub mod writer;
 
 pub use chunk::{
-    decode_chunk, encode_chunk, encode_chunk_into, EncodeScratch, CHUNK_MAGIC, FLAG_TIMESERIES,
-    FLAG_TRANSPORTS, FORMAT_VERSION,
+    decode_chunk, decode_chunk_columns, encode_chunk, encode_chunk_into, sample_spans,
+    ChunkColumns, EncodeScratch, CHUNK_MAGIC, FLAG_TIMESERIES, FLAG_TRANSPORTS, FORMAT_VERSION,
 };
 pub use manifest::{Manifest, MANIFEST_MAGIC};
-pub use pipeline::{fold_chunks, EncoderPool, PipelineConfig, PipelineStats, ReadStats};
+pub use pipeline::{
+    fold_chunks, scan_columns, EncoderPool, PipelineConfig, PipelineStats, ReadStats,
+};
 pub use reader::ChunkReader;
 pub use record::{
     StoreDohSample, StorePageSample, StoreRecord, StoreTransportSample, StoreWindowSample,

@@ -30,20 +30,29 @@
 //!
 //! ## Read path
 //!
-//! [`fold_chunks`] is the parallel counterpart of `ChunkReader`: the
+//! [`scan_columns`] is the parallel counterpart of `ChunkReader`: the
 //! calling thread scans headers and payloads sequentially (cheap —
 //! two reads per chunk), fans the payloads out to decode workers that
-//! verify the CRC, decode the columns and apply a caller-supplied `map`,
-//! and then folds the mapped results **on the calling thread in
-//! canonical chunk order**. The serial fold is what keeps derived
-//! analyses (GK sketches, streaming moments) bit-identical to a serial
-//! scan at any thread count: merge order never varies, only the decode
-//! work is concurrent. Corrupt chunks surface with the same ordinal and
-//! message a serial scan would report, and the earliest-ordinal error
-//! wins when several chunks fail.
+//! verify the CRC over the whole payload, decode every column group
+//! (the flag-gated ones included) into the worker's reusable
+//! [`ChunkColumns`] and apply a caller-supplied `map` to them, and then
+//! folds the mapped results **on the calling thread in canonical chunk
+//! order**. The serial fold is what keeps derived analyses (GK
+//! sketches, streaming moments) bit-identical to a serial scan at any
+//! thread count: merge order never varies, only the decode work is
+//! concurrent. Corrupt chunks surface with the same ordinal and message
+//! a serial scan would report, and the earliest-ordinal error wins when
+//! several chunks fail.
+//!
+//! [`fold_chunks`] is the record-level wrapper: its `map` gets the
+//! chunk's records, assembled from the same columns. A column scan
+//! validates exactly what a record scan does — only the record
+//! assembly is left out — so callers that read a few fields (the
+//! streaming analyses) scan columns and project.
 
 use crate::chunk::{
-    decode_chunk, encode_chunk_into, parse_header, verify_checksum, EncodeScratch, CHUNK_HEADER_LEN,
+    decode_chunk_columns, encode_chunk_into, parse_header, verify_checksum, ChunkColumns,
+    EncodeScratch, CHUNK_HEADER_LEN,
 };
 use crate::reader::read_exact_or_eof;
 use crate::record::StoreRecord;
@@ -402,28 +411,34 @@ fn encoder_loop(rx: &Mutex<Receiver<EncodeJob>>, buffers: &Buffers, stats: &Shar
 
 // --------------------------------------------------------------- read path
 
-/// Totals from one [`fold_chunks`] scan.
+/// Totals from one [`scan_columns`] (or [`fold_chunks`]) scan.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadStats {
     /// Chunks decoded and folded.
     pub chunks: u64,
+    /// Records in those chunks.
+    pub records: u64,
 }
 
-/// Scan a chunk stream, decoding chunks on `threads` worker threads and
-/// folding the mapped results in canonical chunk order.
+/// Scan a chunk stream, decoding chunks into flat [`ChunkColumns`] on
+/// `threads` worker threads and folding the mapped results in canonical
+/// chunk order.
 ///
-/// `map` runs on the decode workers (it gets the chunk ordinal and the
-/// decoded records — convert, pre-aggregate, or just pass through);
-/// `fold` runs on the calling thread, invoked exactly once per chunk in
-/// ascending ordinal order. `threads == 0` means one per core;
-/// `threads == 1` decodes inline with zero thread overhead. Both
-/// produce results — and errors, down to the failing chunk's ordinal —
-/// identical to a serial `ChunkReader` scan.
-pub fn fold_chunks<R, T, M, F>(source: R, threads: usize, map: M, mut fold: F) -> Result<ReadStats>
+/// Every chunk gets the full treatment before `map` sees it: its CRC is
+/// verified over the whole payload and every column group — the
+/// flag-gated ones included — is structurally decoded by
+/// [`decode_chunk_columns`]. `map` runs on the decode workers with the
+/// chunk ordinal and that worker's reusable column scratch (check,
+/// project, pre-aggregate); `fold` runs on the calling thread, invoked
+/// exactly once per chunk in ascending ordinal order. `threads == 0`
+/// means one per core; `threads == 1` decodes inline with zero thread
+/// overhead. Both produce results — and errors, down to the failing
+/// chunk's ordinal — identical to a serial scan.
+pub fn scan_columns<R, T, M, F>(source: R, threads: usize, map: M, mut fold: F) -> Result<ReadStats>
 where
     R: Read,
     T: Send,
-    M: Fn(u64, Vec<StoreRecord>) -> Result<T> + Sync,
+    M: Fn(u64, &ChunkColumns) -> Result<T> + Sync,
     F: FnMut(T) -> Result<()>,
 {
     let threads = if threads == 0 {
@@ -434,16 +449,20 @@ where
         threads
     };
     let mut scanner = ChunkScanner::new(source);
+    let mut records = 0u64;
     if threads <= 1 {
         let mut payload = Vec::new();
+        let mut columns = ChunkColumns::new();
         let mut seq = 0u64;
-        while let Some((record_count, flags, crc)) = scanner.next_into(&mut payload)? {
-            verify_checksum(&payload, crc, seq)?;
-            let records = decode_chunk(record_count, flags, &payload, seq)?;
-            fold(map(seq, records)?)?;
+        while let Some(header) = scanner.next_into(&mut payload)? {
+            fold(decode_and_map(seq, header, &payload, &mut columns, &map)?)?;
+            records += u64::from(header.0);
             seq += 1;
         }
-        return Ok(ReadStats { chunks: seq });
+        return Ok(ReadStats {
+            chunks: seq,
+            records,
+        });
     }
 
     let (tx, rx) = sync_channel::<DecodeJob>(threads * 2);
@@ -465,15 +484,14 @@ where
             let mut payload = payload_pool.lock().unwrap().pop().unwrap_or_default();
             match scanner.next_into(&mut payload) {
                 Ok(None) => break,
-                Ok(Some((record_count, flags, crc))) => {
+                Ok(Some(header)) => {
                     tx.send(DecodeJob {
                         seq: submitted,
-                        record_count,
-                        flags,
-                        crc,
+                        header,
                         payload,
                     })
                     .expect("decode workers are running");
+                    records += u64::from(header.0);
                     submitted += 1;
                 }
                 Err(e) => {
@@ -497,15 +515,57 @@ where
             None => Ok(submitted),
         }
     })?;
-    Ok(ReadStats { chunks })
+    Ok(ReadStats { chunks, records })
+}
+
+/// Scan a chunk stream, decoding chunks on `threads` worker threads and
+/// folding the mapped results in canonical chunk order.
+///
+/// The record-level form of [`scan_columns`]: `map` gets the chunk
+/// ordinal and the decoded records (convert, pre-aggregate, or just pass
+/// through); `fold` runs on the calling thread, invoked exactly once per
+/// chunk in ascending ordinal order. `threads == 0` means one per core;
+/// `threads == 1` decodes inline with zero thread overhead. Both
+/// produce results — and errors, down to the failing chunk's ordinal —
+/// identical to a serial `ChunkReader` scan.
+pub fn fold_chunks<R, T, M, F>(source: R, threads: usize, map: M, fold: F) -> Result<ReadStats>
+where
+    R: Read,
+    T: Send,
+    M: Fn(u64, Vec<StoreRecord>) -> Result<T> + Sync,
+    F: FnMut(T) -> Result<()>,
+{
+    scan_columns(
+        source,
+        threads,
+        |seq, columns| map(seq, columns.to_records()),
+        fold,
+    )
+}
+
+/// A chunk header as the scanner returns it: (record_count, flags, crc).
+type ChunkHeader = (u32, u16, u32);
+
+/// Verify one chunk's CRC, decode it into `columns` and map it.
+fn decode_and_map<T, M>(
+    seq: u64,
+    (record_count, flags, crc): ChunkHeader,
+    payload: &[u8],
+    columns: &mut ChunkColumns,
+    map: &M,
+) -> Result<T>
+where
+    M: Fn(u64, &ChunkColumns) -> Result<T>,
+{
+    verify_checksum(payload, crc, seq)?;
+    decode_chunk_columns(record_count, flags, payload, seq, columns)?;
+    map(seq, columns)
 }
 
 /// One raw chunk on its way to a decode worker.
 struct DecodeJob {
     seq: u64,
-    record_count: u32,
-    flags: u16,
-    crc: u32,
+    header: ChunkHeader,
     payload: Vec<u8>,
 }
 
@@ -549,8 +609,10 @@ fn decode_loop<T, M>(
     slots: &ResultChannel<T>,
     payload_pool: &Mutex<Vec<Vec<u8>>>,
 ) where
-    M: Fn(u64, Vec<StoreRecord>) -> Result<T>,
+    M: Fn(u64, &ChunkColumns) -> Result<T>,
 {
+    // One column scratch per worker, reused for every chunk it decodes.
+    let mut columns = ChunkColumns::new();
     loop {
         let job = match rx.lock().unwrap().recv() {
             Ok(job) => job,
@@ -558,14 +620,10 @@ fn decode_loop<T, M>(
         };
         let DecodeJob {
             seq,
-            record_count,
-            flags,
-            crc,
+            header,
             payload,
         } = job;
-        let result = verify_checksum(&payload, crc, seq)
-            .and_then(|()| decode_chunk(record_count, flags, &payload, seq))
-            .and_then(|records| map(seq, records));
+        let result = decode_and_map(seq, header, &payload, &mut columns, map);
         payload_pool.lock().unwrap().push(payload);
         slots.put(seq, result);
     }
@@ -588,7 +646,7 @@ impl<R: Read> ChunkScanner<R> {
     /// Read the next header + payload, resizing `payload` in place.
     /// Returns `None` on clean EOF. Error messages match
     /// `ChunkReader`'s exactly.
-    fn next_into(&mut self, payload: &mut Vec<u8>) -> Result<Option<(u32, u16, u32)>> {
+    fn next_into(&mut self, payload: &mut Vec<u8>) -> Result<Option<ChunkHeader>> {
         let mut header = [0u8; CHUNK_HEADER_LEN];
         match read_exact_or_eof(&mut self.source, &mut header) {
             Ok(false) => return Ok(None),

@@ -4,7 +4,9 @@
 //! ever materialising more than one decoded chunk — the reading-side
 //! memory bound matching the writer's chunk budget.
 
-use crate::chunk::{decode_chunk, parse_header, verify_checksum, CHUNK_HEADER_LEN};
+use crate::chunk::{
+    decode_chunk_columns, parse_header, verify_checksum, ChunkColumns, CHUNK_HEADER_LEN,
+};
 use crate::record::StoreRecord;
 use crate::{Result, StoreError};
 use std::collections::VecDeque;
@@ -20,6 +22,8 @@ pub struct ChunkReader<R: Read> {
     /// Payload scratch, reused across refills so a long scan performs
     /// one payload allocation total, not one per chunk.
     payload: Vec<u8>,
+    /// Column scratch the payload decodes into, reused the same way.
+    columns: ChunkColumns,
     /// Ordinal of the next chunk, for error context.
     next_chunk: u64,
     /// Set after an error or clean EOF; the iterator is fused.
@@ -33,6 +37,7 @@ impl<R: Read> ChunkReader<R> {
             source,
             pending: VecDeque::new(),
             payload: Vec::new(),
+            columns: ChunkColumns::new(),
             next_chunk: 0,
             done: false,
         }
@@ -67,8 +72,14 @@ impl<R: Read> ChunkReader<R> {
             ))
         })?;
         verify_checksum(&self.payload, crc, self.next_chunk)?;
-        let records = decode_chunk(record_count, flags, &self.payload, self.next_chunk)?;
-        self.pending.extend(records);
+        decode_chunk_columns(
+            record_count,
+            flags,
+            &self.payload,
+            self.next_chunk,
+            &mut self.columns,
+        )?;
+        self.pending.extend(self.columns.to_records());
         self.next_chunk += 1;
         Ok(true)
     }

@@ -187,6 +187,11 @@ impl<'a> Cursor<'a> {
         self.pos
     }
 
+    /// Bytes left to read.
+    pub fn remaining(&self) -> usize {
+        self.bytes.len().saturating_sub(self.pos)
+    }
+
     /// Whether every byte has been consumed.
     pub fn is_empty(&self) -> bool {
         self.pos >= self.bytes.len()
@@ -273,11 +278,10 @@ impl<'a> Cursor<'a> {
             .checked_mul(8)
             .ok_or_else(|| self.corrupt("f64 column length overflows"))?;
         let bytes = self.take(total, "f64 column")?;
-        out.reserve(n);
-        for chunk in bytes.chunks_exact(8) {
+        out.extend(bytes.chunks_exact(8).map(|chunk| {
             let arr: [u8; 8] = chunk.try_into().expect("8-byte chunk");
-            out.push(f64::from_bits(u64::from_le_bytes(arr)));
-        }
+            f64::from_bits(u64::from_le_bytes(arr))
+        }));
         Ok(())
     }
 

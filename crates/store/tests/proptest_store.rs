@@ -6,10 +6,13 @@
 //! prefix is caught by the CRC with a descriptive error rather than
 //! decoding into silently different records.
 
-use dohperf_store::chunk::CHUNK_HEADER_LEN;
+use dohperf_store::checksum::{crc32, reference};
+use dohperf_store::chunk::{parse_header, CHUNK_HEADER_LEN};
+use dohperf_store::varint::put_u64;
 use dohperf_store::{
-    encode_chunk, fold_chunks, ChunkReader, ChunkWriter, EncoderPool, PipelineConfig,
-    StoreDohSample, StorePageSample, StoreRecord, StoreTransportSample, StoreWindowSample,
+    decode_chunk, decode_chunk_columns, encode_chunk, fold_chunks, ChunkColumns, ChunkReader,
+    ChunkWriter, EncoderPool, PipelineConfig, StoreDohSample, StoreError, StorePageSample,
+    StoreRecord, StoreTransportSample, StoreWindowSample,
 };
 use proptest::prelude::*;
 
@@ -129,7 +132,189 @@ fn batch(seeds: &[u64]) -> Vec<StoreRecord> {
         .collect()
 }
 
+/// Split an encoded single chunk into (record_count, flags, payload).
+fn split_chunk(bytes: &[u8]) -> (u32, u16, Vec<u8>) {
+    let header: &[u8; CHUNK_HEADER_LEN] = bytes[..CHUNK_HEADER_LEN].try_into().unwrap();
+    let (count, _, _, flags) = parse_header(header, 0).expect("a valid header");
+    (count, flags, bytes[CHUNK_HEADER_LEN..].to_vec())
+}
+
+/// A LEB128 varint at `pos`: (value, encoded length).
+fn varint_at(bytes: &[u8], pos: usize) -> (u64, usize) {
+    let (mut v, mut len) = (0u64, 0usize);
+    loop {
+        let b = bytes[pos + len];
+        v |= u64::from(b & 0x7F) << (7 * len);
+        len += 1;
+        if b & 0x80 == 0 {
+            return (v, len);
+        }
+    }
+}
+
+/// The structural varints of a valid payload, as (offset, encoded
+/// length): every group's length prefix, and the per-record sample
+/// counts that open the doh group and each flag-gated group.
+fn structural_varints(payload: &[u8], records: usize) -> Vec<(usize, usize)> {
+    let mut out = Vec::new();
+    let (mut pos, mut group) = (0usize, 0usize);
+    while pos < payload.len() {
+        let (len, prefix) = varint_at(payload, pos);
+        out.push((pos, prefix));
+        let body = pos + prefix;
+        // Group 2 is doh; groups 4.. are transports, pageload, timeseries.
+        if group == 2 || group >= 4 {
+            let mut at = body;
+            for _ in 0..records {
+                let (_, count_len) = varint_at(payload, at);
+                out.push((at, count_len));
+                at += count_len;
+            }
+        }
+        pos = body + len as usize;
+        group += 1;
+    }
+    out
+}
+
 proptest! {
+    /// The slicing-by-8 CRC equals the bytewise oracle on every length
+    /// 0..=64 at every start offset 0..8 (every tail length and
+    /// alignment the 8-byte kernel meets), and on whole buffers up to
+    /// 64 KiB.
+    #[test]
+    fn sliced_crc_matches_the_bytewise_oracle(
+        head in proptest::collection::vec(any::<u8>(), 72),
+        buf in proptest::collection::vec(any::<u8>(), 0..65_536),
+    ) {
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let slice = &head[offset..offset + len];
+                let (sliced, bytewise) = (crc32(slice), reference::crc32(slice));
+                prop_assert!(sliced == bytewise, "offset {} len {}: {:#x} vs {:#x}", offset, len, sliced, bytewise);
+            }
+        }
+        let (sliced, bytewise) = (crc32(&buf), reference::crc32(&buf));
+        prop_assert!(sliced == bytewise, "{}-byte buffer: {:#x} vs {:#x}", buf.len(), sliced, bytewise);
+    }
+
+    /// The column decoder never panics on arbitrary payloads, whatever
+    /// record count and flags the header claims.
+    #[test]
+    fn column_decoder_never_panics_on_arbitrary_payloads(
+        payload in proptest::collection::vec(any::<u8>(), 0..512),
+        record_count in 0u32..64,
+        flags in 0u16..8,
+    ) {
+        let mut columns = ChunkColumns::new();
+        let _ = decode_chunk_columns(record_count, flags, &payload, 0, &mut columns);
+        let _ = decode_chunk(record_count, flags, &payload, 0);
+    }
+
+    /// Nor on a valid payload with a few bytes overwritten (past the
+    /// CRC, which the decoder alone does not see).
+    #[test]
+    fn column_decoder_never_panics_on_damaged_payloads(
+        seeds in proptest::collection::vec(any::<u64>(), 1..12),
+        hits in proptest::collection::vec((any::<u64>(), any::<u8>()), 1..4),
+    ) {
+        let (count, flags, mut payload) = split_chunk(&encode_chunk(&batch(&seeds)));
+        for (at, byte) in hits {
+            let at = at as usize % payload.len();
+            payload[at] = byte;
+        }
+        let mut columns = ChunkColumns::new();
+        let _ = decode_chunk_columns(count, flags, &payload, 0, &mut columns);
+    }
+
+    /// A valid payload with one group length or one per-record sample
+    /// count changed is always rejected with `StoreError::Corrupt`, by
+    /// the column decoder and the record decoder alike.
+    #[test]
+    fn mutated_group_length_or_count_is_corrupt(
+        seeds in proptest::collection::vec(any::<u64>(), 1..12),
+        which in any::<u64>(),
+        delta in 1u64..1_000,
+        down in any::<bool>(),
+    ) {
+        let (count, flags, payload) = split_chunk(&encode_chunk(&batch(&seeds)));
+        let sites = structural_varints(&payload, count as usize);
+        let (at, len) = sites[which as usize % sites.len()];
+        let (value, _) = varint_at(&payload, at);
+        let mutated_value = if down && value >= delta { value - delta } else { value + delta };
+        let mut mutated = payload[..at].to_vec();
+        put_u64(&mut mutated, mutated_value);
+        mutated.extend_from_slice(&payload[at + len..]);
+
+        let mut columns = ChunkColumns::new();
+        let outcome = decode_chunk_columns(count, flags, &mutated, 0, &mut columns);
+        prop_assert!(
+            matches!(outcome, Err(StoreError::Corrupt(_))),
+            "varint at {} changed {} -> {} decoded as {:?}", at, value, mutated_value, outcome
+        );
+        prop_assert!(matches!(
+            decode_chunk(count, flags, &mutated, 0),
+            Err(StoreError::Corrupt(_))
+        ));
+    }
+
+    /// A group with one byte appended or its last byte dropped, its
+    /// length prefix adjusted so the framing still adds up, is rejected
+    /// with `StoreError::Corrupt`: every group is decoded in full and
+    /// must end exactly at its boundary.
+    #[test]
+    fn group_resized_by_one_byte_is_corrupt(
+        seeds in proptest::collection::vec(any::<u64>(), 1..12),
+        which in any::<u64>(),
+        extra in any::<u8>(),
+        grow in any::<bool>(),
+    ) {
+        let (count, flags, payload) = split_chunk(&encode_chunk(&batch(&seeds)));
+        let mut groups = Vec::new(); // (prefix offset, prefix length, body length)
+        let mut pos = 0usize;
+        while pos < payload.len() {
+            let (len, prefix) = varint_at(&payload, pos);
+            groups.push((pos, prefix, len as usize));
+            pos += prefix + len as usize;
+        }
+        let (at, prefix, len) = groups[which as usize % groups.len()];
+        let body = &payload[at + prefix..at + prefix + len];
+        let resized: Vec<u8> = if grow {
+            body.iter().copied().chain([extra]).collect()
+        } else {
+            body[..len - 1].to_vec()
+        };
+        let mut mutated = payload[..at].to_vec();
+        put_u64(&mut mutated, resized.len() as u64);
+        mutated.extend_from_slice(&resized);
+        mutated.extend_from_slice(&payload[at + prefix + len..]);
+
+        let mut columns = ChunkColumns::new();
+        let outcome = decode_chunk_columns(count, flags, &mutated, 0, &mut columns);
+        prop_assert!(
+            matches!(outcome, Err(StoreError::Corrupt(_))),
+            "group at {} resized {} -> {} decoded as {:?}", at, len, resized.len(), outcome
+        );
+    }
+
+    /// The column decoder fills the same values the record decoder
+    /// returns, and a reused scratch carries nothing over between
+    /// chunks of different shapes.
+    #[test]
+    fn reused_column_scratch_matches_fresh_decodes(
+        first in proptest::collection::vec(any::<u64>(), 1..24),
+        second in proptest::collection::vec(any::<u64>(), 1..24),
+    ) {
+        let mut columns = ChunkColumns::new();
+        for seeds in [&first, &second] {
+            let records = batch(seeds);
+            let (count, flags, payload) = split_chunk(&encode_chunk(&records));
+            decode_chunk_columns(count, flags, &payload, 0, &mut columns).expect("valid chunk");
+            prop_assert_eq!(columns.len(), records.len());
+            prop_assert_eq!(columns.to_records(), records);
+        }
+    }
+
     /// write → read is the identity on arbitrary batches, for any chunk
     /// budget (so records cross chunk boundaries at every alignment).
     #[test]

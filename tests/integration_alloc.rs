@@ -2,7 +2,7 @@
 //!
 //! Runs a small campaign twice in one process — the cold run populates
 //! the label arena and latency caches, the warm run is steady state —
-//! and checks three things:
+//! and checks four things:
 //!
 //! 1. the warm run performs **zero** steady-state hot-path allocations
 //!    (allocations inside a `hot_scope`, outside `exempt_scope`s, after
@@ -11,10 +11,15 @@
 //!    arenas are invisible to outputs);
 //! 3. the dataset stays byte-identical across 1/2/8 worker threads even
 //!    under the counting allocator (thread-local pools don't leak state
-//!    across shard assignments).
+//!    across shard assignments);
+//! 4. re-deriving the headline from a store of that dataset (a warm
+//!    `headline_from_store_threads(dir, 1)`, DESIGN.md §17 "Read path")
+//!    allocates per chunk, never per record: at chunk budgets 64 and
+//!    512 it stays within a fixed allowance plus a few allocations per
+//!    chunk on top of the sketch fold's own.
 //!
 //! Built with `--features alloc-count` (as the CI alloc job does)
-//! the counting allocator is installed and check 1 has teeth. Without
+//! the counting allocator is installed and checks 1 and 4 have teeth. Without
 //! the feature the totals stay zero and the test still exercises the
 //! determinism checks.
 //!
@@ -22,8 +27,11 @@
 //! process-global, and the default multi-threaded test runner would let
 //! a concurrent test's allocations bleed into the measured run.
 
+use dohperf::analysis::streaming::{headline_from_store_threads, StreamingHeadline};
 use dohperf::core::campaign::{Campaign, CampaignConfig};
 use dohperf::core::export::to_jsonl;
+use dohperf::core::records::Dataset;
+use dohperf::core::store_io::{read_manifest, write_dataset};
 use dohperf::telemetry::alloc;
 
 #[cfg(feature = "alloc-count")]
@@ -75,6 +83,64 @@ fn warm_campaign_is_allocation_free_and_thread_invariant() {
             jsonl,
             to_jsonl(&parallel),
             "dataset diverged at {threads} threads"
+        );
+    }
+
+    store_scan_allocations_are_per_chunk(&cold);
+}
+
+/// Allocations a warm store scan may make on top of the sketches'
+/// own: opening the file, decoding the manifest, and growing the
+/// column scratch and read buffers to the largest chunk.
+const SCAN_ALLOCS: u64 = 512;
+
+/// Allocations per chunk: the projection a decode worker hands to the
+/// fold, and nothing that grows with the records in the chunk.
+const CHUNK_ALLOCS: u64 = 8;
+
+/// A warm `headline_from_store_threads(dir, 1)` over stores of `ds` at
+/// chunk budgets 64 and 512 allocates at most [`SCAN_ALLOCS`] plus
+/// [`CHUNK_ALLOCS`] per chunk beyond what folding the same records into
+/// a `StreamingHeadline` costs, so nothing is allocated per record.
+fn store_scan_allocations_are_per_chunk(ds: &Dataset) {
+    for budget in [64, 512] {
+        let dir = std::env::temp_dir().join(format!(
+            "dohperf-alloc-store-{budget}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        write_dataset(ds, &dir, budget).expect("write store");
+        let chunks = read_manifest(&dir).expect("manifest").total_chunks;
+        let headline = headline_from_store_threads(&dir, 1).expect("cold scan");
+
+        // The sketches' own allocations: the same insertions, from
+        // records already in memory.
+        alloc::reset();
+        let mut acc = StreamingHeadline::new();
+        for r in &ds.records {
+            acc.observe(r);
+        }
+        let folded = acc.finish(&ds.atlas_do53_ms);
+        let fold_allocs = alloc::totals().allocs;
+
+        alloc::reset();
+        let warm = headline_from_store_threads(&dir, 1).expect("warm scan");
+        let scan_allocs = alloc::totals().allocs;
+        assert_eq!(format!("{warm:?}"), format!("{headline:?}"));
+        assert_eq!(format!("{warm:?}"), format!("{folded:?}"));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let bound = fold_allocs + SCAN_ALLOCS + CHUNK_ALLOCS * chunks;
+        eprintln!(
+            "store scan at chunk budget {budget}: {} records in {chunks} chunks, \
+             {scan_allocs} allocations (fold alone {fold_allocs}, bound {bound})",
+            ds.records.len()
+        );
+        assert!(
+            scan_allocs <= bound,
+            "a warm store scan at chunk budget {budget} made {scan_allocs} allocations \
+             over {chunks} chunks and {} records; the sketch fold alone makes {fold_allocs}",
+            ds.records.len()
         );
     }
 }

@@ -10,17 +10,20 @@
 //!   directory must reproduce the direct pipeline's headline numbers
 //!   exactly, because the codec round-trips every f64 bit-for-bit.
 
-use dohperf_analysis::headline::headline_stats;
+use dohperf_analysis::cdfs::ProviderCdfs;
+use dohperf_analysis::headline::{headline_stats, HeadlineStats};
 use dohperf_analysis::streaming::{
     cdfs_from_store, cdfs_from_store_threads, headline_from_store, headline_from_store_threads,
+    StreamingCdfs, StreamingHeadline,
 };
 use dohperf_core::campaign::{Campaign, CampaignConfig, ProtocolSet};
 use dohperf_core::records::{ClientRecord, Dataset};
-use dohperf_core::store_io::write_dataset;
+use dohperf_core::store_io::{read_manifest, write_dataset};
 use dohperf_core::{read_dataset, read_dataset_threads};
+use dohperf_store::chunk::CHUNK_HEADER_LEN;
 use dohperf_store::{PipelineConfig, StoreError, MANIFEST_FILE, RECORDS_FILE};
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn temp_store(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("dohperf-int-store-{}-{tag}", std::process::id()));
@@ -255,13 +258,48 @@ fn tiny_chunk_budget_changes_bytes_but_not_records() {
     let _ = fs::remove_dir_all(&tight);
 }
 
+/// The `StoreError::Corrupt` message of `outcome`, or a panic naming
+/// `what` if it is anything else.
+fn corrupt_message<T>(what: &str, outcome: Result<T, StoreError>) -> String {
+    match outcome {
+        Err(StoreError::Corrupt(msg)) => msg,
+        Err(other) => panic!("{what}: expected StoreError::Corrupt, got {other}"),
+        Ok(_) => panic!("{what}: expected StoreError::Corrupt, got Ok"),
+    }
+}
+
+/// Every way to read a store directory: the full materialising read and
+/// both streaming column scans, at one and two decode threads.
+fn every_reader(dir: &Path) -> Vec<(String, Result<(), StoreError>)> {
+    let mut outcomes = Vec::new();
+    for threads in [1, 2] {
+        outcomes.push((
+            format!("read_dataset_threads({threads})"),
+            read_dataset_threads(dir, threads).map(drop),
+        ));
+        outcomes.push((
+            format!("headline_from_store_threads({threads})"),
+            headline_from_store_threads(dir, threads).map(drop),
+        ));
+        outcomes.push((
+            format!("cdfs_from_store_threads({threads})"),
+            cdfs_from_store_threads(dir, threads).map(drop),
+        ));
+    }
+    outcomes
+}
+
 type Poison = fn(&mut ClientRecord);
 
 /// Write `clean` with each poison applied to one client in turn and
-/// assert the read fails with `StoreError::Corrupt` naming the client and
-/// the poisoned field. The store keeps raw f64 bits, so a chunk with
-/// valid CRCs can carry a NaN; reading it back must fail cleanly instead
-/// of panicking in the analysis medians downstream.
+/// assert every reader — `read_dataset_threads` and the streaming
+/// column scans behind `headline_from_store_threads` and
+/// `cdfs_from_store_threads`, at one and two threads — fails with
+/// `StoreError::Corrupt` naming the client and the poisoned field. The
+/// store keeps raw f64 bits, so a chunk with valid CRCs can carry a
+/// NaN; reading it back must fail cleanly instead of panicking in the
+/// analysis medians downstream, and the column scans, which build no
+/// record, must drop none of the record path's checks.
 fn assert_poisons_rejected(clean: &Dataset, poisons: &[(&str, Poison)]) {
     let at = clean
         .records
@@ -280,15 +318,10 @@ fn assert_poisons_rejected(clean: &Dataset, poisons: &[(&str, Poison)]) {
         poison(&mut ds.records[at]);
         let dir = temp_store(&format!("nan-{field}"));
         write_dataset(&ds, &dir, 0).expect("the writer stores any bits");
-        match read_dataset_threads(&dir, 2) {
-            Err(StoreError::Corrupt(msg)) => {
-                assert!(msg.contains(&format!("client {client}")), "{msg}");
-                assert!(msg.contains(&format!("{field} is ")), "{msg}");
-            }
-            other => panic!(
-                "{field}: expected StoreError::Corrupt, got {:?}",
-                other.map(|ds| ds.records.len())
-            ),
+        for (reader, outcome) in every_reader(&dir) {
+            let msg = corrupt_message(&format!("{field} via {reader}"), outcome);
+            assert!(msg.contains(&format!("client {client}")), "{reader}: {msg}");
+            assert!(msg.contains(&format!("{field} is ")), "{reader}: {msg}");
         }
         let _ = fs::remove_dir_all(&dir);
     }
@@ -367,4 +400,133 @@ fn non_finite_window_latency_is_rejected_with_a_typed_error() {
         &every_column_group(),
         &[("latency_ms", |r| r.windows[0].latency_ms = f64::NAN)],
     );
+}
+
+#[test]
+fn a_store_cut_at_a_chunk_boundary_is_rejected_by_every_reader() {
+    // A store truncated right after a chunk scans cleanly — every chunk
+    // left is whole and checksummed — so only the manifest totals can
+    // tell a reader that records are missing.
+    let dir = write_store(2021, 1, 7, "cut");
+    let manifest = read_manifest(&dir).expect("manifest");
+    let chunks_path = dir.join(RECORDS_FILE);
+    let whole = fs::read(&chunks_path).expect("records.chunks");
+    let first_payload = u32::from_le_bytes(whole[12..16].try_into().unwrap()) as usize;
+    fs::write(&chunks_path, &whole[..CHUNK_HEADER_LEN + first_payload]).expect("truncate");
+    let promised = format!(
+        "manifest promises {} records, chunks hold 7",
+        manifest.total_records
+    );
+    for (reader, outcome) in every_reader(&dir) {
+        let msg = corrupt_message(&reader, outcome);
+        assert!(msg.contains(&promised), "{reader}: {msg}");
+    }
+
+    // Whole records but a manifest promising one chunk more.
+    fs::write(&chunks_path, &whole).expect("restore");
+    let mut wrong = manifest.clone();
+    wrong.total_chunks += 1;
+    fs::write(dir.join(MANIFEST_FILE), wrong.encode()).expect("rewrite manifest");
+    let promised = format!(
+        "manifest promises {} chunks, records.chunks holds {}",
+        wrong.total_chunks, manifest.total_chunks
+    );
+    for (reader, outcome) in every_reader(&dir) {
+        let msg = corrupt_message(&reader, outcome);
+        assert!(msg.contains(&promised), "{reader}: {msg}");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+fn headline_bits(h: &HeadlineStats) -> [u64; 9] {
+    [
+        h.median_doh1_ms,
+        h.median_do53_ms,
+        h.median_dohr_ms,
+        h.first_request_speedup_fraction,
+        h.ten_request_speedup_fraction,
+        h.median_doh10_slowdown_ms,
+        h.median_country_doh1_ms,
+        h.median_country_do53_ms,
+        h.tripled_fraction,
+    ]
+    .map(f64::to_bits)
+}
+
+/// Every support point of every panel, as bits.
+fn cdf_bits(panels: &[ProviderCdfs]) -> Vec<u64> {
+    panels
+        .iter()
+        .flat_map(|p| [&p.doh1, &p.dohr, &p.do53])
+        .flat_map(|s| s.values.iter().chain(&s.probs))
+        .map(|v| v.to_bits())
+        .collect()
+}
+
+/// FNV-1a over the little-endian bytes of `bits`.
+fn fnv(bits: &[u64]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for byte in bits.iter().flat_map(|b| b.to_le_bytes()) {
+        h ^= u64::from(byte);
+        h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// `headline_bits` and the `fnv` of `cdf_bits` for the
+/// `every_column_group` store, recorded with the record-at-a-time
+/// streaming drivers that the column scan replaced.
+const PINNED_HEADLINE: [u64; 9] = [
+    0x407c_a344_31bd_e82c,
+    0x4069_dd8e_d5f1_38bd,
+    0x4072_942f_3908_5f4a,
+    0x3fb0_7878_7878_7878,
+    0x3fc6_5a5a_5a5a_5a5a,
+    0x4059_b2fb_d4f8_1478,
+    0x4079_6462_0ff5_4088,
+    0x4069_76e3_4762_9521,
+    0x3fd1_3c3c_3c3c_3c3c,
+];
+const PINNED_CDFS: u64 = 0xfd58_91fa_26c6_fa59;
+
+#[test]
+fn column_scan_is_bit_identical_to_observing_the_records() {
+    // The streaming drivers fold projected columns and build no record;
+    // they must land on exactly the bits of feeding `observe` the
+    // records a full read returns, at every chunk shape and thread
+    // count — and on the bits the record-path drivers produced.
+    let ds = every_column_group();
+    for budget in [1, 7, 0] {
+        let dir = temp_store(&format!("columns-b{budget}"));
+        write_dataset(&ds, &dir, budget).expect("write store");
+        let read = read_dataset(&dir).expect("read store");
+        let mut headline = StreamingHeadline::new();
+        let mut cdfs = StreamingCdfs::new();
+        for r in &read.records {
+            headline.observe(r);
+            cdfs.observe(r);
+        }
+        let expected = headline_bits(&headline.finish(&read.atlas_do53_ms));
+        let expected_cdfs = cdf_bits(&cdfs.finish());
+        assert_eq!(expected, PINNED_HEADLINE, "observe moved the headline bits");
+        assert_eq!(
+            fnv(&expected_cdfs),
+            PINNED_CDFS,
+            "observe moved the CDF bits"
+        );
+        for threads in [1, 2, 8] {
+            let scanned = headline_from_store_threads(&dir, threads).expect("column headline");
+            assert_eq!(
+                headline_bits(&scanned),
+                expected,
+                "headline bits at chunk budget {budget}, {threads} threads"
+            );
+            let panels = cdfs_from_store_threads(&dir, threads).expect("column cdfs");
+            assert!(
+                cdf_bits(&panels) == expected_cdfs,
+                "CDF support points at chunk budget {budget}, {threads} threads"
+            );
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
 }
