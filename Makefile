@@ -1,6 +1,6 @@
 # Convenience targets for the dohperf reproduction.
 
-.PHONY: build test bench doc repro repro-full examples verify clean \
+.PHONY: build test doc repro repro-full examples verify clean \
         ci fmt-check clippy gates bless alloc perf perf-test
 
 build:
@@ -8,9 +8,6 @@ build:
 
 test:
 	cargo test --workspace -q
-
-bench:
-	cargo bench -p dohperf-bench
 
 # API docs; a broken intra-doc link fails the build (as in CI).
 doc:

@@ -3,10 +3,9 @@
 use dohperf_core::records::Dataset;
 use dohperf_providers::provider::{ProviderKind, ALL_PROVIDERS};
 use dohperf_stats::desc::{ecdf, quantile};
-use serde::Serialize;
 
 /// One empirical CDF: values and cumulative probabilities.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CdfSeries {
     /// Sorted sample values (ms).
     pub values: Vec<f64>,
@@ -32,7 +31,7 @@ impl CdfSeries {
 }
 
 /// The three curves of one Figure 4 panel.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ProviderCdfs {
     /// Which provider.
     pub provider: ProviderKind,

@@ -8,10 +8,9 @@
 use dohperf_core::records::{ClientRecord, Dataset};
 use dohperf_providers::provider::ProviderKind;
 use dohperf_world::countries::{country, Country, IncomeGroup};
-use serde::Serialize;
 
 /// One fully joined observation.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ClientCovariates {
     /// Country ISO.
     pub country: &'static str,
@@ -52,7 +51,7 @@ impl ClientCovariates {
 }
 
 /// The joined observation table.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CovariateTable {
     /// All (client, provider) observations with per-client Do53.
     pub rows: Vec<ClientCovariates>,

@@ -3,10 +3,9 @@
 use dohperf_core::records::Dataset;
 use dohperf_netsim::topology::GeoPoint;
 use dohperf_providers::provider::{ProviderKind, ALL_PROVIDERS};
-use serde::Serialize;
 
 /// One row of Table 3.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CompositionRow {
     /// Resolver label ("Do53 (Default)" for the baseline row).
     pub resolver: String,

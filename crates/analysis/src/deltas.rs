@@ -8,10 +8,9 @@
 use dohperf_core::records::Dataset;
 use dohperf_providers::provider::{ProviderKind, ALL_PROVIDERS};
 use dohperf_stats::desc::median;
-use serde::Serialize;
 
 /// One country's delta for one provider.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CountryDelta {
     /// Country ISO code.
     pub country: &'static str,
@@ -56,7 +55,7 @@ pub fn country_deltas(ds: &Dataset, n_requests: u32) -> Vec<CountryDelta> {
 
 /// Summary per resolver: median country delta and the fraction of
 /// countries that speed up.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ResolverDeltaSummary {
     /// Which provider.
     pub provider: ProviderKind,

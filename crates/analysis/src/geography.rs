@@ -3,10 +3,9 @@
 use dohperf_core::records::Dataset;
 use dohperf_providers::provider::{ProviderKind, ALL_PROVIDERS};
 use dohperf_stats::desc::median;
-use serde::Serialize;
 
 /// One country's medians for one provider.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CountryMedian {
     /// Country ISO code.
     pub country: &'static str,

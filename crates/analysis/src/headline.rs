@@ -9,10 +9,9 @@
 use dohperf_core::equations::doh_n_ms;
 use dohperf_core::records::Dataset;
 use dohperf_stats::desc::median;
-use serde::Serialize;
 
 /// §5 headline statistics.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct HeadlineStats {
     /// Global median first-request DoH time across all providers (ms).
     pub median_doh1_ms: f64,

@@ -10,10 +10,9 @@ use crate::covariates::CovariateTable;
 use dohperf_providers::provider::ALL_PROVIDERS;
 use dohperf_stats::ols::OlsRegression;
 use dohperf_stats::scale::MinMaxScaler;
-use serde::Serialize;
 
 /// One coefficient row.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LinearCoefRow {
     /// Metric label as in Table 5.
     pub metric: &'static str,
@@ -27,7 +26,7 @@ pub struct LinearCoefRow {
 
 /// One fitted model (one "Output" block of Table 5, or one resolver block
 /// of Table 6).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LinearModelFit {
     /// Block label ("Delta", "Delta 10", "Delta 100", or a resolver name).
     pub output: String,
@@ -40,7 +39,7 @@ pub struct LinearModelFit {
 }
 
 /// The full Table 5 (+ optionally Table 6) report.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LinearModelReport {
     /// The three Table 5 blocks.
     pub table5: Vec<LinearModelFit>,

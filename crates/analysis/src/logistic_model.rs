@@ -16,10 +16,9 @@ use dohperf_providers::provider::ProviderKind;
 use dohperf_stats::desc::median;
 use dohperf_stats::logistic::LogisticRegression;
 use dohperf_world::countries::IncomeGroup;
-use serde::Serialize;
 
 /// One odds-ratio row across the four DoH-N columns.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct OddsRow {
     /// Variable label as printed in Table 4.
     pub variable: String,
@@ -30,7 +29,7 @@ pub struct OddsRow {
 }
 
 /// The fitted Table 4.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct LogisticModelReport {
     /// Global median multipliers for N = 1, 10, 100, 1000 (the paper's
     /// 1.84x / 1.24x / 1.18x / 1.17x).

@@ -19,11 +19,10 @@ use crate::cdfs::CdfSeries;
 use dohperf_core::records::{Dataset, PageSample};
 use dohperf_netsim::connection::DnsTransport;
 use dohperf_stats::desc::median;
-use serde::Serialize;
 
 /// One transport's page-load headline numbers across all
 /// (client, provider) pairs.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PageHeadline {
     /// Which transport.
     pub transport: DnsTransport,
@@ -79,7 +78,7 @@ pub fn page_headlines(ds: &Dataset) -> Vec<PageHeadline> {
 
 /// One encrypted transport's paired PLT delta against the Do53
 /// baseline on the same (client, provider, page).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PagePltDelta {
     /// Which transport (never Do53 — that is the baseline).
     pub transport: DnsTransport,
@@ -130,7 +129,7 @@ pub fn page_plt_deltas(ds: &Dataset) -> Vec<PagePltDelta> {
 }
 
 /// The cold/warm PLT curves of one per-transport CDF panel.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PageCdfs {
     /// Which transport.
     pub transport: DnsTransport,
@@ -167,7 +166,7 @@ pub fn page_cdfs(ds: &Dataset) -> Vec<PageCdfs> {
 }
 
 /// Shape of the synthetic pages behind a dataset's PLT numbers.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PageShapeSummary {
     /// Median DAG node count per page.
     pub median_domains: f64,

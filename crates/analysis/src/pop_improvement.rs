@@ -10,10 +10,9 @@
 use dohperf_core::records::Dataset;
 use dohperf_providers::provider::{ProviderKind, ALL_PROVIDERS};
 use dohperf_stats::desc::{median, quantile};
-use serde::Serialize;
 
 /// Figure 6/9 statistics for one provider.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PopImprovementStats {
     /// Which provider.
     pub provider: ProviderKind,

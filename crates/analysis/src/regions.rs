@@ -10,7 +10,6 @@ use dohperf_core::records::Dataset;
 use dohperf_providers::provider::{ProviderKind, ALL_PROVIDERS};
 use dohperf_stats::desc::{median, quantile};
 use dohperf_world::countries::{country, Region};
-use serde::Serialize;
 
 /// All regions in display order.
 pub const ALL_REGIONS: [Region; 6] = [
@@ -35,7 +34,7 @@ pub fn region_name(r: Region) -> &'static str {
 }
 
 /// One (region, provider) summary.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RegionSummary {
     /// Which region.
     pub region: Region,

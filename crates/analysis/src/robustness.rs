@@ -12,11 +12,10 @@ use dohperf_core::records::Dataset;
 use dohperf_stats::desc::median;
 use dohperf_stats::resample::{median_ci, spearman, ConfidenceInterval};
 use dohperf_world::countries::country;
-use serde::Serialize;
 use std::collections::HashMap;
 
 /// Bootstrap CIs on the headline medians.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct HeadlineCis {
     /// Median DoH1 across all (client, provider) observations.
     pub doh1: ConfidenceInterval,
@@ -57,7 +56,7 @@ pub fn headline_cis(ds: &Dataset, seed: u64) -> Option<HeadlineCis> {
 
 /// Spearman correlations of country covariates with the country-median
 /// delta (DoH-N − Do53).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CovariateCorrelations {
     /// ρ(bandwidth, delta) — expected strongly negative.
     pub bandwidth: f64,

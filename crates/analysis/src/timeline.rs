@@ -20,7 +20,6 @@ use dohperf_core::records::{Dataset, WindowSample};
 use dohperf_netsim::connection::DnsTransport;
 use dohperf_providers::provider::{ProviderKind, ALL_PROVIDERS};
 use dohperf_stats::windowed::WindowedSeries;
-use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -29,7 +28,7 @@ use std::fmt::Write as _;
 pub const TIMELINE_EPSILON: f64 = 0.005;
 
 /// One (provider, transport, window) cell of the timeline.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TimelineCell {
     /// Which provider.
     pub provider: ProviderKind,
@@ -77,7 +76,7 @@ impl TimelineCell {
 
 /// The full timeline: cells in canonical (provider, transport, window)
 /// order. Empty for non-windowed datasets.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Timeline {
     /// All populated cells.
     pub cells: Vec<TimelineCell>,

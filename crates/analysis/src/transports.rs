@@ -15,10 +15,9 @@ use dohperf_core::records::Dataset;
 use dohperf_netsim::connection::DnsTransport;
 use dohperf_providers::provider::ProviderKind;
 use dohperf_stats::desc::median;
-use serde::Serialize;
 
 /// One transport's headline numbers across all (client, provider) pairs.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TransportHeadline {
     /// Which transport.
     pub transport: DnsTransport,
@@ -75,7 +74,7 @@ pub fn transport_headlines(ds: &Dataset) -> Vec<TransportHeadline> {
 }
 
 /// The three lifecycle curves of one per-protocol CDF panel.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TransportCdfs {
     /// Which transport.
     pub transport: DnsTransport,
@@ -117,7 +116,7 @@ pub fn transport_cdfs(ds: &Dataset) -> Vec<TransportCdfs> {
 }
 
 /// One (transport, provider) cell of the per-provider breakdown table.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TransportProviderCell {
     /// Which transport.
     pub transport: DnsTransport,

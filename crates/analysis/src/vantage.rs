@@ -10,10 +10,9 @@
 use dohperf_core::records::Dataset;
 use dohperf_stats::desc::{median, weighted_median};
 use dohperf_world::countries::country;
-use serde::Serialize;
 
 /// Headline medians under the original vs reweighted client distribution.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct VantageComparison {
     /// Unweighted median DoH1 (the paper's number).
     pub doh1_unweighted_ms: f64,

@@ -1,10 +1,9 @@
 //! # dohperf-bench
 //!
 //! The reproduction harness: [`repro`] renders every table and figure of
-//! the paper from a simulated campaign, [`gates`] holds every
-//! byte-identity and metrics gate `repro gate` runs, and the Criterion
-//! benches (under `benches/`) measure the performance of each pipeline
-//! stage.
+//! the paper from a simulated campaign, and [`gates`] holds every
+//! byte-identity and metrics gate `repro gate` runs. Performance is
+//! measured by the perf benchmark (`perfbench/`).
 
 pub mod gates;
 pub mod repro;

@@ -21,7 +21,7 @@
 //! anchored at `base_nodes + 2 * offset`, so a client's measurement is a
 //! pure function of `(seed, country, client_id)` no matter which range,
 //! worker, or split boundary it lands behind. Workers own contiguous
-//! blocks of ranges in work-stealing deques (idle workers drain the tail
+//! blocks of ranges in work-stealing queues (idle workers drain the tail
 //! of large countries), and range results merge back in canonical order,
 //! so the resulting [`Dataset`] is byte-identical for any
 //! [`CampaignConfig::threads`] *and* any [`CampaignConfig::shard_size`]
@@ -37,7 +37,6 @@ use crate::records::{
 };
 use crate::store_io;
 use crate::testbed::{format_subdomain, Testbed, SUBDOMAIN_BUF_LEN};
-use crossbeam::deque;
 use dohperf_netsim::connection::DnsTransport;
 use dohperf_netsim::rng::SimRng;
 use dohperf_netsim::topology::GeoPoint;
@@ -56,11 +55,11 @@ use dohperf_telemetry::phases;
 use dohperf_world::countries::Country;
 use dohperf_world::geoloc::GeolocationService;
 use dohperf_world::population::PopulationModel;
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{BufWriter, Write as _};
 use std::path::Path;
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Which transports the campaign measures through the
@@ -72,7 +71,7 @@ use std::time::Instant;
 /// campaigns byte-identical — no extra RNG forks are taken, no extra
 /// simulation time elapses, and [`ClientRecord::transports`] stays
 /// empty.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProtocolSet(u8);
 
 impl ProtocolSet {
@@ -152,7 +151,7 @@ impl ProtocolSet {
 pub const DEFAULT_SHARD_SIZE: usize = 256;
 
 /// Campaign parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CampaignConfig {
     /// Master seed; everything descends from it.
     pub seed: u64,
@@ -350,7 +349,7 @@ impl Campaign {
         let Some(plan) = &self.flight else {
             return Vec::new();
         };
-        let mut traces = std::mem::take(&mut *plan.collected.lock());
+        let mut traces = std::mem::take(&mut *plan.collected.lock().unwrap());
         traces.sort_by_key(|t| t.client_id);
         traces
     }
@@ -378,8 +377,8 @@ impl Campaign {
             .run_range(&plan, spec, &mut DiscardSink)
             .expect("the discarding sink never fails");
         let flight = campaign.flight.as_ref().expect("armed above");
-        let (record, retained) = flight.explained.lock().take()?;
-        let trace = std::mem::take(&mut *flight.collected.lock()).pop()?;
+        let (record, retained) = flight.explained.lock().unwrap().take()?;
+        let trace = std::mem::take(&mut *flight.collected.lock().unwrap()).pop()?;
         Some(ClientExplain {
             record,
             retained,
@@ -424,7 +423,7 @@ impl Campaign {
         let mut records = Vec::new();
         let mut discarded = 0usize;
         let mut atlas_do53_ms = Vec::new();
-        let mut metrics = CountryMetrics::new(&plan);
+        let mut metrics = CountryMetrics::default();
         for (spec, (range_records, outcome)) in shards.iter().zip(results) {
             metrics.push(spec, &outcome);
             records.extend(range_records);
@@ -438,7 +437,6 @@ impl Campaign {
         let (observed_ases, observed_resolvers) =
             observed_infrastructure(records.len(), plan.country_list.len());
 
-        warn_on_dropped_trace_events();
         Dataset {
             records,
             countries: plan.countries,
@@ -547,7 +545,7 @@ impl Campaign {
         let mut retained = 0usize;
         let mut discarded = 0usize;
         let mut atlas_do53_ms: Vec<(u32, Vec<f64>)> = Vec::new();
-        let mut metrics = CountryMetrics::new(&plan);
+        let mut metrics = CountryMetrics::default();
         for (range_index, (spec, result)) in shards.iter().zip(results).enumerate() {
             let shard = result?;
             metrics.push(spec, &shard.outcome);
@@ -593,18 +591,6 @@ impl Campaign {
             .set(pool_stats.max_queue_depth as i64);
         dohperf_telemetry::gauge!("store.encode_ms", per_run)
             .set((pool_stats.encode_nanos / 1_000_000) as i64);
-        dohperf_telemetry::trace::event(
-            "campaign",
-            format!(
-                "store: {} records in {} chunks ({} bytes) -> {}",
-                totals.records,
-                totals.chunks,
-                totals.bytes,
-                dir.display()
-            ),
-        );
-
-        warn_on_dropped_trace_events();
         Ok(StoreRunSummary {
             stats: totals,
             discarded,
@@ -656,16 +642,6 @@ impl Campaign {
             n => n,
         };
 
-        dohperf_telemetry::trace::event(
-            "campaign",
-            format!(
-                "start: {} countries, seed {}, scale {}, {threads} workers",
-                country_list.len(),
-                self.config.seed,
-                self.config.scale
-            ),
-        );
-
         Plan {
             root_rng,
             population,
@@ -678,11 +654,10 @@ impl Campaign {
     }
 
     /// Execute every client-ID range across the plan's worker threads
-    /// with work stealing. Each worker starts owning a contiguous block
-    /// of ranges in a FIFO deque (so it walks its own block in canonical
-    /// order, which keeps per-country state like latency caches warm);
-    /// when its deque runs dry it steals from the back of its peers'
-    /// deques, draining the tail of large countries instead of idling.
+    /// with work stealing over [`RangeQueues`]: each worker walks its own
+    /// contiguous block of ranges in canonical order (which keeps
+    /// per-country state like latency caches warm), then drains the tail
+    /// of its peers' blocks instead of idling.
     /// `shard_fn` receives a range index into `shards` and returns the
     /// range result plus its client count (for throughput accounting);
     /// results come back indexed in canonical range order regardless of
@@ -696,34 +671,18 @@ impl Campaign {
         let threads = plan.threads.min(n.max(1));
         dohperf_telemetry::gauge!("campaign.workers", per_run).set(threads as i64);
         let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let queues: Vec<deque::Worker<usize>> =
-            (0..threads).map(|_| deque::Worker::new_fifo()).collect();
-        for (w, queue) in queues.iter().enumerate() {
-            for i in (w * n / threads)..((w + 1) * n / threads) {
-                queue.push(i);
-            }
-        }
-        let stealers: Vec<deque::Stealer<usize>> = queues.iter().map(|q| q.stealer()).collect();
-        crossbeam::thread::scope(|scope| {
-            for (worker, queue) in queues.into_iter().enumerate() {
-                let (slots, shard_fn, stealers) = (&slots, &shard_fn, &stealers);
-                scope.spawn(move |_| {
+        let queues = RangeQueues::new(n, threads);
+        std::thread::scope(|scope| {
+            for worker in 0..threads {
+                let (slots, shard_fn, queues) = (&slots, &shard_fn, &queues);
+                scope.spawn(move || {
                     let started = Instant::now();
                     let mut busy = std::time::Duration::ZERO;
                     let mut steals = 0u64;
                     let mut range_count = 0usize;
                     let mut client_count = 0usize;
-                    loop {
-                        let i = match queue.pop() {
-                            Some(i) => i,
-                            None => match steal_range(worker, stealers) {
-                                Some(i) => {
-                                    steals += 1;
-                                    i
-                                }
-                                None => break,
-                            },
-                        };
+                    while let Some((i, stolen)) = queues.next(worker) {
+                        steals += u64::from(stolen);
                         let shard_started = Instant::now();
                         let (result, clients) = shard_fn(i);
                         let shard_wall = shard_started.elapsed();
@@ -732,7 +691,7 @@ impl Campaign {
                             .record_ms(shard_wall.as_secs_f64() * 1_000.0);
                         range_count += 1;
                         client_count += clients;
-                        *slots[i].lock() = Some(result);
+                        *slots[i].lock().unwrap() = Some(result);
                     }
                     // Scheduler observability (DESIGN.md §16): per-worker
                     // busy/idle/steal series, published even for workers
@@ -751,15 +710,6 @@ impl Campaign {
                         let secs = wall.as_secs_f64().max(1e-9);
                         dohperf_telemetry::histogram!("campaign.worker_wall_ms", per_run)
                             .record_ms(secs * 1_000.0);
-                        dohperf_telemetry::trace::event_ms(
-                            "campaign",
-                            format!(
-                                "worker {worker}: {range_count} ranges, \
-                                 {client_count} clients ({:.0} clients/s)",
-                                client_count as f64 / secs
-                            ),
-                            secs * 1_000.0,
-                        );
                         if threads > 1 {
                             eprintln!(
                                 "[campaign] worker {worker}: {range_count} ranges, \
@@ -770,12 +720,15 @@ impl Campaign {
                     }
                 });
             }
-        })
-        .expect("campaign worker panicked");
+        });
 
         slots
             .into_iter()
-            .map(|slot| slot.into_inner().expect("every range was processed"))
+            .map(|slot| {
+                slot.into_inner()
+                    .unwrap()
+                    .expect("every range was processed")
+            })
             .collect()
     }
 
@@ -904,12 +857,12 @@ impl Campaign {
                 flight::attr(span, "retained", agrees.to_string());
                 flight::end_span(span, tb.sim.now().as_nanos());
                 if let (Some(plan), Some(trace)) = (&self.flight, flight::take()) {
-                    plan.collected.lock().push(trace);
+                    plan.collected.lock().unwrap().push(trace);
                 }
             }
             if let Some(plan) = &self.flight {
                 if plan.only_client == Some(client_id) {
-                    *plan.explained.lock() = Some((record.clone(), agrees));
+                    *plan.explained.lock().unwrap() = Some((record.clone(), agrees));
                 }
             }
             if agrees {
@@ -1367,23 +1320,38 @@ fn shard_ranges(plan: &Plan, granularity: usize) -> Vec<ShardSpec> {
     shards
 }
 
-/// Steal one range index for worker `me`, scanning peers round-robin
-/// starting just past itself so contention spreads instead of piling
-/// onto worker 0. Thieves take from the *back* of a victim's FIFO deque
-/// — the victim's farthest-away work.
-fn steal_range(me: usize, stealers: &[deque::Stealer<usize>]) -> Option<usize> {
-    let n = stealers.len();
-    for k in 1..n {
-        let victim = (me + k) % n;
-        loop {
-            match stealers[victim].steal() {
-                deque::Steal::Success(i) => return Some(i),
-                deque::Steal::Empty => break,
-                deque::Steal::Retry => continue,
-            }
-        }
+/// The work-stealing range queues behind [`Campaign::run_sharded`]: one
+/// mutex-guarded queue of range indices per worker. Stealing happens
+/// only when a worker's own queue runs dry, so the locks are cold.
+struct RangeQueues {
+    queues: Vec<Mutex<VecDeque<usize>>>,
+}
+
+impl RangeQueues {
+    /// Split ranges `0..n` into `workers` contiguous blocks, worker `w`
+    /// owning `[w·n/workers, (w+1)·n/workers)`.
+    fn new(n: usize, workers: usize) -> Self {
+        let queues = (0..workers)
+            .map(|w| Mutex::new(((w * n / workers)..((w + 1) * n / workers)).collect()))
+            .collect();
+        RangeQueues { queues }
     }
-    None
+
+    /// The next range for worker `me`, and whether it was stolen. The
+    /// owner pops the *front* of its own queue (canonical order); once
+    /// that is empty it steals from the *back* of a peer's — the
+    /// victim's farthest-away work — scanning peers round-robin from
+    /// just past itself so contention spreads instead of piling onto
+    /// worker 0. `None` once every queue is empty.
+    fn next(&self, me: usize) -> Option<(usize, bool)> {
+        if let Some(i) = self.queues[me].lock().unwrap().pop_front() {
+            return Some((i, false));
+        }
+        let n = self.queues.len();
+        (1..n)
+            .find_map(|k| self.queues[(me + k) % n].lock().unwrap().pop_back())
+            .map(|i| (i, true))
+    }
 }
 
 /// Where a range's retained records go, plus the chunk-boundary protocol
@@ -1477,26 +1445,16 @@ struct StoreShard {
 /// Merge-time aggregation of range outcomes back into the per-country
 /// telemetry the per-country sharding used to publish from workers.
 /// Publishing from the merge walk (canonical order, one thread) makes
-/// metric totals and trace-event order independent of worker scheduling.
-struct CountryMetrics<'a> {
-    plan: &'a Plan,
+/// metric totals independent of worker scheduling.
+#[derive(Default)]
+struct CountryMetrics {
     current: Option<usize>,
     retained: usize,
     discarded: usize,
     sim_nanos: u64,
 }
 
-impl<'a> CountryMetrics<'a> {
-    fn new(plan: &'a Plan) -> Self {
-        CountryMetrics {
-            plan,
-            current: None,
-            retained: 0,
-            discarded: 0,
-            sim_nanos: 0,
-        }
-    }
-
+impl CountryMetrics {
     /// Fold in one range outcome; ranges must arrive in canonical order.
     fn push(&mut self, spec: &ShardSpec, outcome: &RangeOutcome) {
         if self.current != Some(spec.country) {
@@ -1510,20 +1468,14 @@ impl<'a> CountryMetrics<'a> {
 
     /// Publish the current country's totals, if any.
     fn flush(&mut self) {
-        let Some(country) = self.current.take() else {
+        if self.current.take().is_none() {
             return;
-        };
-        let iso = self.plan.country_list[country].iso;
+        }
         let sim_ms = self.sim_nanos as f64 / 1e6;
         dohperf_telemetry::histogram!("campaign.shard_sim_ms").record_ms(sim_ms);
         dohperf_telemetry::counter!("campaign.countries_measured").inc();
         dohperf_telemetry::counter!("campaign.clients_measured").add(self.retained as u64);
         dohperf_telemetry::counter!("campaign.clients_discarded").add(self.discarded as u64);
-        dohperf_telemetry::trace::event_ms(
-            "campaign",
-            format!("shard {iso}: {} clients", self.retained),
-            sim_ms,
-        );
         self.retained = 0;
         self.discarded = 0;
         self.sim_nanos = 0;
@@ -1547,19 +1499,6 @@ fn observed_infrastructure(records: usize, countries: usize) -> (usize, usize) {
     let observed_resolvers = records.min(1_896 * records / 22_052 + 1);
     let observed_ases = (records / 10).max(countries);
     (observed_ases, observed_resolvers)
-}
-
-/// Publish the debug-sink drop count as the `trace.events_dropped`
-/// per-run counter and warn on stderr when a run lost events — losing
-/// events silently would make a truncated debug log look complete.
-fn warn_on_dropped_trace_events() {
-    let dropped = dohperf_telemetry::trace::publish_dropped();
-    if dropped > 0 {
-        eprintln!(
-            "[campaign] warning: {dropped} trace events dropped \
-             (debug ring buffer full; raise its capacity or trace less)"
-        );
-    }
 }
 
 /// Exercise the dnswire message phases for a traced DoH run: encode the
@@ -1601,6 +1540,44 @@ mod tests {
 
     fn quick_dataset() -> Dataset {
         Campaign::new(CampaignConfig::quick(42)).run()
+    }
+
+    #[test]
+    fn range_queue_owner_takes_front_and_thief_takes_back() {
+        // Two workers over ranges 0..4: worker 0 owns [0, 1], worker 1 [2, 3].
+        let queues = RangeQueues::new(4, 2);
+        assert_eq!(queues.next(0), Some((0, false)));
+        assert_eq!(queues.next(1), Some((2, false)));
+        assert_eq!(queues.next(1), Some((3, false)));
+        // Worker 1 is dry: it steals the back of worker 0's block.
+        assert_eq!(queues.next(1), Some((1, true)));
+        assert_eq!(queues.next(0), None);
+        assert_eq!(queues.next(1), None);
+    }
+
+    #[test]
+    fn range_queue_drains_every_range_exactly_once() {
+        let n = 1000;
+        let queues = RangeQueues::new(n, 4);
+        let taken: Vec<Vec<usize>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|w| {
+                    let queues = &queues;
+                    scope.spawn(move || {
+                        std::iter::from_fn(|| queues.next(w).map(|(i, _)| i)).collect()
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let mut all: Vec<usize> = taken.concat();
+        all.sort_unstable();
+        assert_eq!(all, (0..n).collect::<Vec<_>>());
+        // More workers than ranges: worker 2 owns the only range, and an
+        // empty-handed worker steals it.
+        let sparse = RangeQueues::new(1, 3);
+        assert_eq!(sparse.next(0), Some((0, true)));
+        assert_eq!((0..3).find_map(|w| sparse.next(w)), None);
     }
 
     #[test]

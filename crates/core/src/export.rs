@@ -5,8 +5,8 @@
 //!
 //! * **CSV** — one row per (client, provider) observation, flat columns,
 //!   ready for pandas/R;
-//! * **JSON Lines** — one JSON object per client via `serde`, preserving
-//!   the nested structure.
+//! * **JSON Lines** — one JSON object per client, preserving the nested
+//!   structure.
 //!
 //! As in the paper, no client addresses are exported — only /24 prefixes.
 
@@ -60,8 +60,7 @@ fn append_csv_row(out: &mut String, r: &ClientRecord, s: &crate::records::DohSam
 
 /// Render the dataset as JSON Lines (one client object per line).
 ///
-/// Serialisation is via `serde` with a handwritten minimal JSON emitter
-/// (the approved offline crate set has `serde` but not `serde_json`).
+/// Serialisation is a handwritten minimal JSON emitter.
 pub fn to_jsonl(ds: &Dataset) -> String {
     let mut out = String::with_capacity(ds.records.len() * 400);
     for r in &ds.records {

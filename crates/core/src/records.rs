@@ -8,10 +8,9 @@ use dohperf_netsim::connection::DnsTransport;
 use dohperf_netsim::topology::GeoPoint;
 use dohperf_providers::provider::ProviderKind;
 use dohperf_world::geoloc::Prefix24;
-use serde::{Deserialize, Serialize};
 
 /// Where a client's Do53 number came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Do53Source {
     /// The BrightData header (valid outside Super Proxy countries).
     BrightDataHeader,
@@ -21,7 +20,7 @@ pub enum Do53Source {
 }
 
 /// One provider's measurements for one client.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DohSample {
     /// Which provider.
     pub provider: ProviderKind,
@@ -53,7 +52,7 @@ impl DohSample {
 /// (client, provider) pair — the extended campaign's cold/warm/resumed
 /// dimension (DESIGN.md §13). Present only when the campaign enables
 /// transports beyond the legacy DoH/Do53 pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransportSample {
     /// Which transport carried the queries.
     pub transport: DnsTransport,
@@ -87,7 +86,7 @@ impl TransportSample {
 /// over one shared connection. The cold visit starts with an empty
 /// `DnsCache` and a cold connection; warm visits revisit the same page
 /// with the cache and connection still live.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PageSample {
     /// Which transport carried every resolution of the page.
     pub transport: DnsTransport,
@@ -126,7 +125,7 @@ impl PageSample {
 /// answers, so the fraction is 1.0 everywhere — the field exists so the
 /// ROADMAP's outage scenarios have somewhere to land failures without a
 /// schema change.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WindowSample {
     /// Simulated-time window index (`window_start / window_nanos`).
     pub window: u32,
@@ -160,9 +159,9 @@ impl WindowSample {
 
 /// One client's full record.
 ///
-/// `Serialize`-only: records reference the `'static` country table, so
-/// they export to JSON/CSV but are not meant to round-trip back in.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// Export-only: records reference the `'static` country table, so they
+/// export to JSON/CSV but are not meant to round-trip back in.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClientRecord {
     /// Super Proxy-assigned unique client id.
     pub client_id: u64,
@@ -245,7 +244,7 @@ impl ClientRecord {
 }
 
 /// The campaign's output.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Dataset {
     /// Retained client records (mismatches already discarded).
     pub records: Vec<ClientRecord>,

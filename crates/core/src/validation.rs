@@ -24,7 +24,6 @@ use dohperf_proxy::atlas::AtlasNetwork;
 use dohperf_proxy::exitnode::ExitNode;
 use dohperf_world::countries::country;
 use dohperf_world::geoloc::GeolocationService;
-use serde::Serialize;
 
 /// The six ground-truth countries of Table 1.
 pub const TABLE1_COUNTRIES: [&str; 6] = ["IE", "BR", "SE", "IT", "IN", "US"];
@@ -35,7 +34,7 @@ pub const OVERLAP_COUNTRIES: [&str; 10] =
     ["BE", "ZA", "SE", "IT", "IR", "GR", "CH", "ES", "NO", "DK"];
 
 /// One country row of Table 1.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DohValidationRow {
     /// ISO code.
     pub country: &'static str,
@@ -62,7 +61,7 @@ impl DohValidationRow {
 }
 
 /// One country row of Table 2.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Do53ValidationRow {
     /// ISO code.
     pub country: &'static str,
@@ -80,7 +79,7 @@ impl Do53ValidationRow {
 }
 
 /// Outcome of the §4.4 platform-consistency experiment.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct PlatformConsistency {
     /// Per-country |median difference| between BrightData and Atlas (ms).
     pub per_country_diff_ms: Vec<(&'static str, f64)>,

@@ -9,13 +9,12 @@ use crate::base64url;
 use crate::error::DnsError;
 use crate::message::Message;
 use dohperf_telemetry::flight;
-use serde::{Deserialize, Serialize};
 
 /// The DoH media type (RFC 8484 §6).
 pub const DNS_MESSAGE_CONTENT_TYPE: &str = "application/dns-message";
 
 /// HTTP method used for the DoH exchange.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DohMethod {
     /// `GET /dns-query?dns=<base64url>` — cache-friendly, used by browsers.
     Get,

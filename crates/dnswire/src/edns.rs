@@ -13,14 +13,13 @@ use crate::name::DnsName;
 use crate::rdata::RData;
 use crate::record::ResourceRecord;
 use crate::types::{RecordClass, RecordType};
-use serde::{Deserialize, Serialize};
 
 /// Default EDNS buffer size advertised by this implementation (a common
 /// middle ground that avoids fragmentation).
 pub const DEFAULT_UDP_PAYLOAD_SIZE: u16 = 1232;
 
 /// Decoded EDNS parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdnsOptions {
     /// Requester's maximum UDP payload size (lives in the CLASS field).
     pub udp_payload_size: u16,

@@ -3,10 +3,9 @@
 use crate::error::DnsError;
 use crate::types::{Opcode, RCode};
 use crate::wire::{WireReader, WireWriter};
-use serde::{Deserialize, Serialize};
 
 /// The flag bits of the header's second 16-bit word.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HeaderFlags {
     /// Query (false) / response (true).
     pub qr: bool,
@@ -25,7 +24,7 @@ pub struct HeaderFlags {
 }
 
 /// A decoded header with section counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Header {
     /// Transaction id.
     pub id: u16,

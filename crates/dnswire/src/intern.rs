@@ -91,9 +91,6 @@ impl fmt::Display for Label {
     }
 }
 
-impl serde::Serialize for Label {}
-impl serde::Deserialize for Label {}
-
 fn arena() -> &'static Mutex<HashSet<&'static str>> {
     static ARENA: OnceLock<Mutex<HashSet<&'static str>>> = OnceLock::new();
     ARENA.get_or_init(|| Mutex::new(HashSet::new()))

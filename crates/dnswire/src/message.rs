@@ -9,14 +9,13 @@ use crate::record::{Question, ResourceRecord};
 use crate::types::{RCode, RecordType};
 use crate::wire::{WireReader, WireWriter};
 use bytes::BytesMut;
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 
 /// Conventional maximum UDP payload without EDNS (RFC 1035 §4.2.1).
 pub const CLASSIC_UDP_LIMIT: usize = 512;
 
 /// A complete DNS message: header plus four sections.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Message {
     /// Message header. Section counts are recomputed at encode time.
     pub header: Header,

@@ -7,7 +7,6 @@
 
 use crate::error::DnsError;
 use crate::intern::{self, Label};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -23,7 +22,7 @@ pub const MAX_LABEL_LEN: usize = 63;
 /// re-allocated. Comparison, ordering, and hashing go through the label
 /// *content*, so behaviour is identical to the `Vec<String>`
 /// representation this replaced.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DnsName {
     labels: Vec<Label>,
 }

@@ -4,11 +4,10 @@ use crate::error::DnsError;
 use crate::name::DnsName;
 use crate::types::RecordType;
 use crate::wire::{WireReader, WireWriter};
-use serde::{Deserialize, Serialize};
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 /// SOA record fields (RFC 1035 §3.3.13).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SoaData {
     /// Primary name server.
     pub mname: DnsName,
@@ -27,7 +26,7 @@ pub struct SoaData {
 }
 
 /// A decoded RDATA payload.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RData {
     /// IPv4 address.
     A(Ipv4Addr),

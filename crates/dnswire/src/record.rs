@@ -5,10 +5,9 @@ use crate::name::DnsName;
 use crate::rdata::RData;
 use crate::types::{RecordClass, RecordType};
 use crate::wire::{WireReader, WireWriter};
-use serde::{Deserialize, Serialize};
 
 /// A question section entry (RFC 1035 §4.1.2).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Question {
     /// Queried name.
     pub qname: DnsName,
@@ -51,7 +50,7 @@ impl Question {
 }
 
 /// A resource record (RFC 1035 §4.1.3).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResourceRecord {
     /// Owner name.
     pub name: DnsName,

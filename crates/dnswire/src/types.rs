@@ -1,10 +1,9 @@
 //! Typed protocol constants: record types, classes, opcodes, rcodes.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Resource record type (RFC 1035 §3.2.2 plus later additions).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecordType {
     /// IPv4 host address.
     A,
@@ -85,7 +84,7 @@ impl fmt::Display for RecordType {
 }
 
 /// Record class. Only IN is used in practice; others preserved numerically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RecordClass {
     /// Internet.
     In,
@@ -116,7 +115,7 @@ impl RecordClass {
 }
 
 /// Query opcode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Opcode {
     /// Standard query.
     Query,
@@ -159,7 +158,7 @@ impl Opcode {
 }
 
 /// Response code.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RCode {
     /// No error.
     NoError,

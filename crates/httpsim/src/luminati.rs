@@ -18,7 +18,6 @@
 
 use dohperf_netsim::time::SimDuration;
 use dohperf_telemetry::flight;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Header name for exit-node-side timings.
@@ -27,7 +26,7 @@ pub const TUN_TIMELINE_HEADER: &str = "X-Luminati-Tun-Timeline";
 pub const TIMELINE_HEADER: &str = "X-Luminati-Timeline";
 
 /// Exit-node-side timeline: the two values Equation 1 needs.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TunTimeline {
     /// Exit node's DNS resolution of the target hostname (t3+t4).
     pub dns: SimDuration,
@@ -59,23 +58,8 @@ impl TunTimeline {
 
     /// Parse a header value produced by [`Self::to_header_value`].
     pub fn parse(value: &str) -> Result<Self, TimelineParseError> {
-        let mut dns = None;
-        let mut connect = None;
-        for part in value.split(',') {
-            let (key, val) = part
-                .split_once(':')
-                .ok_or_else(|| TimelineParseError(part.to_string()))?;
-            let ms = parse_ms(val)?;
-            match key.trim() {
-                "dns" => dns = Some(ms),
-                "connect" => connect = Some(ms),
-                _ => return Err(TimelineParseError(key.to_string())),
-            }
-        }
-        Ok(TunTimeline {
-            dns: dns.ok_or_else(|| TimelineParseError("missing dns".into()))?,
-            connect: connect.ok_or_else(|| TimelineParseError("missing connect".into()))?,
-        })
+        let [dns, connect] = parse_fields(value, ["dns", "connect"])?;
+        Ok(TunTimeline { dns, connect })
     }
 
     /// dns + connect — the quantity added three times in Equation 7.
@@ -110,7 +94,7 @@ impl TunTimeline {
 }
 
 /// BrightData-box processing timeline (t_BrightData in the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ProxyTimeline {
     /// Client authentication at the Super Proxy.
     pub auth: SimDuration,
@@ -148,26 +132,14 @@ impl ProxyTimeline {
 
     /// Parse a header value produced by [`Self::to_header_value`].
     pub fn parse(value: &str) -> Result<Self, TimelineParseError> {
-        let mut out = ProxyTimeline::default();
-        let mut seen = 0;
-        for part in value.split(',') {
-            let (key, val) = part
-                .split_once(':')
-                .ok_or_else(|| TimelineParseError(part.to_string()))?;
-            let ms = parse_ms(val)?;
-            match key.trim() {
-                "auth" => out.auth = ms,
-                "init" => out.init = ms,
-                "select" => out.select_node = ms,
-                "domain_check" => out.domain_check = ms,
-                _ => return Err(TimelineParseError(key.to_string())),
-            }
-            seen += 1;
-        }
-        if seen != 4 {
-            return Err(TimelineParseError(format!("expected 4 fields, got {seen}")));
-        }
-        Ok(out)
+        let [auth, init, select_node, domain_check] =
+            parse_fields(value, ["auth", "init", "select", "domain_check"])?;
+        Ok(ProxyTimeline {
+            auth,
+            init,
+            select_node,
+            domain_check,
+        })
     }
 
     /// Total BrightData processing time — t_BrightData in Equations 5–7.
@@ -212,6 +184,35 @@ impl fmt::Display for TimelineParseError {
 }
 
 impl std::error::Error for TimelineParseError {}
+
+/// Parse comma-separated `key:<value>ms` fields, returning the values in
+/// `keys` order. Every key must appear exactly once: an unknown, repeated
+/// or missing key is an error naming it.
+fn parse_fields<const N: usize>(
+    value: &str,
+    keys: [&str; N],
+) -> Result<[SimDuration; N], TimelineParseError> {
+    let mut slots = [None; N];
+    for part in value.split(',') {
+        let (key, val) = part
+            .split_once(':')
+            .ok_or_else(|| TimelineParseError(part.to_string()))?;
+        let key = key.trim();
+        let slot = keys
+            .iter()
+            .position(|k| *k == key)
+            .ok_or_else(|| TimelineParseError(key.to_string()))?;
+        if slots[slot].is_some() {
+            return Err(TimelineParseError(format!("duplicate {key}")));
+        }
+        slots[slot] = Some(parse_ms(val)?);
+    }
+    let mut out = [SimDuration::ZERO; N];
+    for ((out, slot), key) in out.iter_mut().zip(slots).zip(keys) {
+        *out = slot.ok_or_else(|| TimelineParseError(format!("missing {key}")))?;
+    }
+    Ok(out)
+}
 
 fn parse_ms(val: &str) -> Result<SimDuration, TimelineParseError> {
     let digits = val
@@ -259,8 +260,25 @@ mod tests {
 
     #[test]
     fn missing_fields_rejected() {
-        assert!(TunTimeline::parse("dns:5ms").is_err());
+        assert_eq!(
+            TunTimeline::parse("dns:5ms"),
+            Err(TimelineParseError("missing connect".into()))
+        );
         assert!(ProxyTimeline::parse("auth:1ms,init:1ms").is_err());
+    }
+
+    #[test]
+    fn duplicate_keys_rejected() {
+        // Four fields, but only `auth`: counting parts is not enough.
+        assert_eq!(
+            ProxyTimeline::parse("auth:1ms,auth:1ms,auth:1ms,auth:1ms"),
+            Err(TimelineParseError("duplicate auth".into()))
+        );
+        // A repeated `dns` must not silently overwrite the first.
+        assert_eq!(
+            TunTimeline::parse("dns:1ms,dns:2ms,connect:3ms"),
+            Err(TimelineParseError("duplicate dns".into()))
+        );
     }
 
     #[test]

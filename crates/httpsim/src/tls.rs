@@ -7,10 +7,9 @@
 //! ordering invariants (e.g. "Finished never precedes ServerHello").
 
 use dohperf_netsim::connection::TlsVersion;
-use serde::{Deserialize, Serialize};
 
 /// Which side of the handshake this endpoint plays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TlsEndpoint {
     /// Initiator.
     Client,
@@ -19,7 +18,7 @@ pub enum TlsEndpoint {
 }
 
 /// Full or resumed handshake.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HandshakeKind {
     /// Fresh session: certificate exchange and key agreement.
     Full,
@@ -28,7 +27,7 @@ pub enum HandshakeKind {
 }
 
 /// Handshake progress states.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TlsState {
     /// Nothing sent yet.
     Start,
@@ -43,7 +42,7 @@ pub enum TlsState {
 }
 
 /// Events driving the state machine — the TLS flights of RFC 5246/8446.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TlsFlight {
     /// ClientHello (+ key share / PSK in 1.3).
     ClientHello,
@@ -57,7 +56,7 @@ pub enum TlsFlight {
 }
 
 /// The client-side handshake driver.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TlsHandshake {
     /// Protocol version.
     pub version: TlsVersion,

@@ -15,6 +15,40 @@ fn arb_header_value() -> impl Strategy<Value = String> {
     proptest::string::string_regex("[!-~]([ -~]{0,30}[!-~])?").unwrap()
 }
 
+/// A corrupt timeline value: missing `ms`, negative, NaN, infinite or
+/// not a number. `v` is at least 0.001, so the negative form stays
+/// negative after rounding to three decimals.
+fn bad_value(which: usize, v: f64) -> String {
+    match which % 7 {
+        0 => format!("{v:.3}"),
+        1 => format!("-{v:.3}ms"),
+        2 => "NaNms".to_string(),
+        3 => "infms".to_string(),
+        4 => "abcms".to_string(),
+        5 => "ms".to_string(),
+        _ => format!("{v:.3}s"),
+    }
+}
+
+/// Apply exactly one structure-aware mutation to field `field` of a
+/// valid timeline header: drop it, duplicate it, rename its key to
+/// `new_key`, or replace its value with `bad`.
+fn mutate(header: &str, kind: usize, field: usize, new_key: &str, bad: &str) -> String {
+    let mut parts: Vec<String> = header.split(',').map(str::to_string).collect();
+    let i = field % parts.len();
+    let (key, value) = parts[i].split_once(':').expect("valid header field");
+    let (key, value) = (key.to_string(), value.to_string());
+    match kind % 4 {
+        0 => {
+            parts.remove(i);
+        }
+        1 => parts.insert(i, parts[i].clone()),
+        2 => parts[i] = format!("{new_key}:{value}"),
+        _ => parts[i] = format!("{key}:{bad}"),
+    }
+    parts.join(",")
+}
+
 proptest! {
     /// Requests roundtrip through encode/decode for arbitrary targets,
     /// headers and bodies.
@@ -102,6 +136,52 @@ proptest! {
         };
         let parsed = ProxyTimeline::parse(&proxy.to_header_value()).unwrap();
         prop_assert!((parsed.total().as_millis_f64() - (a + b + c + d)).abs() < 0.01);
+    }
+
+    /// One mutation of a valid timeline header (a dropped, duplicated or
+    /// renamed field, or a corrupt value) is always rejected, never
+    /// parsed into a plausible timeline and never a panic.
+    #[test]
+    fn mutated_timelines_rejected(
+        ms in proptest::collection::vec(0.0f64..10_000.0, 4..5),
+        kind in 0usize..4,
+        field in 0usize..4,
+        new_key in proptest::string::string_regex("[a-z_]{1,12}").unwrap(),
+        which_bad in 0usize..7,
+        v in 0.001f64..10_000.0,
+    ) {
+        let d = SimDuration::from_millis_f64;
+        let tun = TunTimeline { dns: d(ms[0]), connect: d(ms[1]) }.to_header_value();
+        let proxy = ProxyTimeline {
+            auth: d(ms[0]),
+            init: d(ms[1]),
+            select_node: d(ms[2]),
+            domain_check: d(ms[3]),
+        }
+        .to_header_value();
+        let bad = bad_value(which_bad, v);
+        for (header, parse) in [
+            (tun, (|s: &str| TunTimeline::parse(s).map(|_| ())) as fn(&str) -> _),
+            (proxy, |s: &str| ProxyTimeline::parse(s).map(|_| ())),
+        ] {
+            let mutated = mutate(&header, kind, field, &new_key, &bad);
+            // Renaming a key to itself is no mutation.
+            prop_assume!(mutated != header);
+            prop_assert!(parse(&mutated).is_err(), "accepted {:?}", mutated);
+        }
+    }
+
+    /// The timeline parsers never panic on arbitrary strings, whether
+    /// random bytes or text drawn from the grammar's own alphabet.
+    #[test]
+    fn timeline_parsers_never_panic(
+        bytes in proptest::collection::vec(any::<u8>(), 0..64),
+        text in proptest::string::string_regex("[a-z_:,. 0-9NIaf+-]{0,48}").unwrap(),
+    ) {
+        for s in [String::from_utf8_lossy(&bytes).into_owned(), text] {
+            let _ = TunTimeline::parse(&s);
+            let _ = ProxyTimeline::parse(&s);
+        }
     }
 
     /// Header multimap: set replaces all, get is case-insensitive.

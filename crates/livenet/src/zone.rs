@@ -5,10 +5,9 @@ use dohperf_dns::name::DnsName;
 use dohperf_dns::rdata::RData;
 use dohperf_dns::record::ResourceRecord;
 use dohperf_dns::types::{RCode, RecordType};
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// A thread-safe name → A-record map with wildcard support for the
 /// measurement zone (`*.a.com` answers any UUID subdomain, as the
@@ -34,18 +33,18 @@ impl Zone {
     /// Add an exact A record.
     pub fn insert(&self, name: &str, ip: Ipv4Addr) {
         let name = DnsName::parse(name).expect("valid zone name");
-        self.inner.write().exact.insert(name, ip);
+        self.inner.write().unwrap().exact.insert(name, ip);
     }
 
     /// Add a wildcard: any subdomain of `suffix` resolves to `ip`.
     pub fn insert_wildcard(&self, suffix: &str, ip: Ipv4Addr) {
         let name = DnsName::parse(suffix).expect("valid zone suffix");
-        self.inner.write().wildcards.insert(name, ip);
+        self.inner.write().unwrap().wildcards.insert(name, ip);
     }
 
     /// Look up a name.
     pub fn lookup(&self, name: &DnsName) -> Option<Ipv4Addr> {
-        let inner = self.inner.read();
+        let inner = self.inner.read().unwrap();
         if let Some(&ip) = inner.exact.get(name) {
             return Some(ip);
         }
@@ -59,7 +58,7 @@ impl Zone {
     /// Answer a query message: A answers for known names, NXDOMAIN
     /// otherwise, NOTIMP for non-A/AAAA queries.
     pub fn answer(&self, query: &Message) -> Message {
-        self.inner.write().queries_served += 1;
+        self.inner.write().unwrap().queries_served += 1;
         let Some(question) = query.first_question() else {
             return Message::response(query, RCode::FormErr, Vec::new());
         };
@@ -80,7 +79,7 @@ impl Zone {
 
     /// Total queries served since creation.
     pub fn queries_served(&self) -> u64 {
-        self.inner.read().queries_served
+        self.inner.read().unwrap().queries_served
     }
 }
 

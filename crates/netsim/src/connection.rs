@@ -35,7 +35,6 @@
 //! reuse of the original connection.
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Round trips of a TCP three-way handshake (SYN/SYN-ACK; the first
 /// data segment rides with the final ACK).
@@ -48,7 +47,7 @@ pub const UDP_RETRY_TIMEOUT: SimDuration = SimDuration::from_millis(1000);
 /// TLS protocol version, which determines handshake round trips. The
 /// encrypted transports run TLS 1.3; the tunnel methodology's
 /// `ablation-tls12` measures DoH over TLS 1.2.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TlsVersion {
     /// Two round-trip full handshake (RFC 5246), one when resumed.
     V1_2,
@@ -76,7 +75,7 @@ impl TlsVersion {
 }
 
 /// The four DNS transports of the extended campaign.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DnsTransport {
     /// Classic UDP port-53 DNS (RFC 1035) — connectionless.
     Do53,
@@ -193,7 +192,7 @@ impl DnsTransport {
 
 /// Connection warmth at the moment a query is issued — the campaign's
 /// cold/warm dimension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Warmth {
     /// No prior state: full handshake required.
     Cold,

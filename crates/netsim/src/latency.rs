@@ -25,14 +25,13 @@
 use crate::rng::SimRng;
 use crate::time::SimDuration;
 use crate::topology::{NodeId, Topology};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// One-way speed of signal propagation in fibre, km per millisecond.
 pub const FIBRE_KM_PER_MS: f64 = 200.0;
 
 /// Infrastructure quality of the network surrounding a node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InfraProfile {
     /// Median last-mile RTT contribution in milliseconds.
     pub last_mile_median_ms: f64,

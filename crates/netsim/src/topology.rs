@@ -8,12 +8,11 @@
 //! [`crate::latency`] model from endpoint metadata instead of routed hops.
 
 use crate::latency::InfraProfile;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Index of a node in the topology. Cheap to copy, stable for the lifetime
 /// of the simulation (nodes are never removed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub(crate) u32);
 
 impl NodeId {
@@ -30,7 +29,7 @@ impl fmt::Display for NodeId {
 }
 
 /// What a node does in the measurement ecosystem.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeRole {
     /// A residential end host (BrightData exit node or RIPE Atlas probe).
     Client,
@@ -47,7 +46,7 @@ pub enum NodeRole {
 }
 
 /// A point on the globe in decimal degrees.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GeoPoint {
     /// Latitude, degrees north, in `[-90, 90]`.
     pub lat: f64,

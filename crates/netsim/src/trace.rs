@@ -7,17 +7,16 @@
 //!
 //! Storage lives in [`dohperf_telemetry::trace::PacketLog`] — the one
 //! packet-trace type in the workspace — and this module layers the typed
-//! view on top: [`PacketRecord`] carries [`SimTime`] / [`NodeId`] (and
-//! serde derives for export) instead of the raw nanosecond/index form the
-//! dependency-free telemetry crate stores.
+//! view on top: [`PacketRecord`] carries [`SimTime`] / [`NodeId`] instead
+//! of the raw nanosecond/index form the dependency-free telemetry crate
+//! stores.
 
 use crate::time::SimTime;
 use crate::topology::NodeId;
 use dohperf_telemetry::trace::{PacketEntry, PacketLog};
-use serde::{Deserialize, Serialize};
 
 /// Direction of a record relative to the node that logged it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PacketDirection {
     /// Transmitted by `src`.
     Tx,
@@ -26,7 +25,7 @@ pub enum PacketDirection {
 }
 
 /// One logged exchange.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PacketRecord {
     /// Simulated timestamp of the exchange.
     pub at: SimTime,

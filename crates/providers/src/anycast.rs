@@ -22,10 +22,9 @@
 use crate::pops::{PopDeployment, PopRanking};
 use dohperf_netsim::rng::SimRng;
 use dohperf_netsim::topology::GeoPoint;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of a provider's anycast behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AnycastPolicy {
     /// Probability of reaching the nearest PoP.
     pub p_optimal: f64,

@@ -15,10 +15,9 @@ use dohperf_netsim::engine::Simulator;
 use dohperf_netsim::topology::{GeoPoint, NodeId, NodeRole, NodeSpec};
 use dohperf_world::cities::{cities, City};
 use dohperf_world::countries::{country, Region};
-use serde::{Deserialize, Serialize};
 
 /// One deployed PoP.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PopSite {
     /// Simulator node.
     pub node: NodeId,

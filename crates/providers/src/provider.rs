@@ -3,11 +3,10 @@
 use crate::anycast::AnycastPolicy;
 use dohperf_netsim::rng::SimRng;
 use dohperf_netsim::time::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The four public DoH services studied in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProviderKind {
     /// Cloudflare 1.1.1.1 — most PoPs (146 observed), best performance.
     Cloudflare,

@@ -40,14 +40,13 @@ use dohperf_netsim::topology::NodeId;
 use dohperf_providers::pops::PopDeployment;
 use dohperf_providers::provider::ProviderKind;
 use dohperf_telemetry::flight;
-use serde::{Deserialize, Serialize};
 
 /// One transport's full connection-lifecycle observation for one
 /// (client, provider) pair: timestamps bracketing the cold handshake
 /// and the cold/warm/resumed queries, plus the per-phase framing
 /// components (needed by the differential protocol tests, which assert
 /// that warm DoT and warm DoH agree *minus the H2 framing delta*).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransportObservation {
     /// Which transport carried the queries.
     pub transport: DnsTransport,

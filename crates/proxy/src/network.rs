@@ -19,14 +19,13 @@ use dohperf_netsim::topology::{GeoPoint, NodeId};
 use dohperf_providers::pops::PopDeployment;
 use dohperf_providers::provider::ProviderKind;
 use dohperf_telemetry::flight;
-use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 
 /// Knobs for ablation studies (§7 of the paper and DESIGN.md).
 ///
 /// The defaults reproduce the paper's methodology exactly: TLS 1.3 and
 /// guaranteed cache misses (fresh UUID subdomains).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasurementOptions {
     /// TLS version for the DoH session. The paper measures 1.3 only and
     /// notes 1.2 clients "will have slower DoH performance overall";

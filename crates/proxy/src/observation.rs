@@ -9,10 +9,9 @@
 
 use dohperf_http::luminati::{ProxyTimeline, TunTimeline};
 use dohperf_netsim::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// One tunnelled DoH measurement's observables.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DohObservation {
     /// Client sends CONNECT (point A in Figure 2).
     pub t_a: SimTime,
@@ -34,7 +33,7 @@ pub struct DohObservation {
 }
 
 /// One tunnelled Do53 measurement's observables.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Do53Observation {
     /// `X-luminati-tun-timeline`: the header's "DNS" value — the Do53
     /// query time the methodology extracts (§3.3).

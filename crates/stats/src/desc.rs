@@ -1,6 +1,5 @@
 //! Descriptive statistics and empirical CDFs.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
 /// Arithmetic mean; NaN for an empty slice.
@@ -128,7 +127,7 @@ pub fn fraction_below(xs: &[f64], threshold: f64) -> f64 {
 }
 
 /// A five-number-plus summary of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Sample size.
     pub n: usize,

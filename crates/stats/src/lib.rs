@@ -21,7 +21,7 @@
 //! * [`special`] — `erf` and the standard normal CDF, implemented from
 //!   scratch (the offline crate set has no special-functions crate).
 //!
-//! Everything is deterministic and dependency-free beyond `serde`.
+//! Everything is deterministic and dependency-free.
 
 pub mod desc;
 pub mod logistic;

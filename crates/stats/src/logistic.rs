@@ -6,7 +6,6 @@
 
 use crate::matrix::Matrix;
 use crate::special::two_sided_p;
-use serde::{Deserialize, Serialize};
 
 /// Maximum IRLS iterations before declaring non-convergence.
 const MAX_ITERATIONS: usize = 50;
@@ -14,7 +13,7 @@ const MAX_ITERATIONS: usize = 50;
 const TOLERANCE: f64 = 1e-8;
 
 /// Per-coefficient logistic inference.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogisticCoefficient {
     /// Feature name.
     pub name: String,
@@ -31,7 +30,7 @@ pub struct LogisticCoefficient {
 }
 
 /// A fitted logistic model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogisticFit {
     /// Intercept + features in design order.
     pub coefficients: Vec<LogisticCoefficient>,

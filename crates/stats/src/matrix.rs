@@ -4,11 +4,10 @@
 //! straightforward row-major implementation with partially pivoted Gaussian
 //! elimination is both sufficient and easy to audit.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense row-major matrix of `f64`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -7,10 +7,9 @@
 
 use crate::matrix::Matrix;
 use crate::special::two_sided_p;
-use serde::{Deserialize, Serialize};
 
 /// Per-coefficient inference results.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Coefficient {
     /// Feature name (from the caller).
     pub name: String,
@@ -32,7 +31,7 @@ impl Coefficient {
 }
 
 /// A fitted OLS model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OlsFit {
     /// Intercept + feature coefficients, in design order.
     pub coefficients: Vec<Coefficient>,

@@ -6,11 +6,10 @@
 //! are reproducible without threading an RNG through the analyses.
 
 use crate::desc;
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 
 /// A two-sided confidence interval around a point estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
     /// The statistic on the original sample.
     pub estimate: f64,

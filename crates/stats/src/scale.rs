@@ -6,10 +6,8 @@
 //! `max - min`, which is exactly what [`MinMaxScaler::scaled_coefficient`]
 //! computes.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-feature min–max scaler.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MinMaxScaler {
     mins: Vec<f64>,
     maxs: Vec<f64>,

@@ -14,7 +14,7 @@
 //! branch-free `leading_zeros` length computation and take a whole-word
 //! fast path when an entire block fits in one byte per value. Both tiers
 //! are byte-for-byte identical to the original byte-at-a-time encoders,
-//! which survive in [`scalar`] as the proptest/bench reference.
+//! which survive in [`scalar`] as the test oracle.
 
 use crate::{Result, StoreError};
 

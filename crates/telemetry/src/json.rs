@@ -1,7 +1,6 @@
 //! A minimal JSON value, parser, and string escaper.
 //!
-//! The approved offline crate set has `serde` but no `serde_json`, and the
-//! snapshot schema is small and fully under our control, so a ~150-line
+//! The snapshot schema is small and fully under our control, so a ~150-line
 //! recursive-descent parser keeps this crate dependency-free. Numbers
 //! without a fraction or exponent parse as exact integers (`i128`) so
 //! `u64` counters survive a round trip bit-exactly.

@@ -2,8 +2,8 @@
 //!
 //! A dependency-light, thread-safe telemetry substrate for the `dohperf`
 //! workspace: a metrics registry (atomic counters, gauges, and fixed-bucket
-//! log-scale histograms) plus a structured span/event tracing facade with a
-//! ring-buffer sink.
+//! log-scale histograms) plus a per-query flight recorder and a packet
+//! trace store.
 //!
 //! The paper this workspace reproduces is a measurement study; related
 //! measurement pipelines (Böttger et al., Hounsel et al.) work because every
@@ -43,14 +43,6 @@
 //! let json = snap.to_json();
 //! assert!(json.contains("example.queries"));
 //! ```
-//!
-//! ## Tracing
-//!
-//! [`trace`] is an allocation-cheap structured event log: `event` /
-//! `event_ms` append to a fixed-capacity ring buffer (oldest entries are
-//! dropped and counted, never blocking the hot path), and [`trace::span`]
-//! brackets a named phase with explicit (simulated-time) durations — the
-//! facade never reads a wall clock on its own.
 //!
 //! ## Flight recorder
 //!

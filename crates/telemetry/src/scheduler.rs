@@ -64,7 +64,7 @@ pub struct WorkerRow {
     pub ranges: i64,
     /// Clients this worker measured.
     pub clients: i64,
-    /// Ranges this worker stole from a peer's deque.
+    /// Ranges this worker stole from a peer's queue.
     pub steals: i64,
 }
 

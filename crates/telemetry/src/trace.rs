@@ -1,231 +1,9 @@
-//! Structured tracing: a bounded in-memory event log.
+//! Packet trace storage.
 //!
-//! Spans and events land in a fixed-capacity ring buffer; when it fills,
-//! the oldest entries are discarded and counted, so tracing never blocks
-//! or grows the hot path. Nothing here reads a wall clock — durations are
-//! supplied by the caller (usually simulated time), keeping traces as
-//! deterministic as the workload that produced them.
-
-use std::collections::VecDeque;
-use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
-
-/// Ring-buffer capacity of the global trace sink.
-pub const TRACE_CAPACITY: usize = 4096;
-
-/// What a trace entry marks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceKind {
-    /// A point event.
-    Event,
-    /// The start of a named phase.
-    SpanStart,
-    /// The end of a named phase (carries its duration).
-    SpanEnd,
-}
-
-/// One entry in the trace buffer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
-    /// Global sequence number (monotonic, never reused).
-    pub seq: u64,
-    /// Entry kind.
-    pub kind: TraceKind,
-    /// Subsystem that emitted the entry (e.g. `"campaign"`).
-    pub target: &'static str,
-    /// Event or span name.
-    pub message: String,
-    /// Optional value in milliseconds (span duration, measured latency).
-    pub value_ms: Option<f64>,
-}
-
-/// The bounded sink trace entries accumulate in.
-pub struct TraceSink {
-    buf: Mutex<VecDeque<TraceEvent>>,
-    capacity: usize,
-    seq: AtomicU64,
-    dropped: AtomicU64,
-    reported_dropped: AtomicU64,
-}
-
-impl TraceSink {
-    /// An empty sink holding at most `capacity` entries.
-    pub fn with_capacity(capacity: usize) -> Self {
-        TraceSink {
-            buf: Mutex::new(VecDeque::with_capacity(capacity.min(TRACE_CAPACITY))),
-            capacity,
-            seq: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            reported_dropped: AtomicU64::new(0),
-        }
-    }
-
-    fn push(&self, kind: TraceKind, target: &'static str, message: String, value_ms: Option<f64>) {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let mut buf = self.buf.lock().expect("trace sink poisoned");
-        if buf.len() == self.capacity {
-            buf.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        buf.push_back(TraceEvent {
-            seq,
-            kind,
-            target,
-            message,
-            value_ms,
-        });
-    }
-
-    /// Record a point event.
-    pub fn event(&self, target: &'static str, message: impl Into<String>) {
-        self.push(TraceKind::Event, target, message.into(), None);
-    }
-
-    /// Record a point event carrying a millisecond value.
-    pub fn event_ms(&self, target: &'static str, message: impl Into<String>, ms: f64) {
-        self.push(TraceKind::Event, target, message.into(), Some(ms));
-    }
-
-    /// Open a span; the returned guard records the end with its duration.
-    pub fn span(&self, target: &'static str, name: impl Into<String>) -> Span<'_> {
-        let name = name.into();
-        self.push(TraceKind::SpanStart, target, name.clone(), None);
-        Span {
-            sink: self,
-            target,
-            name,
-            ended: false,
-        }
-    }
-
-    /// Drain and return all buffered entries, oldest first.
-    pub fn drain(&self) -> Vec<TraceEvent> {
-        self.buf
-            .lock()
-            .expect("trace sink poisoned")
-            .drain(..)
-            .collect()
-    }
-
-    /// Number of entries discarded because the buffer was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Publish drops not yet reported to the `trace.events_dropped`
-    /// counter (per-run class: the drop count depends on buffer pressure,
-    /// not on the workload alone). Returns the total dropped so far.
-    /// Idempotent between drops: calling twice publishes the delta once.
-    pub fn publish_dropped(&self) -> u64 {
-        let dropped = self.dropped.load(Ordering::Relaxed);
-        let reported = self.reported_dropped.swap(dropped, Ordering::Relaxed);
-        let delta = dropped.saturating_sub(reported);
-        if delta > 0 {
-            crate::counter!("trace.events_dropped", per_run).add(delta);
-        }
-        dropped
-    }
-
-    /// One line per buffered entry, without draining.
-    pub fn render(&self) -> String {
-        let buf = self.buf.lock().expect("trace sink poisoned");
-        let mut out = String::new();
-        for e in buf.iter() {
-            let kind = match e.kind {
-                TraceKind::Event => "event",
-                TraceKind::SpanStart => "span+",
-                TraceKind::SpanEnd => "span-",
-            };
-            match e.value_ms {
-                Some(ms) => {
-                    let _ = writeln!(
-                        out,
-                        "#{:<6} {kind:<5} {:<10} {} ({ms:.3} ms)",
-                        e.seq, e.target, e.message
-                    );
-                }
-                None => {
-                    let _ = writeln!(
-                        out,
-                        "#{:<6} {kind:<5} {:<10} {}",
-                        e.seq, e.target, e.message
-                    );
-                }
-            }
-        }
-        let dropped = self.dropped();
-        if dropped > 0 {
-            let _ = writeln!(out, "({dropped} older entries dropped)");
-        }
-        out
-    }
-}
-
-/// Guard for an open span; see [`TraceSink::span`].
-#[must_use = "a span records its end when end_ms is called or it is dropped"]
-pub struct Span<'a> {
-    sink: &'a TraceSink,
-    target: &'static str,
-    name: String,
-    ended: bool,
-}
-
-impl Span<'_> {
-    /// Close the span, recording an explicit (simulated-time) duration.
-    pub fn end_ms(mut self, elapsed_ms: f64) {
-        self.ended = true;
-        self.sink.push(
-            TraceKind::SpanEnd,
-            self.target,
-            std::mem::take(&mut self.name),
-            Some(elapsed_ms),
-        );
-    }
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        if !self.ended {
-            // No clock to consult: a span dropped without end_ms closes
-            // with no duration rather than a fabricated one.
-            self.sink.push(
-                TraceKind::SpanEnd,
-                self.target,
-                std::mem::take(&mut self.name),
-                None,
-            );
-        }
-    }
-}
-
-/// The process-wide trace sink.
-pub fn sink() -> &'static TraceSink {
-    static SINK: OnceLock<TraceSink> = OnceLock::new();
-    SINK.get_or_init(|| TraceSink::with_capacity(TRACE_CAPACITY))
-}
-
-/// Record a point event in the global sink.
-pub fn event(target: &'static str, message: impl Into<String>) {
-    sink().event(target, message);
-}
-
-/// Record a valued point event in the global sink.
-pub fn event_ms(target: &'static str, message: impl Into<String>, ms: f64) {
-    sink().event_ms(target, message, ms);
-}
-
-/// Open a span in the global sink.
-pub fn span(target: &'static str, name: impl Into<String>) -> Span<'static> {
-    sink().span(target, name)
-}
-
-/// Publish unreported drops from the global sink; see
-/// [`TraceSink::publish_dropped`]. Callers should warn on stderr when the
-/// returned total is nonzero at end of run.
-pub fn publish_dropped() -> u64 {
-    sink().publish_dropped()
-}
+//! [`PacketLog`] is the raw, dependency-free store behind every
+//! simulator-side packet tracer. Nothing here reads a wall clock —
+//! timestamps are simulated nanoseconds supplied by the caller, keeping
+//! traces as deterministic as the workload that produced them.
 
 /// One logged packet exchange, in raw representation.
 ///
@@ -251,7 +29,7 @@ pub struct PacketEntry {
 
 /// An append-only packet log. Disabled by default; enabling costs one
 /// `Vec` push per exchange. Unbounded by design — packet tracing is
-/// opt-in and scoped to one simulator, unlike the global ring buffer.
+/// opt-in and scoped to one simulator.
 #[derive(Debug, Default)]
 pub struct PacketLog {
     enabled: bool,
@@ -315,61 +93,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn events_and_spans_are_ordered() {
-        let sink = TraceSink::with_capacity(16);
-        sink.event("t", "a");
-        let span = sink.span("t", "phase");
-        sink.event_ms("t", "b", 2.5);
-        span.end_ms(10.0);
-        let entries = sink.drain();
-        assert_eq!(entries.len(), 4);
-        assert!(entries.windows(2).all(|w| w[0].seq < w[1].seq));
-        assert_eq!(entries[1].kind, TraceKind::SpanStart);
-        assert_eq!(entries[2].value_ms, Some(2.5));
-        assert_eq!(entries[3].kind, TraceKind::SpanEnd);
-        assert_eq!(entries[3].value_ms, Some(10.0));
-        assert_eq!(sink.dropped(), 0);
-    }
-
-    #[test]
-    fn ring_buffer_drops_oldest() {
-        let sink = TraceSink::with_capacity(3);
-        for i in 0..5 {
-            sink.event("t", format!("e{i}"));
-        }
-        let entries = sink.drain();
-        assert_eq!(entries.len(), 3);
-        assert_eq!(entries[0].message, "e2");
-        assert_eq!(sink.dropped(), 2);
-        assert!(sink.render().is_empty() || sink.render().contains("dropped"));
-    }
-
-    #[test]
-    fn dropped_span_closes_without_duration() {
-        let sink = TraceSink::with_capacity(8);
-        {
-            let _span = sink.span("t", "abandoned");
-        }
-        let entries = sink.drain();
-        assert_eq!(entries[1].kind, TraceKind::SpanEnd);
-        assert_eq!(entries[1].value_ms, None);
-    }
-
-    #[test]
-    fn publish_dropped_reports_each_drop_once() {
-        let sink = TraceSink::with_capacity(2);
-        for i in 0..5 {
-            sink.event("t", format!("e{i}"));
-        }
-        assert_eq!(sink.publish_dropped(), 3);
-        // A second call without new drops publishes nothing new but still
-        // returns the running total.
-        assert_eq!(sink.publish_dropped(), 3);
-        sink.event("t", "one more");
-        assert_eq!(sink.publish_dropped(), 4);
-    }
-
-    #[test]
     fn packet_log_respects_enable_flag() {
         let entry = |src: u32, proto: &'static str| PacketEntry {
             at_nanos: 5,
@@ -390,15 +113,5 @@ mod tests {
         assert_eq!(log.entries()[1].proto, "http");
         log.clear();
         assert!(log.is_empty());
-    }
-
-    #[test]
-    fn render_mentions_entries() {
-        let sink = TraceSink::with_capacity(8);
-        sink.event_ms("campaign", "shard US", 12.0);
-        let text = sink.render();
-        assert!(text.contains("campaign"));
-        assert!(text.contains("shard US"));
-        assert!(text.contains("12.000 ms"));
     }
 }

@@ -6,10 +6,9 @@
 //! city centres.
 
 use dohperf_netsim::topology::GeoPoint;
-use serde::{Deserialize, Serialize};
 
 /// One city record.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct City {
     /// City name.
     pub name: &'static str,

@@ -17,10 +17,9 @@
 
 use dohperf_netsim::latency::InfraProfile;
 use dohperf_netsim::topology::GeoPoint;
-use serde::{Deserialize, Serialize};
 
 /// Continent-level region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Region {
     /// Africa.
     Africa,
@@ -38,7 +37,7 @@ pub enum Region {
 
 /// World Bank income classification (FY2021 GNI-per-capita thresholds,
 /// applied here to GDP per capita as the paper does).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum IncomeGroup {
     /// Below $1,046.
     Low,
@@ -51,7 +50,7 @@ pub enum IncomeGroup {
 }
 
 /// One country/territory record.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Country {
     /// ISO 3166-1 alpha-2 code.
     pub iso: &'static str,

@@ -9,11 +9,10 @@
 //! same filter is reproduced in `dohperf-core`.
 
 use dohperf_netsim::rng::SimRng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A /24 IPv4 prefix, stored as its 24 leading bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Prefix24(pub u32);
 
 impl Prefix24 {

@@ -10,7 +10,6 @@ use crate::cities::cities_in;
 use crate::countries::{all_countries, Country, EXCLUDED_COUNTRIES};
 use dohperf_netsim::rng::SimRng;
 use dohperf_netsim::topology::GeoPoint;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// Paper constants for the population shape.
@@ -25,7 +24,7 @@ pub const TOTAL_CLIENTS: usize = 22_052;
 const SAMPLING_MEDIAN: f64 = 104.0;
 
 /// One sampled client location.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClientSite {
     /// Country of residence (ground truth).
     pub country_index: usize,

@@ -1,0 +1,181 @@
+//! Dead-dependency check over the workspace manifests.
+//!
+//! Every `[dependencies]` / `[dev-dependencies]` entry of a
+//! `crates/*/Cargo.toml` must be used by that crate: its lib name
+//! (`-` → `_`) must appear as an identifier in a `.rs` file under the
+//! crate's `src/`, `tests/` or `examples/`, or under one of the paths
+//! its `[[test]]` / `[[example]]` / `[[bin]]` targets name; a
+//! `[features]` entry forwarding to the dependency also counts as a
+//! use. And every `[workspace.dependencies]` entry must be declared by
+//! at least one member. A declared-but-unused crate only costs build
+//! time, so nothing else would notice it drifting back in.
+
+use std::fs;
+use std::path::{Path, PathBuf};
+
+/// The parts of a `Cargo.toml` this check reads.
+#[derive(Default)]
+struct Manifest {
+    /// Dependency names from the dependency sections.
+    deps: Vec<String>,
+    /// `[workspace.dependencies]` names (root manifest only).
+    workspace_deps: Vec<String>,
+    /// Right-hand sides of every `[features]` entry.
+    features: String,
+    /// `path = "..."` values of the explicit targets.
+    target_paths: Vec<PathBuf>,
+}
+
+/// A line-based reader for the small TOML subset the manifests use:
+/// `[section]` / `[[target]]` headers and one `key = value` per line.
+fn read_manifest(path: &Path) -> Manifest {
+    let text = fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let mut m = Manifest::default();
+    let mut section = String::new();
+    for line in text.lines().map(str::trim) {
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        if line.starts_with('[') {
+            section = line.trim_matches(|c| c == '[' || c == ']').to_string();
+            continue;
+        }
+        let Some((key, value)) = line.split_once('=') else {
+            continue;
+        };
+        let key = key.trim();
+        let name = key.strip_suffix(".workspace").unwrap_or(key).to_string();
+        match section.as_str() {
+            "dependencies" | "dev-dependencies" | "build-dependencies" => m.deps.push(name),
+            "workspace.dependencies" => m.workspace_deps.push(name),
+            "features" => m.features.push_str(value),
+            "test" | "example" | "bin" | "bench" if key == "path" => {
+                m.target_paths
+                    .push(PathBuf::from(value.trim().trim_matches('"')));
+            }
+            _ => {}
+        }
+    }
+    m
+}
+
+/// Every `.rs` file under `path` (or `path` itself when it is a file).
+fn rust_files(path: &Path, out: &mut Vec<PathBuf>) {
+    if path.is_file() {
+        if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path.to_path_buf());
+        }
+        return;
+    }
+    let Ok(entries) = fs::read_dir(path) else {
+        return;
+    };
+    for entry in entries {
+        rust_files(&entry.expect("readable directory entry").path(), out);
+    }
+}
+
+/// True when `ident` occurs in `text` with no identifier character on
+/// either side.
+fn mentions_ident(text: &str, ident: &str) -> bool {
+    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    text.match_indices(ident).any(|(at, _)| {
+        let before = text[..at].chars().next_back();
+        let after = text[at + ident.len()..].chars().next();
+        !before.is_some_and(is_ident) && !after.is_some_and(is_ident)
+    })
+}
+
+fn workspace_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .canonicalize()
+        .expect("workspace root")
+}
+
+/// Manifests of the workspace members, `crates/*` first.
+fn member_manifests(root: &Path) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    for dir in ["crates", "shims"] {
+        let mut members: Vec<PathBuf> = fs::read_dir(root.join(dir))
+            .expect("member directory")
+            .map(|e| e.expect("readable member").path().join("Cargo.toml"))
+            .filter(|p| p.is_file())
+            .collect();
+        members.sort();
+        out.extend(members);
+    }
+    out
+}
+
+#[test]
+fn every_crate_dependency_is_used() {
+    let root = workspace_root();
+    let mut unused = Vec::new();
+    let mut checked = 0;
+    for manifest_path in member_manifests(&root) {
+        let crate_dir = manifest_path.parent().expect("crate dir");
+        if !crate_dir.starts_with(root.join("crates")) {
+            continue;
+        }
+        let manifest = read_manifest(&manifest_path);
+        let mut files = Vec::new();
+        for dir in ["src", "tests", "examples"] {
+            rust_files(&crate_dir.join(dir), &mut files);
+        }
+        for target in &manifest.target_paths {
+            rust_files(&crate_dir.join(target), &mut files);
+        }
+        let sources: Vec<String> = files
+            .iter()
+            .map(|f| fs::read_to_string(f).unwrap_or_else(|e| panic!("{}: {e}", f.display())))
+            .collect();
+        for dep in &manifest.deps {
+            checked += 1;
+            let lib = dep.replace('-', "_");
+            let forwarded = manifest.features.contains(&format!("\"{dep}/"))
+                || manifest.features.contains(&format!("\"dep:{dep}\""));
+            if !forwarded && !sources.iter().any(|s| mentions_ident(s, &lib)) {
+                unused.push(format!("{}: {dep}", manifest_path.display()));
+            }
+        }
+    }
+    assert!(checked > 0, "no dependencies found under crates/");
+    assert!(
+        unused.is_empty(),
+        "declared but never used (delete the entry): {unused:#?}"
+    );
+}
+
+#[test]
+fn every_workspace_dependency_is_declared_by_a_member() {
+    let root = workspace_root();
+    let declared: Vec<String> = member_manifests(&root)
+        .iter()
+        .flat_map(|p| read_manifest(p).deps)
+        .collect();
+    let workspace = read_manifest(&root.join("Cargo.toml")).workspace_deps;
+    assert!(!workspace.is_empty(), "no [workspace.dependencies] found");
+    let orphans: Vec<&String> = workspace
+        .iter()
+        .filter(|dep| !declared.contains(dep))
+        .collect();
+    assert!(
+        orphans.is_empty(),
+        "[workspace.dependencies] entries no member declares: {orphans:?}"
+    );
+}
+
+#[test]
+fn reader_finds_declared_dependencies_and_uses() {
+    let manifest = read_manifest(&workspace_root().join("crates/dohperf/Cargo.toml"));
+    assert!(manifest.deps.iter().any(|d| d == "dohperf-telemetry"));
+    assert!(manifest.deps.iter().any(|d| d == "proptest"));
+    assert!(manifest.features.contains("\"dohperf-telemetry/"));
+    assert!(manifest
+        .target_paths
+        .contains(&PathBuf::from("../../tests/integration_manifest.rs")));
+    assert!(mentions_ident("use dohperf_dns::name;", "dohperf_dns"));
+    assert!(!mentions_ident("use dohperf_dnsx::name;", "dohperf_dns"));
+    assert!(!mentions_ident("let operand = 1;", "rand"));
+}
