@@ -972,6 +972,7 @@ so DoH-by-default remains a first-connection tax even in a warm-cache world.
     pub fn export(&mut self, dir: &std::path::Path) -> std::io::Result<String> {
         let format = self.config.out_format;
         let store_dir = self.config.store_dir.clone();
+        let from_store = self.config.from_store.clone();
         let ds = self.dataset();
         std::fs::create_dir_all(dir)?;
         let mut out = format!("exported {} clients:\n", ds.records.len());
@@ -988,10 +989,16 @@ so DoH-by-default remains a first-connection tax even in a warm-cache world.
             let _ = writeln!(out, "  {} ({} bytes)", path.display(), jsonl.len());
         }
         if format == OutFormat::Store {
-            // The streaming campaign already wrote the store directory;
-            // when the dataset came from elsewhere (e.g. --from-store),
-            // write one from the materialised records.
-            if !store_dir.join("manifest.bin").is_file() {
+            // Without --from-store, this context's own campaign streamed
+            // the dataset to `store_dir`. With it, write the loaded
+            // records there, unless `store_dir` is the source itself: a
+            // store left by an earlier run must never be reported as
+            // this dataset's.
+            let streamed_here = match &from_store {
+                None => true,
+                Some(source) => same_dir(source, &store_dir),
+            };
+            if !streamed_here {
                 dohperf_core::store_io::write_dataset(ds, &store_dir, 0)
                     .map_err(std::io::Error::from)?;
             }
@@ -1345,6 +1352,12 @@ a traffic-weighted view of the Internet — the direction of bias the paper's §
                  avail = success fraction; cache-hit = page-load stub-cache hit rate)\n";
         out
     }
+}
+
+/// Whether two paths name the same directory: equal as written, or
+/// equal once both resolve (so `./s` and `s` match).
+fn same_dir(a: &std::path::Path, b: &std::path::Path) -> bool {
+    a == b || matches!((a.canonicalize(), b.canonicalize()), (Ok(a), Ok(b)) if a == b)
 }
 
 /// Render one replayed client's annotated timeline: the span tree with

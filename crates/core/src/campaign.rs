@@ -467,35 +467,13 @@ impl Campaign {
     /// any [`CampaignConfig::shard_size`] value — the same contract
     /// [`Campaign::run`] gives for the in-memory dataset.
     ///
-    /// Chunk encoding + CRC run on a background
-    /// [`dohperf_store::EncoderPool`] sized by
-    /// [`dohperf_store::PipelineConfig::auto`]; use
-    /// [`Campaign::run_to_store_with`] to pin the pool shape. The
-    /// encoded bytes are identical either way.
+    /// Each shard encodes its chunks (columns and CRC) inline through
+    /// its own [`ChunkWriter::new`]; there is no encoder thread, since
+    /// the simulation workers already use every core.
     pub fn run_to_store(
         &self,
         dir: &Path,
         chunk_budget: usize,
-    ) -> dohperf_store::Result<StoreRunSummary> {
-        self.run_to_store_with(dir, chunk_budget, dohperf_store::PipelineConfig::auto())
-    }
-
-    /// [`Campaign::run_to_store`] with an explicit encoder-pipeline
-    /// shape. `pipeline.workers == 0` encodes inline on the simulation
-    /// workers (the pre-pipeline behaviour); any worker/queue-depth
-    /// combination produces byte-identical store files — the pipeline
-    /// reassembles chunks in submission order per shard and the shard
-    /// spill files merge in canonical order regardless.
-    ///
-    /// Publishes per-run gauges after the merge: `store.encode_ms`
-    /// (wall-clock summed across encoder threads), `store.encoder_workers`,
-    /// and `store.encoder_queue_depth` (peak submitted-but-unwritten
-    /// chunks across any shard writer).
-    pub fn run_to_store_with(
-        &self,
-        dir: &Path,
-        chunk_budget: usize,
-        pipeline: dohperf_store::PipelineConfig,
     ) -> dohperf_store::Result<StoreRunSummary> {
         let plan = {
             let _phase = phases::phase("topology-build");
@@ -518,7 +496,6 @@ impl Campaign {
         std::fs::create_dir_all(&shards_dir)?;
 
         let _simulate_phase = phases::phase("simulate");
-        let pool = dohperf_store::EncoderPool::new(pipeline);
         let spill_path =
             |i: usize| -> std::path::PathBuf { shards_dir.join(format!("shard-{i:05}.chunks")) };
         let results = self.run_sharded(&plan, &shards, |i| {
@@ -526,7 +503,7 @@ impl Campaign {
             let result: dohperf_store::Result<StoreShard> = (|| {
                 let file = BufWriter::new(File::create(spill_path(i))?);
                 let mut sink = StoreSink {
-                    writer: ChunkWriter::with_pool(file, budget, &pool),
+                    writer: ChunkWriter::new(file, budget),
                     every: budget,
                 };
                 let outcome = self.run_range(&plan, spec, &mut sink)?;
@@ -585,12 +562,6 @@ impl Campaign {
 
         dohperf_telemetry::counter!("store.chunks_written").add(totals.chunks);
         dohperf_telemetry::counter!("store.bytes_written").add(totals.bytes);
-        let pool_stats = pool.stats();
-        dohperf_telemetry::gauge!("store.encoder_workers", per_run).set(pool_stats.workers as i64);
-        dohperf_telemetry::gauge!("store.encoder_queue_depth", per_run)
-            .set(pool_stats.max_queue_depth as i64);
-        dohperf_telemetry::gauge!("store.encode_ms", per_run)
-            .set((pool_stats.encode_nanos / 1_000_000) as i64);
         Ok(StoreRunSummary {
             stats: totals,
             discarded,

@@ -7,8 +7,14 @@
 //! * relative and absolute owner names, `@` for the origin;
 //! * blank owner fields inheriting the previous owner;
 //! * comments (`;` to end of line);
-//! * record types A, AAAA, NS, CNAME, MX, TXT (quoted), SOA (single-line);
+//! * record types A, AAAA, NS, CNAME, PTR, MX, TXT (quoted), SOA
+//!   (single-line);
 //! * per-record TTLs and class `IN` (optional).
+//!
+//! Every type takes an exact number of fields (TXT takes one or more
+//! quoted segments), so a dropped or trailing field is an error, never
+//! silently ignored. Inside a quoted TXT segment, `;` and parentheses
+//! are content, so [`format_zone`] output always parses back.
 //!
 //! Unsupported (rejected loudly): multi-line parentheses, `$INCLUDE`,
 //! non-IN classes.
@@ -58,7 +64,7 @@ pub fn parse_zone(
         if line.trim().is_empty() {
             continue;
         }
-        if line.contains('(') || line.contains(')') {
+        if find_unquoted(line, |c| c == '(' || c == ')').is_some() {
             return Err(err(lineno, "multi-line parentheses are not supported"));
         }
         // Directives.
@@ -104,8 +110,12 @@ pub fn parse_zone(
                 Some("IN") => {
                     tokens.remove(0);
                 }
-                Some(tok) if tok.chars().all(|c| c.is_ascii_digit()) => {
-                    ttl = tok.parse().map_err(|_| err(lineno, "bad TTL"))?;
+                // No record type starts with a digit, so such a token
+                // is a TTL or an error.
+                Some(tok) if tok.starts_with(|c: char| c.is_ascii_digit()) => {
+                    ttl = tok
+                        .parse()
+                        .map_err(|_| err(lineno, format!("bad TTL {tok:?}")))?;
                     tokens.remove(0);
                 }
                 Some(tok) if ["CH", "HS", "CS"].contains(&tok) => {
@@ -126,17 +136,25 @@ pub fn parse_zone(
     Ok(records)
 }
 
-fn strip_comment(line: &str) -> &str {
-    // A ';' inside a quoted string is content, not a comment.
+/// Byte offset of the first character outside a quoted string that
+/// matches `pred`: inside quotes, `;` and parentheses are content.
+fn find_unquoted(line: &str, pred: impl Fn(char) -> bool) -> Option<usize> {
     let mut in_quote = false;
     for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_quote = !in_quote,
-            ';' if !in_quote => return &line[..i],
-            _ => {}
+        if c == '"' {
+            in_quote = !in_quote;
+        } else if !in_quote && pred(c) {
+            return Some(i);
         }
     }
-    line
+    None
+}
+
+fn strip_comment(line: &str) -> &str {
+    match find_unquoted(line, |c| c == ';') {
+        Some(i) => &line[..i],
+        None => line,
+    }
 }
 
 fn tokenize(line: &str) -> Vec<String> {
@@ -184,8 +202,8 @@ fn resolve_name(token: &str, origin: Option<&DnsName>) -> Result<DnsName, String
 
 fn parse_rdata(rtype: &str, args: &[String], origin: Option<&DnsName>) -> Result<RData, String> {
     let need = |n: usize| -> Result<(), String> {
-        if args.len() < n {
-            Err(format!("{rtype} needs {n} field(s), got {}", args.len()))
+        if args.len() != n {
+            Err(format!("{rtype} takes {n} field(s), got {}", args.len()))
         } else {
             Ok(())
         }
@@ -225,7 +243,9 @@ fn parse_rdata(rtype: &str, args: &[String], origin: Option<&DnsName>) -> Result
             Ok(RData::Mx(pref, resolve_name(&args[1], origin)?))
         }
         "TXT" => {
-            need(1)?;
+            if args.is_empty() {
+                return Err("TXT takes at least 1 field, got 0".to_string());
+            }
             let mut segments = Vec::new();
             for arg in args {
                 let seg = arg
@@ -380,6 +400,34 @@ abs.example.net. IN A 192.0.2.7
         assert!(parse_zone("$ORIGIN a.\nx IN SOA ( multi\n", None).is_err());
         assert!(parse_zone("$ORIGIN a.\nx CH A 1.2.3.4\n", None).is_err());
         assert!(parse_zone("$ORIGIN a.\nx IN WKS whatever\n", None).is_err());
+    }
+
+    #[test]
+    fn trailing_fields_rejected() {
+        let e = parse_zone("a.com. 300 IN A 1.2.3.4 junk\n", None).unwrap_err();
+        assert_eq!(e.message, "A takes 1 field(s), got 2");
+        let e = parse_zone("a.com. 300 IN CNAME b.com. c.com.\n", None).unwrap_err();
+        assert_eq!(e.message, "CNAME takes 1 field(s), got 2");
+        let e = parse_zone("a.com. 300 IN MX 10\n", None).unwrap_err();
+        assert_eq!(e.message, "MX takes 2 field(s), got 1");
+        let e = parse_zone("a.com. 300 IN TXT\n", None).unwrap_err();
+        assert_eq!(e.message, "TXT takes at least 1 field, got 0");
+    }
+
+    #[test]
+    fn quoted_parentheses_are_txt_content() {
+        let records = parse_zone("a.com. 300 IN TXT \"v=spf1 (x)\"\n", None).unwrap();
+        assert_eq!(records[0].rdata, RData::Txt(vec!["v=spf1 (x)".to_string()]));
+        assert_eq!(parse_zone(&format_zone(&records), None).unwrap(), records);
+        // Outside quotes they are still the unsupported multi-line form.
+        let e = parse_zone("a.com. 300 IN TXT \"x\" (\n", None).unwrap_err();
+        assert!(e.message.contains("multi-line"), "{}", e.message);
+    }
+
+    #[test]
+    fn non_numeric_ttl_rejected_as_a_ttl() {
+        let e = parse_zone("a.com. 3x0 IN A 1.2.3.4\n", None).unwrap_err();
+        assert_eq!(e.message, "bad TTL \"3x0\"");
     }
 
     #[test]

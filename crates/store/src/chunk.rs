@@ -120,10 +120,10 @@ const MAX_SAMPLES_PER_RECORD: usize = 256;
 
 /// Reusable staging buffers for [`encode_chunk_into`].
 ///
-/// One scratch per encoder thread (or per serial writer) amortizes all
-/// column staging across every chunk it encodes: the payload and group
-/// byte buffers, the typed column buffers the block kernels consume,
-/// and the RLE run accumulators. Holding one and calling
+/// One scratch per writer amortizes all column staging across every
+/// chunk it encodes: the payload and group byte buffers, the typed
+/// column buffers the block kernels consume, and the RLE run
+/// accumulators. Holding one and calling
 /// [`encode_chunk_into`] in a loop performs no per-chunk allocations
 /// after the first few chunks warm the capacities up.
 #[derive(Default)]

@@ -31,6 +31,13 @@
 //! * `manifest.bin` — dataset-level metadata (country table, Atlas
 //!   remedy samples, discard counts, totals), checksummed the same way.
 //!
+//! ## Writing
+//!
+//! There is one write path: [`ChunkWriter::new`]. It encodes each full
+//! chunk inline on the pushing thread, through a scratch and a staging
+//! buffer it keeps across chunks. A campaign opens one writer per
+//! shard, so encoding runs on the simulation workers themselves.
+//!
 //! ## Reading
 //!
 //! Every reader verifies each chunk's CRC-32 over the whole payload
@@ -94,9 +101,7 @@ pub use chunk::{
     ChunkColumns, EncodeScratch, CHUNK_MAGIC, FLAG_TIMESERIES, FLAG_TRANSPORTS, FORMAT_VERSION,
 };
 pub use manifest::{Manifest, MANIFEST_MAGIC};
-pub use pipeline::{
-    fold_chunks, scan_columns, EncoderPool, PipelineConfig, PipelineStats, ReadStats,
-};
+pub use pipeline::{fold_chunks, scan_columns, ReadStats};
 pub use reader::ChunkReader;
 pub use record::{
     StoreDohSample, StorePageSample, StoreRecord, StoreTransportSample, StoreWindowSample,

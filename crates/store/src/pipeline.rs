@@ -1,34 +1,8 @@
-//! Pipelined store I/O: off-thread chunk encoding and parallel decode.
+//! Parallel store reads: chunk decode fanned out to worker threads.
 //!
-//! ## Write path
-//!
-//! [`EncoderPool`] owns a bounded pool of background encoder threads.
-//! A `ChunkWriter` opened with [`ChunkWriter::with_pool`] hands each
-//! full record buffer to the pool as an [`EncodeJob`] and immediately
-//! continues with a recycled buffer, so encoding and CRC work leave the
-//! simulation worker's critical path. Three properties make the output
-//! byte-identical to the serial writer:
-//!
-//! * **Ordering** — every job carries a per-writer sequence number, and
-//!   the writer drains finished chunks from its [`ChunkChannel`] strictly
-//!   in sequence order before handing bytes to the sink. The sink sees
-//!   chunks in exactly the order `push` produced them.
-//! * **Backpressure** — the job queue is a bounded `sync_channel`; when
-//!   every encoder is busy and the queue is full, `submit` blocks. That
-//!   bounded-queue backstop is the only point where the producing thread
-//!   waits on encoding, and it caps resident memory at
-//!   `queue_depth + workers` in-flight record buffers.
-//! * **Recycling** — record buffers and encoded-chunk buffers circulate
-//!   through free lists, so a steady-state pipelined writer allocates
-//!   nothing per chunk (each encoder thread keeps its own
-//!   [`EncodeScratch`]).
-//!
-//! Several writers (one per campaign shard) can share one pool; each
-//! gets its own reassembly channel and sequence space.
-//!
-//! [`ChunkWriter::with_pool`]: crate::ChunkWriter::with_pool
-//!
-//! ## Read path
+//! Writes have no counterpart here: each campaign shard encodes its
+//! chunks inline through its own [`ChunkWriter`], and the simulation
+//! workers already keep every core busy (DESIGN.md §17).
 //!
 //! [`scan_columns`] is the parallel counterpart of `ChunkReader`: the
 //! calling thread scans headers and payloads sequentially (cheap —
@@ -49,367 +23,19 @@
 //! validates exactly what a record scan does — only the record
 //! assembly is left out — so callers that read a few fields (the
 //! streaming analyses) scan columns and project.
+//!
+//! [`ChunkWriter`]: crate::ChunkWriter
 
 use crate::chunk::{
-    decode_chunk_columns, encode_chunk_into, parse_header, verify_checksum, ChunkColumns,
-    EncodeScratch, CHUNK_HEADER_LEN,
+    decode_chunk_columns, parse_header, verify_checksum, ChunkColumns, CHUNK_HEADER_LEN,
 };
 use crate::reader::read_exact_or_eof;
 use crate::record::StoreRecord;
 use crate::{Result, StoreError};
 use std::collections::BTreeMap;
 use std::io::Read;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::Instant;
-
-/// How a store writer distributes encode work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PipelineConfig {
-    /// Background encoder threads. `0` disables the pipeline entirely:
-    /// the writer encodes inline with a persistent scratch, exactly as
-    /// the serial writer always has.
-    pub workers: usize,
-    /// Bound on queued (submitted, not yet picked up) encode jobs.
-    /// `0` means `2 × workers` — deep enough to keep every encoder fed
-    /// across a burst, shallow enough to cap resident record buffers.
-    pub queue_depth: usize,
-}
-
-impl PipelineConfig {
-    /// Inline encoding on the calling thread; no threads, no queue.
-    pub fn serial() -> Self {
-        PipelineConfig {
-            workers: 0,
-            queue_depth: 0,
-        }
-    }
-
-    /// One encoder per core, capped at 4 — chunk encoding saturates the
-    /// sink well before that on every store we produce. On a single-core
-    /// host the pipeline can only add handoff cost, so `auto` falls back
-    /// to inline encoding there.
-    pub fn auto() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        if cores <= 1 {
-            return PipelineConfig::serial();
-        }
-        PipelineConfig {
-            workers: cores.min(4),
-            queue_depth: 0,
-        }
-    }
-
-    /// The queue bound actually used (resolves the `0` default).
-    pub fn effective_queue_depth(&self) -> usize {
-        if self.queue_depth == 0 {
-            2 * self.workers.max(1)
-        } else {
-            self.queue_depth
-        }
-    }
-}
-
-impl Default for PipelineConfig {
-    fn default() -> Self {
-        PipelineConfig::auto()
-    }
-}
-
-/// Counters reported by [`EncoderPool::stats`] once a run finishes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PipelineStats {
-    /// Encoder threads the pool was built with (0 = serial).
-    pub workers: usize,
-    /// The bounded queue depth in effect.
-    pub queue_depth: usize,
-    /// Chunks encoded off-thread.
-    pub chunks_encoded: u64,
-    /// Wall-clock nanoseconds spent inside `encode_chunk_into` across
-    /// all encoder threads (sums over threads, so it can exceed the
-    /// run's elapsed time).
-    pub encode_nanos: u64,
-    /// Peak number of submitted-but-unwritten chunks across any single
-    /// writer — how far ahead of the sink the producers ran.
-    pub max_queue_depth: u64,
-}
-
-/// One batch of records on its way to an encoder thread.
-struct EncodeJob {
-    seq: u64,
-    records: Vec<StoreRecord>,
-    out: Arc<ChunkChannel>,
-}
-
-/// Free lists for the buffers that circulate through the pipeline.
-#[derive(Default)]
-struct Buffers {
-    records: Mutex<Vec<Vec<StoreRecord>>>,
-    chunks: Mutex<Vec<Vec<u8>>>,
-}
-
-impl Buffers {
-    fn take_records(&self) -> Vec<StoreRecord> {
-        self.records.lock().unwrap().pop().unwrap_or_default()
-    }
-
-    fn recycle_records(&self, mut buf: Vec<StoreRecord>) {
-        buf.clear();
-        self.records.lock().unwrap().push(buf);
-    }
-
-    fn take_chunk(&self) -> Vec<u8> {
-        self.chunks.lock().unwrap().pop().unwrap_or_default()
-    }
-
-    fn recycle_chunk(&self, mut buf: Vec<u8>) {
-        buf.clear();
-        self.chunks.lock().unwrap().push(buf);
-    }
-}
-
-/// Shared atomic counters behind [`PipelineStats`].
-#[derive(Default)]
-struct SharedStats {
-    chunks: AtomicU64,
-    nanos: AtomicU64,
-    peak: AtomicU64,
-}
-
-/// Per-writer reassembly stage: encoded chunks land here keyed by
-/// sequence number; the writer drains them in order.
-struct ChunkChannel {
-    ready: Mutex<BTreeMap<u64, Vec<u8>>>,
-    cv: Condvar,
-}
-
-impl ChunkChannel {
-    fn new() -> Self {
-        ChunkChannel {
-            ready: Mutex::new(BTreeMap::new()),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn put(&self, seq: u64, bytes: Vec<u8>) {
-        self.ready.lock().unwrap().insert(seq, bytes);
-        self.cv.notify_all();
-    }
-
-    fn try_take(&self, seq: u64) -> Option<Vec<u8>> {
-        self.ready.lock().unwrap().remove(&seq)
-    }
-
-    fn wait_take(&self, seq: u64) -> Vec<u8> {
-        let mut ready = self.ready.lock().unwrap();
-        loop {
-            if let Some(bytes) = ready.remove(&seq) {
-                return bytes;
-            }
-            ready = self.cv.wait(ready).unwrap();
-        }
-    }
-}
-
-struct PoolShared {
-    tx: Mutex<Option<SyncSender<EncodeJob>>>,
-    handles: Mutex<Vec<JoinHandle<()>>>,
-    buffers: Arc<Buffers>,
-    stats: Arc<SharedStats>,
-    config: PipelineConfig,
-}
-
-impl Drop for PoolShared {
-    fn drop(&mut self) {
-        // Close the channel first so the encoder threads drain and
-        // exit, then join them. Any writer still holding a handle also
-        // holds an Arc to this struct, so by the time this runs every
-        // writer-side sender clone is gone.
-        if let Ok(slot) = self.tx.get_mut() {
-            slot.take();
-        }
-        if let Ok(handles) = self.handles.get_mut() {
-            for handle in handles.drain(..) {
-                let _ = handle.join();
-            }
-        }
-    }
-}
-
-/// A shared pool of background chunk-encoder threads.
-///
-/// Cheap to clone (an `Arc`); the threads shut down and are joined when
-/// the last clone — including the handles embedded in pipelined
-/// writers — is dropped.
-#[derive(Clone)]
-pub struct EncoderPool {
-    shared: Arc<PoolShared>,
-}
-
-impl EncoderPool {
-    /// Spawn the pool. `workers == 0` builds a threadless pool:
-    /// writers opened on it fall back to inline serial encoding.
-    pub fn new(config: PipelineConfig) -> Self {
-        let buffers = Arc::new(Buffers::default());
-        let stats = Arc::new(SharedStats::default());
-        let (tx, handles) = if config.workers == 0 {
-            (None, Vec::new())
-        } else {
-            let (tx, rx) = sync_channel::<EncodeJob>(config.effective_queue_depth());
-            let rx = Arc::new(Mutex::new(rx));
-            let handles = (0..config.workers)
-                .map(|i| {
-                    let rx = Arc::clone(&rx);
-                    let buffers = Arc::clone(&buffers);
-                    let stats = Arc::clone(&stats);
-                    std::thread::Builder::new()
-                        .name(format!("store-enc-{i}"))
-                        .spawn(move || encoder_loop(&rx, &buffers, &stats))
-                        .expect("spawn encoder thread")
-                })
-                .collect();
-            (Some(tx), handles)
-        };
-        EncoderPool {
-            shared: Arc::new(PoolShared {
-                tx: Mutex::new(tx),
-                handles: Mutex::new(handles),
-                buffers,
-                stats,
-                config,
-            }),
-        }
-    }
-
-    /// Encoder threads in the pool (0 = serial fallback).
-    pub fn workers(&self) -> usize {
-        self.shared.config.workers
-    }
-
-    /// Snapshot the pool's counters.
-    pub fn stats(&self) -> PipelineStats {
-        let s = &self.shared.stats;
-        PipelineStats {
-            workers: self.shared.config.workers,
-            queue_depth: if self.shared.config.workers == 0 {
-                0
-            } else {
-                self.shared.config.effective_queue_depth()
-            },
-            chunks_encoded: s.chunks.load(Ordering::Relaxed),
-            encode_nanos: s.nanos.load(Ordering::Relaxed),
-            max_queue_depth: s.peak.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Open a per-writer handle: a sender clone plus a fresh reassembly
-    /// channel and sequence space. Panics on a threadless pool — the
-    /// writer checks [`EncoderPool::workers`] first.
-    pub(crate) fn handle(&self) -> PipelineHandle {
-        let tx = self
-            .shared
-            .tx
-            .lock()
-            .unwrap()
-            .as_ref()
-            .expect("EncoderPool::handle on a threadless pool")
-            .clone();
-        PipelineHandle {
-            // Field order matters: `tx` must drop before `_shared` so
-            // the pool's Drop (join) never waits on our own sender.
-            tx,
-            channel: Arc::new(ChunkChannel::new()),
-            buffers: Arc::clone(&self.shared.buffers),
-            stats: Arc::clone(&self.shared.stats),
-            next_seq: 0,
-            next_write: 0,
-            _shared: Arc::clone(&self.shared),
-        }
-    }
-}
-
-/// One writer's connection to an [`EncoderPool`].
-pub(crate) struct PipelineHandle {
-    tx: SyncSender<EncodeJob>,
-    channel: Arc<ChunkChannel>,
-    buffers: Arc<Buffers>,
-    stats: Arc<SharedStats>,
-    /// Sequence number the next submitted buffer gets.
-    next_seq: u64,
-    /// Sequence number the sink needs next.
-    next_write: u64,
-    _shared: Arc<PoolShared>,
-}
-
-impl PipelineHandle {
-    /// A recycled (or fresh) record buffer for the writer to fill.
-    pub(crate) fn take_record_buffer(&self) -> Vec<StoreRecord> {
-        self.buffers.take_records()
-    }
-
-    /// Queue `records` for encoding. Blocks only when the bounded job
-    /// queue is full — the pipeline's backpressure point.
-    pub(crate) fn submit(&mut self, records: Vec<StoreRecord>) {
-        let job = EncodeJob {
-            seq: self.next_seq,
-            records,
-            out: Arc::clone(&self.channel),
-        };
-        self.next_seq += 1;
-        self.tx.send(job).expect("encoder pool is running");
-        let outstanding = self.next_seq - self.next_write;
-        self.stats.peak.fetch_max(outstanding, Ordering::Relaxed);
-    }
-
-    /// The next in-order encoded chunk, if it is already done.
-    pub(crate) fn try_next(&mut self) -> Option<Vec<u8>> {
-        let bytes = self.channel.try_take(self.next_write)?;
-        self.next_write += 1;
-        Some(bytes)
-    }
-
-    /// Block for the next in-order encoded chunk; `None` once every
-    /// submitted chunk has been taken.
-    pub(crate) fn wait_next(&mut self) -> Option<Vec<u8>> {
-        if self.next_write == self.next_seq {
-            return None;
-        }
-        let bytes = self.channel.wait_take(self.next_write);
-        self.next_write += 1;
-        Some(bytes)
-    }
-
-    /// Return a written-out chunk buffer to the free list.
-    pub(crate) fn recycle_chunk(&self, buf: Vec<u8>) {
-        self.buffers.recycle_chunk(buf);
-    }
-}
-
-fn encoder_loop(rx: &Mutex<Receiver<EncodeJob>>, buffers: &Buffers, stats: &SharedStats) {
-    let mut scratch = EncodeScratch::new();
-    loop {
-        // Hold the receiver lock only for the dequeue, not the encode.
-        let job = match rx.lock().unwrap().recv() {
-            Ok(job) => job,
-            Err(_) => return, // every sender dropped: pool shutting down
-        };
-        let mut out = buffers.take_chunk();
-        let start = Instant::now();
-        encode_chunk_into(&job.records, &mut scratch, &mut out);
-        stats
-            .nanos
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        stats.chunks.fetch_add(1, Ordering::Relaxed);
-        buffers.recycle_records(job.records);
-        job.out.put(job.seq, out);
-    }
-}
-
-// --------------------------------------------------------------- read path
+use std::sync::mpsc::{sync_channel, Receiver};
+use std::sync::{Condvar, Mutex};
 
 /// Totals from one [`scan_columns`] (or [`fold_chunks`]) scan.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -689,69 +315,6 @@ mod tests {
         }
         w.finish().unwrap();
         out
-    }
-
-    #[test]
-    fn pipelined_writer_is_byte_identical_to_serial() {
-        let reference = serial_bytes(100, 7);
-        for workers in [1, 2, 4] {
-            for queue_depth in [0, 1, 3] {
-                let pool = EncoderPool::new(PipelineConfig {
-                    workers,
-                    queue_depth,
-                });
-                let mut out = Vec::new();
-                let mut w = ChunkWriter::with_pool(&mut out, 7, &pool);
-                for r in records(100) {
-                    w.push(r).unwrap();
-                }
-                let stats = w.finish().unwrap();
-                assert_eq!(stats.records, 100);
-                assert_eq!(stats.chunks, 15); // 14×7 + 2
-                assert_eq!(stats.bytes, out.len() as u64);
-                assert_eq!(
-                    out, reference,
-                    "workers={workers} queue_depth={queue_depth}"
-                );
-                let pstats = pool.stats();
-                assert_eq!(pstats.chunks_encoded, 15);
-                assert!(pstats.max_queue_depth >= 1);
-            }
-        }
-    }
-
-    #[test]
-    fn threadless_pool_falls_back_to_inline_encoding() {
-        let pool = EncoderPool::new(PipelineConfig::serial());
-        assert_eq!(pool.workers(), 0);
-        let mut out = Vec::new();
-        let mut w = ChunkWriter::with_pool(&mut out, 5, &pool);
-        for r in records(23) {
-            w.push(r).unwrap();
-        }
-        w.finish().unwrap();
-        assert_eq!(out, serial_bytes(23, 5));
-        assert_eq!(pool.stats().chunks_encoded, 0, "nothing went off-thread");
-    }
-
-    #[test]
-    fn two_writers_share_a_pool_without_interleaving() {
-        let pool = EncoderPool::new(PipelineConfig {
-            workers: 2,
-            queue_depth: 2,
-        });
-        let mut out_a = Vec::new();
-        let mut out_b = Vec::new();
-        let mut a = ChunkWriter::with_pool(&mut out_a, 3, &pool);
-        let mut b = ChunkWriter::with_pool(&mut out_b, 4, &pool);
-        for r in records(31) {
-            a.push(r.clone()).unwrap();
-            b.push(r).unwrap();
-        }
-        a.finish().unwrap();
-        b.finish().unwrap();
-        assert_eq!(out_a, serial_bytes(31, 3));
-        assert_eq!(out_b, serial_bytes(31, 4));
     }
 
     #[test]

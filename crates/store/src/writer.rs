@@ -4,20 +4,14 @@
 //! encoding and flushing them as one chunk — the budget, not the
 //! dataset size, bounds the writer's peak resident record count.
 //!
-//! Two encoding modes share the same push/flush/finish surface and
-//! produce byte-identical output:
-//!
-//! * **serial** ([`ChunkWriter::new`]) — chunks are encoded inline on
-//!   the pushing thread through a persistent [`EncodeScratch`] and a
-//!   reused staging buffer, so the steady state allocates nothing per
-//!   chunk;
-//! * **pipelined** ([`ChunkWriter::with_pool`]) — full record buffers
-//!   are handed to a shared [`EncoderPool`] and the writer continues
-//!   into a recycled buffer, draining encoded chunks back to the sink
-//!   strictly in submission order (see [`crate::pipeline`]).
+//! Chunks are encoded inline on the pushing thread through a
+//! persistent [`EncodeScratch`] and a reused staging buffer, so the
+//! steady state allocates nothing per chunk (`tests/integration_alloc.rs`
+//! checks this). This is the store's only write path: the campaign's
+//! simulation workers already keep every core busy, so encoding on a
+//! thread of its own gains nothing (DESIGN.md §17).
 
 use crate::chunk::{encode_chunk_into, EncodeScratch};
-use crate::pipeline::{EncoderPool, PipelineHandle};
 use crate::record::StoreRecord;
 use crate::{Result, DEFAULT_CHUNK_BUDGET};
 use std::io::Write;
@@ -50,12 +44,9 @@ pub struct ChunkWriter<W: Write> {
     budget: usize,
     buffer: Vec<StoreRecord>,
     stats: WriterStats,
-    /// Serial-mode staging, retained across chunks.
+    /// Encode staging, retained across chunks.
     scratch: EncodeScratch,
     chunk_buf: Vec<u8>,
-    /// `Some` in pipelined mode: encode jobs go to the pool, encoded
-    /// chunks come back in order.
-    pipeline: Option<PipelineHandle>,
 }
 
 impl<W: Write> ChunkWriter<W> {
@@ -74,19 +65,7 @@ impl<W: Write> ChunkWriter<W> {
             stats: WriterStats::default(),
             scratch: EncodeScratch::new(),
             chunk_buf: Vec::new(),
-            pipeline: None,
         }
-    }
-
-    /// Create a writer that encodes on `pool`'s background threads,
-    /// byte-identical to the serial writer. A threadless pool
-    /// (`workers == 0`) yields a plain serial writer.
-    pub fn with_pool(sink: W, chunk_budget: usize, pool: &EncoderPool) -> Self {
-        let mut writer = ChunkWriter::new(sink, chunk_budget);
-        if pool.workers() > 0 {
-            writer.pipeline = Some(pool.handle());
-        }
-        writer
     }
 
     /// The writer's chunk budget.
@@ -127,13 +106,6 @@ impl<W: Write> ChunkWriter<W> {
         if !self.buffer.is_empty() {
             self.flush_chunk()?;
         }
-        if let Some(mut handle) = self.pipeline.take() {
-            while let Some(chunk) = handle.wait_next() {
-                self.sink.write_all(&chunk)?;
-                self.stats.bytes += chunk.len() as u64;
-                handle.recycle_chunk(chunk);
-            }
-        }
         self.sink.flush()?;
         Ok(self.stats)
     }
@@ -141,26 +113,11 @@ impl<W: Write> ChunkWriter<W> {
     fn flush_chunk(&mut self) -> Result<()> {
         self.stats.records += self.buffer.len() as u64;
         self.stats.chunks += 1;
-        if let Some(handle) = self.pipeline.as_mut() {
-            // Swap in a recycled buffer and hand the full one to the
-            // pool; only the bounded job queue can make this block.
-            let fresh = handle.take_record_buffer();
-            let records = std::mem::replace(&mut self.buffer, fresh);
-            handle.submit(records);
-            // Drain whatever finished, in order — keeps the sink busy
-            // without ever waiting on an encoder.
-            while let Some(chunk) = handle.try_next() {
-                self.sink.write_all(&chunk)?;
-                self.stats.bytes += chunk.len() as u64;
-                handle.recycle_chunk(chunk);
-            }
-        } else {
-            self.chunk_buf.clear();
-            encode_chunk_into(&self.buffer, &mut self.scratch, &mut self.chunk_buf);
-            self.sink.write_all(&self.chunk_buf)?;
-            self.stats.bytes += self.chunk_buf.len() as u64;
-            self.buffer.clear();
-        }
+        self.chunk_buf.clear();
+        encode_chunk_into(&self.buffer, &mut self.scratch, &mut self.chunk_buf);
+        self.sink.write_all(&self.chunk_buf)?;
+        self.stats.bytes += self.chunk_buf.len() as u64;
+        self.buffer.clear();
         Ok(())
     }
 }

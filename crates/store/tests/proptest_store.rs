@@ -11,8 +11,8 @@ use dohperf_store::chunk::{parse_header, CHUNK_HEADER_LEN};
 use dohperf_store::varint::put_u64;
 use dohperf_store::{
     decode_chunk, decode_chunk_columns, encode_chunk, fold_chunks, ChunkColumns, ChunkReader,
-    ChunkWriter, EncoderPool, PipelineConfig, StoreDohSample, StoreError, StorePageSample,
-    StoreRecord, StoreTransportSample, StoreWindowSample,
+    ChunkWriter, StoreDohSample, StoreError, StorePageSample, StoreRecord, StoreTransportSample,
+    StoreWindowSample,
 };
 use proptest::prelude::*;
 
@@ -367,36 +367,6 @@ proptest! {
             msg.contains("checksum mismatch"),
             "flip at byte {} bit {} gave a non-checksum error: {}", pos, bit, msg
         );
-    }
-
-    /// The background encoder pipeline is invisible in the output: for
-    /// any batch, chunk budget, worker count, and queue depth, the
-    /// pipelined writer produces exactly the serial writer's bytes.
-    #[test]
-    fn pipelined_writer_matches_serial_bytes(
-        seeds in proptest::collection::vec(any::<u64>(), 0..48),
-        budget in 1usize..9,
-        workers in 1usize..5,
-        queue_depth in 1usize..6,
-    ) {
-        let records = batch(&seeds);
-        let mut serial = Vec::new();
-        let mut w = ChunkWriter::new(&mut serial, budget);
-        for r in &records {
-            w.push(r.clone()).expect("Vec sink cannot fail");
-        }
-        let serial_stats = w.finish().expect("finish serial");
-
-        let pool = EncoderPool::new(PipelineConfig { workers, queue_depth });
-        let mut piped = Vec::new();
-        let mut w = ChunkWriter::with_pool(&mut piped, budget, &pool);
-        for r in &records {
-            w.push(r.clone()).expect("Vec sink cannot fail");
-        }
-        let piped_stats = w.finish().expect("finish pipelined");
-
-        prop_assert_eq!(serial_stats, piped_stats);
-        prop_assert_eq!(serial, piped);
     }
 
     /// The parallel chunk fold visits the same chunks, in the same

@@ -2,7 +2,7 @@
 //!
 //! Runs a small campaign twice in one process — the cold run populates
 //! the label arena and latency caches, the warm run is steady state —
-//! and checks four things:
+//! and checks five things:
 //!
 //! 1. the warm run performs **zero** steady-state hot-path allocations
 //!    (allocations inside a `hot_scope`, outside `exempt_scope`s, after
@@ -16,10 +16,15 @@
 //!    `headline_from_store_threads(dir, 1)`, DESIGN.md §17 "Read path")
 //!    allocates per chunk, never per record: at chunk budgets 64 and
 //!    512 it stays within a fixed allowance plus a few allocations per
-//!    chunk on top of the sketch fold's own.
+//!    chunk on top of the sketch fold's own;
+//! 5. writing prebuilt store records through `ChunkWriter::new` into a
+//!    pre-reserved `Vec` (the store's one write path, DESIGN.md §17
+//!    "Write path") allocates nothing per chunk: at chunk budgets 64
+//!    and 512 it stays within one fixed allowance, however many chunks
+//!    it writes.
 //!
 //! Built with `--features alloc-count` (as the CI alloc job does)
-//! the counting allocator is installed and checks 1 and 4 have teeth. Without
+//! the counting allocator is installed and checks 1, 4 and 5 have teeth. Without
 //! the feature the totals stay zero and the test still exercises the
 //! determinism checks.
 //!
@@ -31,7 +36,8 @@ use dohperf::analysis::streaming::{headline_from_store_threads, StreamingHeadlin
 use dohperf::core::campaign::{Campaign, CampaignConfig};
 use dohperf::core::export::to_jsonl;
 use dohperf::core::records::Dataset;
-use dohperf::core::store_io::{read_manifest, write_dataset};
+use dohperf::core::store_io::{read_manifest, record_to_store, write_dataset};
+use dohperf::store::{ChunkWriter, StoreRecord};
 use dohperf::telemetry::alloc;
 
 #[cfg(feature = "alloc-count")]
@@ -87,6 +93,7 @@ fn warm_campaign_is_allocation_free_and_thread_invariant() {
     }
 
     store_scan_allocations_are_per_chunk(&cold);
+    store_write_allocations_are_fixed(&cold);
 }
 
 /// Allocations a warm store scan may make on top of the sketches'
@@ -141,6 +148,63 @@ fn store_scan_allocations_are_per_chunk(ds: &Dataset) {
             "a warm store scan at chunk budget {budget} made {scan_allocs} allocations \
              over {chunks} chunks and {} records; the sketch fold alone makes {fold_allocs}",
             ds.records.len()
+        );
+    }
+}
+
+/// Allocations one writer may make in total: its record buffer, and
+/// growing its encode scratch and staging buffer to the largest chunk.
+const WRITE_ALLOCS: u64 = 64;
+
+/// Times the dataset's records are pushed through each writer, so the
+/// chunk count at budget 64 is over twice [`WRITE_ALLOCS`] and one
+/// allocation per chunk could not hide inside it.
+const WRITE_PASSES: usize = 4;
+
+/// Writing `ds`'s records, prebuilt as `StoreRecord`s, through a fresh
+/// `ChunkWriter::new` into a `Vec` reserved to the final size makes at
+/// most [`WRITE_ALLOCS`] allocations at chunk budgets 64 and 512.
+fn store_write_allocations_are_fixed(ds: &Dataset) {
+    let once: Vec<StoreRecord> = ds.records.iter().map(record_to_store).collect();
+    let records: Vec<StoreRecord> = (0..WRITE_PASSES).flat_map(|_| once.clone()).collect();
+    assert!(
+        records.len() / 64 > 2 * WRITE_ALLOCS as usize,
+        "too few records ({}) to tell a per-chunk allocation from the fixed allowance",
+        records.len()
+    );
+    for budget in [64, 512] {
+        let mut reference = Vec::new();
+        let mut w = ChunkWriter::new(&mut reference, budget);
+        for r in &records {
+            w.push(r.clone()).expect("Vec sink cannot fail");
+        }
+        let expected = w.finish().expect("finish reference");
+        let input = records.clone();
+
+        let mut out = Vec::with_capacity(reference.len());
+        alloc::reset();
+        let mut w = ChunkWriter::new(&mut out, budget);
+        for r in input {
+            w.push(r).expect("Vec sink cannot fail");
+        }
+        let stats = w.finish().expect("finish measured");
+        let write_allocs = alloc::totals().allocs;
+        assert_eq!(stats, expected);
+        assert!(
+            out == reference,
+            "store bytes diverged at chunk budget {budget}"
+        );
+
+        eprintln!(
+            "store write at chunk budget {budget}: {} records in {} chunks, \
+             {write_allocs} allocations (bound {WRITE_ALLOCS})",
+            stats.records, stats.chunks
+        );
+        assert!(
+            write_allocs <= WRITE_ALLOCS,
+            "writing {} chunks at chunk budget {budget} made {write_allocs} allocations; \
+             the fixed allowance is {WRITE_ALLOCS}",
+            stats.chunks
         );
     }
 }

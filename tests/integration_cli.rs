@@ -7,7 +7,9 @@
 //! values with a usage hint, and a valid protocol list must run the
 //! `transports` experiment end to end. `repro gate` must reject unknown
 //! rows with exit 2, and fail a row whose golden trace or metrics
-//! baseline no longer matches (exit 3 for metrics drift).
+//! baseline no longer matches (exit 3 for metrics drift). `export
+//! --out-format store` from another store must write the dataset it
+//! reports, never keep a stale store left by an earlier run.
 
 use std::process::Command;
 
@@ -401,6 +403,70 @@ fn a_drifted_metrics_baseline_fails_its_gate_with_exit_3() {
         Some(3),
         "metrics drift must exit 3:\n{}",
         String::from_utf8_lossy(&out.stderr)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The number between `prefix` and the next space in `text`.
+fn count_after(text: &str, prefix: &str) -> usize {
+    let at = text
+        .find(prefix)
+        .unwrap_or_else(|| panic!("no {prefix:?} in:\n{text}"))
+        + prefix.len();
+    let digits = text[at..].split(' ').next().expect("a count");
+    digits.parse().unwrap_or_else(|e| panic!("{digits:?}: {e}"))
+}
+
+#[test]
+fn store_export_from_another_store_replaces_a_stale_store() {
+    let dir = std::env::temp_dir().join(format!("dohperf-cli-{}-export", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let run = |args: &[&str]| {
+        let out = repro()
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn repro");
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "repro {args:?}:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    // A stale store in the default `target/store`, then the real one.
+    run(&[
+        "--seed",
+        "1",
+        "--scale",
+        "0.02",
+        "--out-format",
+        "store",
+        "headline",
+    ]);
+    run(&[
+        "--seed",
+        "2021",
+        "--scale",
+        "0.05",
+        "--out-format",
+        "store",
+        "--store-dir",
+        "other",
+        "headline",
+    ]);
+    let report = run(&["--from-store", "other", "--out-format", "store", "export"]);
+
+    let clients = count_after(&report, "exported ");
+    assert_eq!(count_after(&report, "target/store ("), clients, "{report}");
+    let source = dohperf_core::read_dataset(&dir.join("other")).expect("read source store");
+    let exported = dohperf_core::read_dataset(&dir.join("target/store")).expect("read export");
+    assert_eq!(source.records.len(), clients);
+    assert!(
+        dohperf_core::export::to_jsonl(&exported) == dohperf_core::export::to_jsonl(&source),
+        "target/store does not read back to the exported dataset"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

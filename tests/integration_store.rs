@@ -21,7 +21,7 @@ use dohperf_core::records::{ClientRecord, Dataset};
 use dohperf_core::store_io::{read_manifest, write_dataset};
 use dohperf_core::{read_dataset, read_dataset_threads};
 use dohperf_store::chunk::CHUNK_HEADER_LEN;
-use dohperf_store::{PipelineConfig, StoreError, MANIFEST_FILE, RECORDS_FILE};
+use dohperf_store::{StoreError, MANIFEST_FILE, RECORDS_FILE};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -143,47 +143,6 @@ fn four_protocol_store_round_trips_and_stays_thread_invariant() {
         "4-protocol records.chunks diverged at 8 threads"
     );
     let _ = fs::remove_dir_all(&dir8);
-}
-
-#[test]
-fn encoder_pool_shape_never_changes_store_bytes() {
-    // The off-thread encode pipeline (DESIGN.md §17) must be invisible
-    // on disk: inline encoding and every (workers x queue_depth) pool
-    // shape produce the same records.chunks and manifest.bin.
-    let run = |pipeline: PipelineConfig, tag: &str| {
-        let dir = temp_store(tag);
-        Campaign::new(CampaignConfig::quick(2021))
-            .run_to_store_with(&dir, 0, pipeline)
-            .unwrap_or_else(|e| panic!("streaming campaign to {}: {e}", dir.display()));
-        dir
-    };
-    let serial = run(PipelineConfig::serial(), "pool-serial");
-    let chunks = fs::read(serial.join(RECORDS_FILE)).expect("serial chunks");
-    let manifest = fs::read(serial.join(MANIFEST_FILE)).expect("serial manifest");
-    assert!(!chunks.is_empty(), "store wrote no chunk bytes");
-    let _ = fs::remove_dir_all(&serial);
-
-    for (workers, queue_depth) in [(1, 1), (1, 4), (2, 1), (4, 8)] {
-        let tag = format!("pool-w{workers}q{queue_depth}");
-        let dir = run(
-            PipelineConfig {
-                workers,
-                queue_depth,
-            },
-            &tag,
-        );
-        let chunks_p = fs::read(dir.join(RECORDS_FILE)).expect("pipelined chunks");
-        let manifest_p = fs::read(dir.join(MANIFEST_FILE)).expect("pipelined manifest");
-        assert!(
-            chunks == chunks_p,
-            "records.chunks diverged with {workers} encoder workers, queue depth {queue_depth}"
-        );
-        assert!(
-            manifest == manifest_p,
-            "manifest.bin diverged with {workers} encoder workers, queue depth {queue_depth}"
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
 }
 
 #[test]
