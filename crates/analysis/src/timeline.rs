@@ -3,9 +3,9 @@
 //! A windowed campaign (`window_nanos > 0`) tags every retained record
 //! with per-(window, provider, transport) [`WindowSample`] summaries.
 //! This module folds those into per-window series — p50/p95/p99 query
-//! latency (via the mergeable Greenwald–Khanna sketches in
-//! `dohperf_stats::windowed`), availability (success fraction), and
-//! cache hit rate — per (provider, transport) pair.
+//! latency (one Greenwald–Khanna sketch per cell), availability
+//! (success fraction), and cache hit rate — per (provider, transport)
+//! pair.
 //!
 //! # Determinism contract
 //!
@@ -19,7 +19,7 @@
 use dohperf_core::records::{Dataset, WindowSample};
 use dohperf_netsim::connection::DnsTransport;
 use dohperf_providers::provider::{ProviderKind, ALL_PROVIDERS};
-use dohperf_stats::windowed::WindowedSeries;
+use dohperf_stats::GkSketch;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -109,54 +109,65 @@ impl Timeline {
     }
 }
 
-/// Non-latency tallies of one cell while the fold is in flight.
-#[derive(Debug, Default, Clone, Copy)]
+/// One cell's tallies and latency sketch while the fold is in flight.
+#[derive(Debug, Clone)]
 struct Tally {
     queries: u64,
     successes: u64,
     cache_lookups: u64,
     cache_hits: u64,
     latency_samples: u64,
+    latency: GkSketch,
+}
+
+impl Default for Tally {
+    fn default() -> Self {
+        Tally {
+            queries: 0,
+            successes: 0,
+            cache_lookups: 0,
+            cache_hits: 0,
+            latency_samples: 0,
+            latency: GkSketch::new(TIMELINE_EPSILON),
+        }
+    }
 }
 
 /// Fold a dataset's window samples into the timeline.
 ///
-/// Latencies go through one [`WindowedSeries`] per (provider,
-/// transport) pair — the same block-anchored sketch machinery the
-/// campaign's shards use — keyed by the sample's window index; counts
-/// accumulate in plain integer tallies. Only cells that actually saw a
-/// sample appear.
+/// Every (provider, transport, window) cell keeps integer tallies and
+/// one [`GkSketch`] of the latencies of its query-carrying samples,
+/// inserted in record order. Only cells that actually saw a sample
+/// appear.
 pub fn timeline(ds: &Dataset) -> Timeline {
     // Keyed by canonical ordinals so the output order never depends on
     // enum declaration details.
-    let mut latencies: BTreeMap<(usize, usize), WindowedSeries> = BTreeMap::new();
     let mut tallies: BTreeMap<(usize, usize, u32), Tally> = BTreeMap::new();
     for r in &ds.records {
         for s in &r.windows {
-            let key = (provider_ordinal(s), transport_ordinal(s));
-            let t = tallies.entry((key.0, key.1, s.window)).or_default();
+            let t = tallies
+                .entry((provider_ordinal(s), transport_ordinal(s), s.window))
+                .or_default();
             t.queries += u64::from(s.queries);
             t.successes += u64::from(s.successes);
             t.cache_lookups += u64::from(s.cache_lookups);
             t.cache_hits += u64::from(s.cache_hits);
             if s.queries > 0 {
                 t.latency_samples += 1;
-                latencies
-                    .entry(key)
-                    .or_insert_with(|| WindowedSeries::new(TIMELINE_EPSILON, 1))
-                    .insert_in_window(u64::from(s.window), s.latency_ms);
+                t.latency.insert(s.latency_ms);
             }
         }
     }
     let cells = tallies
         .into_iter()
         .map(|((pi, ti, window), t)| {
-            let quantiles = latencies
-                .get(&(pi, ti))
-                .and_then(|series| series.window(u64::from(window)))
-                .map(|stats| stats.sketch.quantiles(&[0.5, 0.95, 0.99]))
-                .unwrap_or_default();
-            let q = |i: usize| quantiles.get(i).copied().unwrap_or(0.0);
+            let q = |q: f64| {
+                if t.latency_samples > 0 {
+                    t.latency.query(q)
+                } else {
+                    0.0
+                }
+            };
             TimelineCell {
                 provider: ALL_PROVIDERS[pi],
                 transport: DnsTransport::ALL[ti],
@@ -166,9 +177,9 @@ pub fn timeline(ds: &Dataset) -> Timeline {
                 cache_lookups: t.cache_lookups,
                 cache_hits: t.cache_hits,
                 latency_samples: t.latency_samples,
-                p50_ms: q(0),
-                p95_ms: q(1),
-                p99_ms: q(2),
+                p50_ms: q(0.5),
+                p95_ms: q(0.95),
+                p99_ms: q(0.99),
             }
         })
         .collect();
@@ -337,6 +348,49 @@ mod tests {
         }
         // Page cells put real traffic on the cache axis.
         assert!(tl.cells.iter().any(|c| c.cache_lookups > 0));
+    }
+
+    #[test]
+    fn cell_quantiles_lie_within_epsilon_ranks_of_the_exact_ones() {
+        let ds = windowed_dataset();
+        let mut exact: BTreeMap<(usize, usize, u32), Vec<f64>> = BTreeMap::new();
+        for r in &ds.records {
+            for s in r.windows.iter().filter(|s| s.queries > 0) {
+                exact
+                    .entry((provider_ordinal(s), transport_ordinal(s), s.window))
+                    .or_default()
+                    .push(s.latency_ms);
+            }
+        }
+        let tl = timeline(ds);
+        let mut checked = 0;
+        for c in tl.cells.iter().filter(|c| c.latency_samples > 0) {
+            let key = (
+                ALL_PROVIDERS.iter().position(|&p| p == c.provider).unwrap(),
+                DnsTransport::ALL
+                    .iter()
+                    .position(|&t| t == c.transport)
+                    .unwrap(),
+                c.window,
+            );
+            let xs = &exact[&key];
+            assert_eq!(xs.len() as u64, c.latency_samples, "{c:?}");
+            let n = xs.len() as f64;
+            for (q, v) in [(0.5, c.p50_ms), (0.95, c.p95_ms), (0.99, c.p99_ms)] {
+                // The ranks `v` occupies in the cell's samples, and the
+                // rank of the exact quantile.
+                let lo = xs.iter().filter(|&&x| x < v).count() as f64 + 1.0;
+                let hi = xs.iter().filter(|&&x| x <= v).count() as f64;
+                let target = (q * n).ceil().max(1.0);
+                let slack = TIMELINE_EPSILON * n;
+                assert!(
+                    lo <= target + slack && hi >= target - slack,
+                    "{c:?}: q{q} = {v} holds ranks {lo}..={hi}, exact rank {target}"
+                );
+            }
+            checked += 1;
+        }
+        assert!(checked > 0);
     }
 
     #[test]

@@ -309,11 +309,12 @@ fn main() {
         }
     }
 
-    // Exit-code propagation for background/artifact writers: trace or
-    // artifact write failures must not leave the process exiting 0.
-    let io_failures = ctx.io_errors().len();
-    if io_failures > 0 {
-        eprintln!("error: {io_failures} I/O failure(s) during the run (see above)");
+    // Exit-code propagation for artifact writers and inconsistent
+    // inputs: a trace or artifact write failure, or a `--window-hours`
+    // the data contradicts, must not leave the process exiting 0.
+    let failures = ctx.errors().len();
+    if failures > 0 {
+        eprintln!("error: {failures} failure(s) during the run (see above)");
         std::process::exit(4);
     }
 }

@@ -11,7 +11,9 @@ use dohperf_analysis::geography::country_median_for;
 use dohperf_analysis::pop_improvement::stats_for;
 use dohperf_analysis::prelude::*;
 use dohperf_analysis::render::{f, pct, pval, table};
-use dohperf_core::campaign::{Campaign, CampaignConfig, ClientExplain, ProtocolSet};
+use dohperf_core::campaign::{
+    Campaign, CampaignConfig, ClientExplain, ProtocolSet, CAMPAIGN_DURATION_NANOS,
+};
 use dohperf_core::records::Dataset;
 use dohperf_core::validation;
 use dohperf_netsim::connection::{DnsTransport, TlsVersion};
@@ -178,9 +180,9 @@ pub const EXPERIMENTS: &[Experiment] = &[
 pub struct ReproContext {
     config: ReproConfig,
     dataset: Option<Dataset>,
-    /// I/O failures from writers that used to be swallowed into output
-    /// strings; the binary turns a non-empty list into a nonzero exit.
-    io_errors: Vec<String>,
+    /// Failures from artifact writers and inconsistent inputs; the
+    /// binary turns a non-empty list into a nonzero exit.
+    errors: Vec<String>,
 }
 
 impl ReproContext {
@@ -189,20 +191,26 @@ impl ReproContext {
         ReproContext {
             config,
             dataset: None,
-            io_errors: Vec::new(),
+            errors: Vec::new(),
         }
     }
 
-    /// I/O failures recorded so far (trace export, store writes). The
-    /// process must not exit 0 while this is non-empty.
-    pub fn io_errors(&self) -> &[String] {
-        &self.io_errors
+    /// Failures recorded so far (trace export, store writes, a
+    /// `--window-hours` the data contradicts). The process must not exit
+    /// 0 while this is non-empty.
+    pub fn errors(&self) -> &[String] {
+        &self.errors
+    }
+
+    /// Report a failure on stderr and record it for exit-code propagation.
+    pub fn record_error(&mut self, message: String) {
+        eprintln!("error: {message}");
+        self.errors.push(message);
     }
 
     /// Record an I/O failure for exit-code propagation.
     pub fn record_io_error(&mut self, context: &str, err: &std::io::Error) {
-        eprintln!("error: {context}: {err}");
-        self.io_errors.push(format!("{context}: {err}"));
+        self.record_error(format!("{context}: {err}"));
     }
 
     /// An artifact writer's text, or its failure recorded and reported.
@@ -1329,23 +1337,42 @@ a traffic-weighted view of the Internet — the direction of bias the paper's §
     pub fn timeline(&mut self) -> String {
         let hours = self.config.window_hours;
         let ds = self.dataset();
-        let tl = timeline(ds);
+        let (tl, clients) = (timeline(ds), ds.records.len());
         if tl.is_empty() {
             return String::from(
                 "Timeline: no window samples in this dataset.\n\
                  Run with --window-hours 1 to record windowed series.\n",
             );
         }
+        // A store keeps window indices, not the width that produced
+        // them: the width comes from the flag, checked against the data.
+        let width = match window_nanos(hours) {
+            0 => "not recorded in the store (pass --window-hours H)".to_string(),
+            nanos => {
+                let per_day = CAMPAIGN_DURATION_NANOS.div_ceil(nanos);
+                let last = tl.windows().last().copied().unwrap_or(0);
+                if u64::from(last) >= per_day {
+                    let message = format!(
+                        "timeline: --window-hours {hours} gives {per_day} window(s) per simulated \
+                         day (indices 0..={}), but the dataset holds window index {last}",
+                        per_day - 1
+                    );
+                    self.record_error(message.clone());
+                    return format!("{message}\n");
+                }
+                format!("{hours} simulated hour(s)")
+            }
+        };
         let mut out = String::from(
             "Timeline: per-window latency/availability/cache series \
              over one simulated day\n",
         );
         let _ = writeln!(
             out,
-            "window width: {hours} simulated hour(s)   windows: {}   cells: {}   clients: {}",
+            "window width: {width}   windows: {}   cells: {}   clients: {}",
             tl.windows().len(),
             tl.cells.len(),
-            ds.records.len(),
+            clients,
         );
         out += &dohperf_analysis::timeline::render(&tl);
         out += "\n(p50/p95/p99 = per-window query-latency quantiles from mergeable GK sketches;\n\

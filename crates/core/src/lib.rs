@@ -43,7 +43,7 @@ pub use equations::{
 pub use export::{to_csv, to_jsonl};
 pub use pageload::{PageModel, PageOutcome, PageProfile};
 pub use records::{ClientRecord, Dataset, Do53Source, DohSample, PageSample, TransportSample};
-pub use store_io::{fold_chunks, read_dataset, read_dataset_threads, read_records, write_dataset};
+pub use store_io::{fold_chunks, read_dataset, read_dataset_threads, write_dataset};
 pub use testbed::Testbed;
 
 /// Convenience re-exports.

@@ -12,8 +12,6 @@
 //!   (floats round-trip through raw bits, so a dataset written and read
 //!   compares equal field-for-field); [`read_dataset_threads`] is the
 //!   same with CRC + column decoding fanned across worker threads;
-//! * [`read_records`] — stream records one chunk at a time for
-//!   memory-bounded analysis; peak residency is one decoded chunk;
 //! * [`fold_chunks`] — the parallel streaming primitive: decode and
 //!   convert on `threads` workers, fold record batches on the calling
 //!   thread in canonical chunk order (what keeps sketch-based analyses
@@ -34,9 +32,9 @@ use dohperf_netsim::connection::DnsTransport;
 use dohperf_netsim::topology::GeoPoint;
 use dohperf_providers::provider::{ProviderKind, ALL_PROVIDERS};
 use dohperf_store::{
-    sample_spans, ChunkColumns, ChunkReader, ChunkWriter, Manifest, ReadStats, Result,
-    StoreDohSample, StoreError, StorePageSample, StoreRecord, StoreTransportSample,
-    StoreWindowSample, WriterStats, MANIFEST_FILE, RECORDS_FILE,
+    sample_spans, ChunkColumns, ChunkWriter, Manifest, ReadStats, Result, StoreDohSample,
+    StoreError, StorePageSample, StoreRecord, StoreTransportSample, StoreWindowSample, WriterStats,
+    MANIFEST_FILE, RECORDS_FILE,
 };
 use dohperf_world::geoloc::Prefix24;
 use std::fs::File;
@@ -560,40 +558,6 @@ pub fn read_dataset_threads(dir: &Path, threads: usize) -> Result<Dataset> {
     })
 }
 
-/// Stream rich records from a store directory, one chunk resident at a
-/// time. Counts every yielded record in `store.records_streamed`.
-pub fn read_records(dir: &Path) -> Result<RecordStream> {
-    let file = File::open(dir.join(RECORDS_FILE))?;
-    Ok(RecordStream {
-        inner: ChunkReader::new(BufReader::new(file)),
-    })
-}
-
-/// Iterator adapter over [`ChunkReader`] yielding rich [`ClientRecord`]s.
-pub struct RecordStream {
-    inner: ChunkReader<BufReader<File>>,
-}
-
-impl RecordStream {
-    /// Chunks fully decoded so far.
-    pub fn chunks_read(&self) -> u64 {
-        self.inner.chunks_read()
-    }
-}
-
-impl Iterator for RecordStream {
-    type Item = Result<ClientRecord>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let item = self.inner.next()?;
-        let converted = item.and_then(|r| record_from_store(&r));
-        if converted.is_ok() {
-            dohperf_telemetry::counter!("store.records_streamed").inc();
-        }
-        Some(converted)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -639,19 +603,6 @@ mod tests {
         assert_eq!(back.discarded_mismatches, ds.discarded_mismatches);
         assert_eq!(back.observed_ases, ds.observed_ases);
         assert_eq!(back.observed_resolvers, ds.observed_resolvers);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn streaming_read_matches_manifest_totals() {
-        let ds = dataset();
-        let dir = temp_dir("stream");
-        write_dataset(ds, &dir, 32).unwrap();
-        let manifest = read_manifest(&dir).unwrap();
-        let mut stream = read_records(&dir).unwrap();
-        let n = stream.by_ref().filter(|r| r.is_ok()).count();
-        assert_eq!(n as u64, manifest.total_records);
-        assert_eq!(stream.chunks_read(), manifest.total_chunks);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -197,8 +197,9 @@ pub fn run_table2(seed: u64, runs: u32) -> Vec<Do53ValidationRow> {
 }
 
 /// §4.3: verify via packet traces that an exit node's first DNS packet
-/// goes to its OS-configured resolver. Returns true when every observed
-/// resolution used the default resolver.
+/// goes to its OS-configured resolver. Returns true when the trace holds
+/// at least one exit-originated DNS packet per resolution (and at least
+/// one overall) and every such packet targets the default resolver.
 pub fn run_resolver_confirmation(seed: u64, resolutions: u32) -> bool {
     let mut tb = Testbed::new(seed);
     let exit = controlled_exit(&mut tb, "BR", 3000);
@@ -217,14 +218,20 @@ pub fn run_resolver_confirmation(seed: u64, resolutions: u32) -> bool {
         );
     }
     // Every dns/udp packet originated by the exit host must target its
-    // configured resolver.
-    let all_via_default = tb
+    // configured resolver, and every resolution must have left at least
+    // one such packet: an empty trace confirms nothing.
+    let mut sent = 0u64;
+    let mut all_via_default = true;
+    for r in tb
         .sim
         .trace()
         .by_proto("dns/udp")
         .filter(|r| r.src == exit.node)
-        .all(|r| r.dst == exit.resolver);
-    all_via_default
+    {
+        sent += 1;
+        all_via_default &= r.dst == exit.resolver;
+    }
+    all_via_default && sent >= u64::from(resolutions.max(1))
 }
 
 /// §4.4: compare BrightData and Atlas Do53 medians in the overlap
@@ -330,6 +337,14 @@ mod tests {
     #[test]
     fn resolver_confirmation_holds() {
         assert!(run_resolver_confirmation(14, 10));
+    }
+
+    #[test]
+    fn resolver_confirmation_needs_packets_to_confirm() {
+        // No resolution, no trace: nothing was observed, so nothing is
+        // confirmed.
+        assert!(!run_resolver_confirmation(14, 0));
+        assert!(run_resolver_confirmation(14, 1));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::latency::{LatencyModel, PathModel};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, NodeSpec, Topology};
-use crate::trace::{PacketDirection, PacketRecord, TraceLog};
+use crate::trace::{PacketRecord, TraceLog};
 use dohperf_telemetry::flight;
 
 /// Callback type fired by the engine.
@@ -186,7 +186,6 @@ impl Simulator {
             dst,
             proto,
             note,
-            direction: PacketDirection::Tx,
         });
     }
 

@@ -38,7 +38,7 @@
 //!   (DoH/DoT/DoQ): cold, resumed and warm handshake costs, keep-alive
 //!   reuse with deterministic idle timeout, generation-tagged
 //!   re-establishment, and the H2-vs-QUIC loss-stall asymmetry.
-//! * [`trace`] — a pcap-like event log used by the §4.3 experiment.
+//! * [`trace`] — the packet log the §4.3 experiment inspects.
 //!
 //! ## Quick example
 //!
@@ -56,7 +56,6 @@ pub mod connection;
 pub mod engine;
 pub mod event;
 pub mod latency;
-pub mod pcap;
 pub mod rng;
 pub mod time;
 pub mod topology;
@@ -66,11 +65,10 @@ pub use connection::{Acquired, ConnState, Connection, DnsTransport, TlsVersion, 
 pub use engine::Simulator;
 pub use event::{EventId, EventQueue};
 pub use latency::{InfraProfile, LatencyModel, PathModel};
-pub use pcap::to_pcap;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 pub use topology::{GeoPoint, NodeId, NodeRole, NodeSpec, Topology};
-pub use trace::{PacketDirection, PacketRecord, TraceLog};
+pub use trace::{PacketRecord, TraceLog};
 
 /// Convenience re-exports for downstream crates and examples.
 pub mod prelude {
@@ -82,5 +80,5 @@ pub mod prelude {
     pub use crate::rng::SimRng;
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::{GeoPoint, NodeId, NodeRole, NodeSpec, Topology};
-    pub use crate::trace::{PacketDirection, PacketRecord, TraceLog};
+    pub use crate::trace::{PacketRecord, TraceLog};
 }

@@ -12,12 +12,9 @@
 //!   least squares, reporting odds ratios and Wald p-values (Table 4).
 //! * [`scale`] — min–max feature scaling used for the paper's "scaled
 //!   coefficients".
-//! * [`sketch`] — mergeable Greenwald–Khanna quantile sketches and exact
-//!   streaming moments for memory-bounded analysis over the columnar
-//!   store.
-//! * [`windowed`] — the sketches and moments keyed by simulated-time
-//!   window, with block-anchored partials whose canonical fold keeps
-//!   per-window summaries byte-identical under any shard layout.
+//! * [`sketch`] — mergeable Greenwald–Khanna quantile sketches for
+//!   memory-bounded analysis over the columnar store and the per-window
+//!   latency quantiles of `repro timeline`.
 //! * [`special`] — `erf` and the standard normal CDF, implemented from
 //!   scratch (the offline crate set has no special-functions crate).
 //!
@@ -31,7 +28,6 @@ pub mod resample;
 pub mod scale;
 pub mod sketch;
 pub mod special;
-pub mod windowed;
 
 pub use desc::{ecdf, mean, median, quantile, stddev, Summary};
 pub use logistic::{LogisticFit, LogisticRegression};
@@ -39,9 +35,8 @@ pub use matrix::Matrix;
 pub use ols::{OlsFit, OlsRegression};
 pub use resample::{bootstrap_ci, median_ci, spearman, ConfidenceInterval};
 pub use scale::MinMaxScaler;
-pub use sketch::{GkSketch, StreamingMoments};
+pub use sketch::GkSketch;
 pub use special::{erf, normal_cdf};
-pub use windowed::{WindowStats, WindowedMerge, WindowedPartial, WindowedSeries};
 
 /// Convenience re-exports.
 pub mod prelude {
@@ -50,7 +45,6 @@ pub mod prelude {
     pub use crate::matrix::Matrix;
     pub use crate::ols::{OlsFit, OlsRegression};
     pub use crate::scale::MinMaxScaler;
-    pub use crate::sketch::{GkSketch, StreamingMoments};
+    pub use crate::sketch::GkSketch;
     pub use crate::special::{erf, normal_cdf};
-    pub use crate::windowed::{WindowStats, WindowedMerge, WindowedPartial, WindowedSeries};
 }

@@ -1,21 +1,15 @@
-//! Streaming, mergeable summaries for memory-bounded analysis.
+//! Streaming, mergeable quantile summaries for memory-bounded analysis.
 //!
-//! Two pieces back the store-streaming analysis path:
+//! [`GkSketch`] is a Greenwald–Khanna ε-approximate quantile sketch.
+//! Space is O(1/ε · log(εn)) regardless of stream length; any quantile
+//! query is answered within ε of the true rank. Sketches built over
+//! disjoint substreams (e.g. per campaign shard) merge, with the merged
+//! rank error bounded by the sum of the two input errors — so per-shard
+//! sketches at ε/2 answer merged queries at ε.
 //!
-//! * [`GkSketch`] — a Greenwald–Khanna ε-approximate quantile sketch.
-//!   Space is O(1/ε · log(εn)) regardless of stream length; any
-//!   quantile query is answered within ε of the true rank. Sketches
-//!   built over disjoint substreams (e.g. per campaign shard) merge,
-//!   with the merged rank error bounded by the sum of the two input
-//!   errors — so per-shard sketches at ε/2 answer merged queries at ε.
-//! * [`StreamingMoments`] — exact count/mean/min/max/variance in O(1)
-//!   space via Welford's online update, also mergeable (parallel
-//!   variance formula), so the moment columns of the headline table
-//!   are *exact* even on the streaming path.
-//!
-//! Both are deterministic: the same insertion sequence produces the
-//! same internal state, and merging follows the shard order chosen by
-//! the caller.
+//! The sketch is deterministic: the same insertion sequence produces
+//! the same internal state, and merging follows the shard order chosen
+//! by the caller.
 
 /// One GK tuple: a stored value with its rank-uncertainty bookkeeping.
 ///
@@ -209,112 +203,9 @@ impl GkSketch {
     }
 }
 
-/// Exact streaming count/mean/min/max/variance (Welford's algorithm).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct StreamingMoments {
-    count: u64,
-    mean: f64,
-    /// Sum of squared deviations from the running mean.
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl StreamingMoments {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        StreamingMoments {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Fold in one observation. Non-finite values are ignored.
-    pub fn insert(&mut self, value: f64) {
-        if !value.is_finite() {
-            return;
-        }
-        self.count += 1;
-        let delta = value - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (value - self.mean);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Combine with another accumulator (Chan's parallel formula).
-    pub fn merge(&mut self, other: &StreamingMoments) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64) * (other.count as f64) / total as f64;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Observations folded in so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean; NaN when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.mean
-        }
-    }
-
-    /// Minimum; NaN when empty.
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.min
-        }
-    }
-
-    /// Maximum; NaN when empty.
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            f64::NAN
-        } else {
-            self.max
-        }
-    }
-
-    /// Sample variance (n−1 denominator); NaN for fewer than two values.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            f64::NAN
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation; NaN for fewer than two values.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::desc::quantile;
 
     /// Deterministic pseudo-random stream (LCG) — no RNG dependency.
     fn stream(n: usize, seed: u64) -> Vec<f64> {
@@ -428,68 +319,12 @@ mod tests {
     }
 
     #[test]
-    fn moments_match_batch_statistics() {
-        let xs = stream(4_000, 5);
-        let mut m = StreamingMoments::new();
-        for &x in &xs {
-            m.insert(x);
-        }
-        assert_eq!(m.count(), 4_000);
-        assert!((m.mean() - crate::mean(&xs)).abs() < 1e-9);
-        assert!((m.stddev() - crate::stddev(&xs)).abs() < 1e-9);
-        let sorted = {
-            let mut s = xs.clone();
-            s.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            s
-        };
-        assert_eq!(m.min(), sorted[0]);
-        assert_eq!(m.max(), sorted[sorted.len() - 1]);
-        // Quantile sanity: sketch median near the exact median.
-        assert!((quantile(&xs, 0.5) - crate::median(&xs)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn moments_merge_equals_single_pass() {
-        let xs = stream(3_333, 17);
-        let mut whole = StreamingMoments::new();
-        for &x in &xs {
-            whole.insert(x);
-        }
-        let mut merged = StreamingMoments::new();
-        for part in xs.chunks(1_000) {
-            let mut m = StreamingMoments::new();
-            for &x in part {
-                m.insert(x);
-            }
-            merged.merge(&m);
-        }
-        assert_eq!(merged.count(), whole.count());
-        assert!((merged.mean() - whole.mean()).abs() < 1e-9);
-        assert!((merged.variance() - whole.variance()).abs() < 1e-6);
-        assert_eq!(merged.min(), whole.min());
-        assert_eq!(merged.max(), whole.max());
-    }
-
-    #[test]
-    fn empty_moments_are_nan() {
-        let m = StreamingMoments::new();
-        assert!(m.mean().is_nan());
-        assert!(m.min().is_nan());
-        assert!(m.max().is_nan());
-        assert!(m.variance().is_nan());
-        assert_eq!(m.count(), 0);
-    }
-
-    #[test]
     fn non_finite_values_are_ignored() {
         let mut sk = GkSketch::new(0.01);
-        let mut m = StreamingMoments::new();
         for x in [1.0, f64::NAN, 2.0, f64::INFINITY, 3.0] {
             sk.insert(x);
-            m.insert(x);
         }
         assert_eq!(sk.count(), 3);
-        assert_eq!(m.count(), 3);
-        assert_eq!(m.max(), 3.0);
+        assert_eq!(sk.query(1.0), 3.0);
     }
 }

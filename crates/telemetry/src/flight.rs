@@ -1,10 +1,8 @@
 //! The per-query flight recorder: deterministic span trees.
 //!
-//! Where [`crate::trace`] is a process-global narration log (bounded ring
-//! buffer, arbitrary interleaving), the flight recorder captures the full
-//! life of **one query** as a tree of spans — the structured trace the
-//! `repro --trace-out` Perfetto export and the `repro explain` subcommand
-//! consume.
+//! The flight recorder captures the full life of **one query** as a tree
+//! of spans — the structured trace the `repro --trace-out` Perfetto
+//! export and the `repro explain` subcommand consume.
 //!
 //! # Determinism contract
 //!

@@ -2,8 +2,7 @@
 //!
 //! A dependency-light, thread-safe telemetry substrate for the `dohperf`
 //! workspace: a metrics registry (atomic counters, gauges, and fixed-bucket
-//! log-scale histograms) plus a per-query flight recorder and a packet
-//! trace store.
+//! log-scale histograms) plus a per-query flight recorder.
 //!
 //! The paper this workspace reproduces is a measurement study; related
 //! measurement pipelines (Böttger et al., Hounsel et al.) work because every
@@ -69,7 +68,6 @@ pub mod phases;
 mod registry;
 pub mod scheduler;
 mod snapshot;
-pub mod trace;
 pub mod windows;
 
 pub use json::JsonValue;

@@ -26,10 +26,6 @@
 //!
 //! [`Determinism::Deterministic`]: crate::Determinism::Deterministic
 
-use crate::snapshot::{HistogramSnapshot, MetricValue, Snapshot};
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
-
 /// One sample batch observed inside a single window.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Observation<'a> {
@@ -82,112 +78,6 @@ pub fn observe(window: u64, obs: &Observation<'_>) {
     }
 }
 
-/// One window's row, re-assembled from a snapshot.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct SeriesRow {
-    /// Window index.
-    pub window: u64,
-    /// Total queries in the window.
-    pub queries: u64,
-    /// Failed queries.
-    pub failures: u64,
-    /// Timed-out queries.
-    pub timeouts: u64,
-    /// Cache probes issued.
-    pub cache_lookups: u64,
-    /// Cache probes that hit.
-    pub cache_hits: u64,
-    /// Successes per transport label.
-    pub success: BTreeMap<String, u64>,
-    /// Latency histogram, when any batch carried a latency.
-    pub latency: Option<HistogramSnapshot>,
-}
-
-impl SeriesRow {
-    /// Success fraction (1.0 when the window saw no queries).
-    pub fn availability(&self) -> f64 {
-        if self.queries == 0 {
-            1.0
-        } else {
-            (self.queries - self.failures) as f64 / self.queries as f64
-        }
-    }
-
-    /// Cache hit fraction (NaN-free: 0.0 without lookups).
-    pub fn cache_hit_rate(&self) -> f64 {
-        if self.cache_lookups == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / self.cache_lookups as f64
-        }
-    }
-}
-
-/// Extract the window series from a snapshot, in ascending window
-/// order. Unparsable `window.*` names are ignored rather than guessed
-/// at.
-pub fn series(snap: &Snapshot) -> Vec<SeriesRow> {
-    let mut rows: BTreeMap<u64, SeriesRow> = BTreeMap::new();
-    for (name, m) in &snap.metrics {
-        let Some(rest) = name.strip_prefix("window.") else {
-            continue;
-        };
-        let Some((idx, field)) = rest.split_once('.') else {
-            continue;
-        };
-        let Ok(window) = idx.parse::<u64>() else {
-            continue;
-        };
-        let row = rows.entry(window).or_insert_with(|| SeriesRow {
-            window,
-            ..SeriesRow::default()
-        });
-        match (&m.value, field) {
-            (MetricValue::Counter(v), "queries") => row.queries = *v,
-            (MetricValue::Counter(v), "failures") => row.failures = *v,
-            (MetricValue::Counter(v), "timeouts") => row.timeouts = *v,
-            (MetricValue::Counter(v), "cache_lookups") => row.cache_lookups = *v,
-            (MetricValue::Counter(v), "cache_hits") => row.cache_hits = *v,
-            (MetricValue::Counter(v), _) => {
-                if let Some(transport) = field.strip_prefix("success.") {
-                    row.success.insert(transport.to_string(), *v);
-                }
-            }
-            (MetricValue::Histogram(h), "latency_ms") => row.latency = Some(h.clone()),
-            _ => {}
-        }
-    }
-    rows.into_values().collect()
-}
-
-/// Human-readable series table (empty string when no window metrics
-/// were recorded, so callers can print it unconditionally).
-pub fn render(snap: &Snapshot) -> String {
-    let rows = series(snap);
-    if rows.is_empty() {
-        return String::new();
-    }
-    let mut out = String::from(
-        "window series (simulated time):\n\
-           window   queries  fail  t/o   avail%  cache-hit%  mean-lat-ms\n",
-    );
-    for row in &rows {
-        let mean = row.latency.as_ref().map(|h| h.mean_ms()).unwrap_or(0.0);
-        let _ = writeln!(
-            out,
-            "  {:>6}  {:>8}  {:>4}  {:>3}  {:>6.2}  {:>9.2}  {:>11.3}",
-            row.window,
-            row.queries,
-            row.failures,
-            row.timeouts,
-            row.availability() * 100.0,
-            row.cache_hit_rate() * 100.0,
-            mean,
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,57 +125,5 @@ mod tests {
             snap.metrics["window.900.queries"].determinism,
             Determinism::Deterministic
         );
-    }
-
-    #[test]
-    fn series_reassembles_rows_in_window_order() {
-        observe(
-            911,
-            &Observation {
-                cache_lookups: 10,
-                cache_hits: 4,
-                ..obs("doq", 8, 6)
-            },
-        );
-        observe(910, &obs("doh", 4, 4));
-
-        let snap = crate::global().snapshot();
-        let rows: Vec<SeriesRow> = series(&snap)
-            .into_iter()
-            .filter(|r| r.window == 910 || r.window == 911)
-            .collect();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].window, 910);
-        assert_eq!(rows[0].availability(), 1.0);
-        assert_eq!(rows[1].window, 911);
-        assert_eq!(rows[1].failures, 2);
-        assert!((rows[1].availability() - 0.75).abs() < 1e-12);
-        assert!((rows[1].cache_hit_rate() - 0.4).abs() < 1e-12);
-        assert_eq!(rows[1].success["doq"], 6);
-    }
-
-    #[test]
-    fn render_tabulates_each_window_once() {
-        observe(920, &obs("doh", 2, 2));
-        observe(921, &obs("doh", 2, 1));
-        let text = render(&crate::global().snapshot());
-        assert!(text.contains("window series"));
-        assert!(text.contains("920"));
-        assert!(text.contains("921"));
-        // Exactly one data line per window.
-        assert_eq!(text.matches("   920").count(), 1, "{text}");
-    }
-
-    #[test]
-    fn render_is_empty_without_window_metrics() {
-        let empty = Snapshot::default();
-        assert_eq!(render(&empty), "");
-    }
-
-    #[test]
-    fn availability_and_hit_rate_handle_empty_windows() {
-        let row = SeriesRow::default();
-        assert_eq!(row.availability(), 1.0);
-        assert_eq!(row.cache_hit_rate(), 0.0);
     }
 }

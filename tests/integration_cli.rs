@@ -328,6 +328,86 @@ fn timeline_without_windowing_points_at_the_flag() {
     assert!(stdout.contains("--window-hours 1"), "{stdout}");
 }
 
+#[test]
+fn timeline_from_a_store_takes_its_window_width_from_a_consistent_flag() {
+    let dir = std::env::temp_dir().join(format!("dohperf-cli-{}-timeline", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let run = |args: &[&str]| {
+        repro()
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn repro")
+    };
+    let written = run(&[
+        "--seed",
+        "7",
+        "--scale",
+        "0.02",
+        "--window-hours",
+        "1",
+        "--out-format",
+        "store",
+        "--store-dir",
+        "s",
+        "timeline",
+    ]);
+    assert_eq!(written.status.code(), Some(0));
+    let stdout = |out: &std::process::Output| String::from_utf8_lossy(&out.stdout).into_owned();
+
+    // The store keeps window indices, not the width: without the flag
+    // the output says so instead of printing a width of 0.
+    let unlabelled = run(&["--from-store", "s", "timeline"]);
+    assert_eq!(unlabelled.status.code(), Some(0));
+    let text = stdout(&unlabelled);
+    assert!(
+        text.contains("window width: not recorded in the store"),
+        "{text}"
+    );
+    assert!(!text.contains("0 simulated hour(s)"), "{text}");
+
+    // 3-hour windows give indices 0..=7; the data holds index 23.
+    let contradicted = run(&["--from-store", "s", "--window-hours", "3", "timeline"]);
+    assert_ne!(contradicted.status.code(), Some(0));
+    let stderr = String::from_utf8_lossy(&contradicted.stderr);
+    assert!(
+        stderr.contains(
+            "--window-hours 3 gives 8 window(s) per simulated day (indices 0..=7), \
+             but the dataset holds window index 23"
+        ),
+        "{stderr}"
+    );
+    assert!(!stdout(&contradicted).contains("3 simulated hour(s)"));
+
+    // The width the store was written with reproduces the original bytes.
+    let consistent = run(&["--from-store", "s", "--window-hours", "1", "timeline"]);
+    assert_eq!(consistent.status.code(), Some(0));
+    assert_eq!(stdout(&consistent), stdout(&written));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sec4_3_confirms_the_resolver_from_a_non_empty_trace() {
+    // The 10-resolution trace confirms; an empty one would not
+    // (`validation::run_resolver_confirmation`), so the line is earned.
+    for seed in ["2021", "7"] {
+        let out = repro()
+            .args(["--seed", seed, "sec4-3"])
+            .output()
+            .expect("spawn repro");
+        assert_eq!(out.status.code(), Some(0));
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            format!(
+                "{}\nSection 4.3: exit nodes use the OS-configured resolver: CONFIRMED \
+                 (all trace packets target the default resolver)\n\n",
+                "=".repeat(100)
+            )
+        );
+    }
+}
+
 /// A scratch working directory holding a copy of the checked-in `ci/`
 /// files, so a test can corrupt them without touching the tree.
 fn ci_copy(tag: &str) -> std::path::PathBuf {
