@@ -30,6 +30,7 @@ pub mod cdfs;
 pub mod covariates;
 pub mod dataset;
 pub mod deltas;
+mod fanout;
 pub mod fig_export;
 pub mod geography;
 pub mod headline;
@@ -52,8 +53,10 @@ pub use dataset::{clients_per_country, composition, CompositionRow};
 pub use deltas::{country_deltas, resolver_delta_summary, CountryDelta};
 pub use geography::{country_medians, CountryMedian};
 pub use headline::{headline_stats, HeadlineStats};
-pub use linear_model::{fit_linear_models, LinearModelReport};
-pub use logistic_model::{fit_logistic_models, LogisticModelReport};
+pub use linear_model::{
+    fit_linear_models, fit_table5_threads, fit_table6_threads, LinearModelReport,
+};
+pub use logistic_model::{fit_logistic_models, fit_logistic_models_threads, LogisticModelReport};
 pub use pageload::{
     page_cdfs, page_headlines, page_plt_deltas, page_shape_summary, PageCdfs, PageHeadline,
     PagePltDelta, PageShapeSummary,
@@ -61,7 +64,9 @@ pub use pageload::{
 pub use pop_improvement::{pop_improvement, PopImprovementStats};
 pub use regions::{region_summaries, regional_variation, RegionSummary};
 pub use report::full_report;
-pub use robustness::{covariate_correlations, headline_cis, CovariateCorrelations, HeadlineCis};
+pub use robustness::{
+    covariate_correlations, headline_cis, headline_cis_threads, CovariateCorrelations, HeadlineCis,
+};
 pub use streaming::{
     cdfs_from_store, cdfs_from_store_threads, headline_from_store, headline_from_store_threads,
     StreamingCdfs, StreamingHeadline,

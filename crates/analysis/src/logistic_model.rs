@@ -12,6 +12,7 @@
 //! (control = higher than median), Resolver (control = Cloudflare).
 
 use crate::covariates::CovariateTable;
+use crate::fanout::fan_out;
 use dohperf_providers::provider::ProviderKind;
 use dohperf_stats::desc::median;
 use dohperf_stats::logistic::LogisticRegression;
@@ -54,25 +55,34 @@ const FEATURES: [&str; 7] = [
 ];
 // Quad9 is appended below; arrays keep the design order readable.
 
-/// Fit the Table 4 models.
+/// Fit the Table 4 models, on one thread.
 pub fn fit_logistic_models(table: &CovariateTable) -> LogisticModelReport {
+    fit_logistic_models_threads(table, 1)
+}
+
+/// [`fit_logistic_models`] with the four horizons fitted concurrently on
+/// at most `threads` threads (0 = one per core). Each horizon's fit reads
+/// only the shared table, so the report is bit-identical at every thread
+/// count.
+pub fn fit_logistic_models_threads(table: &CovariateTable, threads: usize) -> LogisticModelReport {
     let mut feature_names: Vec<&str> = FEATURES.to_vec();
     feature_names.push("resolver_quad9");
 
-    let mut median_multipliers = [0.0; 4];
-    let mut fits = Vec::new();
-    for (col, &n) in HORIZONS.iter().enumerate() {
+    let horizons = fan_out(&HORIZONS, threads, |&n| {
         let multipliers: Vec<f64> = table.rows.iter().map(|r| r.multiplier(n)).collect();
         let global_median = median(&multipliers);
-        median_multipliers[col] = global_median;
         let mut reg = LogisticRegression::new(&feature_names);
+        reg.reserve(table.rows.len());
         for (r, &m) in table.rows.iter().zip(&multipliers) {
             let features = encode(r, table.median_as_count);
             // Outcome: slowdown = multiplier worse than the global median.
             reg.push(&features, m > global_median);
         }
-        fits.push(reg.fit().expect("Table 4 design must be full rank"));
-    }
+        let fit = reg.fit().expect("Table 4 design must be full rank");
+        (global_median, fit)
+    });
+    let (medians, fits): (Vec<f64>, Vec<_>) = horizons.into_iter().unzip();
+    let median_multipliers = medians.try_into().expect("one median per horizon");
 
     let labels: [(&str, &str); 8] = [
         ("bandwidth_slow", "Bandwidth: Slow (control = Fast)"),
@@ -226,5 +236,70 @@ mod tests {
         // amortises its bad handshake placement.
         let r = row(report(), "Quad9");
         assert!(r.odds_ratios[3] < r.odds_ratios[0], "{:?}", r.odds_ratios);
+    }
+
+    /// Every bit Table 4 renders: the median multipliers, then each
+    /// row's four odds ratios and four p-values.
+    fn report_bits(report: &LogisticModelReport) -> Vec<u64> {
+        let rows = report
+            .rows
+            .iter()
+            .flat_map(|r| r.odds_ratios.iter().chain(&r.p_values));
+        report
+            .median_multipliers
+            .iter()
+            .chain(rows)
+            .map(|x| x.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn threaded_fit_is_identical_at_any_thread_count() {
+        let table = covariates::build(shared_dataset());
+        for threads in [0, 1, 2, 3, 8] {
+            let got = fit_logistic_models_threads(&table, threads);
+            assert_eq!(
+                report_bits(&got),
+                report_bits(report()),
+                "threads {threads}"
+            );
+        }
+    }
+
+    /// Pins every bit of Table 4. The fits may be restructured (threads,
+    /// design layout) only if these bits stay put.
+    #[test]
+    fn table4_is_bit_stable() {
+        // The median multipliers, then per row (in the paper's order) the
+        // odds ratios at DoH-1/10/100/1000 and their four p-values.
+        #[rustfmt::skip]
+        const PINNED: [u64; 4 + 8 * 8] = [
+            0x4001e0af61efd036, 0x3ff93481a12f8716, 0x3ff805aea5526f2d, 0x3ff7e95368d68b32,
+            // Bandwidth: Slow (control = Fast)
+            0x3ff501cdeece10e3, 0x3ff422cfd999bc77, 0x3ff393bb74cb8193, 0x3ff373923f4f985b,
+            0x3d9c02c000000000, 0x3e4083f200000000, 0x3e9ca947ac800000, 0x3eb07b952a600000,
+            // Income: Upper-middle (control = High)
+            0x3ff59217536e51c4, 0x3ff5b3e2a4e966ca, 0x3ff5c8067d5c7f31, 0x3ff5d6308ff009be,
+            0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+            // Income: Lower-middle
+            0x3ffb54f8c32b54af, 0x400099cc44e28255, 0x40016988d287f734, 0x4001922da36b6edc,
+            0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+            // Income: Low
+            0x3ffbc1e3d2fc1537, 0x4006471adc6cd3bb, 0x400859d6f2a5cf7b, 0x400876863c35125f,
+            0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+            // Num ASes: Lower than median (control = Higher)
+            0x3ffdc3ac9d589434, 0x3ff8807b898c0545, 0x3ff754595c571099, 0x3ff741031e0f8ba5,
+            0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+            // Resolver: Google (control = Cloudflare)
+            0x4000ffbbfcc64f69, 0x3ff7135abaeb5adf, 0x3ff59f546184b4d8, 0x3ff56162007714fb,
+            0x0000000000000000, 0x0000000000000000, 0x3cd0000000000000, 0x3d03000000000000,
+            // Resolver: NextDNS
+            0x4004f9548641b3ef, 0x400aafcc79d7d123, 0x400b788140424d34, 0x400b54a93cbf1669,
+            0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+            // Resolver: Quad9
+            0x400004c4fac42134, 0x3ff7e82e9a7a8ea5, 0x3ff686b3249df41c, 0x3ff651dcd07b8c66,
+            0x0000000000000000, 0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+        ];
+        assert_eq!(report_bits(report()), PINNED);
     }
 }

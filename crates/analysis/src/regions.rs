@@ -6,10 +6,11 @@
 //! (§8). This module computes per-region medians and dispersion so that
 //! claim is checkable.
 
+use crate::covariates::countries_by_index;
 use dohperf_core::records::Dataset;
 use dohperf_providers::provider::{ProviderKind, ALL_PROVIDERS};
-use dohperf_stats::desc::{median, quantile};
-use dohperf_world::countries::{country, Region};
+use dohperf_stats::desc::quantile_sorted;
+use dohperf_world::countries::Region;
 
 /// All regions in display order.
 pub const ALL_REGIONS: [Region; 6] = [
@@ -49,30 +50,46 @@ pub struct RegionSummary {
 }
 
 /// Compute per-region summaries for every provider.
+///
+/// One pass over the records buckets each DoH1 time by (region,
+/// provider) in record order; each bucket is then sorted once for its
+/// median and quartiles.
 pub fn region_summaries(ds: &Dataset) -> Vec<RegionSummary> {
-    let mut out = Vec::new();
-    for &region in &ALL_REGIONS {
-        for &provider in &ALL_PROVIDERS {
-            let samples: Vec<f64> = ds
-                .records
-                .iter()
-                .filter(|r| country(r.country_iso).map(|c| c.region) == Some(region))
-                .filter_map(|r| r.sample(provider))
-                .map(|s| s.t_doh_ms)
-                .collect();
-            if samples.is_empty() {
-                continue;
+    let region_of: Vec<Option<usize>> = countries_by_index(ds)
+        .into_iter()
+        .map(|c| c.and_then(|c| ALL_REGIONS.iter().position(|&r| r == c.region)))
+        .collect();
+    let mut buckets = vec![Vec::new(); ALL_REGIONS.len() * ALL_PROVIDERS.len()];
+    for r in &ds.records {
+        debug_assert_eq!(ds.countries[r.country_index], r.country_iso);
+        let Some(region) = region_of[r.country_index] else {
+            continue;
+        };
+        for (p, &provider) in ALL_PROVIDERS.iter().enumerate() {
+            if let Some(s) = r.sample(provider) {
+                buckets[region * ALL_PROVIDERS.len() + p].push(s.t_doh_ms);
             }
-            out.push(RegionSummary {
-                region,
-                provider,
-                median_doh1_ms: median(&samples),
-                iqr_doh1_ms: quantile(&samples, 0.75) - quantile(&samples, 0.25),
-                clients: samples.len(),
-            });
         }
     }
-    out
+    let cells = ALL_REGIONS.iter().flat_map(|&region| {
+        ALL_PROVIDERS
+            .iter()
+            .map(move |&provider| (region, provider))
+    });
+    cells
+        .zip(buckets)
+        .filter(|(_, samples)| !samples.is_empty())
+        .map(|((region, provider), mut samples)| {
+            samples.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
+            RegionSummary {
+                region,
+                provider,
+                median_doh1_ms: quantile_sorted(&samples, 0.5),
+                iqr_doh1_ms: quantile_sorted(&samples, 0.75) - quantile_sorted(&samples, 0.25),
+                clients: samples.len(),
+            }
+        })
+        .collect()
 }
 
 /// Regional variance check (§8): the coefficient of variation of a
@@ -138,6 +155,55 @@ mod tests {
             let cv = regional_variation(&summaries, provider);
             assert!(cv > 0.10, "{provider}: CV {cv}");
         }
+    }
+
+    /// The straightforward definition: one filtered pass per (region,
+    /// provider) cell, an ISO lookup per record, and a sort per quantile.
+    fn naive_region_summaries(ds: &Dataset) -> Vec<RegionSummary> {
+        use dohperf_stats::desc::{median, quantile};
+        use dohperf_world::countries::country;
+        let mut out = Vec::new();
+        for &region in &ALL_REGIONS {
+            for &provider in &ALL_PROVIDERS {
+                let samples: Vec<f64> = ds
+                    .records
+                    .iter()
+                    .filter(|r| country(r.country_iso).map(|c| c.region) == Some(region))
+                    .filter_map(|r| r.sample(provider))
+                    .map(|s| s.t_doh_ms)
+                    .collect();
+                if samples.is_empty() {
+                    continue;
+                }
+                out.push(RegionSummary {
+                    region,
+                    provider,
+                    median_doh1_ms: median(&samples),
+                    iqr_doh1_ms: quantile(&samples, 0.75) - quantile(&samples, 0.25),
+                    clients: samples.len(),
+                });
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn one_pass_equals_the_naive_definition() {
+        let key = |s: &RegionSummary| {
+            (
+                s.region,
+                s.provider,
+                s.median_doh1_ms.to_bits(),
+                s.iqr_doh1_ms.to_bits(),
+                s.clients,
+            )
+        };
+        let fast: Vec<_> = region_summaries(shared_dataset()).iter().map(key).collect();
+        let naive: Vec<_> = naive_region_summaries(shared_dataset())
+            .iter()
+            .map(key)
+            .collect();
+        assert_eq!(fast, naive);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //!   min–max-scaled OLS coefficients.
 
 use crate::deltas::CountryDelta;
+use crate::fanout::fan_out;
 use dohperf_core::records::Dataset;
 use dohperf_stats::desc::median;
 use dohperf_stats::resample::{median_ci, spearman, ConfidenceInterval};
@@ -33,8 +34,15 @@ impl HeadlineCis {
     }
 }
 
-/// Compute 95% bootstrap CIs for the headline medians.
+/// Compute 95% bootstrap CIs for the headline medians, on one thread.
 pub fn headline_cis(ds: &Dataset, seed: u64) -> Option<HeadlineCis> {
+    headline_cis_threads(ds, seed, 1)
+}
+
+/// [`headline_cis`] with the three bootstraps run concurrently on at most
+/// `threads` threads (0 = one per core). Each CI has its own seed and
+/// sample, so the result is bit-identical at every thread count.
+pub fn headline_cis_threads(ds: &Dataset, seed: u64, threads: usize) -> Option<HeadlineCis> {
     let mut doh1 = Vec::new();
     let mut dohr = Vec::new();
     let mut do53 = Vec::new();
@@ -47,10 +55,18 @@ pub fn headline_cis(ds: &Dataset, seed: u64) -> Option<HeadlineCis> {
             do53.push(v);
         }
     }
+    let samples = [
+        (doh1, seed),
+        (dohr, seed.wrapping_add(1)),
+        (do53, seed.wrapping_add(2)),
+    ];
+    let [doh1, dohr, do53] = fan_out(&samples, threads, |(xs, seed)| median_ci(xs, 0.95, *seed))
+        .try_into()
+        .expect("one CI per sample");
     Some(HeadlineCis {
-        doh1: median_ci(&doh1, 0.95, seed)?,
-        dohr: median_ci(&dohr, 0.95, seed.wrapping_add(1))?,
-        do53: median_ci(&do53, 0.95, seed.wrapping_add(2))?,
+        doh1: doh1?,
+        dohr: dohr?,
+        do53: do53?,
     })
 }
 
@@ -129,6 +145,22 @@ mod tests {
             bits(cis.do53),
             [0x406a719d80e496ee, 0x406a1591a3245cd7, 0x406ad218ae45f909]
         );
+    }
+
+    #[test]
+    fn headline_cis_are_identical_at_any_thread_count() {
+        let serial = headline_cis(shared_dataset(), 11).unwrap();
+        for threads in [0, 1, 2, 3, 8] {
+            let cis = headline_cis_threads(shared_dataset(), 11, threads).unwrap();
+            for (a, b) in [
+                (cis.doh1, serial.doh1),
+                (cis.dohr, serial.dohr),
+                (cis.do53, serial.do53),
+            ] {
+                let bits = |ci: ConfidenceInterval| [ci.estimate, ci.lo, ci.hi].map(f64::to_bits);
+                assert_eq!(bits(a), bits(b), "threads {threads}");
+            }
+        }
     }
 
     #[test]

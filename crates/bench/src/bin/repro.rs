@@ -53,8 +53,11 @@
 //!
 //! `--threads N` (N >= 1) pins the worker count; omitting the flag uses
 //! all available cores. The same knob fans out the store decoder under
-//! `--from-store`. Any thread count produces a byte-identical dataset —
-//! see DESIGN.md §2 and §17.
+//! `--from-store` and the independent statistics of the analysis layer
+//! (the three bootstrap CIs of `robustness`, the four Table 4 horizons,
+//! the Table 5 and Table 6 blocks). Any thread count produces a
+//! byte-identical dataset and byte-identical output — see DESIGN.md §2,
+//! §14 and §17.
 //!
 //! `--shard-size N` sets the clients-per-work-unit granularity of the
 //! campaign's sub-country sharding (DESIGN.md §14). Smaller shards give
@@ -329,7 +332,9 @@ fn usage(err: &str) -> ! {
          [--window-hours H] [--out-format both|csv|jsonl|store] \
          [--store-dir DIR] [--from-store DIR] [--trace-out PATH] [--trace-sample N] \
          <experiment>...\n       repro all\n       repro explain --query ID\n       \
-         repro gate [--bless] [NAME...]\nexperiments: {}",
+         repro gate [--bless] [NAME...]\n--threads N: threads for the campaign, the store \
+         decoder and the analysis statistics (default: all cores); output is identical at \
+         any N\nexperiments: {}",
         EXPERIMENTS
             .iter()
             .map(|(name, _)| *name)

@@ -11,6 +11,9 @@ use dohperf_analysis::geography::country_median_for;
 use dohperf_analysis::pop_improvement::stats_for;
 use dohperf_analysis::prelude::*;
 use dohperf_analysis::render::{f, pct, pval, table};
+use dohperf_analysis::{
+    fit_logistic_models_threads, fit_table5_threads, fit_table6_threads, headline_cis_threads,
+};
 use dohperf_core::campaign::{
     Campaign, CampaignConfig, ClientExplain, ProtocolSet, CAMPAIGN_DURATION_NANOS,
 };
@@ -60,7 +63,9 @@ pub struct ReproConfig {
     pub seed: u64,
     /// Campaign scale in (0, 1]; 1.0 is the paper's 22k clients.
     pub scale: f64,
-    /// Campaign worker threads (0 = available parallelism). Output is
+    /// Worker threads (0 = available parallelism) for the campaign, the
+    /// store decoder, and the independent statistics of one render
+    /// (bootstrap CIs, Table 4 horizons, Table 5/6 blocks). Output is
     /// byte-identical regardless of the value.
     pub threads: usize,
     /// Export format; `Store` also switches the campaign to the
@@ -413,9 +418,9 @@ impl ReproContext {
 
     /// Table 4: logistic model of slowdowns.
     pub fn table4(&mut self) -> String {
-        let ds = self.dataset();
-        let cov = covariates::build(ds);
-        let report = fit_logistic_models(&cov);
+        let threads = self.config.threads;
+        let cov = covariates::build(self.dataset());
+        let report = fit_logistic_models_threads(&cov, threads);
         let mut out = String::from("Table 4: Modeling DoH vs Do53 slowdowns (odds ratios)\n");
         let _ = writeln!(
             out,
@@ -450,11 +455,10 @@ impl ReproContext {
 
     /// Table 5: linear models of the delta.
     pub fn table5(&mut self) -> String {
-        let ds = self.dataset();
-        let cov = covariates::build(ds);
-        let report = fit_linear_models(&cov);
+        let threads = self.config.threads;
+        let cov = covariates::build(self.dataset());
         let mut out = String::from("Table 5: Linear modeling of DNS performance\n");
-        for block in &report.table5 {
+        for block in &fit_table5_threads(&cov, threads) {
             let _ = writeln!(
                 out,
                 "Output: {} (n = {}, R^2 = {:.3})",
@@ -480,11 +484,10 @@ impl ReproContext {
 
     /// Table 6: per-resolver linear models.
     pub fn table6(&mut self) -> String {
-        let ds = self.dataset();
-        let cov = covariates::build(ds);
-        let report = fit_linear_models(&cov);
+        let threads = self.config.threads;
+        let cov = covariates::build(self.dataset());
         let mut out = String::from("Table 6: Linear modeling by resolver (Delta-1)\n");
-        for block in &report.table6 {
+        for block in &fit_table6_threads(&cov, threads) {
             let _ = writeln!(
                 out,
                 "Resolver: {} (n = {}, R^2 = {:.3})",
@@ -942,13 +945,13 @@ so DoH-by-default remains a first-connection tax even in a warm-cache world.
 
     /// Robustness report: bootstrap CIs + rank correlations.
     pub fn robustness(&mut self) -> String {
-        let seed = self.config.seed;
+        let (seed, threads) = (self.config.seed, self.config.threads);
         let ds = self.dataset();
         let mut out = String::from(
             "Robustness: bootstrap CIs and rank correlations (beyond the paper)
 ",
         );
-        if let Some(cis) = dohperf_analysis::robustness::headline_cis(ds, seed) {
+        if let Some(cis) = headline_cis_threads(ds, seed, threads) {
             let _ = writeln!(
                 out,
                 "median DoH1 {:.1}ms [{:.1}, {:.1}]   DoHR {:.1}ms [{:.1}, {:.1}]   Do53 {:.1}ms [{:.1}, {:.1}]  (95% bootstrap)",

@@ -66,7 +66,9 @@ impl LogisticFit {
 #[derive(Debug, Default)]
 pub struct LogisticRegression {
     feature_names: Vec<String>,
-    rows: Vec<Vec<f64>>,
+    /// Row-major design, one row of `1 + features` values per
+    /// observation: the intercept's 1.0, then the features.
+    design: Vec<f64>,
     targets: Vec<bool>,
 }
 
@@ -75,9 +77,17 @@ impl LogisticRegression {
     pub fn new(feature_names: &[&str]) -> Self {
         LogisticRegression {
             feature_names: feature_names.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
+            design: Vec::new(),
             targets: Vec::new(),
         }
+    }
+
+    /// Reserve room for `additional` more observations, so a caller that
+    /// knows its row count fills the design without regrowing it.
+    pub fn reserve(&mut self, additional: usize) {
+        let k = self.feature_names.len() + 1;
+        self.design.reserve_exact(additional * k);
+        self.targets.reserve_exact(additional);
     }
 
     /// Add one observation.
@@ -87,18 +97,19 @@ impl LogisticRegression {
             self.feature_names.len(),
             "feature count mismatch"
         );
-        self.rows.push(features.to_vec());
+        self.design.push(1.0);
+        self.design.extend_from_slice(features);
         self.targets.push(y);
     }
 
     /// Number of observations so far.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.targets.len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.targets.is_empty()
     }
 
     fn sigmoid(z: f64) -> f64 {
@@ -110,20 +121,13 @@ impl LogisticRegression {
         }
     }
 
-    /// Fit by IRLS. Returns `None` on a singular information matrix or an
-    /// empty/degenerate problem.
+    /// Fit by IRLS. Returns `None` on a singular information matrix, a
+    /// non-finite feature, or an empty/degenerate problem.
     pub fn fit(&self) -> Option<LogisticFit> {
-        let n = self.rows.len();
+        let n = self.targets.len();
         let k = self.feature_names.len() + 1;
-        if n < k {
+        if n < k || self.design.iter().any(|v| !v.is_finite()) {
             return None;
-        }
-        let mut design = Matrix::zeros(n, k);
-        for (i, row) in self.rows.iter().enumerate() {
-            design[(i, 0)] = 1.0;
-            for (j, &v) in row.iter().enumerate() {
-                design[(i, j + 1)] = v;
-            }
         }
         let mut beta = vec![0.0; k];
         let mut converged = false;
@@ -134,19 +138,15 @@ impl LogisticRegression {
             // Linear predictor and weights.
             let mut gradient = vec![0.0; k];
             let mut info = Matrix::zeros(k, k);
-            for i in 0..n {
-                let mut eta = 0.0;
-                for j in 0..k {
-                    eta += design[(i, j)] * beta[j];
-                }
-                let p = Self::sigmoid(eta);
+            for (x, &target) in self.design.chunks_exact(k).zip(&self.targets) {
+                let p = Self::sigmoid(linear_predictor(x, &beta));
                 let w = (p * (1.0 - p)).max(1e-10);
-                let y = if self.targets[i] { 1.0 } else { 0.0 };
+                let y = if target { 1.0 } else { 0.0 };
                 let resid = y - p;
                 for j in 0..k {
-                    gradient[j] += design[(i, j)] * resid;
+                    gradient[j] += x[j] * resid;
                     for l in j..k {
-                        info[(j, l)] += design[(i, j)] * design[(i, l)] * w;
+                        info[(j, l)] += x[j] * x[l] * w;
                     }
                 }
             }
@@ -178,17 +178,9 @@ impl LogisticRegression {
         let info_inv = info_inv?;
         // Log-likelihood at the fitted coefficients.
         let mut ll = 0.0;
-        for i in 0..n {
-            let mut eta = 0.0;
-            for j in 0..k {
-                eta += design[(i, j)] * beta[j];
-            }
-            let p = Self::sigmoid(eta).clamp(1e-12, 1.0 - 1e-12);
-            ll += if self.targets[i] {
-                p.ln()
-            } else {
-                (1.0 - p).ln()
-            };
+        for (x, &target) in self.design.chunks_exact(k).zip(&self.targets) {
+            let p = Self::sigmoid(linear_predictor(x, &beta)).clamp(1e-12, 1.0 - 1e-12);
+            ll += if target { p.ln() } else { (1.0 - p).ln() };
         }
         let mut coefficients = Vec::with_capacity(k);
         for j in 0..k {
@@ -221,6 +213,15 @@ impl LogisticRegression {
             n,
         })
     }
+}
+
+/// `x'β`, summed in coefficient order.
+fn linear_predictor(x: &[f64], beta: &[f64]) -> f64 {
+    let mut eta = 0.0;
+    for (xj, bj) in x.iter().zip(beta) {
+        eta += xj * bj;
+    }
+    eta
 }
 
 #[cfg(test)]
@@ -318,6 +319,16 @@ mod tests {
             reg.push(&[a, 2.0 * a], unit(i + 77) < 0.5);
         }
         assert!(reg.fit().is_none());
+    }
+
+    #[test]
+    fn non_finite_feature_returns_none() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut reg = simulate(-0.5, 1.5, 200);
+            assert!(reg.fit().is_some());
+            reg.push(&[bad], true);
+            assert!(reg.fit().is_none(), "{bad}");
+        }
     }
 
     #[test]

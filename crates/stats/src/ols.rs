@@ -67,7 +67,9 @@ impl OlsFit {
 #[derive(Debug, Default)]
 pub struct OlsRegression {
     feature_names: Vec<String>,
-    rows: Vec<Vec<f64>>,
+    /// Row-major design, one row of `1 + features` values per
+    /// observation: the intercept's 1.0, then the features.
+    design: Vec<f64>,
     targets: Vec<f64>,
 }
 
@@ -76,9 +78,17 @@ impl OlsRegression {
     pub fn new(feature_names: &[&str]) -> Self {
         OlsRegression {
             feature_names: feature_names.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
+            design: Vec::new(),
             targets: Vec::new(),
         }
+    }
+
+    /// Reserve room for `additional` more observations, so a caller that
+    /// knows its row count fills the design without regrowing it.
+    pub fn reserve(&mut self, additional: usize) {
+        let k = self.feature_names.len() + 1;
+        self.design.reserve_exact(additional * k);
+        self.targets.reserve_exact(additional);
     }
 
     /// Add one observation. Panics if the feature count mismatches.
@@ -88,46 +98,59 @@ impl OlsRegression {
             self.feature_names.len(),
             "feature count mismatch"
         );
-        self.rows.push(features.to_vec());
+        self.design.push(1.0);
+        self.design.extend_from_slice(features);
         self.targets.push(y);
     }
 
     /// Number of observations so far.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.targets.len()
     }
 
     /// True when no observations have been added.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.targets.is_empty()
     }
 
-    /// Fit the model. Returns `None` when the design is singular or there
-    /// are fewer observations than parameters.
+    /// Fit the model. Returns `None` when the design is singular, a
+    /// feature or target is non-finite, or there are fewer observations
+    /// than parameters.
     pub fn fit(&self) -> Option<OlsFit> {
-        let n = self.rows.len();
+        let n = self.targets.len();
         let k = self.feature_names.len() + 1; // + intercept
-        if n < k {
+        let finite = |v: &f64| v.is_finite();
+        if n < k || !self.design.iter().chain(&self.targets).all(finite) {
             return None;
         }
-        // Design matrix with leading intercept column.
-        let mut design = Matrix::zeros(n, k);
-        for (i, row) in self.rows.iter().enumerate() {
-            design[(i, 0)] = 1.0;
-            for (j, &v) in row.iter().enumerate() {
-                design[(i, j + 1)] = v;
+        // X'X and X'y straight from the design rows. Each entry sums its
+        // rows in row order and skips zero design values, exactly as
+        // `Matrix::matmul` of the transposed design would.
+        let mut xtx = Matrix::zeros(k, k);
+        let mut xty = Matrix::zeros(k, 1);
+        for (x, &y) in self.design.chunks_exact(k).zip(&self.targets) {
+            for (i, &a) in x.iter().enumerate() {
+                if a == 0.0 {
+                    continue;
+                }
+                for (j, &b) in x.iter().enumerate() {
+                    xtx[(i, j)] += a * b;
+                }
+                xty[(i, 0)] += a * y;
             }
         }
-        let y = Matrix::column(&self.targets);
-        let xt = design.transpose();
-        let xtx = xt.matmul(&design);
-        let xty = xt.matmul(&y);
         let beta = xtx.solve(&xty)?;
-        // Residuals.
-        let fitted = design.matmul(&beta);
+        // Residuals, with each fitted value summed as `Matrix::matmul`
+        // of the design and `beta` would.
         let mut rss = 0.0;
-        for i in 0..n {
-            let r = self.targets[i] - fitted[(i, 0)];
+        for (x, &y) in self.design.chunks_exact(k).zip(&self.targets) {
+            let mut fitted = 0.0;
+            for (j, &a) in x.iter().enumerate() {
+                if a != 0.0 {
+                    fitted += a * beta[(j, 0)];
+                }
+            }
+            let r = y - fitted;
             rss += r * r;
         }
         let ybar = self.targets.iter().sum::<f64>() / n as f64;
@@ -253,6 +276,31 @@ mod tests {
             reg.push(&[a, 2.0 * a], a); // b = 2a exactly
         }
         assert!(reg.fit().is_none());
+    }
+
+    #[test]
+    fn non_finite_target_returns_none() {
+        let mut reg = OlsRegression::new(&["x"]);
+        for i in 0..200 {
+            let x = f64::from(i);
+            reg.push(&[x], 1.0 + 0.5 * x);
+        }
+        assert!(reg.fit().is_some());
+        reg.push(&[3.0], f64::NAN);
+        assert!(reg.fit().is_none());
+    }
+
+    #[test]
+    fn non_finite_feature_returns_none() {
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut reg = OlsRegression::new(&["x"]);
+            for i in 0..200 {
+                let x = f64::from(i);
+                reg.push(&[x], 1.0 + 0.5 * x);
+            }
+            reg.push(&[bad], 2.0);
+            assert!(reg.fit().is_none(), "{bad}");
+        }
     }
 
     #[test]

@@ -14,18 +14,17 @@ pub struct MinMaxScaler {
 }
 
 impl MinMaxScaler {
-    /// Fit to a feature matrix given as rows of observations.
-    /// Returns `None` for empty input or ragged rows.
-    pub fn fit(rows: &[Vec<f64>]) -> Option<Self> {
-        let first = rows.first()?;
-        let k = first.len();
-        if rows.iter().any(|r| r.len() != k) {
+    /// Fit to a feature matrix given as rows of observations (`Vec`s,
+    /// arrays or slices). Returns `None` for empty input or ragged rows.
+    pub fn fit<R: AsRef<[f64]>>(rows: &[R]) -> Option<Self> {
+        let k = rows.first()?.as_ref().len();
+        if rows.iter().any(|r| r.as_ref().len() != k) {
             return None;
         }
         let mut mins = vec![f64::INFINITY; k];
         let mut maxs = vec![f64::NEG_INFINITY; k];
         for row in rows {
-            for (j, &v) in row.iter().enumerate() {
+            for (j, &v) in row.as_ref().iter().enumerate() {
                 mins[j] = mins[j].min(v);
                 maxs[j] = maxs[j].max(v);
             }
@@ -97,7 +96,7 @@ mod tests {
 
     #[test]
     fn empty_or_ragged_rejected() {
-        assert!(MinMaxScaler::fit(&[]).is_none());
+        assert!(MinMaxScaler::fit::<Vec<f64>>(&[]).is_none());
         assert!(MinMaxScaler::fit(&[vec![1.0], vec![1.0, 2.0]]).is_none());
     }
 }

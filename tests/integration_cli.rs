@@ -5,9 +5,11 @@
 //! the process level: unknown `--protocols` values must exit 2 and name
 //! the accepted list, `--shard-size` must reject 0 and non-numeric
 //! values with a usage hint, and a valid protocol list must run the
-//! `transports` experiment end to end. `repro gate` must reject unknown
-//! rows with exit 2, and fail a row whose golden trace or metrics
-//! baseline no longer matches (exit 3 for metrics drift). `export
+//! `transports` experiment end to end. The analysis tables no gate row
+//! renders must print the same, pinned bytes at any `--threads`. `repro
+//! gate` must reject unknown rows with exit 2, and fail a row whose
+//! golden trace or metrics baseline no longer matches (exit 3 for
+//! metrics drift). `export
 //! --out-format store` from another store must write the dataset it
 //! reports, never keep a stale store left by an earlier run.
 
@@ -406,6 +408,28 @@ fn sec4_3_confirms_the_resolver_from_a_non_empty_trace() {
             )
         );
     }
+}
+
+/// The analysis experiments no gate row renders: their statistics fan out
+/// over `--threads`, yet must print the same bytes at every thread count,
+/// and the bytes pinned in `tests/golden/` (regenerate with
+/// `repro --seed 2021 --scale 0.05 --threads 1 table4 table5 table6
+/// regions robustness`, stdout only).
+#[test]
+fn analysis_tables_are_identical_across_thread_counts_and_pinned() {
+    const PINNED: &str = include_str!("golden/analysis-tables-seed2021-scale0.05.txt");
+    let render = |threads: &str| {
+        let out = repro()
+            .args(["--seed", "2021", "--scale", "0.05", "--threads", threads])
+            .args(["table4", "table5", "table6", "regions", "robustness"])
+            .output()
+            .expect("spawn repro");
+        assert_eq!(out.status.code(), Some(0), "threads {threads}");
+        String::from_utf8(out.stdout).expect("utf-8 stdout")
+    };
+    let serial = render("1");
+    assert_eq!(render("3"), serial, "--threads 3 differs from --threads 1");
+    assert_eq!(serial, PINNED, "output differs from the pinned bytes");
 }
 
 /// A scratch working directory holding a copy of the checked-in `ci/`
