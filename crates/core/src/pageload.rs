@@ -56,9 +56,8 @@ use dohperf_providers::provider::ProviderKind;
 use dohperf_proxy::exitnode::{ExitNode, BOOTSTRAP_CACHE_HIT_P};
 use dohperf_proxy::lifecycle::{handshake_bill, query_leg};
 use dohperf_telemetry::flight;
-use std::cell::RefCell;
 use std::net::Ipv4Addr;
-use std::rc::Rc;
+use std::sync::OnceLock;
 
 /// Fewest resolutions a page can need (root + a handful of assets).
 pub const MIN_PAGE_DOMAINS: usize = 4;
@@ -116,6 +115,8 @@ impl PageProfile {
 /// document) at depth 0, and every edge points from a node to a parent
 /// of *strictly smaller* depth — so the graph is acyclic by
 /// construction and every parent index is smaller than its child's.
+/// The same edges are also kept child-wise, so a completing node finds
+/// its children without scanning the later nodes' parents.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PageModel {
     /// Per-node depth, non-decreasing, `depths[0] == 0`.
@@ -125,6 +126,11 @@ pub struct PageModel {
     pub edge_index: Vec<u32>,
     /// Parent node indices, flattened.
     pub edges: Vec<u16>,
+    /// CSR offsets into `children`: node `i`'s children are
+    /// `children[child_index[i]..child_index[i + 1]]`.
+    pub child_index: Vec<u32>,
+    /// Child node indices, flattened; each node's run is ascending.
+    pub children: Vec<u16>,
     /// Per-node hostname id in `0..unique_names` (duplicates share one).
     pub name_of: Vec<u16>,
     /// Per-unique-name TTL, seconds.
@@ -184,10 +190,30 @@ impl PageModel {
             edge_index.push(edges.len() as u32);
         }
 
+        // Transpose the parent lists: count each node's children, prefix
+        // sum the counts, then place children in ascending index order.
+        let mut child_index = vec![0u32; n + 1];
+        for &p in &edges {
+            child_index[p as usize + 1] += 1;
+        }
+        for i in 0..n {
+            child_index[i + 1] += child_index[i];
+        }
+        let mut fill: Vec<u32> = child_index[..n].to_vec();
+        let mut children = vec![0u16; edges.len()];
+        for child in 1..n {
+            for &p in &edges[edge_index[child] as usize..edge_index[child + 1] as usize] {
+                children[fill[p as usize] as usize] = child as u16;
+                fill[p as usize] += 1;
+            }
+        }
+
         PageModel {
             depths,
             edge_index,
             edges,
+            child_index,
+            children,
             name_of,
             ttl_of,
             unique_names,
@@ -213,6 +239,11 @@ impl PageModel {
     pub fn parents_of(&self, i: usize) -> &[u16] {
         &self.edges[self.edge_index[i] as usize..self.edge_index[i + 1] as usize]
     }
+
+    /// Node `i`'s children, in ascending index order.
+    pub fn children_of(&self, i: usize) -> &[u16] {
+        &self.children[self.child_index[i] as usize..self.child_index[i + 1] as usize]
+    }
 }
 
 /// Outcome of one full page measurement: a cold visit plus one or more
@@ -232,33 +263,77 @@ pub struct PageOutcome {
     pub queries: u32,
 }
 
-/// Mutable per-page state shared by the scheduled events.
-///
-/// The event closures hold `Rc` clones; each event borrows the state
-/// for its own duration only, and no event re-enters another, so the
-/// `RefCell` discipline is trivially upheld.
-struct PageRun {
-    exit: ExitNode,
+/// One page event, carried through the simulator's timer wheel as a
+/// `u32` token: the kind in the high half, the node in the low half.
+#[derive(Debug, Clone, Copy)]
+enum PageEvent {
+    /// A node's parents have all resolved: start resolving it.
+    Ready(u16),
+    /// A node's resolution finished.
+    Complete(u16),
+    /// The periodic expired-entry sweep.
+    Tick,
+}
+
+impl PageEvent {
+    fn token(self) -> u32 {
+        match self {
+            PageEvent::Ready(node) => u32::from(node),
+            PageEvent::Complete(node) => 1 << 16 | u32::from(node),
+            PageEvent::Tick => 2 << 16,
+        }
+    }
+
+    fn from_token(token: u32) -> PageEvent {
+        let node = token as u16;
+        match token >> 16 {
+            0 => PageEvent::Ready(node),
+            1 => PageEvent::Complete(node),
+            2 => PageEvent::Tick,
+            kind => unreachable!("page event kind {kind}: the queue holds only page events"),
+        }
+    }
+}
+
+/// Cache keys for the fixed page hostnames `r0..r31.page.example`,
+/// built once per process. Names are client-independent, so the global
+/// label-intern arena stays bounded, and no page parses a name.
+fn page_keys() -> &'static [CacheKey] {
+    static KEYS: OnceLock<Vec<CacheKey>> = OnceLock::new();
+    KEYS.get_or_init(|| {
+        (0..MAX_PAGE_DOMAINS)
+            .map(|i| CacheKey {
+                name: DnsName::parse(&format!("r{i}.page.example"))
+                    .expect("static page names parse"),
+                rtype: RecordType::A,
+            })
+            .collect()
+    })
+}
+
+/// Mutable state of one page measurement. Events mutate it one at a time
+/// from [`measure_page`]'s dispatch loop.
+struct PageRun<'a> {
+    exit: &'a ExitNode,
+    model: &'a PageModel,
+    /// Cache key per unique name.
+    keys: &'static [CacheKey],
     pop: NodeId,
     auth: NodeId,
     provider: ProviderKind,
     transport: DnsTransport,
     extra_loss_p: f64,
-    model: PageModel,
-    /// Cache key per unique name (names are client-independent so the
-    /// global label-intern arena stays bounded).
-    keys: Vec<CacheKey>,
     rng: SimRng,
     cache: DnsCache,
     /// Connection generation of the current visit, for span attrs.
     generation: u32,
     // --- per-visit state, reset by `reset_visit` ---
     /// Unresolved parents per node; a node schedules when it hits 0.
-    remaining: Vec<u32>,
+    remaining: [u8; MAX_PAGE_DOMAINS],
     /// When each node's resolution started (for spans).
-    started_at: Vec<SimTime>,
+    started_at: [SimTime; MAX_PAGE_DOMAINS],
     /// Whether each node's resolution was a cache hit.
-    was_hit: Vec<bool>,
+    was_hit: [bool; MAX_PAGE_DOMAINS],
     /// In-flight resolutions: (node, completion event, completion time).
     /// TCP loss stalls rewrite this list wholesale.
     in_flight: Vec<(u16, EventId, SimTime)>,
@@ -268,168 +343,167 @@ struct PageRun {
     last_done: SimTime,
     /// Visit in progress: the evict tick re-arms only while set.
     active: bool,
-    // --- cumulative across visits ---
+    // --- cumulative across visits, published once per page ---
     cache_hits: u32,
     queries: u32,
+    tcp_stalls: u64,
+    events: u64,
     recording: bool,
 }
 
-impl PageRun {
+impl PageRun<'_> {
     fn reset_visit(&mut self, start: SimTime) {
-        let n = self.model.len();
-        self.remaining.clear();
-        for i in 0..n {
-            self.remaining.push(self.model.parents_of(i).len() as u32);
+        for i in 0..self.model.len() {
+            self.remaining[i] = self.model.parents_of(i).len() as u8;
         }
-        self.started_at.clear();
-        self.started_at.resize(n, start);
-        self.was_hit.clear();
-        self.was_hit.resize(n, false);
+        self.started_at = [start; MAX_PAGE_DOMAINS];
+        self.was_hit = [false; MAX_PAGE_DOMAINS];
         self.in_flight.clear();
         self.done = 0;
         self.last_done = start;
         self.active = true;
+    }
+
+    /// Drain the simulator's queue, dispatching each popped event.
+    fn run_visit(&mut self, sim: &mut Simulator) {
+        while let Some((at, token)) = sim.next_event() {
+            self.events += 1;
+            match PageEvent::from_token(token) {
+                PageEvent::Ready(node) => self.node_ready(sim, node, at),
+                PageEvent::Complete(node) => self.node_complete(sim, node, at),
+                PageEvent::Tick => self.evict_tick(sim, at),
+            }
+        }
+    }
+
+    /// A node's dependencies are satisfied: resolve its hostname. Cache
+    /// hits answer locally; misses cost a request leg + framing +
+    /// optional loss stall + recursion + provider processing, all
+    /// multiplexed on the page's shared connection. Schedules the
+    /// completion event.
+    fn node_ready(&mut self, sim: &mut Simulator, node: u16, at: SimTime) {
+        self.started_at[node as usize] = at;
+        let name_id = self.model.name_of[node as usize] as usize;
+        let hit = self.cache.get(&self.keys[name_id], cache_now(at)).is_some();
+        self.was_hit[node as usize] = hit;
+        let mut stall_others = SimDuration::ZERO;
+        let elapsed = if hit {
+            self.cache_hits += 1;
+            let _hot = dohperf_telemetry::alloc::hot_scope();
+            // Local answer: stub processing only, no network.
+            SimDuration::from_millis_f64(self.rng.lognormal_median(0.2, 0.2))
+        } else {
+            self.queries += 1;
+            let transport = self.transport;
+            let _hot = dohperf_telemetry::alloc::hot_scope();
+            // The lifecycle query bill, with the loss asymmetry lifted to
+            // page granularity: TCP stalls every in-flight sibling, QUIC
+            // and UDP stay stream-local.
+            let q = query_leg(
+                sim,
+                self.exit,
+                self.pop,
+                transport,
+                self.extra_loss_p,
+                &mut self.rng,
+            );
+            if let (Some(stall), DnsTransport::DoH | DnsTransport::DoT) = (q.stall, transport) {
+                stall_others = stall;
+            }
+            // Page hostnames are synthetic and per-campaign, so the
+            // provider's recursive cache never has them: full recursion.
+            let recursion = sim.rtt(self.pop, self.auth);
+            let processing = self.provider.processing_time(&mut self.rng)
+                + self
+                    .provider
+                    .forwarding_penalty(self.exit.id, &mut self.rng);
+            q.leg + q.framing + recursion + processing
+        };
+        if stall_others > SimDuration::ZERO {
+            self.tcp_stalls += 1;
+            // Head-of-line blocking: push every in-flight sibling's
+            // completion out by the stall and re-arm their events.
+            for slot in self.in_flight.iter_mut() {
+                sim.cancel(slot.1);
+                slot.2 += stall_others;
+                slot.1 = sim.schedule(slot.2, PageEvent::Complete(slot.0).token());
+            }
+        }
+        let completes = at + elapsed;
+        let ev = sim.schedule(completes, PageEvent::Complete(node).token());
+        self.in_flight.push((node, ev, completes));
+    }
+
+    /// A node's resolution finished: cache the answer, emit its span, and
+    /// release any children whose parents are now all resolved.
+    fn node_complete(&mut self, sim: &mut Simulator, node: u16, at: SimTime) {
+        if let Some(pos) = self.in_flight.iter().position(|slot| slot.0 == node) {
+            self.in_flight.swap_remove(pos);
+        }
+        let name_id = self.model.name_of[node as usize] as usize;
+        if !self.was_hit[node as usize] {
+            // The one allocating step of a page event: the cache owns a
+            // copy of the key and the answer. It runs outside the hot
+            // scope, so the steady-state gate does not cover it.
+            let ttl = self.model.ttl_of[name_id];
+            let key = &self.keys[name_id];
+            let answer = vec![ResourceRecord::new(
+                key.name.clone(),
+                ttl,
+                RData::A(Ipv4Addr::new(198, 51, 100, name_id as u8 + 1)),
+            )];
+            self.cache.insert(key.clone(), answer, cache_now(at), ttl);
+        }
+        if self.recording {
+            let span = flight::start_span(
+                "pageload",
+                format!("resolve n{node} r{name_id}"),
+                self.started_at[node as usize].as_nanos(),
+            );
+            flight::attr(span, "depth", self.model.depths[node as usize].to_string());
+            flight::attr(
+                span,
+                "cache",
+                if self.was_hit[node as usize] {
+                    "hit"
+                } else {
+                    "miss"
+                },
+            );
+            flight::attr(span, "generation", self.generation.to_string());
+            flight::end_span(span, at.as_nanos());
+        }
+        self.done += 1;
+        if at > self.last_done {
+            self.last_done = at;
+        }
+        if self.done == self.model.len() as u32 {
+            self.active = false;
+            return;
+        }
+        for &child in self.model.children_of(node as usize) {
+            let remaining = &mut self.remaining[child as usize];
+            *remaining -= 1;
+            if *remaining == 0 {
+                sim.schedule(at + PARSE_GAP, PageEvent::Ready(child).token());
+            }
+        }
+    }
+
+    /// Re-arming expired-entry sweep: runs every [`EVICT_TICK`] while the
+    /// visit is active, then lets the queue drain (the per-client epoch
+    /// asserts an empty queue, so nothing may keep re-arming forever).
+    fn evict_tick(&mut self, sim: &mut Simulator, at: SimTime) {
+        if self.active {
+            self.cache.evict_expired(cache_now(at));
+            sim.schedule(at + EVICT_TICK, PageEvent::Tick.token());
+        }
     }
 }
 
 /// Whole seconds of simulated time — the cache's clock granularity.
 fn cache_now(at: SimTime) -> u64 {
     at.as_nanos() / 1_000_000_000
-}
-
-/// A node's dependencies are satisfied: resolve its hostname. Cache
-/// hits answer locally; misses cost a request leg + framing + optional
-/// loss stall + recursion + provider processing, all multiplexed on the
-/// page's shared connection. Schedules the completion event.
-fn node_ready(sim: &mut Simulator, run: &Rc<RefCell<PageRun>>, node: u16, at: SimTime) {
-    let mut s = run.borrow_mut();
-    let s = &mut *s;
-    s.started_at[node as usize] = at;
-    let name_id = s.model.name_of[node as usize] as usize;
-    let hit = s.cache.get(&s.keys[name_id], cache_now(at)).is_some();
-    s.was_hit[node as usize] = hit;
-    let mut stall_others = SimDuration::ZERO;
-    let elapsed = if hit {
-        s.cache_hits += 1;
-        let _hot = dohperf_telemetry::alloc::hot_scope();
-        // Local answer: stub processing only, no network.
-        SimDuration::from_millis_f64(s.rng.lognormal_median(0.2, 0.2))
-    } else {
-        s.queries += 1;
-        let transport = s.transport;
-        let _hot = dohperf_telemetry::alloc::hot_scope();
-        // The lifecycle query bill, with the loss asymmetry lifted to
-        // page granularity: TCP stalls every in-flight sibling, QUIC
-        // and UDP stay stream-local.
-        let q = query_leg(sim, &s.exit, s.pop, transport, s.extra_loss_p, &mut s.rng);
-        if let (Some(stall), DnsTransport::DoH | DnsTransport::DoT) = (q.stall, transport) {
-            stall_others = stall;
-        }
-        // Page hostnames are synthetic and per-campaign, so the
-        // provider's recursive cache never has them: full recursion.
-        let recursion = sim.rtt(s.pop, s.auth);
-        let processing = s.provider.processing_time(&mut s.rng)
-            + s.provider.forwarding_penalty(s.exit.id, &mut s.rng);
-        q.leg + q.framing + recursion + processing
-    };
-    if !hit {
-        dohperf_telemetry::counter!("campaign.page_queries").inc();
-    }
-    if stall_others > SimDuration::ZERO {
-        dohperf_telemetry::counter!("campaign.page_tcp_stalls").inc();
-        // Head-of-line blocking: push every in-flight sibling's
-        // completion out by the stall and re-arm their events.
-        for slot in s.in_flight.iter_mut() {
-            sim.cancel(slot.1);
-            slot.2 += stall_others;
-            let sibling = slot.0;
-            let rc = run.clone();
-            slot.1 = sim.schedule_at(slot.2, move |sim, t| node_complete(sim, &rc, sibling, t));
-        }
-    }
-    let completes = at + elapsed;
-    let rc = run.clone();
-    let ev = sim.schedule_at(completes, move |sim, t| node_complete(sim, &rc, node, t));
-    s.in_flight.push((node, ev, completes));
-}
-
-/// A node's resolution finished: cache the answer, emit its span, and
-/// release any children whose parents are now all resolved.
-fn node_complete(sim: &mut Simulator, run: &Rc<RefCell<PageRun>>, node: u16, at: SimTime) {
-    let mut s = run.borrow_mut();
-    let s = &mut *s;
-    if let Some(pos) = s.in_flight.iter().position(|slot| slot.0 == node) {
-        s.in_flight.swap_remove(pos);
-    }
-    let name_id = s.model.name_of[node as usize] as usize;
-    if !s.was_hit[node as usize] {
-        let ttl = s.model.ttl_of[name_id];
-        let key = &s.keys[name_id];
-        let answer = vec![ResourceRecord::new(
-            key.name.clone(),
-            ttl,
-            RData::A(Ipv4Addr::new(198, 51, 100, name_id as u8 + 1)),
-        )];
-        s.cache.insert(key.clone(), answer, cache_now(at), ttl);
-    }
-    if s.recording {
-        let span = flight::start_span(
-            "pageload",
-            format!("resolve n{node} r{name_id}"),
-            s.started_at[node as usize].as_nanos(),
-        );
-        flight::attr(span, "depth", s.model.depths[node as usize].to_string());
-        flight::attr(
-            span,
-            "cache",
-            if s.was_hit[node as usize] {
-                "hit"
-            } else {
-                "miss"
-            },
-        );
-        flight::attr(span, "generation", s.generation.to_string());
-        flight::end_span(span, at.as_nanos());
-    }
-    s.done += 1;
-    if at > s.last_done {
-        s.last_done = at;
-    }
-    if s.done == s.model.len() as u32 {
-        s.active = false;
-        return;
-    }
-    for child in (node as usize + 1)..s.model.len() {
-        let parents = s.model.parents_of(child);
-        if !parents.contains(&node) {
-            continue;
-        }
-        s.remaining[child] -= 1;
-        if s.remaining[child] == 0 {
-            let rc = run.clone();
-            let c = child as u16;
-            sim.schedule_at(at + PARSE_GAP, move |sim, t| node_ready(sim, &rc, c, t));
-        }
-    }
-}
-
-/// Re-arming expired-entry sweep: runs every [`EVICT_TICK`] while the
-/// visit is active, then lets the queue drain (the per-client epoch
-/// asserts an empty queue, so nothing may keep re-arming forever).
-fn schedule_evict_tick(sim: &mut Simulator, run: &Rc<RefCell<PageRun>>, at: SimTime) {
-    let rc = run.clone();
-    sim.schedule_at(at, move |sim, t| {
-        let still_active = {
-            let mut s = rc.borrow_mut();
-            if s.active {
-                s.cache.evict_expired(cache_now(t));
-            }
-            s.active
-        };
-        if still_active {
-            schedule_evict_tick(sim, &rc, t + EVICT_TICK);
-        }
-    });
 }
 
 /// Measure one page over one (client, provider, transport) triple:
@@ -440,7 +514,9 @@ fn schedule_evict_tick(sim: &mut Simulator, run: &Rc<RefCell<PageRun>>, at: SimT
 /// `rng` must be a dedicated fork — the campaign derives one per
 /// (client, transport, provider) so these draws never perturb the
 /// legacy measurement lineage. The simulator clock is left wherever the
-/// last visit ended; callers run inside a per-client epoch.
+/// last visit ended; callers run inside a per-client epoch. The
+/// simulator's event queue must be empty on entry: every event this
+/// function pops is decoded as a page event.
 #[allow(clippy::too_many_arguments)]
 pub fn measure_page(
     sim: &mut Simulator,
@@ -459,43 +535,39 @@ pub fn measure_page(
         visits >= 2,
         "a page measurement needs a cold visit plus at least one revisit"
     );
+    debug_assert_eq!(sim.pending_events(), 0, "foreign events in the queue");
     let pop = deployment.sites()[pop_index].node;
     let recording = flight::active();
     let n = model.len();
 
-    // Fixed hostnames r0..r31: bounded label-intern footprint, and the
-    // per-pair cache is fresh so clients cannot observe each other.
-    let keys: Vec<CacheKey> = (0..model.unique_names)
-        .map(|i| CacheKey {
-            name: DnsName::parse(&format!("r{i}.page.example")).expect("static page names parse"),
-            rtype: RecordType::A,
-        })
-        .collect();
-
     let mut conn = Connection::new(transport);
-    let run = Rc::new(RefCell::new(PageRun {
-        exit: exit.clone(),
+    let mut run = PageRun {
+        exit,
+        model,
+        keys: page_keys(),
         pop,
         auth,
         provider,
         transport,
         extra_loss_p,
-        model: model.clone(),
-        keys,
         rng: rng.fork("page-run"),
+        // The per-pair cache is fresh, so clients cannot observe each
+        // other.
         cache: DnsCache::with_capacity(PAGE_CACHE_CAPACITY),
         generation: 0,
-        remaining: Vec::with_capacity(n),
-        started_at: Vec::with_capacity(n),
-        was_hit: Vec::with_capacity(n),
+        remaining: [0; MAX_PAGE_DOMAINS],
+        started_at: [SimTime::ZERO; MAX_PAGE_DOMAINS],
+        was_hit: [false; MAX_PAGE_DOMAINS],
         in_flight: Vec::with_capacity(n),
         done: 0,
         last_done: sim.now(),
         active: false,
         cache_hits: 0,
         queries: 0,
+        tcp_stalls: 0,
+        events: 0,
         recording,
-    }));
+    };
 
     let page_span = if recording {
         flight::start_span(
@@ -515,7 +587,6 @@ pub fn measure_page(
         if visit > 0 {
             sim.advance(INTER_VISIT_GAP);
         }
-        dohperf_telemetry::counter!("campaign.page_visits").inc();
         let visit_start = sim.now();
         let visit_span = if recording {
             flight::start_span(
@@ -529,52 +600,41 @@ pub fn measure_page(
         } else {
             flight::SpanToken::NOOP
         };
-        let hits_before;
-        {
-            let mut s = run.borrow_mut();
-            let s = &mut *s;
-            hits_before = s.cache_hits;
-            s.reset_visit(visit_start);
-            // Sweep entries that expired during the think-time gap so
-            // the eviction counter sees them deterministically.
-            s.cache.evict_expired(cache_now(visit_start));
-            // Cold visits bootstrap the provider hostname over Do53
-            // (encrypted transports only; Do53 targets the resolver
-            // address directly), then pay the full handshake. Warm
-            // visits re-acquire inside the keep-alive window for free.
-            if visit == 0 && transport.is_encrypted() {
-                let bootstrap = s.exit.do53_bootstrap(
-                    sim,
-                    pop,
-                    provider.hostname(),
-                    BOOTSTRAP_CACHE_HIT_P,
-                    &mut s.rng,
-                );
-                sim.advance(bootstrap);
-            }
-            let acq = conn.acquire(sim.now());
-            s.generation = acq.generation;
-            handshake_bill(sim, &s.exit, pop, transport, acq.warmth, &mut s.rng);
-            s.last_done = sim.now();
-            if recording {
-                flight::attr(visit_span, "warmth", acq.warmth.name());
-                flight::attr(visit_span, "generation", acq.generation.to_string());
-            }
+        let hits_before = run.cache_hits;
+        run.reset_visit(visit_start);
+        // Sweep entries that expired during the think-time gap so the
+        // eviction counter sees them deterministically.
+        run.cache.evict_expired(cache_now(visit_start));
+        // Cold visits bootstrap the provider hostname over Do53
+        // (encrypted transports only; Do53 targets the resolver address
+        // directly), then pay the full handshake. Warm visits re-acquire
+        // inside the keep-alive window for free.
+        if visit == 0 && transport.is_encrypted() {
+            let bootstrap = exit.do53_bootstrap(
+                sim,
+                pop,
+                provider.hostname(),
+                BOOTSTRAP_CACHE_HIT_P,
+                &mut run.rng,
+            );
+            sim.advance(bootstrap);
+        }
+        let acq = conn.acquire(sim.now());
+        run.generation = acq.generation;
+        handshake_bill(sim, exit, pop, transport, acq.warmth, &mut run.rng);
+        run.last_done = sim.now();
+        if recording {
+            flight::attr(visit_span, "warmth", acq.warmth.name());
+            flight::attr(visit_span, "generation", acq.generation.to_string());
         }
         let root_at = sim.now();
-        let rc = run.clone();
-        sim.schedule_at(root_at, move |sim, t| node_ready(sim, &rc, 0, t));
-        schedule_evict_tick(sim, &run, root_at + EVICT_TICK);
-        sim.run_to_completion();
+        sim.schedule(root_at, PageEvent::Ready(0).token());
+        sim.schedule(root_at + EVICT_TICK, PageEvent::Tick.token());
+        run.run_visit(sim);
 
-        let (plt_ms, visit_hits) = {
-            let s = run.borrow();
-            debug_assert_eq!(s.done, n as u32, "every page node must resolve");
-            (
-                s.last_done.saturating_since(visit_start).as_millis_f64(),
-                s.cache_hits - hits_before,
-            )
-        };
+        debug_assert_eq!(run.done, n as u32, "every page node must resolve");
+        let plt_ms = run.last_done.saturating_since(visit_start).as_millis_f64();
+        let visit_hits = run.cache_hits - hits_before;
         if visit == 0 {
             plt_cold_ms = plt_ms;
             cold_hits = visit_hits;
@@ -591,13 +651,23 @@ pub fn measure_page(
         flight::end_span(page_span, sim.now().as_nanos());
     }
 
-    let s = run.borrow();
+    // Shared counters take one add per page, not one per event; the
+    // cache publishes its own when `run` drops.
+    dohperf_telemetry::counter!("campaign.page_visits").add(u64::from(visits));
+    if run.queries > 0 {
+        dohperf_telemetry::counter!("campaign.page_queries").add(u64::from(run.queries));
+    }
+    if run.tcp_stalls > 0 {
+        dohperf_telemetry::counter!("campaign.page_tcp_stalls").add(run.tcp_stalls);
+    }
+    dohperf_telemetry::counter!("netsim.events_dispatched").add(run.events);
+
     PageOutcome {
         plt_cold_ms,
         plt_warm_ms: median(&mut warm_plts),
         cold_cache_hits: cold_hits,
-        warm_cache_hits: s.cache_hits - cold_hits,
-        queries: s.queries,
+        warm_cache_hits: run.cache_hits - cold_hits,
+        queries: run.queries,
     }
 }
 
@@ -676,6 +746,23 @@ mod tests {
             let model = PageModel::generate(&profile, &mut rng);
             assert_invariants(&profile, &model);
         }
+
+        /// The CSR child lists equal the definition they replace: the
+        /// later nodes that list a node among their parents, ascending.
+        #[test]
+        fn child_lists_match_a_scan_of_later_parents(seed in any::<u64>(), client in 0u64..512) {
+            let root = SimRng::new(seed).fork("campaign");
+            let profile = PageProfile::for_country(&root, "IN");
+            let mut rng = root.fork_indexed("client", client).fork("page-model");
+            let model = PageModel::generate(&profile, &mut rng);
+            for node in 0..model.len() {
+                let scanned: Vec<u16> = (node + 1..model.len())
+                    .filter(|&child| model.parents_of(child).contains(&(node as u16)))
+                    .map(|child| child as u16)
+                    .collect();
+                prop_assert_eq!(model.children_of(node), scanned.as_slice());
+            }
+        }
     }
 
     #[test]
@@ -693,6 +780,141 @@ mod tests {
             }
         }
         assert!(dupes > 10, "only {dupes}/64 pages had duplicate names");
+    }
+
+    /// Every (transport, provider) outcome of one fixed client, as
+    /// `[plt_cold_ms bits, plt_warm_ms bits, cold hits, warm hits,
+    /// queries]`, in `DnsTransport::ALL` × `ALL_PROVIDERS` order. The
+    /// pairs share one simulator and epoch, as in the campaign, so the
+    /// simulator's jitter streams carry from pair to pair.
+    fn pinned_outcomes(extra_loss_p: f64) -> Vec<[u64; 5]> {
+        use crate::testbed::Testbed;
+        use dohperf_providers::provider::ALL_PROVIDERS;
+        use dohperf_world::countries::country;
+        use dohperf_world::geoloc::GeolocationService;
+
+        let model = pinned_page();
+        let mut tb = Testbed::new(2021);
+        tb.sim.begin_epoch(&SimRng::new(2021).fork("pin-epoch"));
+        let c = country("BR").expect("BR in table");
+        let mut geoloc = GeolocationService::new(SimRng::new(77), 0.0, vec![c.iso]);
+        let mut exit_rng = SimRng::new(7);
+        let exit = ExitNode::create(
+            &mut tb.sim,
+            &mut geoloc,
+            c,
+            0,
+            c.centroid(),
+            7,
+            &mut exit_rng,
+        );
+        let client_rng = SimRng::new(2021).fork_indexed("pin-client", 7);
+        let mut out = Vec::new();
+        for transport in DnsTransport::ALL {
+            for (pi, &provider) in ALL_PROVIDERS.iter().enumerate() {
+                let deployment = &tb.deployments[pi];
+                let pop_index = deployment.nearest_index(&exit.position);
+                let mut rng = client_rng.fork_parts(&[transport.name(), provider.name()]);
+                let o = measure_page(
+                    &mut tb.sim,
+                    &exit,
+                    provider,
+                    deployment,
+                    pop_index,
+                    tb.auth_ns,
+                    transport,
+                    extra_loss_p,
+                    &model,
+                    3,
+                    &mut rng,
+                );
+                out.push([
+                    o.plt_cold_ms.to_bits(),
+                    o.plt_warm_ms.to_bits(),
+                    u64::from(o.cold_cache_hits),
+                    u64::from(o.warm_cache_hits),
+                    u64::from(o.queries),
+                ]);
+            }
+        }
+        assert_eq!(tb.sim.pending_events(), 0, "every page event drained");
+        out
+    }
+
+    /// A page wider than the stub cache with intra-page duplicate names,
+    /// so the pins cover LRU pressure and cold-visit hits.
+    fn pinned_page() -> PageModel {
+        let root = SimRng::new(2021).fork("campaign");
+        let profile = PageProfile {
+            mean_domains: 28.0,
+            max_depth: 4,
+        };
+        let mut client = 0;
+        loop {
+            let mut rng = root.fork_indexed("client", client).fork("page-model");
+            let model = PageModel::generate(&profile, &mut rng);
+            if model.unique_names > PAGE_CACHE_CAPACITY && model.unique_names < model.len() {
+                return model;
+            }
+            client += 1;
+        }
+    }
+
+    /// [`pinned_outcomes`] at `extra_loss_p` 0: Do53, DoH, DoT, DoQ rows
+    /// of Cloudflare, Google, Quad9, NextDNS.
+    const PINNED_LOSS_FREE: [[u64; 5]; 16] = [
+        [0x4080ec0f416bdb1a, 0x40763bdbf8b9baa1, 3, 37, 56],
+        [0x4083df92da122fad, 0x4082ac7c91d14e3c, 3, 36, 57],
+        [0x408b6319567dbb17, 0x40823c4b89d6adf7, 4, 35, 57],
+        [0x40817960620ab713, 0x4080fc508893b7d8, 3, 35, 58],
+        [0x408a0d519934efcc, 0x407e9a7faf42784b, 4, 33, 59],
+        [0x408d8cf58afc47e5, 0x408442b242070b8d, 4, 35, 57],
+        [0x4090bd15a57646ae, 0x408204bd556084a5, 4, 36, 56],
+        [0x408d040384ba0e84, 0x408211950b955f78, 4, 34, 58],
+        [0x4086944a07f66e87, 0x407e3243c18b502b, 4, 35, 57],
+        [0x409109731fcd24e1, 0x407e48fae7924af1, 3, 37, 56],
+        [0x40916ea382e44b6f, 0x408a73ce1deacc92, 4, 33, 59],
+        [0x408a7fbc46d82ba6, 0x407ba39d60631727, 4, 36, 56],
+        [0x408bca2e34fc610f, 0x40777d9a6a444178, 3, 35, 58],
+        [0x408d17cfdeb52c9d, 0x4083652443914f48, 4, 35, 57],
+        [0x4093bcdda22f6a51, 0x408705cfd86a8fc1, 5, 35, 56],
+        [0x4089fc61626b2f23, 0x40830d208aefb2ab, 5, 36, 55],
+    ];
+
+    /// [`pinned_outcomes`] at `extra_loss_p` 0.3: TCP head-of-line stalls
+    /// on DoH/DoT, stream-local stalls on DoQ, retry timers on Do53.
+    const PINNED_LOSSY: [[u64; 5]; 16] = [
+        [0x40a34a181669ced1, 0x40a18ccf2ef0ae53, 3, 36, 57],
+        [0x40a314e60ac7da1f, 0x40a32a0b1a6d6990, 5, 39, 52],
+        [0x40a54d147325918a, 0x4094fcb27e953155, 5, 38, 53],
+        [0x40a3e634a42aed14, 0x407980168e820e63, 3, 37, 56],
+        [0x4092850bb906466b, 0x4084cbce115592da, 4, 35, 57],
+        [0x409636644d877250, 0x408bdeba2b5a20de, 4, 35, 57],
+        [0x409718844e0daa0d, 0x408d3746c54bcf0b, 4, 35, 57],
+        [0x40981905881a1555, 0x408aa67940fecdd1, 4, 35, 57],
+        [0x408fb1c9fadafd11, 0x4083aa38a2a90cd4, 4, 36, 56],
+        [0x409471ea00e27e0f, 0x408310ec881e4713, 4, 35, 57],
+        [0x409509e78854cdb8, 0x408ba68d9513f8db, 3, 34, 59],
+        [0x4093b96c3d68405b, 0x4088503cc39ffd61, 4, 35, 57],
+        [0x408b8c1f3bea91da, 0x40805fd38a3b57c5, 4, 35, 57],
+        [0x408f31d2becedd48, 0x4084b754eebf65dc, 4, 35, 57],
+        [0x4091401e90bc7b46, 0x40865715286b5914, 4, 35, 57],
+        [0x408ee757c88e79ab, 0x4082ebd66490a351, 4, 35, 57],
+    ];
+
+    /// The page-execution rewrite must fire every event at the same
+    /// instant, in the same order, with the same RNG draws: every bit of
+    /// every outcome field is pinned for all 16 pairs, loss-free and lossy.
+    #[test]
+    fn page_outcomes_are_pinned_bit_for_bit() {
+        let model = pinned_page();
+        assert_eq!((model.len(), model.unique_names), (32, 27));
+        for (loss, pinned) in [(0.0, &PINNED_LOSS_FREE), (0.3, &PINNED_LOSSY)] {
+            let got = pinned_outcomes(loss);
+            for (i, (g, p)) in got.iter().zip(pinned.iter()).enumerate() {
+                assert_eq!(g, p, "pair {i} at extra_loss_p {loss}");
+            }
+        }
     }
 
     #[test]

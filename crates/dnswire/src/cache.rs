@@ -22,9 +22,18 @@
 //! historical unbounded behaviour for callers that manage their own bounds.
 //!
 //! Every removal of a live entry — LRU pressure, [`DnsCache::evict_expired`]
-//! sweeps, or lazy expiry during [`DnsCache::get`] — increments the
-//! deterministic `cache.evictions` counter; lookups increment `cache.hits`
-//! or `cache.misses`.
+//! sweeps, or lazy expiry during [`DnsCache::get`] — counts as an
+//! eviction; lookups count as hits or misses. The cache keeps these counts
+//! itself and publishes them to the deterministic `cache.hits`,
+//! `cache.misses` and `cache.evictions` registry counters once, when it is
+//! dropped, so the lookup path touches no shared atomic.
+//!
+//! # One hash per lookup
+//!
+//! The key map stores each entry's slot in a slab, not the entry itself.
+//! A lookup copies the slot index out of the map and then reads the slab,
+//! so a hit hashes its key once and can still return a borrow of the
+//! records. Only the lazy removal of an expired entry hashes it again.
 
 use crate::name::DnsName;
 use crate::record::ResourceRecord;
@@ -53,7 +62,11 @@ struct CacheEntry {
 /// capacity bound enforced by deterministic LRU eviction.
 #[derive(Debug)]
 pub struct DnsCache {
-    entries: HashMap<CacheKey, CacheEntry>,
+    /// Each live key's slot in `slots`.
+    index: HashMap<CacheKey, u32>,
+    /// Entry storage; a slot no key points at is on `free`.
+    slots: Vec<CacheEntry>,
+    free: Vec<u32>,
     capacity: usize,
     tick: u64,
     hits: u64,
@@ -78,7 +91,9 @@ impl DnsCache {
     pub fn with_capacity(capacity: usize) -> Self {
         assert!(capacity >= 1, "DnsCache capacity must be at least 1");
         DnsCache {
-            entries: HashMap::new(),
+            index: HashMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             capacity,
             tick: 0,
             hits: 0,
@@ -97,18 +112,26 @@ impl DnsCache {
         self.tick
     }
 
+    /// Return a slot whose key was just unmapped to the free list, dropping
+    /// its records.
+    fn release(slots: &mut [CacheEntry], free: &mut Vec<u32>, slot: u32) {
+        slots[slot as usize].records = Vec::new();
+        free.push(slot);
+    }
+
     /// Evict the least-recently-used entry. Ticks are unique, so the
     /// minimum is unambiguous and independent of HashMap iteration order.
     fn evict_lru(&mut self) {
+        let slots = &self.slots;
         let victim = self
-            .entries
-            .iter()
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(k, _)| k.clone());
-        if let Some(k) = victim {
-            self.entries.remove(&k);
+            .index
+            .values()
+            .copied()
+            .min_by_key(|&slot| slots[slot as usize].last_used);
+        if let Some(victim) = victim {
+            self.index.retain(|_, slot| *slot != victim);
+            Self::release(&mut self.slots, &mut self.free, victim);
             self.evictions += 1;
-            dohperf_telemetry::counter!("cache.evictions").inc();
         }
     }
 
@@ -120,77 +143,79 @@ impl DnsCache {
         if ttl == 0 {
             return;
         }
-        if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
+        let existing = self.index.get(&key).copied();
+        if existing.is_none() && self.index.len() >= self.capacity {
             self.evict_lru();
         }
-        let last_used = self.next_tick();
-        self.entries.insert(
-            key,
-            CacheEntry {
-                records,
-                expires_at: now.saturating_add(u64::from(ttl)),
-                last_used,
-            },
-        );
+        let entry = CacheEntry {
+            records,
+            expires_at: now.saturating_add(u64::from(ttl)),
+            last_used: self.next_tick(),
+        };
+        if let Some(slot) = existing {
+            self.slots[slot as usize] = entry;
+            return;
+        }
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = entry;
+                slot
+            }
+            None => {
+                self.slots.push(entry);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.index.insert(key, slot);
     }
 
     /// Look up `key` at time `now`; expired entries are evicted lazily.
     /// A hit refreshes the entry's LRU recency.
     pub fn get(&mut self, key: &CacheKey, now: u64) -> Option<&[ResourceRecord]> {
-        let tick = self.tick + 1;
-        match self.entries.get_mut(key) {
-            Some(entry) if entry.expires_at > now => {
-                self.tick = tick;
-                entry.last_used = tick;
-                self.hits += 1;
-                dohperf_telemetry::counter!("cache.hits").inc();
-                // Reborrow immutably for the return.
-                Some(
-                    self.entries
-                        .get(key)
-                        .expect("entry vanished")
-                        .records
-                        .as_slice(),
-                )
-            }
-            Some(_) => {
-                self.entries.remove(key);
-                self.misses += 1;
-                self.evictions += 1;
-                dohperf_telemetry::counter!("cache.misses").inc();
-                dohperf_telemetry::counter!("cache.evictions").inc();
-                None
-            }
-            None => {
-                self.misses += 1;
-                dohperf_telemetry::counter!("cache.misses").inc();
-                None
-            }
+        let Some(&slot) = self.index.get(key) else {
+            self.misses += 1;
+            return None;
+        };
+        if self.slots[slot as usize].expires_at > now {
+            self.hits += 1;
+            let tick = self.next_tick();
+            let entry = &mut self.slots[slot as usize];
+            entry.last_used = tick;
+            return Some(&entry.records);
         }
+        self.index.remove(key);
+        Self::release(&mut self.slots, &mut self.free, slot);
+        self.misses += 1;
+        self.evictions += 1;
+        None
     }
 
     /// Remove every expired entry eagerly; returns how many were evicted.
     /// Campaigns call this from a periodic timer-wheel tick so long runs
     /// stay bounded even when lookups never touch stale keys.
     pub fn evict_expired(&mut self, now: u64) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|_, e| e.expires_at > now);
-        let evicted = before - self.entries.len();
-        if evicted > 0 {
-            self.evictions += evicted as u64;
-            dohperf_telemetry::counter!("cache.evictions").add(evicted as u64);
-        }
+        let before = self.index.len();
+        let (slots, free) = (&mut self.slots, &mut self.free);
+        self.index.retain(|_, &mut slot| {
+            let live = slots[slot as usize].expires_at > now;
+            if !live {
+                Self::release(slots, free, slot);
+            }
+            live
+        });
+        let evicted = before - self.index.len();
+        self.evictions += evicted as u64;
         evicted
     }
 
     /// Number of live entries (may include expired-but-unevicted ones).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// True if no entries are stored.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.is_empty()
     }
 
     /// (hits, misses) counters since creation.
@@ -216,7 +241,31 @@ impl DnsCache {
 
     /// Drop everything.
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.index.clear();
+        self.slots.clear();
+        self.free.clear();
+    }
+}
+
+impl Drop for DnsCache {
+    /// Publish this cache's counts to the global registry, once. A
+    /// counter is touched only when its count is non-zero, so a cache
+    /// registers exactly the counters a live increment would have.
+    fn drop(&mut self) {
+        // Registering a counter takes the registry lock, which panics if
+        // poisoned; a second panic while unwinding would abort.
+        if std::thread::panicking() {
+            return;
+        }
+        if self.hits > 0 {
+            dohperf_telemetry::counter!("cache.hits").add(self.hits);
+        }
+        if self.misses > 0 {
+            dohperf_telemetry::counter!("cache.misses").add(self.misses);
+        }
+        if self.evictions > 0 {
+            dohperf_telemetry::counter!("cache.evictions").add(self.evictions);
+        }
     }
 }
 

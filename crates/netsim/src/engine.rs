@@ -4,19 +4,18 @@
 //! future-event list. The measurement choreographies are sequential: they
 //! sample RTTs ([`Simulator::rtt`]) and advance the clock directly
 //! ([`Simulator::advance`]). The event queue exists for concurrent
-//! workloads (the page-load DAGs resolve many hostnames at once) and for
-//! timer-driven protocol behaviour.
+//! workloads: the page-load DAGs resolve many hostnames at once. Its
+//! events are `u32` tokens that the caller encodes and decodes; the
+//! caller drives them with [`Simulator::next_event`] in its own loop and
+//! `match`es on what it popped.
 
-use crate::event::{EventId, EventQueue};
+use crate::event::{EventId, TimerWheel};
 use crate::latency::{LatencyModel, PathModel};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, NodeSpec, Topology};
 use crate::trace::{PacketRecord, TraceLog};
-use dohperf_telemetry::flight;
-
-/// Callback type fired by the engine.
-pub type Action = Box<dyn FnOnce(&mut Simulator, SimTime)>;
+use dohperf_telemetry::{alloc, flight};
 
 /// A deterministic discrete-event network simulator.
 pub struct Simulator {
@@ -25,8 +24,7 @@ pub struct Simulator {
     path: PathModel,
     rng: SimRng,
     trace: TraceLog,
-    queue: EventQueue<Simulator>,
-    executed_events: u64,
+    queue: TimerWheel<u32>,
 }
 
 impl Simulator {
@@ -40,8 +38,7 @@ impl Simulator {
             path: PathModel::new(rng.fork("path")),
             rng: rng.fork("engine"),
             trace: TraceLog::disabled(),
-            queue: EventQueue::new(),
-            executed_events: 0,
+            queue: TimerWheel::new(),
         }
     }
 
@@ -203,21 +200,13 @@ impl Simulator {
         }
     }
 
-    /// Schedule an action `delay` after now.
-    pub fn schedule_in<F>(&mut self, delay: SimDuration, action: F) -> EventId
-    where
-        F: FnOnce(&mut Simulator, SimTime) + 'static,
-    {
-        let at = self.now + delay;
-        self.schedule_at(at, action)
-    }
-
-    /// Schedule an action at an absolute instant.
-    pub fn schedule_at<F>(&mut self, at: SimTime, action: F) -> EventId
-    where
-        F: FnOnce(&mut Simulator, SimTime) + 'static,
-    {
-        let id = self.queue.schedule(at, action);
+    /// Schedule `token` to fire at an absolute instant. Tokens are opaque
+    /// to the simulator; the caller that drains the queue decodes them.
+    pub fn schedule(&mut self, at: SimTime, token: u32) -> EventId {
+        let id = {
+            let _hot = alloc::hot_scope();
+            self.queue.push(at, token)
+        };
         if flight::active() {
             flight::event(
                 format!("netsim schedule {id:?} at {}ns", at.as_nanos()),
@@ -227,40 +216,24 @@ impl Simulator {
         id
     }
 
-    /// Cancel a scheduled action.
+    /// Cancel a scheduled event (a no-op if it already fired).
     pub fn cancel(&mut self, id: EventId) {
+        let _hot = alloc::hot_scope();
         self.queue.cancel(id);
     }
 
-    /// Run events until the queue drains or `deadline` passes. Returns the
-    /// number of events executed.
-    pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        let mut executed = 0;
-        while let Some(at) = self.queue.peek_time() {
-            if at > deadline {
-                break;
-            }
-            let (at, action) = self.queue.pop().expect("peeked event vanished");
-            self.advance_to(at);
-            if flight::active() {
-                flight::event("netsim dispatch event", at.as_nanos());
-            }
-            action(self, at);
-            executed += 1;
-            self.executed_events += 1;
+    /// Pop the next event and move the clock to its firing time. Returns
+    /// the firing time and the token, or `None` once the queue is empty.
+    pub fn next_event(&mut self) -> Option<(SimTime, u32)> {
+        let (at, token) = {
+            let _hot = alloc::hot_scope();
+            self.queue.pop()?
+        };
+        self.advance_to(at);
+        if flight::active() {
+            flight::event("netsim dispatch event", at.as_nanos());
         }
-        dohperf_telemetry::counter!("netsim.events_dispatched").add(executed);
-        executed
-    }
-
-    /// Run events until the queue is empty.
-    pub fn run_to_completion(&mut self) -> u64 {
-        self.run_until(SimTime::MAX)
-    }
-
-    /// Total events executed over the simulator's lifetime.
-    pub fn executed_events(&self) -> u64 {
-        self.executed_events
+        Some((at, token))
     }
 
     /// Pending events.
@@ -299,36 +272,43 @@ mod tests {
         assert_eq!(sim.now(), SimTime::from_millis(5));
     }
 
+    /// Drain the queue, returning every popped `(time, token)`.
+    fn drain(sim: &mut Simulator) -> Vec<(SimTime, u32)> {
+        std::iter::from_fn(|| sim.next_event()).collect()
+    }
+
     #[test]
     fn events_fire_in_order_and_advance_clock() {
         let (mut sim, _, _) = sim_with_pair();
-        sim.schedule_in(SimDuration::from_millis(10), |s, at| {
-            assert_eq!(s.now(), at);
-            s.schedule_in(SimDuration::from_millis(5), |_, _| {});
-        });
-        let n = sim.run_to_completion();
-        assert_eq!(n, 2);
+        sim.schedule(SimTime::from_millis(10), 1);
+        let mut fired = 0;
+        while let Some((at, token)) = sim.next_event() {
+            assert_eq!(sim.now(), at);
+            if token == 1 {
+                sim.schedule(at + SimDuration::from_millis(5), 2);
+            }
+            fired += 1;
+        }
+        assert_eq!(fired, 2);
         assert_eq!(sim.now(), SimTime::from_millis(15));
     }
 
     #[test]
-    fn run_until_respects_deadline() {
+    fn pending_events_count_what_has_not_fired() {
         let (mut sim, _, _) = sim_with_pair();
-        sim.schedule_in(SimDuration::from_millis(10), |_, _| {});
-        sim.schedule_in(SimDuration::from_millis(100), |_, _| {});
-        let n = sim.run_until(SimTime::from_millis(50));
-        assert_eq!(n, 1);
+        sim.schedule(SimTime::from_millis(10), 1);
+        sim.schedule(SimTime::from_millis(100), 2);
+        assert_eq!(sim.next_event(), Some((SimTime::from_millis(10), 1)));
         assert_eq!(sim.pending_events(), 1);
+        assert_eq!(sim.now(), SimTime::from_millis(10));
     }
 
     #[test]
     fn cancelled_event_skipped() {
         let (mut sim, _, _) = sim_with_pair();
-        let id = sim.schedule_in(SimDuration::from_millis(10), |_, _| {
-            panic!("cancelled event fired")
-        });
+        let id = sim.schedule(SimTime::from_millis(10), 1);
         sim.cancel(id);
-        assert_eq!(sim.run_to_completion(), 0);
+        assert!(drain(&mut sim).is_empty());
     }
 
     #[test]
@@ -394,21 +374,19 @@ mod tests {
     #[should_panic(expected = "begin_epoch with")]
     fn begin_epoch_rejects_pending_events() {
         let (mut sim, _, _) = sim_with_pair();
-        sim.schedule_in(SimDuration::from_millis(10), |_, _| {});
+        sim.schedule(SimTime::from_millis(10), 1);
         sim.begin_epoch(&SimRng::new(1));
     }
 
     #[test]
     fn epoch_reset_allows_rescheduling_from_time_zero() {
         let (mut sim, _, _) = sim_with_pair();
-        sim.schedule_in(SimDuration::from_millis(10), |_, _| {});
-        sim.run_to_completion();
+        sim.schedule(SimTime::from_millis(10), 1);
+        drain(&mut sim);
         assert_eq!(sim.now(), SimTime::from_millis(10));
         sim.begin_epoch(&SimRng::new(2));
-        sim.schedule_in(SimDuration::from_millis(5), |s, at| {
-            assert_eq!(at, SimTime::from_millis(5));
-            assert_eq!(s.now(), SimTime::from_millis(5));
-        });
-        assert_eq!(sim.run_to_completion(), 1);
+        sim.schedule(SimTime::from_millis(5), 2);
+        assert_eq!(drain(&mut sim), vec![(SimTime::from_millis(5), 2)]);
+        assert_eq!(sim.now(), SimTime::from_millis(5));
     }
 }

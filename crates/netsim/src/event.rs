@@ -1,18 +1,18 @@
 //! The discrete-event queue: a hierarchical timer wheel over a slab.
 //!
-//! Events are closures ordered by firing time, with a monotonically
+//! Events are payloads ordered by firing time, with a monotonically
 //! increasing sequence number breaking ties so that two events scheduled
 //! for the same instant fire in scheduling order (FIFO). This tie-break is
 //! what makes the engine deterministic.
 //!
-//! The first four PRs used a `BinaryHeap` of boxed nodes; this version is
-//! the timer wheel described in DESIGN.md §12. Event bookkeeping lives in
-//! a slab of reusable slots (`Vec<EventSlot>` plus a free list), so the
-//! steady-state queue performs no per-event node allocation — the one
-//! remaining allocation is the `Box` around the caller's closure, which
-//! the `schedule` API requires and which the campaign hot path never
-//! exercises (the protocol layers advance time through the sequential
-//! session facade instead of scheduling).
+//! [`TimerWheel<P>`] is generic over its payload. The simulator's own
+//! wheel carries a `u32` token, which the page-load workload decodes into
+//! a typed event (`core::pageload`), so scheduling there touches no
+//! allocator: event bookkeeping lives in a slab of reusable slots
+//! (`Vec<EventSlot>` plus a free list), and a `Copy` payload needs no
+//! box. [`EventQueue<C>`] is the same wheel carrying boxed closures
+//! ([`EventAction`]); each of its events allocates the `Box`, so it suits
+//! callers that want a callback API more than speed.
 //!
 //! ## Structure
 //!
@@ -34,6 +34,9 @@ use crate::time::SimTime;
 
 /// A scheduled callback body: receives the context and the firing time.
 pub type EventAction<C> = Box<dyn FnOnce(&mut C, SimTime)>;
+
+/// A future-event list of boxed closures over a context `C`.
+pub type EventQueue<C> = TimerWheel<EventAction<C>>;
 
 /// Opaque handle identifying a scheduled event; can be used to cancel it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -57,6 +60,10 @@ const LEVEL_BITS: u32 = 6;
 const BUCKETS: usize = 1 << LEVEL_BITS;
 /// Null link in the slab's intrusive lists.
 const NIL: u32 = u32::MAX;
+/// Pending events a new queue has room for. A page holds at most one
+/// event per node (32) plus its sweep tick; most of them can sit in the
+/// due list at once, because a cascade may move the cursor past them.
+const RESERVED_EVENTS: usize = 64;
 
 /// Where a live slot is currently filed (so `cancel` can unlink it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,18 +74,18 @@ enum Loc {
     Free,
 }
 
-struct EventSlot<C> {
+struct EventSlot<P> {
     at: SimTime,
     seq: u64,
     generation: u32,
     next: u32,
     loc: Loc,
-    action: Option<EventAction<C>>,
+    payload: Option<P>,
 }
 
-/// A deterministic future-event list.
-pub struct EventQueue<C> {
-    slots: Vec<EventSlot<C>>,
+/// A deterministic future-event list carrying payloads of type `P`.
+pub struct TimerWheel<P> {
+    slots: Vec<EventSlot<P>>,
     free_head: u32,
     buckets: [[u32; BUCKETS]; LEVELS],
     occupancy: [u64; LEVELS],
@@ -93,21 +100,34 @@ pub struct EventQueue<C> {
     live: usize,
 }
 
-impl<C> Default for EventQueue<C> {
+impl<P> Default for TimerWheel<P> {
     fn default() -> Self {
         Self::new()
     }
 }
 
 impl<C> EventQueue<C> {
-    /// Create an empty queue.
+    /// Schedule `action` to fire at `at`. Returns a handle for cancellation.
+    pub fn schedule<F>(&mut self, at: SimTime, action: F) -> EventId
+    where
+        F: FnOnce(&mut C, SimTime) + 'static,
+    {
+        self.push(at, Box::new(action))
+    }
+}
+
+impl<P> TimerWheel<P> {
+    /// Create an empty queue. The slab and the due list start with room
+    /// for 64 pending events, so a queue that never holds more, and never
+    /// schedules past the wheel's ~78 h horizon, allocates nothing after
+    /// construction.
     pub fn new() -> Self {
-        EventQueue {
-            slots: Vec::with_capacity(64),
+        TimerWheel {
+            slots: Vec::with_capacity(RESERVED_EVENTS),
             free_head: NIL,
             buckets: [[NIL; BUCKETS]; LEVELS],
             occupancy: [0; LEVELS],
-            due: Vec::new(),
+            due: Vec::with_capacity(RESERVED_EVENTS),
             overflow: Vec::new(),
             cursor: 0,
             next_seq: 0,
@@ -115,14 +135,12 @@ impl<C> EventQueue<C> {
         }
     }
 
-    /// Schedule `action` to fire at `at`. Returns a handle for cancellation.
-    pub fn schedule<F>(&mut self, at: SimTime, action: F) -> EventId
-    where
-        F: FnOnce(&mut C, SimTime) + 'static,
-    {
+    /// Schedule `payload` to fire at `at`. Returns a handle for
+    /// cancellation.
+    pub fn push(&mut self, at: SimTime, payload: P) -> EventId {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let idx = self.alloc_slot(at, seq, Box::new(action));
+        let idx = self.alloc_slot(at, seq, payload);
         self.live += 1;
         self.file(idx);
         EventId::pack(idx, self.slots[idx as usize].generation)
@@ -173,7 +191,7 @@ impl<C> EventQueue<C> {
     }
 
     /// Remove and return the next live event.
-    pub fn pop(&mut self) -> Option<(SimTime, EventAction<C>)> {
+    pub fn pop(&mut self) -> Option<(SimTime, P)> {
         let idx = self.min_slot()?;
         let slot = &self.slots[idx as usize];
         let at = slot.at;
@@ -182,18 +200,18 @@ impl<C> EventQueue<C> {
         // occupancy invariant (no occupied bucket behind the cursor).
         self.cursor = self.cursor.max(at.as_nanos());
         self.unlink(idx);
-        let action = self.slots[idx as usize]
-            .action
+        let payload = self.slots[idx as usize]
+            .payload
             .take()
-            .expect("event action taken twice");
+            .expect("event payload taken twice");
         self.free_slot(idx);
         self.live -= 1;
-        Some((at, action))
+        Some((at, payload))
     }
 
     // ---- slab ----------------------------------------------------------
 
-    fn alloc_slot(&mut self, at: SimTime, seq: u64, action: EventAction<C>) -> u32 {
+    fn alloc_slot(&mut self, at: SimTime, seq: u64, payload: P) -> u32 {
         if self.free_head != NIL {
             let idx = self.free_head;
             let slot = &mut self.slots[idx as usize];
@@ -201,7 +219,7 @@ impl<C> EventQueue<C> {
             slot.at = at;
             slot.seq = seq;
             slot.next = NIL;
-            slot.action = Some(action);
+            slot.payload = Some(payload);
             idx
         } else {
             let idx = self.slots.len() as u32;
@@ -211,7 +229,7 @@ impl<C> EventQueue<C> {
                 generation: 0,
                 next: NIL,
                 loc: Loc::Free,
-                action: Some(action),
+                payload: Some(payload),
             });
             idx
         }
@@ -220,7 +238,7 @@ impl<C> EventQueue<C> {
     fn free_slot(&mut self, idx: u32) {
         let slot = &mut self.slots[idx as usize];
         slot.generation = slot.generation.wrapping_add(1);
-        slot.action = None;
+        slot.payload = None;
         slot.loc = Loc::Free;
         slot.next = self.free_head;
         self.free_head = idx;
@@ -620,5 +638,53 @@ mod tests {
                 (7_000, 3),
             ]
         );
+    }
+
+    /// The payload type is invisible to the wheel: a `Copy` token wheel
+    /// and the boxed-closure queue, driven by one schedule / cancel / pop
+    /// sequence, hand out the same [`EventId`]s and pop the same order.
+    #[test]
+    fn typed_and_boxed_wheels_agree_on_ids_and_order() {
+        let mut typed: TimerWheel<u32> = TimerWheel::new();
+        let mut boxed: EventQueue<Vec<u32>> = EventQueue::new();
+        let mut log = Vec::new();
+        let mut popped = Vec::new();
+        let mut state: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut live: Vec<EventId> = Vec::new();
+        for token in 0..400u32 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            match state % 4 {
+                0 if !live.is_empty() => {
+                    let id = live.swap_remove((state >> 8) as usize % live.len());
+                    typed.cancel(id);
+                    boxed.cancel(id);
+                }
+                1 => {
+                    let (t, p) = typed
+                        .pop()
+                        .map_or((None, None), |(t, p)| (Some(t), Some(p)));
+                    let b = boxed.pop().map(|(at, action)| {
+                        action(&mut log, at);
+                        at
+                    });
+                    assert_eq!(t, b);
+                    popped.extend(p);
+                }
+                _ => {
+                    let at = SimTime::from_nanos((state >> 16) % 5_000_000);
+                    let id = typed.push(at, token);
+                    assert_eq!(id, boxed.schedule(at, move |log, _| log.push(token)));
+                    live.push(id);
+                }
+            }
+        }
+        while let Some((at, action)) = boxed.pop() {
+            action(&mut log, at);
+            popped.extend(typed.pop().map(|(_, p)| p));
+        }
+        assert!(typed.is_empty());
+        assert_eq!(popped, log);
     }
 }

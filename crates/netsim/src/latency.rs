@@ -26,6 +26,7 @@ use crate::rng::SimRng;
 use crate::time::SimDuration;
 use crate::topology::{NodeId, Topology};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// One-way speed of signal propagation in fibre, km per millisecond.
 pub const FIBRE_KM_PER_MS: f64 = 200.0;
@@ -126,6 +127,36 @@ pub trait LatencyModel {
     fn base_rtt(&mut self, topo: &Topology, a: NodeId, b: NodeId) -> SimDuration;
 }
 
+/// A multiply-rotate hasher (the FxHash round) for [`PathModel`]'s node
+/// pair keys. It is deterministic and costs a few cycles per key, where
+/// the default SipHash costs tens of nanoseconds on every RTT sample.
+/// Those keys are `NodeId`s of the simulator's own topology, never bytes
+/// from a network, so a fixed hash invites no collision flood here.
+#[derive(Default)]
+struct PairHasher(u64);
+
+impl PairHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for PairHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.mix(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.mix(u64::from(n));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The default geodesic + infrastructure model.
 ///
 /// Base RTTs are memoised per unordered node pair so that repeated samples
@@ -139,7 +170,7 @@ pub struct PathModel {
     /// Per-sample jitter stream. Re-anchorable via [`PathModel::rejitter`]
     /// so campaign epochs can make jitter a pure per-client function.
     jitter_rng: SimRng,
-    base_cache: HashMap<(NodeId, NodeId), SimDuration>,
+    base_cache: HashMap<(NodeId, NodeId), SimDuration, BuildHasherDefault<PairHasher>>,
 }
 
 impl PathModel {
@@ -148,7 +179,7 @@ impl PathModel {
         PathModel {
             base_rng: rng.clone(),
             jitter_rng: rng,
-            base_cache: HashMap::new(),
+            base_cache: HashMap::default(),
         }
     }
 

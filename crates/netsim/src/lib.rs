@@ -27,8 +27,8 @@
 //!   resolution.
 //! * [`rng`] — deterministic random streams with stable per-component
 //!   sub-seeding.
-//! * [`event`] / [`engine`] — the discrete-event core: schedule closures at
-//!   future instants and run them in timestamp order.
+//! * [`event`] / [`engine`] — the discrete-event core: schedule typed
+//!   event tokens at future instants and pop them in timestamp order.
 //! * [`topology`] — nodes with geographic positions and roles.
 //! * [`latency`] — the generative latency model: geodesic propagation,
 //!   infrastructure-dependent path inflation, last-mile distributions.
@@ -63,7 +63,7 @@ pub mod trace;
 
 pub use connection::{Acquired, ConnState, Connection, DnsTransport, TlsVersion, Warmth};
 pub use engine::Simulator;
-pub use event::{EventId, EventQueue};
+pub use event::{EventId, EventQueue, TimerWheel};
 pub use latency::{InfraProfile, LatencyModel, PathModel};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

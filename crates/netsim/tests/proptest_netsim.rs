@@ -75,22 +75,22 @@ proptest! {
         prop_assert_eq!(build(seed), build(seed));
     }
 
-    /// Events scheduled at arbitrary times fire in non-decreasing order.
+    /// Events scheduled at arbitrary times fire in non-decreasing time
+    /// order, equal times in scheduling order.
     #[test]
     fn events_fire_in_order(times in proptest::collection::vec(0u64..1_000_000, 1..64)) {
         let mut sim = Simulator::new(1);
-        let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-        for &t in &times {
-            let log = log.clone();
-            sim.schedule_at(SimTime::from_nanos(t), move |_, at| {
-                log.borrow_mut().push(at);
-            });
+        for (i, &t) in times.iter().enumerate() {
+            sim.schedule(SimTime::from_nanos(t), i as u32);
         }
-        sim.run_to_completion();
-        let fired = log.borrow();
+        let fired: Vec<(SimTime, u32)> = std::iter::from_fn(|| sim.next_event()).collect();
         prop_assert_eq!(fired.len(), times.len());
+        for &(at, token) in &fired {
+            prop_assert_eq!(at, SimTime::from_nanos(times[token as usize]));
+        }
+        // Tokens are scheduling order, so ties must fire FIFO.
         for w in fired.windows(2) {
-            prop_assert!(w[0] <= w[1]);
+            prop_assert!(w[0] < w[1]);
         }
     }
 }
