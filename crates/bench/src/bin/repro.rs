@@ -41,7 +41,7 @@
 //!
 //! `--trace-out PATH` exports the flight recorder's sampled query traces
 //! as Chrome trace-event JSON (open in Perfetto / `chrome://tracing`).
-//! `--trace-sample N` records 1 in N clients (default 16 when
+//! `--trace-sample N` (N >= 1) records 1 in N clients (default 16 when
 //! `--trace-out` is given); sampling is keyed off each client's RNG
 //! stream, so it never perturbs the simulation, and the exported bytes
 //! are identical for any `--threads` value.
@@ -77,7 +77,8 @@
 //! experiments finish and prints the human-readable table to stderr.
 //! `--baseline PATH` additionally compares the snapshot's deterministic
 //! section against a previously written one, exiting with code 3 when any
-//! metric drifts beyond `--tolerance` (relative, default 0 = exact).
+//! metric drifts beyond `--tolerance` (a finite relative bound >= 0,
+//! default 0 = exact).
 //!
 //! `gate` runs the rows of `dohperf_bench::gates::GATES`: every
 //! byte-identity and metrics gate CI holds the tree to (metrics vs
@@ -124,6 +125,7 @@ fn main() {
                 config.trace_sample = args
                     .next()
                     .and_then(|v| v.parse().ok())
+                    .filter(|&n: &u64| n > 0)
                     .unwrap_or_else(|| usage("--trace-sample needs an integer >= 1"));
             }
             "--metrics" => {
@@ -144,7 +146,8 @@ fn main() {
                 tolerance = args
                     .next()
                     .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--tolerance needs a float >= 0"));
+                    .filter(|&t: &f64| t >= 0.0 && t.is_finite())
+                    .unwrap_or_else(|| usage("--tolerance needs a finite float >= 0"));
             }
             "--seed" => {
                 config.seed = args

@@ -38,7 +38,7 @@ use crate::records::{
 use crate::store_io;
 use crate::testbed::{format_subdomain, Testbed, SUBDOMAIN_BUF_LEN};
 use dohperf_netsim::connection::DnsTransport;
-use dohperf_netsim::rng::SimRng;
+use dohperf_netsim::rng::{fnv1a, splitmix64, SimRng};
 use dohperf_netsim::topology::GeoPoint;
 use dohperf_providers::anycast::AnycastPolicy;
 use dohperf_providers::pops::{PopDeployment, PopRanking};
@@ -50,7 +50,7 @@ use dohperf_proxy::superproxy::SuperProxy;
 use dohperf_store::{
     ChunkWriter, Manifest, WriterStats, DEFAULT_CHUNK_BUDGET, MANIFEST_FILE, RECORDS_FILE,
 };
-use dohperf_telemetry::flight::{self, QueryTrace};
+use dohperf_telemetry::flight::{self, QueryTrace, TraceId};
 use dohperf_telemetry::phases;
 use dohperf_world::countries::Country;
 use dohperf_world::geoloc::GeolocationService;
@@ -792,11 +792,7 @@ impl Campaign {
                 Some(plan)
                     if plan.records(client_id, client_rng.fork("trace-sample").next_u64()) =>
                 {
-                    flight::begin(
-                        flight::derive_trace_id(self.config.seed, iso, client_id),
-                        client_id,
-                        iso,
-                    );
+                    flight::begin(trace_id(self.config.seed, iso, client_id), client_id, iso);
                     Some(flight::start_span(
                         "campaign",
                         format!("client {client_id} [{iso}]"),
@@ -1493,7 +1489,18 @@ fn record_wire_phase(qname: &str) {
     }
 }
 
-fn median(xs: &mut [f64]) -> f64 {
+/// The deterministic trace id of a recorded query: a pure function of
+/// `(seed, country ISO, client id)`, built from the FNV-1a label hash and
+/// the splitmix64 finalizer that `SimRng`'s forks use.
+fn trace_id(seed: u64, country_iso: &str, client_id: u64) -> TraceId {
+    TraceId(splitmix64(
+        splitmix64(seed ^ fnv1a(country_iso.as_bytes())) ^ splitmix64(client_id),
+    ))
+}
+
+/// The median of a non-empty finite sample (the mean of the two middle
+/// values for an even count); sorts `xs` in place.
+pub(crate) fn median(xs: &mut [f64]) -> f64 {
     debug_assert!(!xs.is_empty());
     xs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let n = xs.len();
@@ -1511,6 +1518,18 @@ mod tests {
 
     fn quick_dataset() -> Dataset {
         Campaign::new(CampaignConfig::quick(42)).run()
+    }
+
+    #[test]
+    fn trace_ids_are_deterministic_and_distinct() {
+        let a = trace_id(2021, "US", 7);
+        let b = trace_id(2021, "US", 7);
+        let c = trace_id(2021, "US", 8);
+        let d = trace_id(2021, "BR", 7);
+        assert_eq!(a, b);
+        assert_ne!(a, c);
+        assert_ne!(a, d);
+        assert_eq!(a.to_hex().len(), 16);
     }
 
     #[test]

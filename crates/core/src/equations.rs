@@ -174,12 +174,6 @@ impl DerivationBatch {
 /// **bit-for-bit** the ones the campaign stores.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DerivationExplain {
-    /// `T_A`, simulated nanoseconds.
-    pub t_a_nanos: u64,
-    /// `T_B`, simulated nanoseconds.
-    pub t_b_nanos: u64,
-    /// `T_C`, simulated nanoseconds.
-    pub t_c_nanos: u64,
     /// `T_D`, simulated nanoseconds.
     pub t_d_nanos: u64,
     /// Eq 1 input: `T_B − T_A`, ms.
@@ -213,9 +207,6 @@ impl DerivationExplain {
     /// plain `derive_*` functions.
     pub fn from_observation(obs: &DohObservation) -> Self {
         DerivationExplain {
-            t_a_nanos: obs.t_a.as_nanos(),
-            t_b_nanos: obs.t_b.as_nanos(),
-            t_c_nanos: obs.t_c.as_nanos(),
             t_d_nanos: obs.t_d.as_nanos(),
             tb_ta_ms: obs.t_b.saturating_since(obs.t_a).as_millis_f64(),
             td_tc_ms: obs.t_d.saturating_since(obs.t_c).as_millis_f64(),
@@ -235,56 +226,6 @@ impl DerivationExplain {
     /// The `t3+t4+t5+t6` tunnel total, ms.
     pub fn tun_total_ms(&self) -> f64 {
         self.tun_dns_ms + self.tun_connect_ms
-    }
-
-    /// The derivation, one equation per line, in the paper's order and
-    /// notation. `{:.3}` formatting for human reading; bit-exact values
-    /// live in the struct fields (and in the flight-recorder attributes,
-    /// which use shortest-round-trip formatting).
-    pub fn lines(&self) -> Vec<String> {
-        let tun = self.tun_total_ms();
-        vec![
-            format!(
-                "Eq 1  T_B − T_A = {:.3} − {:.3} = {:.3} ms   (CONNECT round trip)",
-                self.t_b_nanos as f64 / 1e6,
-                self.t_a_nanos as f64 / 1e6,
-                self.tb_ta_ms
-            ),
-            format!(
-                "Eq 2  T_D − T_C = {:.3} − {:.3} = {:.3} ms   (HTTPS GET round trip)",
-                self.t_d_nanos as f64 / 1e6,
-                self.t_c_nanos as f64 / 1e6,
-                self.td_tc_ms
-            ),
-            format!(
-                "Eq 3  t3+t4 = {:.3} ms   (X-luminati-tun-timeline: dns)",
-                self.tun_dns_ms
-            ),
-            format!(
-                "Eq 4  t5+t6 = {:.3} ms   (X-luminati-tun-timeline: connect)",
-                self.tun_connect_ms
-            ),
-            format!(
-                "Eq 5  t_BD = auth {:.3} + init {:.3} + select {:.3} + domain_check {:.3} = {:.3} ms   (X-luminati-timeline)",
-                self.proxy_auth_ms,
-                self.proxy_init_ms,
-                self.proxy_select_ms,
-                self.proxy_domain_check_ms,
-                self.t_bd_ms
-            ),
-            format!(
-                "Eq 6  RTT = (T_B−T_A) − (t3+t4+t5+t6) − t_BD = {:.3} − {:.3} − {:.3} = {:.3} ms",
-                self.tb_ta_ms, tun, self.t_bd_ms, self.rtt_ms
-            ),
-            format!(
-                "Eq 7  t_DoH = (T_D−T_C) − 2·(T_B−T_A) + 3·(t3+t4+t5+t6) + 2·t_BD = {:.3} − 2·{:.3} + 3·{:.3} + 2·{:.3} = {:.3} ms",
-                self.td_tc_ms, self.tb_ta_ms, tun, self.t_bd_ms, self.t_doh_ms
-            ),
-            format!(
-                "Eq 8  t_DoHR = t_DoH − (t3+t4+t5+t6) − (t5+t6) = {:.3} − {:.3} − {:.3} = {:.3} ms",
-                self.t_doh_ms, tun, self.tun_connect_ms, self.t_dohr_ms
-            ),
-        ]
     }
 
     /// Attach the full derivation to `span` as flight-recorder
@@ -454,14 +395,14 @@ pub fn record_transport_derivation(obs: &TransportObservation) {
 /// Record the Eq 1–8 derivation of `obs` as a zero-width flight span at
 /// `T_D` (the moment the last timestamp lands). No-op when no recording
 /// is armed on this thread.
-pub fn record_derivation(obs: &DohObservation) -> DerivationExplain {
-    let explain = DerivationExplain::from_observation(obs);
-    if telemetry::flight::active() {
-        let span = telemetry::flight::start_span("equations", "derive Eq 1-8", explain.t_d_nanos);
-        explain.annotate_span(span);
-        telemetry::flight::end_span(span, explain.t_d_nanos);
+pub fn record_derivation(obs: &DohObservation) {
+    if !telemetry::flight::active() {
+        return;
     }
-    explain
+    let explain = DerivationExplain::from_observation(obs);
+    let span = telemetry::flight::start_span("equations", "derive Eq 1-8", explain.t_d_nanos);
+    explain.annotate_span(span);
+    telemetry::flight::end_span(span, explain.t_d_nanos);
 }
 
 #[cfg(test)]
@@ -682,13 +623,6 @@ mod tests {
         assert_eq!(explain.tun_dns_ms, 20.0);
         assert_eq!(explain.tun_connect_ms, 30.0);
         assert_eq!(explain.t_bd_ms, 10.0);
-        // The rendered lines carry the golden outputs.
-        let lines = explain.lines();
-        assert_eq!(lines.len(), 8, "one line per equation");
-        assert!(lines[0].starts_with("Eq 1"));
-        assert!(lines[5].contains("80.000"), "Eq 6 RTT: {}", lines[5]);
-        assert!(lines[6].contains("175.000"), "Eq 7 t_DoH: {}", lines[6]);
-        assert!(lines[7].contains("95.000"), "Eq 8 t_DoHR: {}", lines[7]);
     }
 
     /// `record_derivation` attaches all eight equations to a flight span
@@ -714,10 +648,10 @@ mod tests {
             truth_t_doh: SimDuration::from_millis_f64(175.0),
             truth_t_dohr: SimDuration::from_millis_f64(90.0),
         };
-        flight::begin(flight::derive_trace_id(2021, "US", 1), 1, "US");
+        flight::begin(flight::TraceId(1), 1, "US");
         let root = flight::start_span("test", "query", 0);
-        let explain = record_derivation(&obs);
-        flight::end_span(root, explain.t_d_nanos);
+        record_derivation(&obs);
+        flight::end_span(root, obs.t_d.as_nanos());
         let trace = flight::take().unwrap();
         let eq_span = trace
             .spans
@@ -797,7 +731,7 @@ mod tests {
             cold_generation: 1,
             resumed_generation: 2,
         };
-        flight::begin(flight::derive_trace_id(2021, "US", 2), 2, "US");
+        flight::begin(flight::TraceId(2), 2, "US");
         let root = flight::start_span("test", "lifecycle", 0);
         record_transport_derivation(&obs);
         flight::end_span(root, obs.t_resumed_done.as_nanos());

@@ -16,6 +16,7 @@
 //! In the simulation, "ground truth" is the hidden `truth_*` fields of
 //! the observations — quantities the derivation never reads.
 
+use crate::campaign::median;
 use crate::equations::{derive_t_doh_ms, derive_t_dohr_ms};
 use crate::testbed::Testbed;
 use dohperf_netsim::rng::SimRng;
@@ -87,16 +88,6 @@ pub struct PlatformConsistency {
     pub mean_diff_ms: f64,
     /// Standard deviation of the absolute differences.
     pub sd_diff_ms: f64,
-}
-
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let n = xs.len();
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
-    }
 }
 
 /// Create a controlled EC2-style exit node, as the paper did for §4.1

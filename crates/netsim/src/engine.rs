@@ -67,12 +67,6 @@ impl Simulator {
         self.trace.clear();
     }
 
-    /// A fresh child random stream keyed by label; use for per-component
-    /// randomness that must not perturb other components.
-    pub fn fork_rng(&self, label: &str) -> SimRng {
-        self.rng.fork(label)
-    }
-
     /// Mutable access to the engine's own stream (loss draws etc.).
     pub fn rng_mut(&mut self) -> &mut SimRng {
         &mut self.rng
@@ -330,14 +324,6 @@ mod tests {
         assert_eq!(sim.trace().records()[0].proto, "dns/udp");
         sim.clear_trace();
         assert!(sim.trace().is_empty());
-    }
-
-    #[test]
-    fn forked_rngs_are_stable() {
-        let (sim, _, _) = sim_with_pair();
-        let mut r1 = sim.fork_rng("x");
-        let mut r2 = sim.fork_rng("x");
-        assert_eq!(r1.next_u64(), r2.next_u64());
     }
 
     #[test]

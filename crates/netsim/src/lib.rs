@@ -82,3 +82,35 @@ pub mod prelude {
     pub use crate::topology::{GeoPoint, NodeId, NodeRole, NodeSpec, Topology};
     pub use crate::trace::{PacketRecord, TraceLog};
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::prelude::*;
+
+    #[test]
+    fn same_seed_same_stream() {
+        let mut a = Simulator::new(42);
+        let mut b = Simulator::new(42);
+        for _ in 0..100 {
+            assert_eq!(a.rng_mut().next_u64(), b.rng_mut().next_u64());
+        }
+        let spec = |name| NodeSpec::new(name, GeoPoint::new(40.0, -88.0), NodeRole::Client);
+        let (a0, a1) = (a.add_node(spec("c")), a.add_node(spec("s")));
+        let (b0, b1) = (b.add_node(spec("c")), b.add_node(spec("s")));
+        assert_eq!(a.rtt(a0, a1), b.rtt(b0, b1));
+    }
+
+    #[test]
+    fn unit_f64_in_range_and_well_spread() {
+        let mut rng = SimRng::new(7);
+        let n = 10_000;
+        let mut sum = 0.0;
+        for _ in 0..n {
+            let u = rng.unit();
+            assert!((0.0..1.0).contains(&u));
+            sum += u;
+        }
+        let mean = sum / n as f64;
+        assert!((mean - 0.5).abs() < 0.02, "mean {mean}");
+    }
+}

@@ -21,7 +21,7 @@
 //! the whole campaign.
 
 use dohperf_netsim::engine::Simulator;
-use dohperf_netsim::rng::SimRng;
+use dohperf_netsim::rng::{fnv1a, SimRng};
 use dohperf_netsim::time::SimDuration;
 use dohperf_netsim::topology::{GeoPoint, NodeId, NodeRole, NodeSpec};
 use dohperf_world::countries::Country;
@@ -141,16 +141,6 @@ impl IspResolverModel {
         };
         SimDuration::from_millis_f64(rng.lognormal_median(median, 0.4))
     }
-}
-
-/// FNV-1a (stable across runs and platforms).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]

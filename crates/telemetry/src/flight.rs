@@ -8,10 +8,10 @@
 //!
 //! Nothing in this module reads a wall clock or mints random identifiers.
 //!
-//! * **Trace IDs** are a pure function of `(seed, country ISO, client id)`
-//!   via [`derive_trace_id`] — the same FNV-1a + splitmix64 mixing the
-//!   simulator's RNG forking uses, replicated here because this crate is
-//!   dependency-free by design.
+//! * **Trace IDs** are supplied by the caller to [`begin`]. The campaign
+//!   derives each one as a pure function of `(seed, country ISO, client
+//!   id)` with the simulator RNG's FNV-1a + splitmix64 mixing, so this
+//!   crate stays dependency-free.
 //! * **Span IDs** are the 0-based creation ordinals within one query's
 //!   recording. A query is always measured on a single worker thread
 //!   (campaign shards are single-threaded internally), so creation order
@@ -91,7 +91,7 @@ pub struct SpanRecord {
 /// The finished span tree of one query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryTrace {
-    /// Deterministic identifier ([`derive_trace_id`]).
+    /// Deterministic identifier, supplied to [`begin`].
     pub trace_id: TraceId,
     /// Globally stable client id of the measured exit node.
     pub client_id: u64,
@@ -118,16 +118,6 @@ impl QueryTrace {
     pub fn children(&self, id: SpanId) -> impl Iterator<Item = &SpanRecord> {
         self.spans.iter().filter(move |s| s.parent == Some(id))
     }
-}
-
-/// Derive the deterministic trace id for a query.
-///
-/// Mixes exactly like `SimRng::fork_indexed`: FNV-1a over the country ISO
-/// folded into the seed, then splitmix64 finalisation over the client id.
-pub fn derive_trace_id(seed: u64, country_iso: &str, client_id: u64) -> TraceId {
-    TraceId(splitmix64(
-        splitmix64(seed ^ fnv1a(country_iso.as_bytes())) ^ splitmix64(client_id),
-    ))
 }
 
 /// Decide 1-in-`every` sampling for a client, keyed off the query RNG
@@ -326,25 +316,6 @@ pub fn take() -> Option<QueryTrace> {
     })
 }
 
-/// FNV-1a hash (mirror of the netsim RNG's label hash; this crate is
-/// dependency-free so the 12 lines are replicated rather than imported).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    }
-    hash
-}
-
-/// splitmix64 finalizer (mirror of the netsim RNG's seed mixer).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -388,18 +359,6 @@ mod tests {
         end_span(root, 500);
         let trace = take().unwrap();
         assert_eq!(trace.spans[1].end_nanos, 500);
-    }
-
-    #[test]
-    fn trace_ids_are_deterministic_and_distinct() {
-        let a = derive_trace_id(2021, "US", 7);
-        let b = derive_trace_id(2021, "US", 7);
-        let c = derive_trace_id(2021, "US", 8);
-        let d = derive_trace_id(2021, "BR", 7);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_ne!(a, d);
-        assert_eq!(a.to_hex().len(), 16);
     }
 
     #[test]

@@ -16,8 +16,6 @@
 //!   persistence file.
 
 pub mod test_runner {
-    use rand::{RngCore, SeedableRng};
-
     /// Per-block runner configuration (`#![proptest_config(...)]`).
     #[derive(Debug, Clone, Copy)]
     pub struct ProptestConfig {
@@ -62,36 +60,63 @@ pub mod test_runner {
     /// Outcome of one test-case body.
     pub type TestCaseResult = Result<(), TestCaseError>;
 
-    /// The generator driving value generation for one property.
+    /// The generator driving value generation for one property:
+    /// xoshiro256++ seeded through splitmix64, the same construction as
+    /// `dohperf_netsim::rng::SimRng`. It is a private copy because netsim
+    /// dev-depends on this crate.
     #[derive(Debug, Clone)]
     pub struct TestRng {
-        pub(crate) inner: rand::rngs::StdRng,
+        s: [u64; 4],
     }
 
     impl TestRng {
-        /// Deterministic generator seeded from the test's name, so each
-        /// property sees a stable stream across runs.
+        /// Deterministic generator seeded from the FNV-1a hash of the
+        /// test's name, so each property sees a stable stream across runs.
         pub fn for_test(test_name: &str) -> Self {
             let mut h: u64 = 0xcbf2_9ce4_8422_2325;
             for b in test_name.bytes() {
                 h ^= u64::from(b);
                 h = h.wrapping_mul(0x0000_0100_0000_01b3);
             }
-            TestRng {
-                inner: rand::rngs::StdRng::seed_from_u64(h),
-            }
+            // Outputs 1..=4 of a splitmix64 stream started at `h`.
+            let s = [1u64, 2, 3, 4].map(|i| {
+                let mut z = h.wrapping_add(i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ (z >> 31)
+            });
+            TestRng { s }
         }
 
         /// The next 64 random bits.
         pub fn next_u64(&mut self) -> u64 {
-            self.inner.next_u64()
+            let s = &mut self.s;
+            let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+            let t = s[1] << 17;
+            s[2] ^= s[0];
+            s[3] ^= s[1];
+            s[1] ^= s[2];
+            s[0] ^= s[3];
+            s[2] ^= t;
+            s[3] = s[3].rotate_left(45);
+            result
+        }
+
+        /// Uniform in `[0, span)` by widening multiply (`span` may be
+        /// 2^64); the bias is below 2^-64 * span.
+        pub(crate) fn below(&mut self, span: u128) -> u64 {
+            ((self.next_u64() as u128 * span) >> 64) as u64
+        }
+
+        /// Uniform in `[0, 1)` with 53 bits of precision.
+        pub(crate) fn unit(&mut self) -> f64 {
+            (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
         }
     }
 }
 
 pub mod strategy {
     use crate::test_runner::TestRng;
-    use rand::Rng;
 
     /// A recipe for generating values of `Self::Value`.
     ///
@@ -179,7 +204,7 @@ pub mod strategy {
     impl<T> Strategy for Union<T> {
         type Value = T;
         fn generate(&self, rng: &mut TestRng) -> T {
-            let idx = rng.inner.gen_range(0..self.options.len());
+            let idx = (0..self.options.len()).generate(rng);
             self.options[idx].generate(rng)
         }
     }
@@ -189,13 +214,16 @@ pub mod strategy {
             impl Strategy for core::ops::Range<$t> {
                 type Value = $t;
                 fn generate(&self, rng: &mut TestRng) -> $t {
-                    rng.inner.gen_range(self.clone())
+                    assert!(self.start < self.end, "cannot sample empty range");
+                    self.start + rng.below((self.end - self.start) as u128) as $t
                 }
             }
             impl Strategy for core::ops::RangeInclusive<$t> {
                 type Value = $t;
                 fn generate(&self, rng: &mut TestRng) -> $t {
-                    rng.inner.gen_range(self.clone())
+                    let (start, end) = (*self.start(), *self.end());
+                    assert!(start <= end, "cannot sample empty range");
+                    start + rng.below((end - start) as u128 + 1) as $t
                 }
             }
         )*};
@@ -206,7 +234,7 @@ pub mod strategy {
     impl Strategy for core::ops::Range<f64> {
         type Value = f64;
         fn generate(&self, rng: &mut TestRng) -> f64 {
-            rng.inner.gen_range(self.clone())
+            self.start + (self.end - self.start) * rng.unit()
         }
     }
 
@@ -218,7 +246,7 @@ pub mod strategy {
                 fn generate(&self, rng: &mut TestRng) -> $t {
                     assert!(self.start < self.end, "cannot sample empty range");
                     let span = (self.end as i128 - self.start as i128) as $u;
-                    let off = rng.inner.gen_range(0..span);
+                    let off = rng.below(span as u128);
                     (self.start as i128 + off as i128) as $t
                 }
             }
@@ -262,7 +290,6 @@ pub mod strategy {
 pub mod arbitrary {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
-    use rand::Rng;
 
     /// Types with a canonical uniform strategy, reachable via [`any`].
     pub trait Arbitrary: Sized {
@@ -270,27 +297,34 @@ pub mod arbitrary {
         fn arbitrary(rng: &mut TestRng) -> Self;
     }
 
-    macro_rules! uniform_arbitrary {
-        ($($t:ty),*) => {$(
+    // Integers take the top bits of one draw.
+    macro_rules! int_arbitrary {
+        ($($t:ty => $shift:expr),*) => {$(
             impl Arbitrary for $t {
                 fn arbitrary(rng: &mut TestRng) -> $t {
-                    rng.inner.gen()
+                    (rng.next_u64() >> $shift) as $t
                 }
             }
         )*};
     }
 
-    uniform_arbitrary!(u8, u16, u32, u64, usize, bool, f64, f32);
+    int_arbitrary!(u8 => 56, u16 => 48, u32 => 32, u64 => 0, usize => 0, i32 => 32, i64 => 0);
 
-    impl Arbitrary for i32 {
-        fn arbitrary(rng: &mut TestRng) -> i32 {
-            rng.inner.gen::<u32>() as i32
+    impl Arbitrary for bool {
+        fn arbitrary(rng: &mut TestRng) -> bool {
+            rng.next_u64() & 1 == 1
         }
     }
 
-    impl Arbitrary for i64 {
-        fn arbitrary(rng: &mut TestRng) -> i64 {
-            rng.inner.gen::<u64>() as i64
+    impl Arbitrary for f64 {
+        fn arbitrary(rng: &mut TestRng) -> f64 {
+            rng.unit()
+        }
+    }
+
+    impl Arbitrary for f32 {
+        fn arbitrary(rng: &mut TestRng) -> f32 {
+            (rng.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
         }
     }
 
@@ -298,7 +332,7 @@ pub mod arbitrary {
         fn arbitrary(rng: &mut TestRng) -> [u8; N] {
             let mut out = [0u8; N];
             for b in &mut out {
-                *b = rng.inner.gen();
+                *b = u8::arbitrary(rng);
             }
             out
         }
@@ -323,7 +357,6 @@ pub mod arbitrary {
 pub mod collection {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
-    use rand::Rng;
 
     /// The admissible lengths of a generated collection.
     #[derive(Debug, Clone, Copy)]
@@ -369,7 +402,7 @@ pub mod collection {
     impl<S: Strategy> Strategy for VecStrategy<S> {
         type Value = Vec<S::Value>;
         fn generate(&self, rng: &mut TestRng) -> Vec<S::Value> {
-            let len = rng.inner.gen_range(self.size.lo..self.size.hi_excl);
+            let len = (self.size.lo..self.size.hi_excl).generate(rng);
             (0..len).map(|_| self.element.generate(rng)).collect()
         }
     }
@@ -394,7 +427,6 @@ pub mod string {
 
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;
-    use rand::Rng;
 
     /// Repetition cap for `*`, `+` and `{m,}`.
     pub const UNBOUNDED_MAX: u32 = 8;
@@ -440,16 +472,16 @@ pub mod string {
                 }
             }
             Node::Alt(branches) => {
-                let idx = rng.inner.gen_range(0..branches.len());
+                let idx = (0..branches.len()).generate(rng);
                 emit(&branches[idx], rng, out);
             }
             Node::Lit(c) => out.push(*c),
             Node::Class(chars) => {
-                let idx = rng.inner.gen_range(0..chars.len());
+                let idx = (0..chars.len()).generate(rng);
                 out.push(chars[idx]);
             }
             Node::Repeat { node, min, max } => {
-                let n = rng.inner.gen_range(*min..=*max);
+                let n = (*min..=*max).generate(rng);
                 for _ in 0..n {
                     emit(node, rng, out);
                 }
@@ -910,6 +942,25 @@ mod tests {
         }
         let exact = crate::collection::vec(any::<u8>(), 9);
         assert_eq!(Strategy::generate(&exact, &mut rng).len(), 9);
+    }
+
+    /// The first values a fixed test name draws, as literals: every
+    /// property test's generated cases descend from this stream.
+    #[test]
+    fn pinned_stream() {
+        let mut rng = TestRng::for_test("pinned_stream");
+        assert_eq!(
+            Strategy::generate(&any::<u64>(), &mut rng),
+            0xddf2_25c3_3efa_54b4
+        );
+        assert_eq!(Strategy::generate(&(0u8..200), &mut rng), 51);
+        assert_eq!(Strategy::generate(&(-5i32..5), &mut rng), 1);
+        let bytes = crate::collection::vec(any::<u8>(), 0..8);
+        assert_eq!(Strategy::generate(&bytes, &mut rng), vec![123, 187]);
+        assert_eq!(
+            Strategy::generate(&"[a-z][a-z0-9-]{0,6}", &mut rng),
+            "x55aw"
+        );
     }
 
     proptest! {

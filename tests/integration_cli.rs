@@ -4,7 +4,9 @@
 //! 3 baseline drift, 4 I/O), so argument validation is locked down at
 //! the process level: unknown `--protocols` values must exit 2 and name
 //! the accepted list, `--shard-size` must reject 0 and non-numeric
-//! values with a usage hint, and a valid protocol list must run the
+//! values with a usage hint, as must `--trace-sample 0` and a
+//! `--tolerance` that is negative or not finite, and a valid protocol
+//! list must run the
 //! `transports` experiment end to end. The analysis tables no gate row
 //! renders must print the same, pinned bytes at any `--threads`. `repro
 //! gate` must reject unknown rows with exit 2, and fail a row whose
@@ -195,6 +197,52 @@ fn missing_pages_value_exits_2() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--pages"), "{stderr}");
+}
+
+#[test]
+fn tolerance_outside_its_range_exits_2() {
+    // A NaN tolerance would pass any drift (`rel > NaN` is always
+    // false), a negative one would flag every metric, and an infinite
+    // one would gate nothing.
+    for value in ["nan", "-0.1", "inf"] {
+        let out = repro()
+            .args(["--scale", "0.02", "--tolerance", value, "headline"])
+            .output()
+            .expect("spawn repro");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "--tolerance {value} must exit 2"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--tolerance needs a finite float >= 0"),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
+fn trace_sample_zero_exits_2() {
+    // 0 records no client; it must not fall back to the `--trace-out`
+    // default of 1 in 16.
+    let path = std::env::temp_dir().join(format!(
+        "dohperf-cli-{}-trace-sample-zero.json",
+        std::process::id()
+    ));
+    let out = repro()
+        .args(["--scale", "0.02", "--trace-sample", "0", "--trace-out"])
+        .arg(&path)
+        .arg("headline")
+        .output()
+        .expect("spawn repro");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(2), "--trace-sample 0 must exit 2");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--trace-sample needs an integer >= 1"),
+        "{stderr}"
+    );
 }
 
 #[test]

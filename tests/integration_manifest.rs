@@ -7,8 +7,10 @@
 //! its `[[test]]` / `[[example]]` / `[[bin]]` targets name; a
 //! `[features]` entry forwarding to the dependency also counts as a
 //! use. And every `[workspace.dependencies]` entry must be declared by
-//! at least one member. A declared-but-unused crate only costs build
-//! time, so nothing else would notice it drifting back in.
+//! at least one member, and every `shims/*` directory must be the path
+//! of such an entry (`members = ["shims/*"]` would otherwise keep
+//! building a leftover shim). A declared-but-unused crate only costs
+//! build time, so nothing else would notice it drifting back in.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -20,6 +22,8 @@ struct Manifest {
     deps: Vec<String>,
     /// `[workspace.dependencies]` names (root manifest only).
     workspace_deps: Vec<String>,
+    /// `path = "..."` values of the `[workspace.dependencies]` entries.
+    workspace_paths: Vec<PathBuf>,
     /// Right-hand sides of every `[features]` entry.
     features: String,
     /// `path = "..."` values of the explicit targets.
@@ -47,7 +51,13 @@ fn read_manifest(path: &Path) -> Manifest {
         let name = key.strip_suffix(".workspace").unwrap_or(key).to_string();
         match section.as_str() {
             "dependencies" | "dev-dependencies" | "build-dependencies" => m.deps.push(name),
-            "workspace.dependencies" => m.workspace_deps.push(name),
+            "workspace.dependencies" => {
+                m.workspace_deps.push(name);
+                let path = value
+                    .split_once("path")
+                    .and_then(|(_, v)| v.split('"').nth(1));
+                m.workspace_paths.extend(path.map(PathBuf::from));
+            }
             "features" => m.features.push_str(value),
             "test" | "example" | "bin" | "bench" if key == "path" => {
                 m.target_paths
@@ -163,6 +173,28 @@ fn every_workspace_dependency_is_declared_by_a_member() {
     assert!(
         orphans.is_empty(),
         "[workspace.dependencies] entries no member declares: {orphans:?}"
+    );
+}
+
+#[test]
+fn every_shim_is_a_workspace_dependency() {
+    let root = workspace_root();
+    let named = read_manifest(&root.join("Cargo.toml")).workspace_paths;
+    assert!(
+        named.contains(&PathBuf::from("shims/proptest")),
+        "{named:?}"
+    );
+    let mut leftovers: Vec<PathBuf> = fs::read_dir(root.join("shims"))
+        .expect("shims directory")
+        .map(|e| e.expect("readable shim").path())
+        .filter(|dir| dir.is_dir())
+        .map(|dir| dir.strip_prefix(&root).expect("under root").to_path_buf())
+        .filter(|rel| !named.contains(rel))
+        .collect();
+    leftovers.sort();
+    assert!(
+        leftovers.is_empty(),
+        "shims no [workspace.dependencies] path names (delete them): {leftovers:?}"
     );
 }
 
