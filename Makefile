@@ -9,9 +9,9 @@ build:
 test:
 	cargo test --workspace -q
 
-# API docs; a broken intra-doc link fails the build (as in CI).
+# API docs; any rustdoc warning fails the build (as in CI).
 doc:
-	RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline
+	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # Quick reproduction of every table and figure (25% scale, ~1 min).
 repro:

@@ -308,7 +308,8 @@ impl StreamingCdfs {
         }
     }
 
-    /// Render the four panels with [`CDF_POINTS`] support points each.
+    /// Render the four panels, each series at the module's fixed count
+    /// of CDF support points.
     pub fn finish(&self) -> Vec<ProviderCdfs> {
         let do53 = series_of(&self.do53);
         ALL_PROVIDERS

@@ -1053,15 +1053,17 @@ a traffic-weighted view of the Internet — the direction of bias the paper's §
         out
     }
 
-    /// Ablation: 2% access-link packet loss — UDP timers vs TCP repair.
+    /// Ablation: 2% access-link packet loss — UDP timers vs TCP
+    /// head-of-line stalls.
     pub fn ablation_loss(&self) -> String {
         let base = self.variant_dataset(|_| {});
         let lossy = self.variant_dataset(|cfg| cfg.measurement.extra_loss_p = 0.02);
         let hb = headline_stats(&base);
         let hl = headline_stats(&lossy);
-        let mut out = String::from(
-            "Ablation: 2% access-link loss (UDP pays ~1s retransmission timers; TCP repairs in ~1 RTT)
-",
+        let mut out = format!(
+            "Ablation: 2% access-link loss (UDP pays ~1s retransmission timers; TCP stalls \
+             head-of-line for {} RTTs)\n",
+            DnsTransport::DoH.loss_stall_rtts()
         );
         let _ = writeln!(
             out,

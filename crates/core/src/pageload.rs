@@ -54,7 +54,7 @@ use dohperf_netsim::topology::NodeId;
 use dohperf_providers::pops::PopDeployment;
 use dohperf_providers::provider::ProviderKind;
 use dohperf_proxy::exitnode::{ExitNode, BOOTSTRAP_CACHE_HIT_P};
-use dohperf_proxy::lifecycle::{handshake_bill, query_leg};
+use dohperf_proxy::lifecycle::{handshake_bill, pop_answer, query_leg};
 use dohperf_telemetry::flight;
 use std::net::Ipv4Addr;
 use std::sync::OnceLock;
@@ -394,30 +394,19 @@ impl PageRun<'_> {
             SimDuration::from_millis_f64(self.rng.lognormal_median(0.2, 0.2))
         } else {
             self.queries += 1;
-            let transport = self.transport;
+            let (exit, pop, transport, rng) = (self.exit, self.pop, self.transport, &mut self.rng);
             let _hot = dohperf_telemetry::alloc::hot_scope();
             // The lifecycle query bill, with the loss asymmetry lifted to
             // page granularity: TCP stalls every in-flight sibling, QUIC
             // and UDP stay stream-local.
-            let q = query_leg(
-                sim,
-                self.exit,
-                self.pop,
-                transport,
-                self.extra_loss_p,
-                &mut self.rng,
-            );
+            let q = query_leg(sim, exit, pop, transport, self.extra_loss_p, rng);
             if let (Some(stall), DnsTransport::DoH | DnsTransport::DoT) = (q.stall, transport) {
                 stall_others = stall;
             }
             // Page hostnames are synthetic and per-campaign, so the
             // provider's recursive cache never has them: full recursion.
-            let recursion = sim.rtt(self.pop, self.auth);
-            let processing = self.provider.processing_time(&mut self.rng)
-                + self
-                    .provider
-                    .forwarding_penalty(self.exit.id, &mut self.rng);
-            q.leg + q.framing + recursion + processing
+            let answer = pop_answer(sim, exit, pop, self.auth, self.provider, 0.0, rng);
+            q.leg + q.framing + answer.elapsed()
         };
         if stall_others > SimDuration::ZERO {
             self.tcp_stalls += 1;

@@ -1,5 +1,5 @@
 //! Multi-transport measurement with an explicit connection lifecycle,
-//! and the one handshake and query bill every lifecycle path charges.
+//! and the one handshake and query bill every measurement path charges.
 //!
 //! The [`crate::network`] choreography reproduces the paper's Figure 2
 //! tunnel methodology for DoH and Do53. This module runs the extended
@@ -12,10 +12,17 @@
 //! and nowhere else (`repro --protocols do53,doh,dot transports`).
 //!
 //! The costs come from the tables of `dohperf_netsim::connection`;
-//! [`handshake_bill`] and [`query_leg`] turn them into sampled
-//! durations. They live here rather than in netsim because the crypto
-//! and framing draws are [`ExitNode`] methods, and the page-load
-//! workload (`dohperf_core::pageload`) charges the same two bills.
+//! [`handshake_bill`], [`query_leg`], [`loss_stall`] and [`pop_answer`]
+//! turn them into sampled durations. They live here rather than in
+//! netsim because the crypto and framing draws are [`ExitNode`]
+//! methods. Every path that models a DNS query charges them: this
+//! module's lifecycle, the page-load workload
+//! (`dohperf_core::pageload`), and the [`crate::network`] tunnel, whose
+//! DoH query takes the loss stall and the PoP answer from here (its
+//! framing stays the raw, unscaled overhead draw). So a lost DoH
+//! segment stalls [`DnsTransport::loss_stall_rtts`] head-of-line round
+//! trips on every path, and each loss counter is named once, in
+//! `count_loss_stall`.
 //!
 //! Unlike the tunnel methodology, these measurements are taken at the
 //! exit node itself (the simulator can observe exit-local time
@@ -32,7 +39,7 @@
 
 use crate::exitnode::{ExitNode, BOOTSTRAP_CACHE_HIT_P};
 use crate::network::BrightDataNetwork;
-use dohperf_netsim::connection::{Connection, DnsTransport, Warmth, UDP_RETRY_TIMEOUT};
+use dohperf_netsim::connection::{Acquired, Connection, DnsTransport, Warmth, UDP_RETRY_TIMEOUT};
 use dohperf_netsim::engine::Simulator;
 use dohperf_netsim::rng::SimRng;
 use dohperf_netsim::time::{SimDuration, SimTime};
@@ -87,17 +94,15 @@ pub struct QueryLeg {
     pub leg: SimDuration,
     /// Application-framing component ([`DnsTransport::framing_factor`]).
     pub framing: SimDuration,
-    /// The loss recovery inside `leg`, when a loss was drawn: the
-    /// transport's stall round trips, or the Do53 retransmission timer.
+    /// The loss recovery inside `leg`, when a loss was drawn
+    /// ([`loss_stall`]).
     pub stall: Option<SimDuration>,
 }
 
 /// Draw the network side of one query from the exit node to `pop`: the
-/// request round trip, the framing overhead, and — with probability
-/// `extra_loss_p` — the transport's loss recovery
-/// ([`DnsTransport::loss_stall_rtts`] round trips, or
-/// [`UDP_RETRY_TIMEOUT`] for Do53). Does not advance the clock; loss
-/// counters stay with the callers.
+/// request round trip, the framing overhead scaled by
+/// [`DnsTransport::framing_factor`], then [`loss_stall`]. Does not
+/// advance the clock; loss counters stay with the callers.
 pub fn query_leg(
     sim: &mut Simulator,
     exit: &ExitNode,
@@ -108,7 +113,28 @@ pub fn query_leg(
 ) -> QueryLeg {
     let rtt = sim.rtt(exit.node, pop);
     let framing = exit.https_overhead(rng).mul_f64(transport.framing_factor());
-    let stall = rng.chance(extra_loss_p).then(|| match transport {
+    let stall = loss_stall(sim, exit, pop, transport, extra_loss_p, rng);
+    QueryLeg {
+        leg: rtt + stall.unwrap_or(SimDuration::ZERO),
+        framing,
+        stall,
+    }
+}
+
+/// Draw whether one query loses a packet (probability `extra_loss_p`)
+/// and what recovering it costs: [`DnsTransport::loss_stall_rtts`]
+/// sampled exit↔`pop` round trips, or [`UDP_RETRY_TIMEOUT`] for Do53.
+/// This is the one loss model: the tunnel methodology, the lifecycle
+/// and page loads all charge it. Does not advance the clock.
+pub fn loss_stall(
+    sim: &mut Simulator,
+    exit: &ExitNode,
+    pop: NodeId,
+    transport: DnsTransport,
+    extra_loss_p: f64,
+    rng: &mut SimRng,
+) -> Option<SimDuration> {
+    rng.chance(extra_loss_p).then(|| match transport {
         DnsTransport::Do53 => UDP_RETRY_TIMEOUT,
         _ => {
             let mut stall = SimDuration::ZERO;
@@ -117,61 +143,67 @@ pub fn query_leg(
             }
             stall
         }
-    });
-    QueryLeg {
-        leg: rtt + stall.unwrap_or(SimDuration::ZERO),
-        framing,
-        stall,
+    })
+}
+
+/// Count one drawn [`loss_stall`] under its transport's counter. The
+/// tunnel methodology and the lifecycle count per loss; page loads
+/// count their head-of-line stalls once per page instead.
+pub(crate) fn count_loss_stall(transport: DnsTransport) {
+    match transport {
+        DnsTransport::Do53 => dohperf_telemetry::counter!("proxy.transport_udp_timeouts").inc(),
+        DnsTransport::DoH | DnsTransport::DoT => {
+            dohperf_telemetry::counter!("proxy.h2_loss_stalls").inc()
+        }
+        DnsTransport::DoQ => dohperf_telemetry::counter!("proxy.quic_loss_stalls").inc(),
     }
 }
 
-/// One query on an acquired connection: [`query_leg`], recursion to the
-/// authoritative, provider processing.
-struct QueryOutcome {
-    elapsed: SimDuration,
-    framing: SimDuration,
+/// How the provider answered one query at its PoP.
+#[derive(Debug, Clone, Copy)]
+pub struct PopAnswer {
+    /// Answered from the PoP's cache, without recursion.
+    pub cache_hit: bool,
+    /// PoP ↔ authoritative round trip (zero on a cache hit).
+    pub recursion: SimDuration,
+    /// Provider processing: a cache lookup on a hit, otherwise
+    /// [`ProviderKind::processing_time`] plus the client's
+    /// [`ProviderKind::forwarding_penalty`].
+    pub processing: SimDuration,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn transport_query(
+impl PopAnswer {
+    /// Recursion plus processing.
+    pub fn elapsed(&self) -> SimDuration {
+        self.recursion + self.processing
+    }
+}
+
+/// Draw the provider side of one query: a cache hit with probability
+/// `cache_hit_p`, else recursion from `pop` to `auth`, then the
+/// processing time. Does not advance the clock.
+pub fn pop_answer(
     sim: &mut Simulator,
     exit: &ExitNode,
     pop: NodeId,
     auth: NodeId,
     provider: ProviderKind,
-    transport: DnsTransport,
-    extra_loss_p: f64,
     cache_hit_p: f64,
     rng: &mut SimRng,
-) -> QueryOutcome {
-    let QueryLeg {
-        leg,
-        framing,
-        stall,
-    } = query_leg(sim, exit, pop, transport, extra_loss_p, rng);
-    if stall.is_some() {
-        match transport {
-            DnsTransport::Do53 => dohperf_telemetry::counter!("proxy.transport_udp_timeouts").inc(),
-            DnsTransport::DoH | DnsTransport::DoT => {
-                dohperf_telemetry::counter!("proxy.h2_loss_stalls").inc()
-            }
-            DnsTransport::DoQ => dohperf_telemetry::counter!("proxy.quic_loss_stalls").inc(),
+) -> PopAnswer {
+    if rng.chance(cache_hit_p) {
+        PopAnswer {
+            cache_hit: true,
+            recursion: SimDuration::ZERO,
+            processing: SimDuration::from_millis_f64(rng.lognormal_median(1.5, 0.3)),
+        }
+    } else {
+        PopAnswer {
+            cache_hit: false,
+            recursion: sim.rtt(pop, auth),
+            processing: provider.processing_time(rng) + provider.forwarding_penalty(exit.id, rng),
         }
     }
-    let cache_hit = rng.chance(cache_hit_p);
-    let recursion = if cache_hit {
-        SimDuration::ZERO
-    } else {
-        sim.rtt(pop, auth)
-    };
-    let processing = if cache_hit {
-        SimDuration::from_millis_f64(rng.lognormal_median(1.5, 0.3))
-    } else {
-        provider.processing_time(rng) + provider.forwarding_penalty(exit.id, rng)
-    };
-    let elapsed = leg + framing + recursion + processing;
-    sim.advance(elapsed);
-    QueryOutcome { elapsed, framing }
 }
 
 /// Charge the handshake bill for one acquisition and advance the clock
@@ -224,6 +256,38 @@ impl BrightDataNetwork {
         dohperf_telemetry::counter!("proxy.transport_measurements").inc();
         let recording = flight::active();
         let mut conn = Connection::new(transport);
+        // One query on the acquired connection, advancing the clock:
+        // returns the elapsed time and its framing component.
+        let query = |sim: &mut Simulator, rng: &mut SimRng| {
+            let q = query_leg(sim, exit, pop, transport, extra_loss_p, rng);
+            if q.stall.is_some() {
+                count_loss_stall(transport);
+            }
+            let answer = pop_answer(sim, exit, pop, auth, provider, cache_hit_p, rng);
+            let elapsed = q.leg + q.framing + answer.elapsed();
+            sim.advance(elapsed);
+            (elapsed, q.framing)
+        };
+        // One handshake billed at `billed` warmth, in a span labelled
+        // with what the connection reported for the acquisition.
+        let handshake = |sim: &mut Simulator, rng: &mut SimRng, acq: Acquired, billed: Warmth| {
+            let start = sim.now().as_nanos();
+            let hs_span = if recording {
+                let name = format!("{}-handshake ({})", transport.name(), billed.name());
+                flight::start_span("proxy", name, start)
+            } else {
+                flight::SpanToken::NOOP
+            };
+            let cost = handshake_bill(sim, exit, pop, transport, billed, rng);
+            if recording {
+                let rtts = transport.handshake_rtts(billed);
+                flight::attr(hs_span, "warmth", acq.warmth.name());
+                flight::attr(hs_span, "generation", format!("{}", acq.generation));
+                flight::attr(hs_span, "handshake_rtts", format!("{rtts}"));
+                flight::attr(hs_span, "handshake_ms", format!("{}", cost.as_millis_f64()));
+                flight::end_span(hs_span, sim.now().as_nanos());
+            }
+        };
 
         let t_a = sim.now();
         let span = if recording {
@@ -249,45 +313,11 @@ impl BrightDataNetwork {
         // Cold handshake.
         let cold = conn.acquire(t_bs);
         debug_assert_eq!(cold.warmth, Warmth::Cold);
-        let hs_span = if recording {
-            flight::start_span(
-                "proxy",
-                format!("{}-handshake (cold)", transport.name()),
-                t_bs.as_nanos(),
-            )
-        } else {
-            flight::SpanToken::NOOP
-        };
-        let hs_cost = handshake_bill(sim, exit, pop, transport, cold.warmth, rng);
+        handshake(sim, rng, cold, cold.warmth);
         let t_hs = sim.now();
-        if recording {
-            flight::attr(hs_span, "warmth", cold.warmth.name());
-            flight::attr(hs_span, "generation", format!("{}", cold.generation));
-            flight::attr(
-                hs_span,
-                "handshake_rtts",
-                format!("{}", transport.handshake_rtts(cold.warmth)),
-            );
-            flight::attr(
-                hs_span,
-                "handshake_ms",
-                format!("{}", hs_cost.as_millis_f64()),
-            );
-            flight::end_span(hs_span, t_hs.as_nanos());
-        }
 
         // Cold query on the new connection.
-        let cold_q = transport_query(
-            sim,
-            exit,
-            pop,
-            auth,
-            provider,
-            transport,
-            extra_loss_p,
-            cache_hit_p,
-            rng,
-        );
+        let (_, cold_framing) = query(sim, rng);
         let t_cold_done = sim.now();
 
         // Warm reuse inside the keep-alive window.
@@ -296,17 +326,7 @@ impl BrightDataNetwork {
         debug_assert_eq!(warm.warmth, Warmth::Warm);
         debug_assert_eq!(warm.generation, cold.generation);
         let _ = warm;
-        let warm_q = transport_query(
-            sim,
-            exit,
-            pop,
-            auth,
-            provider,
-            transport,
-            extra_loss_p,
-            cache_hit_p,
-            rng,
-        );
+        let (warm_elapsed, warm_framing) = query(sim, rng);
         let t_warm_done = sim.now();
 
         // Let the connection idle out, then resume with the session
@@ -329,50 +349,12 @@ impl BrightDataNetwork {
                 Warmth::Warm
             }
         );
-        let resumed_span = if recording {
-            flight::start_span(
-                "proxy",
-                format!("{}-handshake (resumed)", transport.name()),
-                t_resumed_start.as_nanos(),
-            )
-        } else {
-            flight::SpanToken::NOOP
-        };
-        let resumed_cost = handshake_bill(sim, exit, pop, transport, Warmth::Resumed, rng);
+        handshake(sim, rng, resumed, Warmth::Resumed);
         let t_resumed_hs = sim.now();
         if transport.is_encrypted() {
             dohperf_telemetry::counter!("proxy.transport_resumptions").inc();
         }
-        if recording {
-            flight::attr(resumed_span, "warmth", resumed.warmth.name());
-            flight::attr(
-                resumed_span,
-                "generation",
-                format!("{}", resumed.generation),
-            );
-            flight::attr(
-                resumed_span,
-                "handshake_rtts",
-                format!("{}", transport.handshake_rtts(Warmth::Resumed)),
-            );
-            flight::attr(
-                resumed_span,
-                "handshake_ms",
-                format!("{}", resumed_cost.as_millis_f64()),
-            );
-            flight::end_span(resumed_span, t_resumed_hs.as_nanos());
-        }
-        let resumed_q = transport_query(
-            sim,
-            exit,
-            pop,
-            auth,
-            provider,
-            transport,
-            extra_loss_p,
-            cache_hit_p,
-            rng,
-        );
+        let (_, resumed_framing) = query(sim, rng);
         let t_resumed_done = sim.now();
 
         if recording {
@@ -383,11 +365,7 @@ impl BrightDataNetwork {
                 "cold_ms",
                 format!("{}", t_cold_done.saturating_since(t_a).as_millis_f64()),
             );
-            flight::attr(
-                span,
-                "warm_ms",
-                format!("{}", warm_q.elapsed.as_millis_f64()),
-            );
+            flight::attr(span, "warm_ms", format!("{}", warm_elapsed.as_millis_f64()));
             flight::attr(
                 span,
                 "resumed_ms",
@@ -412,9 +390,9 @@ impl BrightDataNetwork {
             t_resumed_start,
             t_resumed_hs,
             t_resumed_done,
-            cold_framing: cold_q.framing,
-            warm_framing: warm_q.framing,
-            resumed_framing: resumed_q.framing,
+            cold_framing,
+            warm_framing,
+            resumed_framing,
             cold_generation: cold.generation,
             resumed_generation: resumed.generation,
         }

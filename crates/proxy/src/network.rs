@@ -8,10 +8,11 @@
 //! meaningful test of the Equation 7/8 derivation rather than a tautology.
 
 use crate::exitnode::{ExitNode, BOOTSTRAP_CACHE_HIT_P};
+use crate::lifecycle::{count_loss_stall, loss_stall, pop_answer};
 use crate::observation::{Do53Observation, DohObservation};
 use crate::superproxy::{nearest_super_proxy, SuperProxy};
 use dohperf_http::luminati::TunTimeline;
-use dohperf_netsim::connection::{TlsVersion, UDP_RETRY_TIMEOUT};
+use dohperf_netsim::connection::{DnsTransport, TlsVersion};
 use dohperf_netsim::engine::Simulator;
 use dohperf_netsim::rng::SimRng;
 use dohperf_netsim::time::SimDuration;
@@ -42,8 +43,10 @@ pub struct MeasurementOptions {
     /// Extra per-query packet-loss probability injected on the access
     /// link (ablation). Loss hurts the two transports asymmetrically:
     /// a lost Do53 datagram costs a full stub retransmission timeout
-    /// (~1s), while a lost TCP segment inside a DoH exchange is repaired
-    /// by fast retransmit in roughly one extra round trip.
+    /// (~1s), while a lost TCP segment inside a DoH exchange stalls the
+    /// HTTP/2 connection head-of-line for
+    /// [`DnsTransport::loss_stall_rtts`] round trips
+    /// ([`crate::lifecycle::loss_stall`]).
     pub extra_loss_p: f64,
 }
 
@@ -172,11 +175,8 @@ impl BrightDataNetwork {
         } else {
             flight::SpanToken::NOOP
         };
-        let connect_span = if recording {
-            flight::start_span("proxy", "connect-tunnel (steps 1-8)", t_a.as_nanos())
-        } else {
-            flight::SpanToken::NOOP
-        };
+        let connect_span =
+            flight::start_span("proxy", "connect-tunnel (steps 1-8)", t_a.as_nanos());
         let proxy_timeline = SuperProxy::processing_timeline(rng);
         // t3+t4: bootstrap-resolve the provider hostname at the exit node.
         let dns_bootstrap =
@@ -208,11 +208,7 @@ impl BrightDataNetwork {
         // --- Steps 9–14: the TLS handshake, one flight per round trip of
         // `opts.tls` (one for 1.3; the TLS 1.2 ablation pays a second). ---
         let t_c = t_b; // ClientHello is sent immediately.
-        let tls_span = if recording {
-            flight::start_span("proxy", "tls-handshake (steps 9-14)", t_c.as_nanos())
-        } else {
-            flight::SpanToken::NOOP
-        };
+        let tls_span = flight::start_span("proxy", "tls-handshake (steps 9-14)", t_c.as_nanos());
         let tunnel_rtt_2 = Self::tunnel_rtt(sim, client, sp.node, exit.node);
         let mut tls_leg = sim.rtt(exit.node, pop)
             + exit.https_overhead(rng)
@@ -240,47 +236,35 @@ impl BrightDataNetwork {
 
         // --- Steps 15–22: the DoH query itself. ---
         let query_start = sim.now();
-        let query_span = if recording {
-            flight::start_span("proxy", "doh-query (steps 15-22)", query_start.as_nanos())
-        } else {
-            flight::SpanToken::NOOP
-        };
+        let query_span =
+            flight::start_span("proxy", "doh-query (steps 15-22)", query_start.as_nanos());
         let tunnel_rtt_3 = Self::tunnel_rtt(sim, client, sp.node, exit.node);
-        let mut query_leg = sim.rtt(exit.node, pop) + exit.https_overhead(rng); // t17 + t20
-        if rng.chance(opts.extra_loss_p) {
-            // TCP fast retransmit: one extra round trip, not a timer.
-            dohperf_telemetry::counter!("proxy.doh_fast_retransmits").inc();
-            query_leg += sim.rtt(exit.node, pop);
+        // t17 + t20, unscaled: DoH's framing factor is 1.
+        let mut query_leg = sim.rtt(exit.node, pop) + exit.https_overhead(rng);
+        if let Some(stall) = loss_stall(sim, exit, pop, DnsTransport::DoH, opts.extra_loss_p, rng) {
+            count_loss_stall(DnsTransport::DoH);
+            query_leg += stall;
         }
-        let doh_cache_hit = rng.chance(opts.doh_cache_hit_p);
-        let recursion = if doh_cache_hit {
-            SimDuration::ZERO
-        } else {
-            sim.rtt(pop, auth) // t18 + t19
-        };
-        let processing = if doh_cache_hit {
-            SimDuration::from_millis_f64(rng.lognormal_median(1.5, 0.3))
-        } else {
-            provider.processing_time(rng) + provider.forwarding_penalty(exit.id, rng)
-        };
+        // t18 + t19 and the provider's processing.
+        let answer = pop_answer(sim, exit, pop, auth, provider, opts.doh_cache_hit_p, rng);
         sim.trace_packet(exit.node, pop, "http", "GET /dns-query");
-        if !doh_cache_hit {
+        if !answer.cache_hit {
             sim.trace_packet(pop, auth, "dns/udp", "recursion");
         }
         let overhead_3 = forwarding_overhead(rng);
-        sim.advance(tunnel_rtt_3 + query_leg + recursion + processing + overhead_3);
+        sim.advance(tunnel_rtt_3 + query_leg + answer.elapsed() + overhead_3);
         let t_d = sim.now();
         if recording {
-            flight::attr(query_span, "cache_hit", format!("{doh_cache_hit}"));
+            flight::attr(query_span, "cache_hit", format!("{}", answer.cache_hit));
             flight::attr(
                 query_span,
                 "recursion_ms",
-                format!("{}", recursion.as_millis_f64()),
+                format!("{}", answer.recursion.as_millis_f64()),
             );
             flight::attr(
                 query_span,
                 "processing_ms",
-                format!("{}", processing.as_millis_f64()),
+                format!("{}", answer.processing.as_millis_f64()),
             );
             flight::end_span(query_span, t_d.as_nanos());
             flight::attr(doh_span, "T_A_ns", format!("{}", t_a.as_nanos()));
@@ -291,23 +275,12 @@ impl BrightDataNetwork {
         }
 
         // Ground truth per Equation 1 (never visible to the methodology).
-        let truth_t_doh =
-            dns_bootstrap + tcp_connect + tls_leg + query_leg + recursion + processing;
-        // Ground truth for a reused-connection query: a fresh exchange on
-        // the established TLS session.
+        let truth_t_doh = dns_bootstrap + tcp_connect + tls_leg + query_leg + answer.elapsed();
+        // Ground truth for a reused-connection query: a fresh, loss-free
+        // exchange on the established TLS session.
         let truth_query_leg = sim.rtt(exit.node, pop) + exit.https_overhead(rng);
-        let truth_cache_hit = rng.chance(opts.doh_cache_hit_p);
-        let truth_recursion = if truth_cache_hit {
-            SimDuration::ZERO
-        } else {
-            sim.rtt(pop, auth)
-        };
-        let truth_processing = if truth_cache_hit {
-            SimDuration::from_millis_f64(rng.lognormal_median(1.5, 0.3))
-        } else {
-            provider.processing_time(rng) + provider.forwarding_penalty(exit.id, rng)
-        };
-        let truth_t_dohr = truth_query_leg + truth_recursion + truth_processing;
+        let truth_answer = pop_answer(sim, exit, pop, auth, provider, opts.doh_cache_hit_p, rng);
+        let truth_t_dohr = truth_query_leg + truth_answer.elapsed();
 
         DohObservation {
             t_a,
@@ -392,10 +365,11 @@ impl BrightDataNetwork {
         } else {
             exit.do53_cache_miss(sim, auth, qname, rng)
         };
-        if rng.chance(opts.extra_loss_p) {
-            // A lost UDP datagram burns the whole retransmission timer.
-            dohperf_telemetry::counter!("proxy.do53_retry_timeouts").inc();
-            truth_t_do53 += UDP_RETRY_TIMEOUT;
+        // A lost datagram burns the stub's whole retransmission timer.
+        let loss = opts.extra_loss_p;
+        if let Some(timer) = loss_stall(sim, exit, exit.resolver, DnsTransport::Do53, loss, rng) {
+            count_loss_stall(DnsTransport::Do53);
+            truth_t_do53 += timer;
         }
 
         let header_dns = if hijacked {

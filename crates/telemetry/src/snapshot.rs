@@ -278,9 +278,10 @@ impl Snapshot {
 
     /// Compare this snapshot's deterministic section against a `baseline`,
     /// flagging every metric whose relative drift exceeds `rel_tolerance`
-    /// (0.0 demands exact equality). Metrics present here but absent from
-    /// the baseline are reported as new without failing the comparison —
-    /// they signal that the baseline wants regenerating.
+    /// (0.0 demands exact equality; NaN flags every field). Metrics
+    /// present here but absent from the baseline are reported as new
+    /// without failing the comparison — they signal that the baseline
+    /// wants regenerating.
     pub fn compare_deterministic(
         &self,
         baseline: &Snapshot,
@@ -314,7 +315,8 @@ impl Snapshot {
             };
             for (field, b, c) in fields {
                 let rel = (c - b).abs() / b.abs().max(1.0);
-                if rel > rel_tolerance {
+                // A NaN tolerance admits nothing: every field drifts.
+                if rel > rel_tolerance || rel_tolerance.is_nan() {
                     drifts.push(Drift {
                         metric: name.to_string(),
                         field,
@@ -568,6 +570,17 @@ mod tests {
             .drifts
             .iter()
             .any(|d| d.field == "presence" && d.metric == "a.queries"));
+    }
+
+    #[test]
+    fn nan_tolerance_flags_every_field_as_drift() {
+        // Identical snapshots: one counter value plus a histogram's
+        // count and sum, all three flagged.
+        let snap = sample_registry().snapshot();
+        let report = snap.compare_deterministic(&snap, f64::NAN);
+        let fields: Vec<_> = report.drifts.iter().map(|d| d.field).collect();
+        assert_eq!(fields, ["count", "sum_micros", "value"]);
+        assert!(!report.ok());
     }
 
     #[test]
