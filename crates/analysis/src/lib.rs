@@ -17,7 +17,15 @@
 //! * [`covariates`] — the §6.1 explanatory-variable join.
 //! * [`logistic_model`] — Table 4: odds of slowdown under DoH-N.
 //! * [`linear_model`] — Tables 5 and 6: linear models of the raw delta.
-//! * [`render`] — plain-text table rendering for the `repro` binary.
+//! * [`regions`] — §8's continent-level medians and dispersion.
+//! * [`robustness`] — bootstrap CIs on the headline medians and rank
+//!   correlations against the covariates.
+//! * [`vantage`] — §7's vantage-point bias, by ecosystem reweighting.
+//! * [`pageload`] — page-load-time tables and CDFs for `--pages` campaigns.
+//! * [`fig_export`] — gnuplot-ready `.dat` series per figure.
+//! * [`render`] — plain-text table rendering for the `repro` binary, whose
+//!   `report` experiment collects the rendered rows into one markdown
+//!   document.
 //! * [`streaming`] — memory-bounded headline/CDF analyses over a
 //!   columnar store directory, via mergeable quantile sketches.
 //! * [`transports`] — per-protocol (Do53/DoH/DoT/DoQ) lifecycle headline
@@ -40,7 +48,6 @@ pub mod pageload;
 pub mod pop_improvement;
 pub mod regions;
 pub mod render;
-pub mod report;
 pub mod robustness;
 pub mod streaming;
 pub mod timeline;
@@ -63,7 +70,6 @@ pub use pageload::{
 };
 pub use pop_improvement::{pop_improvement, PopImprovementStats};
 pub use regions::{region_summaries, regional_variation, RegionSummary};
-pub use report::full_report;
 pub use robustness::{
     covariate_correlations, headline_cis, headline_cis_threads, CovariateCorrelations, HeadlineCis,
 };

@@ -87,9 +87,14 @@
 //! instead of comparing against them.
 //!
 //! Experiments are the rows of `dohperf_bench::EXPERIMENTS`, in paper
-//! order; `repro --help` lists them.
+//! order; `repro --help` lists them. A row's kind says what it reads:
+//! `Analysis` rows render the dataset (so `--from-store` re-derives them
+//! and `report` collects them into `target/report.md`), `OwnRuns` rows
+//! simulate from the seed alone, and `Artifact` rows write files. A
+//! missing or corrupt `--from-store` directory exits 2 before the first
+//! row that reads the dataset.
 
-use dohperf_bench::{OutFormat, ReproConfig, ReproContext, EXPERIMENTS};
+use dohperf_bench::{Kind, OutFormat, ReproConfig, ReproContext, EXPERIMENTS};
 
 fn main() {
     let mut config = ReproConfig::default();
@@ -159,6 +164,7 @@ fn main() {
                 config.scale = args
                     .next()
                     .and_then(|v| v.parse().ok())
+                    .filter(|&s: &f64| s > 0.0 && s <= 1.0)
                     .unwrap_or_else(|| usage("--scale needs a float in (0,1]"));
             }
             "--threads" => {
@@ -225,7 +231,7 @@ fn main() {
             }
             "--help" | "-h" => usage(""),
             "all" => requested.extend(EXPERIMENTS),
-            other => match EXPERIMENTS.iter().find(|(name, _)| *name == other) {
+            other => match EXPERIMENTS.iter().find(|e| e.name == other) {
                 Some(experiment) => requested.push(experiment),
                 None => usage(&format!("unknown experiment {other:?}")),
             },
@@ -267,8 +273,16 @@ fn main() {
         requested.len()
     );
     let mut ctx = ReproContext::new(config);
-    for (_, render) in requested {
-        let output = render(&mut ctx);
+    for experiment in requested {
+        // Load the dataset up front, so a missing or corrupt store is a
+        // clean exit 2 rather than a panic inside a render.
+        if experiment.kind != Kind::OwnRuns {
+            if let Err(e) = ctx.try_dataset() {
+                eprintln!("error: {e}");
+                std::process::exit(2);
+            }
+        }
+        let output = (experiment.render)(&mut ctx);
         println!("{}", "=".repeat(100));
         println!("{output}");
     }
@@ -340,7 +354,7 @@ fn usage(err: &str) -> ! {
          any N\nexperiments: {}",
         EXPERIMENTS
             .iter()
-            .map(|(name, _)| *name)
+            .map(|e| e.name)
             .collect::<Vec<_>>()
             .join(" ")
     );

@@ -250,7 +250,7 @@ fn same_bytes(actual: &str, expected: &str) -> Result<(), Failure> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::repro::EXPERIMENTS;
+    use crate::repro::{Kind, EXPERIMENTS};
 
     fn workspace_file(rel: &str) -> String {
         let path = format!("{}/../../{rel}", env!("CARGO_MANIFEST_DIR"));
@@ -280,12 +280,19 @@ mod tests {
     #[test]
     fn every_row_runs_one_known_experiment_on_seed_2021() {
         for gate in GATES {
-            let experiments = gate
+            let experiments: Vec<_> = gate
                 .argv
                 .split_whitespace()
-                .filter(|a| EXPERIMENTS.iter().any(|(name, _)| name == a))
-                .count();
-            assert_eq!(experiments, 1, "{}: {}", gate.name, gate.argv);
+                .filter_map(|a| EXPERIMENTS.iter().find(|e| e.name == a))
+                .collect();
+            assert_eq!(experiments.len(), 1, "{}: {}", gate.name, gate.argv);
+            // `--from-store` identity proves nothing for a row that
+            // ignores the dataset.
+            assert!(
+                gate.baseline.is_none() || experiments[0].kind == Kind::Analysis,
+                "store row {} must run an Analysis experiment",
+                gate.name
+            );
             assert!(
                 gate.argv.starts_with("--seed 2021 "),
                 "{} must pin seed 2021",

@@ -8,4 +8,4 @@
 pub mod gates;
 pub mod repro;
 
-pub use repro::{OutFormat, ReproConfig, ReproContext, EXPERIMENTS};
+pub use repro::{Experiment, Kind, OutFormat, ReproConfig, ReproContext, EXPERIMENTS};

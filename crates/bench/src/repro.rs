@@ -134,48 +134,78 @@ pub fn window_nanos(hours: f64) -> u64 {
     }
 }
 
-/// One `repro` experiment: its CLI name and the function that renders it.
-pub type Experiment = (&'static str, fn(&mut ReproContext) -> String);
+/// What an experiment reads, and so whether a store re-derives it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// Renders text from the campaign dataset, so `--from-store`
+    /// re-derives it byte for byte; `report` collects these rows.
+    Analysis,
+    /// Runs its own simulations from the seed and ignores the dataset
+    /// and `--from-store`.
+    OwnRuns,
+    /// Writes files derived from the dataset.
+    Artifact,
+}
+
+/// One `repro` experiment: its CLI name, what it reads, and the
+/// function that renders it.
+#[derive(Debug, Clone, Copy)]
+pub struct Experiment {
+    /// CLI name, as `repro NAME` spells it.
+    pub name: &'static str,
+    /// What the render reads.
+    pub kind: Kind,
+    /// The text `repro` prints for this row.
+    pub render: fn(&mut ReproContext) -> String,
+}
+
+const fn row(
+    name: &'static str,
+    kind: Kind,
+    render: fn(&mut ReproContext) -> String,
+) -> Experiment {
+    Experiment { name, kind, render }
+}
 
 /// Every experiment `repro` knows, in paper order (`repro all` runs them
 /// in this order). The artifact writers record a write failure for
 /// exit-code propagation: a run that lost its artifacts must not exit 0.
 pub const EXPERIMENTS: &[Experiment] = &[
-    ("table1", |c| c.table1()),
-    ("table2", |c| c.table2()),
-    ("sec4-3", |c| c.sec4_3()),
-    ("sec4-4", |c| c.sec4_4()),
-    ("table3", |c| c.table3()),
-    ("fig3", |c| c.fig3()),
-    ("fig8", |c| c.fig8()),
-    ("headline", |c| c.headline()),
-    ("fig4", |c| c.fig4()),
-    ("fig5", |c| c.fig5()),
-    ("fig6", |c| c.fig6()),
-    ("fig9", |c| c.fig9()),
-    ("fig7", |c| c.fig7()),
-    ("table4", |c| c.table4()),
-    ("table5", |c| c.table5()),
-    ("table6", |c| c.table6()),
-    ("regions", |c| c.regions()),
-    ("robustness", |c| c.robustness()),
-    ("ablation-tls12", |c| c.ablation_tls12()),
-    ("ablation-anycast", |c| c.ablation_anycast()),
-    ("ablation-cache", |c| c.ablation_cache()),
-    ("ablation-loss", |c| c.ablation_loss()),
-    ("ablation-vantage", |c| c.ablation_vantage()),
-    ("transports", |c| c.transports()),
-    ("pageload", |c| c.pageload()),
-    ("timeline", |c| c.timeline()),
-    ("export", |c| {
+    row("table1", Kind::OwnRuns, |c| c.table1()),
+    row("table2", Kind::OwnRuns, |c| c.table2()),
+    row("sec4-3", Kind::OwnRuns, |c| c.sec4_3()),
+    row("sec4-4", Kind::OwnRuns, |c| c.sec4_4()),
+    row("table3", Kind::Analysis, |c| c.table3()),
+    row("fig3", Kind::Analysis, |c| c.fig3()),
+    row("fig8", Kind::Analysis, |c| c.fig8()),
+    row("headline", Kind::Analysis, |c| c.headline()),
+    row("fig4", Kind::Analysis, |c| c.fig4()),
+    row("fig5", Kind::Analysis, |c| c.fig5()),
+    row("fig6", Kind::Analysis, |c| c.fig6()),
+    row("fig9", Kind::Analysis, |c| c.fig9()),
+    row("fig7", Kind::Analysis, |c| c.fig7()),
+    row("table4", Kind::Analysis, |c| c.table4()),
+    row("table5", Kind::Analysis, |c| c.table5()),
+    row("table6", Kind::Analysis, |c| c.table6()),
+    row("regions", Kind::Analysis, |c| c.regions()),
+    row("robustness", Kind::Analysis, |c| c.robustness()),
+    row("ablation-tls12", Kind::OwnRuns, |c| c.ablation_tls12()),
+    row("ablation-anycast", Kind::OwnRuns, |c| c.ablation_anycast()),
+    row("ablation-cache", Kind::OwnRuns, |c| c.ablation_cache()),
+    row("ablation-loss", Kind::OwnRuns, |c| c.ablation_loss()),
+    row("ablation-vantage", Kind::Analysis, |c| c.ablation_vantage()),
+    row("transports", Kind::Analysis, |c| c.transports()),
+    row("pageload", Kind::Analysis, |c| c.pageload()),
+    row("timeline", Kind::Analysis, |c| c.timeline()),
+    row("export", Kind::Artifact, |c| {
         let written = c.export(std::path::Path::new("target/dataset"));
         c.or_io_error("export", written)
     }),
-    ("figdata", |c| {
+    row("figdata", Kind::Artifact, |c| {
         let written = c.figdata(std::path::Path::new("target/figdata"));
         c.or_io_error("figdata", written)
     }),
-    ("report", |c| {
+    row("report", Kind::Artifact, |c| {
         let written = c.report(std::path::Path::new("target/report.md"));
         c.or_io_error("report", written)
     }),
@@ -240,36 +270,42 @@ impl ReproContext {
         }
     }
 
-    /// The (cached) campaign dataset.
+    /// The (cached) campaign dataset; panics where [`Self::try_dataset`]
+    /// returns an error.
+    pub fn dataset(&mut self) -> &Dataset {
+        self.try_dataset().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The (cached) campaign dataset, or why it could not be produced.
     ///
     /// Three sources, in precedence order: an existing store directory
     /// (`--from-store`), a streaming store-writing campaign run
     /// (`--out-format store`, which spills records to `store_dir` with
     /// bounded memory and reads them back), or the in-memory campaign.
     /// All three yield bit-identical datasets for the same seed/scale.
-    pub fn dataset(&mut self) -> &Dataset {
+    /// A missing or corrupt store is an `Err`, never a panic.
+    pub fn try_dataset(&mut self) -> Result<&Dataset, String> {
         if self.dataset.is_none() {
-            let ds = if let Some(dir) = self.config.from_store.clone() {
-                let _phase = phases::phase("load-store");
-                // `--threads` governs the decoder fan-out here exactly as
-                // it governs campaign workers: 0 = all cores, and the
+            let threads = self.config.threads;
+            let read = |dir: &std::path::Path, what: &str| {
+                // `--threads` governs the decoder fan-out exactly as it
+                // governs campaign workers: 0 = all cores, and the
                 // materialised dataset is bit-identical at any value.
-                dohperf_core::store_io::read_dataset_threads(&dir, self.config.threads)
-                    .unwrap_or_else(|e| {
-                        panic!("loading store {}: {e}", dir.display());
-                    })
+                dohperf_core::store_io::read_dataset_threads(dir, threads)
+                    .map_err(|e| format!("{what} {}: {e}", dir.display()))
+            };
+            let ds = if let Some(dir) = &self.config.from_store {
+                let _phase = phases::phase("load-store");
+                read(dir, "loading store")?
             } else {
                 let campaign = Campaign::new(self.campaign_config())
                     .with_trace_sampling(self.config.trace_sample);
                 let ds = if self.config.out_format == OutFormat::Store {
-                    let dir = self.config.store_dir.clone();
+                    let dir = &self.config.store_dir;
                     campaign
-                        .run_to_store(&dir, 0)
-                        .unwrap_or_else(|e| panic!("writing store {}: {e}", dir.display()));
-                    dohperf_core::store_io::read_dataset_threads(&dir, self.config.threads)
-                        .unwrap_or_else(|e| {
-                            panic!("reading back store {}: {e}", dir.display());
-                        })
+                        .run_to_store(dir, 0)
+                        .map_err(|e| format!("writing store {}: {e}", dir.display()))?;
+                    read(dir, "reading back store")?
                 } else {
                     campaign.run()
                 };
@@ -278,7 +314,7 @@ impl ReproContext {
             };
             self.dataset = Some(ds);
         }
-        self.dataset.as_ref().expect("just initialised")
+        Ok(self.dataset.as_ref().expect("just initialised"))
     }
 
     /// Export the campaign's sampled flight traces as a Chrome
@@ -926,11 +962,23 @@ so DoH-by-default remains a first-connection tax even in a warm-cache world.
         Ok(out)
     }
 
-    /// Write the one-document markdown report to `path`.
+    /// Write the markdown report to `path`: a title line, then every
+    /// [`Kind::Analysis`] row of [`EXPERIMENTS`] in registry order, each
+    /// under its name and fenced exactly as `repro` prints it.
     pub fn report(&mut self, path: &std::path::Path) -> std::io::Result<String> {
-        let seed = self.config.seed;
+        let (seed, scale) = (self.config.seed, self.config.scale);
         let ds = self.dataset();
-        let md = dohperf_analysis::report::full_report(ds, seed);
+        let mut md = format!(
+            "# dohperf report: seed {seed}, scale {scale:.2}, {} clients, {} countries, \
+             {} discarded\n",
+            ds.records.len(),
+            ds.country_count(),
+            ds.discarded_mismatches
+        );
+        for row in EXPERIMENTS.iter().filter(|e| e.kind == Kind::Analysis) {
+            let text = (row.render)(self);
+            let _ = write!(md, "\n## {}\n\n```\n{text}\n```\n", row.name);
+        }
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
@@ -1591,6 +1639,31 @@ mod tests {
             assert!(text.len() > 50, "{name} output too short:\n{text}");
             assert!(!text.contains("NaN"), "{name} contains NaN:\n{text}");
         }
+    }
+
+    #[test]
+    fn report_fences_every_analysis_row_in_registry_order() {
+        let dir = std::env::temp_dir().join(format!("dohperf-report-{}", std::process::id()));
+        let path = dir.join("report.md");
+        let line = quick_context().report(&path).expect("write the report");
+        let md = std::fs::read_to_string(&path).expect("read the report");
+        let _ = std::fs::remove_dir_all(&dir);
+        let written = format!(
+            "report written to {} ({} bytes)\n",
+            path.display(),
+            md.len()
+        );
+        assert_eq!(line, written);
+        let rows: Vec<&str> = EXPERIMENTS
+            .iter()
+            .filter(|e| e.kind == Kind::Analysis)
+            .map(|e| e.name)
+            .collect();
+        let headings: Vec<&str> = md.lines().filter_map(|l| l.strip_prefix("## ")).collect();
+        assert_eq!(headings, rows);
+        let fences = md.lines().filter(|l| *l == "```").count();
+        assert_eq!(fences, 2 * rows.len(), "every row opens and closes a fence");
+        assert!(!md.contains("NaN"), "report contains NaN");
     }
 
     #[test]

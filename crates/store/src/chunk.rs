@@ -76,7 +76,7 @@
 //! framing and decodes every group in full into a reusable
 //! [`ChunkColumns`] (one flat column per field, plus per-record sample
 //! counts), so a decode loop allocates nothing per chunk once warm.
-//! [`decode_chunk`] assembles records from those columns. Corrupt or
+//! [`ChunkColumns::to_records`] assembles records from them. Corrupt or
 //! hostile bytes fail with [`StoreError::Corrupt`], never a panic, and
 //! no column is sized from a count the payload cannot back.
 
@@ -420,24 +420,6 @@ pub fn encode_chunk(records: &[StoreRecord]) -> Vec<u8> {
     out
 }
 
-/// Decode one chunk from `header` + `payload` bytes (already split by the
-/// reader) into records. `flags` comes from [`parse_header`] and gates
-/// the optional trailing groups. `index` labels errors with the chunk's
-/// ordinal in the stream.
-///
-/// A thin assembly over [`decode_chunk_columns`], so the record path and
-/// the column scan share one decoder and one set of structural checks.
-pub fn decode_chunk(
-    record_count: u32,
-    flags: u16,
-    payload: &[u8],
-    index: u64,
-) -> Result<Vec<StoreRecord>> {
-    let mut columns = ChunkColumns::new();
-    decode_chunk_columns(record_count, flags, payload, index, &mut columns)?;
-    Ok(columns.to_records())
-}
-
 /// Smallest payload a record can occupy: the geoloc group alone stores
 /// three raw f64s per record. A header whose record count the payload
 /// cannot hold is rejected before any column is sized from it.
@@ -449,7 +431,7 @@ const MIN_BYTES_PER_RECORD: usize = 24;
 /// length-checked and decoded in full — the flag-gated transports,
 /// pageload and timeseries groups included — every RLE run sum, varint
 /// and narrowing is checked, and no trailing byte is tolerated.
-/// [`decode_chunk`] assembles records from the same columns.
+/// [`ChunkColumns::to_records`] assembles records from the columns.
 ///
 /// `out` is reusable scratch: its columns are cleared and refilled, so a
 /// decode loop holding one `ChunkColumns` allocates nothing per chunk
@@ -539,7 +521,7 @@ impl ChunkColumns {
         self.len() == 0
     }
 
-    /// Assemble the chunk's records (what [`decode_chunk`] returns).
+    /// Assemble the chunk's records.
     pub fn to_records(&self) -> Vec<StoreRecord> {
         let mut doh = sample_spans(&self.doh.counts);
         let mut transports = sample_spans(&self.transports.counts);
@@ -1488,19 +1470,27 @@ mod tests {
         (1..=n).map(StoreRecord::test_record).collect()
     }
 
+    /// One encoded chunk's header flags and records, checksum verified.
+    fn decode(bytes: &[u8]) -> (u16, Vec<StoreRecord>) {
+        let header: [u8; CHUNK_HEADER_LEN] = bytes[..CHUNK_HEADER_LEN].try_into().unwrap();
+        let (count, _, crc, flags) = parse_header(&header, 0).unwrap();
+        let payload = &bytes[CHUNK_HEADER_LEN..];
+        verify_checksum(payload, crc, 0).unwrap();
+        let mut columns = ChunkColumns::new();
+        decode_chunk_columns(count, flags, payload, 0, &mut columns).unwrap();
+        (flags, columns.to_records())
+    }
+
     #[test]
     fn encode_decode_round_trips() {
         let records = batch(17);
         let bytes = encode_chunk(&records);
         let header: [u8; CHUNK_HEADER_LEN] = bytes[..CHUNK_HEADER_LEN].try_into().unwrap();
-        let (count, len, crc, flags) = parse_header(&header, 0).unwrap();
+        let (count, len, _, _) = parse_header(&header, 0).unwrap();
         assert_eq!(count as usize, records.len());
-        assert_eq!(flags, 0, "transport-free chunks set no flags");
-        let payload = &bytes[CHUNK_HEADER_LEN..];
-        assert_eq!(payload.len(), len);
-        verify_checksum(payload, crc, 0).unwrap();
-        let back = decode_chunk(count, flags, payload, 0).unwrap();
-        assert_eq!(back, records);
+        assert_eq!(bytes.len(), CHUNK_HEADER_LEN + len);
+        // Transport-free chunks set no flags.
+        assert_eq!(decode(&bytes), (0, records));
     }
 
     #[test]
@@ -1536,9 +1526,7 @@ mod tests {
         records[1].do53_source = 1;
         records[2].doh.clear();
         let bytes = encode_chunk(&records);
-        let header: [u8; CHUNK_HEADER_LEN] = bytes[..CHUNK_HEADER_LEN].try_into().unwrap();
-        let (count, _, _, flags) = parse_header(&header, 0).unwrap();
-        let back = decode_chunk(count, flags, &bytes[CHUNK_HEADER_LEN..], 0).unwrap();
+        let (_, back) = decode(&bytes);
         assert_eq!(back, records);
     }
 
@@ -1550,10 +1538,8 @@ mod tests {
         records[1] = StoreRecord::test_record_with_transports(2);
         records[3] = StoreRecord::test_record_with_transports(4);
         let bytes = encode_chunk(&records);
-        let header: [u8; CHUNK_HEADER_LEN] = bytes[..CHUNK_HEADER_LEN].try_into().unwrap();
-        let (count, _, _, flags) = parse_header(&header, 0).unwrap();
+        let (flags, back) = decode(&bytes);
         assert_eq!(flags, FLAG_TRANSPORTS);
-        let back = decode_chunk(count, flags, &bytes[CHUNK_HEADER_LEN..], 0).unwrap();
         assert_eq!(back, records);
         assert_eq!(back[1].transports.len(), 2);
         assert!(back[0].transports.is_empty());
@@ -1570,10 +1556,7 @@ mod tests {
         assert_eq!(with_empty_vecs[7], 0, "flags high byte");
         // Dropping the transports field entirely (simulated by the same
         // records) yields the same payload length as four groups.
-        let header: [u8; CHUNK_HEADER_LEN] =
-            with_empty_vecs[..CHUNK_HEADER_LEN].try_into().unwrap();
-        let (count, _, _, flags) = parse_header(&header, 0).unwrap();
-        let back = decode_chunk(count, flags, &with_empty_vecs[CHUNK_HEADER_LEN..], 0).unwrap();
+        let (_, back) = decode(&with_empty_vecs);
         assert_eq!(back, records);
     }
 
@@ -1585,10 +1568,8 @@ mod tests {
         records[0] = StoreRecord::test_record_with_pages(1);
         records[4] = StoreRecord::test_record_with_pages(5);
         let bytes = encode_chunk(&records);
-        let header: [u8; CHUNK_HEADER_LEN] = bytes[..CHUNK_HEADER_LEN].try_into().unwrap();
-        let (count, _, _, flags) = parse_header(&header, 0).unwrap();
+        let (flags, back) = decode(&bytes);
         assert_eq!(flags, FLAG_PAGELOAD);
-        let back = decode_chunk(count, flags, &bytes[CHUNK_HEADER_LEN..], 0).unwrap();
         assert_eq!(back, records);
         assert_eq!(back[0].pages.len(), 2);
         assert!(back[1].pages.is_empty());
@@ -1602,10 +1583,8 @@ mod tests {
         records[1] = StoreRecord::test_record_with_transports(2);
         records[1].pages = StoreRecord::test_record_with_pages(2).pages;
         let bytes = encode_chunk(&records);
-        let header: [u8; CHUNK_HEADER_LEN] = bytes[..CHUNK_HEADER_LEN].try_into().unwrap();
-        let (count, _, _, flags) = parse_header(&header, 0).unwrap();
+        let (flags, back) = decode(&bytes);
         assert_eq!(flags, FLAG_TRANSPORTS | FLAG_PAGELOAD);
-        let back = decode_chunk(count, flags, &bytes[CHUNK_HEADER_LEN..], 0).unwrap();
         assert_eq!(back, records);
     }
 
@@ -1617,10 +1596,8 @@ mod tests {
         records[0] = StoreRecord::test_record_with_windows(1);
         records[2] = StoreRecord::test_record_with_windows(3);
         let bytes = encode_chunk(&records);
-        let header: [u8; CHUNK_HEADER_LEN] = bytes[..CHUNK_HEADER_LEN].try_into().unwrap();
-        let (count, _, _, flags) = parse_header(&header, 0).unwrap();
+        let (flags, back) = decode(&bytes);
         assert_eq!(flags, FLAG_TIMESERIES);
-        let back = decode_chunk(count, flags, &bytes[CHUNK_HEADER_LEN..], 0).unwrap();
         assert_eq!(back, records);
         assert_eq!(back[0].windows.len(), 2);
         assert!(back[1].windows.is_empty());
@@ -1635,10 +1612,8 @@ mod tests {
         records[1].pages = StoreRecord::test_record_with_pages(2).pages;
         records[1].windows = StoreRecord::test_record_with_windows(2).windows;
         let bytes = encode_chunk(&records);
-        let header: [u8; CHUNK_HEADER_LEN] = bytes[..CHUNK_HEADER_LEN].try_into().unwrap();
-        let (count, _, _, flags) = parse_header(&header, 0).unwrap();
+        let (flags, back) = decode(&bytes);
         assert_eq!(flags, FLAG_TRANSPORTS | FLAG_PAGELOAD | FLAG_TIMESERIES);
-        let back = decode_chunk(count, flags, &bytes[CHUNK_HEADER_LEN..], 0).unwrap();
         assert_eq!(back, records);
     }
 

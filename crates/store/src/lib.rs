@@ -8,8 +8,8 @@
 //! "millions of users" target, accumulating every record in memory caps
 //! the scale factor long before the hardware does. This crate removes
 //! that ceiling: campaign shards stream their records into fixed-budget
-//! chunks on disk as they finish, and analyses consume the store through
-//! a sequential iterator that never materialises more than one chunk.
+//! chunks on disk as they finish, and analyses fold the store chunk by
+//! chunk instead of loading it whole.
 //!
 //! The crate is dependency-free (std only) and knows nothing about the
 //! rest of the workspace: it stores [`StoreRecord`]s, a plain-old-data
@@ -40,14 +40,16 @@
 //!
 //! ## Reading
 //!
-//! Every reader verifies each chunk's CRC-32 over the whole payload
-//! (a slicing-by-8 kernel, [`checksum::crc32`]) and decodes every column
-//! group — the flag-gated ones included — with one structural decoder,
-//! [`decode_chunk_columns`], into flat structure-of-arrays
-//! [`ChunkColumns`]. Two ways to consume them:
+//! There is one read path, [`scan_columns`]. It verifies each chunk's
+//! CRC-32 over the whole payload (a slicing-by-8 kernel,
+//! [`checksum::crc32`]) and decodes every column group — the flag-gated
+//! ones included — with one structural decoder, [`decode_chunk_columns`],
+//! into flat structure-of-arrays [`ChunkColumns`]. At `threads == 1` it
+//! decodes inline, one chunk at a time; otherwise on worker threads,
+//! with the same results and errors. Two ways to consume it:
 //!
-//! * records — [`ChunkReader`], [`fold_chunks`] and [`decode_chunk`]
-//!   assemble [`StoreRecord`]s from the columns;
+//! * records — [`fold_chunks`] assembles each chunk's [`StoreRecord`]s
+//!   from the columns;
 //! * columns — [`scan_columns`] hands each chunk's `&ChunkColumns` to a
 //!   projection on the decode workers and folds the results in
 //!   canonical chunk order, with no record built. Skipping record
@@ -69,7 +71,7 @@
 //! ## Quick example
 //!
 //! ```
-//! use dohperf_store::{ChunkReader, ChunkWriter, StoreRecord};
+//! use dohperf_store::{fold_chunks, ChunkWriter, StoreRecord};
 //!
 //! let mut buf = Vec::new();
 //! let mut writer = ChunkWriter::new(&mut buf, 2); // 2 records per chunk
@@ -80,9 +82,13 @@
 //! assert_eq!(stats.records, 5);
 //! assert_eq!(stats.chunks, 3); // 2 + 2 + 1
 //!
-//! let back: Vec<StoreRecord> = ChunkReader::new(&buf[..])
-//!     .collect::<Result<_, _>>()
-//!     .unwrap();
+//! let mut back: Vec<StoreRecord> = Vec::new();
+//! let read = fold_chunks(&buf[..], 1, |_, records| Ok(records), |records| {
+//!     back.extend(records);
+//!     Ok(())
+//! })
+//! .unwrap();
+//! assert_eq!(read.chunks, 3);
 //! assert_eq!(back.len(), 5);
 //! assert_eq!(back[4].client_id, 5);
 //! ```
@@ -91,18 +97,16 @@ pub mod checksum;
 pub mod chunk;
 pub mod manifest;
 pub mod pipeline;
-pub mod reader;
 pub mod record;
 pub mod varint;
 pub mod writer;
 
 pub use chunk::{
-    decode_chunk, decode_chunk_columns, encode_chunk, encode_chunk_into, sample_spans,
-    ChunkColumns, EncodeScratch, CHUNK_MAGIC, FLAG_TIMESERIES, FLAG_TRANSPORTS, FORMAT_VERSION,
+    decode_chunk_columns, encode_chunk, encode_chunk_into, sample_spans, ChunkColumns,
+    EncodeScratch, CHUNK_MAGIC, FLAG_TIMESERIES, FLAG_TRANSPORTS, FORMAT_VERSION,
 };
 pub use manifest::{Manifest, MANIFEST_MAGIC};
 pub use pipeline::{fold_chunks, scan_columns, ReadStats};
-pub use reader::ChunkReader;
 pub use record::{
     StoreDohSample, StorePageSample, StoreRecord, StoreTransportSample, StoreWindowSample,
 };

@@ -1,17 +1,19 @@
-//! Parallel store reads: chunk decode fanned out to worker threads.
+//! Store reads: the one chunk reader, serial or fanned out to worker
+//! threads.
 //!
 //! Writes have no counterpart here: each campaign shard encodes its
 //! chunks inline through its own [`ChunkWriter`], and the simulation
 //! workers already keep every core busy (DESIGN.md §17).
 //!
-//! [`scan_columns`] is the parallel counterpart of `ChunkReader`: the
-//! calling thread scans headers and payloads sequentially (cheap —
-//! two reads per chunk), fans the payloads out to decode workers that
-//! verify the CRC over the whole payload, decode every column group
-//! (the flag-gated ones included) into the worker's reusable
-//! [`ChunkColumns`] and apply a caller-supplied `map` to them, and then
-//! folds the mapped results **on the calling thread in canonical chunk
-//! order**. The serial fold is what keeps derived analyses (GK
+//! [`scan_columns`] is the store's one chunk reader. At `threads == 1`
+//! it reads, verifies and decodes each chunk inline, holding one chunk
+//! at a time. Otherwise the calling thread scans headers and payloads
+//! sequentially (cheap — two reads per chunk), fans the payloads out to
+//! decode workers that verify the CRC over the whole payload, decode
+//! every column group (the flag-gated ones included) into the worker's
+//! reusable [`ChunkColumns`] and apply a caller-supplied `map` to them,
+//! and then folds the mapped results **on the calling thread in
+//! canonical chunk order**. The serial fold is what keeps derived analyses (GK
 //! sketches, streaming moments) bit-identical to a serial scan at any
 //! thread count: merge order never varies, only the decode work is
 //! concurrent. Corrupt chunks surface with the same ordinal and message
@@ -29,7 +31,6 @@
 use crate::chunk::{
     decode_chunk_columns, parse_header, verify_checksum, ChunkColumns, CHUNK_HEADER_LEN,
 };
-use crate::reader::read_exact_or_eof;
 use crate::record::StoreRecord;
 use crate::{Result, StoreError};
 use std::collections::BTreeMap;
@@ -153,7 +154,7 @@ where
 /// chunk in ascending ordinal order. `threads == 0` means one per core;
 /// `threads == 1` decodes inline with zero thread overhead. Both
 /// produce results — and errors, down to the failing chunk's ordinal —
-/// identical to a serial `ChunkReader` scan.
+/// identical to a serial scan.
 pub fn fold_chunks<R, T, M, F>(source: R, threads: usize, map: M, fold: F) -> Result<ReadStats>
 where
     R: Read,
@@ -270,8 +271,7 @@ impl<R: Read> ChunkScanner<R> {
     }
 
     /// Read the next header + payload, resizing `payload` in place.
-    /// Returns `None` on clean EOF. Error messages match
-    /// `ChunkReader`'s exactly.
+    /// Returns `None` on clean EOF.
     fn next_into(&mut self, payload: &mut Vec<u8>) -> Result<Option<ChunkHeader>> {
         let mut header = [0u8; CHUNK_HEADER_LEN];
         match read_exact_or_eof(&mut self.source, &mut header) {
@@ -296,6 +296,25 @@ impl<R: Read> ChunkScanner<R> {
         self.next_chunk += 1;
         Ok(Some((record_count, flags, crc)))
     }
+}
+
+/// `read_exact`, but a clean EOF before the first byte returns Ok(false).
+fn read_exact_or_eof<R: Read>(source: &mut R, buf: &mut [u8]) -> std::io::Result<bool> {
+    let mut filled = 0usize;
+    while filled < buf.len() {
+        let n = source.read(&mut buf[filled..])?;
+        if n == 0 {
+            if filled == 0 {
+                return Ok(false);
+            }
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                format!("got {filled} of {} header bytes", buf.len()),
+            ));
+        }
+        filled += n;
+    }
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -333,7 +352,39 @@ mod tests {
             )
             .unwrap();
             assert_eq!(stats.chunks, 14); // 13×6 + 5
+            assert_eq!(stats.records, 83);
             assert_eq!(ids, (1..=83).collect::<Vec<_>>(), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn empty_stream_folds_no_chunk() {
+        for threads in [1, 2] {
+            let stats = fold_chunks(
+                &[][..],
+                threads,
+                |_, r| Ok(r),
+                |_| -> Result<()> { panic!("an empty stream has no chunk to fold") },
+            )
+            .unwrap();
+            assert_eq!(stats, ReadStats::default(), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn flipped_last_payload_byte_is_caught_by_checksum() {
+        let mut bytes = serial_bytes(6, 6);
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0x10;
+        for threads in [1, 2] {
+            let err = fold_chunks(&bytes[..], threads, |_, r| Ok(r), |_| Ok(()))
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains("chunk 0"), "threads={threads}: {err}");
+            assert!(
+                err.contains("checksum mismatch"),
+                "threads={threads}: {err}"
+            );
         }
     }
 

@@ -125,7 +125,7 @@ impl<W: Write> ChunkWriter<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reader::ChunkReader;
+    use crate::pipeline::fold_chunks;
 
     #[test]
     fn budget_bounds_the_buffer_and_partial_tail_flushes() {
@@ -140,7 +140,17 @@ mod tests {
         assert_eq!(stats.chunks, 3); // 4 + 4 + 2
         assert_eq!(stats.bytes, out.len() as u64);
 
-        let back: Vec<StoreRecord> = ChunkReader::new(&out[..]).map(|r| r.unwrap()).collect();
+        let mut back = Vec::new();
+        fold_chunks(
+            &out[..],
+            1,
+            |_, r| Ok(r),
+            |r| {
+                back.extend(r);
+                Ok(())
+            },
+        )
+        .unwrap();
         assert_eq!(back.len(), 10);
         assert_eq!(back[9].client_id, 10);
     }

@@ -10,9 +10,8 @@ use dohperf_store::checksum::{crc32, reference};
 use dohperf_store::chunk::{parse_header, CHUNK_HEADER_LEN};
 use dohperf_store::varint::put_u64;
 use dohperf_store::{
-    decode_chunk, decode_chunk_columns, encode_chunk, fold_chunks, ChunkColumns, ChunkReader,
-    ChunkWriter, StoreDohSample, StoreError, StorePageSample, StoreRecord, StoreTransportSample,
-    StoreWindowSample,
+    decode_chunk_columns, encode_chunk, fold_chunks, ChunkColumns, ChunkWriter, StoreDohSample,
+    StoreError, StorePageSample, StoreRecord, StoreTransportSample, StoreWindowSample,
 };
 use proptest::prelude::*;
 
@@ -208,7 +207,6 @@ proptest! {
     ) {
         let mut columns = ChunkColumns::new();
         let _ = decode_chunk_columns(record_count, flags, &payload, 0, &mut columns);
-        let _ = decode_chunk(record_count, flags, &payload, 0);
     }
 
     /// Nor on a valid payload with a few bytes overwritten (past the
@@ -228,8 +226,7 @@ proptest! {
     }
 
     /// A valid payload with one group length or one per-record sample
-    /// count changed is always rejected with `StoreError::Corrupt`, by
-    /// the column decoder and the record decoder alike.
+    /// count changed is always rejected with `StoreError::Corrupt`.
     #[test]
     fn mutated_group_length_or_count_is_corrupt(
         seeds in proptest::collection::vec(any::<u64>(), 1..12),
@@ -252,10 +249,6 @@ proptest! {
             matches!(outcome, Err(StoreError::Corrupt(_))),
             "varint at {} changed {} -> {} decoded as {:?}", at, value, mutated_value, outcome
         );
-        prop_assert!(matches!(
-            decode_chunk(count, flags, &mutated, 0),
-            Err(StoreError::Corrupt(_))
-        ));
     }
 
     /// A group with one byte appended or its last byte dropped, its
@@ -297,9 +290,9 @@ proptest! {
         );
     }
 
-    /// The column decoder fills the same values the record decoder
-    /// returns, and a reused scratch carries nothing over between
-    /// chunks of different shapes.
+    /// The column decoder fills the encoded records' values, and a
+    /// reused scratch carries nothing over between chunks of different
+    /// shapes.
     #[test]
     fn reused_column_scratch_matches_fresh_decodes(
         first in proptest::collection::vec(any::<u64>(), 1..24),
@@ -332,8 +325,13 @@ proptest! {
         prop_assert_eq!(stats.records, records.len() as u64);
         prop_assert_eq!(stats.bytes, bytes.len() as u64);
 
-        let decoded: Result<Vec<StoreRecord>, _> = ChunkReader::new(&bytes[..]).collect();
-        let decoded = decoded.expect("round trip must decode");
+        let mut decoded = Vec::new();
+        let read = fold_chunks(&bytes[..], 1, |_, recs| Ok(recs), |recs| {
+            decoded.extend(recs);
+            Ok(())
+        })
+        .expect("round trip must decode");
+        prop_assert_eq!(read.records, records.len() as u64);
         prop_assert_eq!(decoded, records);
     }
 
@@ -353,16 +351,14 @@ proptest! {
         let pos = 16 + (position as usize) % (bytes.len() - 16);
         bytes[pos] ^= 1u8 << bit;
 
-        let outcome: Result<Vec<StoreRecord>, _> = ChunkReader::new(&bytes[..]).collect();
-        let err = match outcome {
-            Err(e) => e,
+        let msg = match fold_chunks(&bytes[..], 1, |_, _| Ok(()), |_| Ok(())) {
+            Err(e) => e.to_string(),
             Ok(_) => {
                 return Err(proptest::test_runner::TestCaseError::fail(format!(
                     "flip at byte {pos} bit {bit} went undetected"
                 )));
             }
         };
-        let msg = err.to_string();
         prop_assert!(
             msg.contains("checksum mismatch"),
             "flip at byte {} bit {} gave a non-checksum error: {}", pos, bit, msg
@@ -414,7 +410,7 @@ proptest! {
     }
 
     /// A flipped bit is rejected by the parallel fold with the same
-    /// error — naming the same chunk ordinal — as the serial reader,
+    /// error — naming the same chunk ordinal — as the serial fold,
     /// no matter which decoder thread hits it first.
     #[test]
     fn parallel_fold_reports_the_corrupt_chunk_ordinal(

@@ -4,21 +4,30 @@
 //! 3 baseline drift, 4 I/O), so argument validation is locked down at
 //! the process level: unknown `--protocols` values must exit 2 and name
 //! the accepted list, `--shard-size` must reject 0 and non-numeric
-//! values with a usage hint, as must `--trace-sample 0` and a
-//! `--tolerance` that is negative or not finite, and a valid protocol
-//! list must run the
-//! `transports` experiment end to end. The analysis tables no gate row
-//! renders must print the same, pinned bytes at any `--threads`. `repro
-//! gate` must reject unknown rows with exit 2, and fail a row whose
-//! golden trace or metrics baseline no longer matches (exit 3 for
-//! metrics drift). `export
-//! --out-format store` from another store must write the dataset it
-//! reports, never keep a stale store left by an earlier run.
+//! values with a usage hint, as must `--trace-sample 0`, a `--scale`
+//! outside (0,1] and a `--tolerance` that is negative or not finite, and
+//! a valid protocol list must run the `transports` experiment end to
+//! end. A missing or corrupt `--from-store` directory exits 2 without a
+//! panic. The analysis tables no gate row renders must print the same,
+//! pinned bytes at any `--threads`. `report` must hold every `Analysis`
+//! row's stdout and re-derive from a store byte for byte. `repro gate`
+//! must reject unknown rows with exit 2, and fail a row whose golden
+//! trace or metrics baseline no longer matches (exit 3 for metrics
+//! drift). `export --out-format store` from another store must write the
+//! dataset it reports, never keep a stale store left by an earlier run.
 
 use std::process::Command;
 
 fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
+}
+
+/// A scratch working directory for one test, emptied first.
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("dohperf-cli-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
 }
 
 #[test]
@@ -223,6 +232,24 @@ fn tolerance_outside_its_range_exits_2() {
 }
 
 #[test]
+fn scale_outside_its_range_exits_2() {
+    // The campaign asserts 0 < scale <= 1; the CLI must reject the rest,
+    // NaN included, before any campaign starts.
+    for value in ["5", "0", "-1", "nan", "inf"] {
+        let out = repro()
+            .args(["--scale", value, "headline"])
+            .output()
+            .expect("spawn repro");
+        assert_eq!(out.status.code(), Some(2), "--scale {value} must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--scale needs a float in (0,1]"),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
 fn trace_sample_zero_exits_2() {
     // 0 records no client; it must not fall back to the `--trace-out`
     // default of 1 in 16.
@@ -380,9 +407,7 @@ fn timeline_without_windowing_points_at_the_flag() {
 
 #[test]
 fn timeline_from_a_store_takes_its_window_width_from_a_consistent_flag() {
-    let dir = std::env::temp_dir().join(format!("dohperf-cli-{}-timeline", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let dir = scratch_dir("timeline");
     let run = |args: &[&str]| {
         repro()
             .args(args)
@@ -483,8 +508,7 @@ fn analysis_tables_are_identical_across_thread_counts_and_pinned() {
 /// A scratch working directory holding a copy of the checked-in `ci/`
 /// files, so a test can corrupt them without touching the tree.
 fn ci_copy(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("dohperf-cli-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = scratch_dir(tag);
     std::fs::create_dir_all(dir.join("ci")).expect("create scratch ci/");
     let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../ci");
     for entry in std::fs::read_dir(&src).expect("read ci/") {
@@ -571,9 +595,7 @@ fn count_after(text: &str, prefix: &str) -> usize {
 
 #[test]
 fn store_export_from_another_store_replaces_a_stale_store() {
-    let dir = std::env::temp_dir().join(format!("dohperf-cli-{}-export", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let dir = scratch_dir("export");
     let run = |args: &[&str]| {
         let out = repro()
             .args(args)
@@ -620,5 +642,81 @@ fn store_export_from_another_store_replaces_a_stale_store() {
         dohperf_core::export::to_jsonl(&exported) == dohperf_core::export::to_jsonl(&source),
         "target/store does not read back to the exported dataset"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_missing_or_corrupt_store_exits_2_without_a_panic() {
+    let dir = scratch_dir("bad-store");
+    std::fs::create_dir_all(dir.join("junk")).expect("create junk store");
+    std::fs::write(dir.join("junk/manifest.bin"), "junk").expect("write junk manifest");
+    for store in ["missing", "junk"] {
+        let out = repro()
+            .args(["--scale", "0.02", "--from-store", store, "headline"])
+            .current_dir(&dir)
+            .output()
+            .expect("spawn repro");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "--from-store {store}:\n{stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(
+            stderr.contains(&format!("error: loading store {store}: ")),
+            "{stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `report` collects every `Analysis` row's stdout verbatim, and a store
+/// re-derives the same report byte for byte.
+#[test]
+fn report_holds_every_analysis_row_and_rederives_from_a_store() {
+    use dohperf_bench::{Kind, EXPERIMENTS};
+    let dir = scratch_dir("report");
+    let run = |args: &[&str]| {
+        let out = repro()
+            .args(["--seed", "7", "--scale", "0.02"])
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn repro");
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "repro {args:?}:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).expect("utf-8 stdout")
+    };
+    let report = |args: &[&str]| {
+        run(args);
+        std::fs::read_to_string(dir.join("target/report.md")).expect("read report.md")
+    };
+    let rows: Vec<&str> = EXPERIMENTS
+        .iter()
+        .filter(|e| e.kind == Kind::Analysis)
+        .map(|e| e.name)
+        .collect();
+    let printed = run(&rows);
+    let separator = format!("{}\n", "=".repeat(100));
+    let blocks: Vec<&str> = printed.split(&separator).skip(1).collect();
+    assert_eq!(blocks.len(), rows.len());
+
+    let direct = report(&["report"]);
+    assert!(
+        direct.starts_with("# dohperf report: seed 7, scale 0.02, "),
+        "{direct}"
+    );
+    for (name, block) in rows.iter().zip(&blocks) {
+        let section = format!("\n## {name}\n\n```\n{block}```\n");
+        assert!(direct.contains(&section), "report lacks {name}:\n{block}");
+    }
+
+    run(&["--out-format", "store", "--store-dir", "s", "headline"]);
+    assert_eq!(report(&["--from-store", "s", "report"]), direct);
     let _ = std::fs::remove_dir_all(&dir);
 }
