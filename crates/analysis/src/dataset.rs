@@ -2,7 +2,7 @@
 
 use dohperf_core::records::Dataset;
 use dohperf_netsim::topology::GeoPoint;
-use dohperf_providers::provider::{ProviderKind, ALL_PROVIDERS};
+use dohperf_providers::provider::ALL_PROVIDERS;
 
 /// One row of Table 3.
 #[derive(Debug, Clone)]
@@ -68,14 +68,6 @@ pub fn clients_per_country(ds: &Dataset) -> Vec<(usize, usize)> {
 /// paper's ethics posture).
 pub fn client_positions(ds: &Dataset) -> Vec<GeoPoint> {
     ds.records.iter().map(|r| r.position).collect()
-}
-
-/// Clients measured for a specific provider (helper for Table 3 checks).
-pub fn clients_for(ds: &Dataset, provider: ProviderKind) -> usize {
-    ds.records
-        .iter()
-        .filter(|r| r.sample(provider).is_some())
-        .count()
 }
 
 #[cfg(test)]

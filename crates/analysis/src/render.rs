@@ -56,8 +56,9 @@ pub fn pval(p: f64) -> String {
 }
 
 /// A sparkline-style ASCII CDF: 20 buckets of `#` density. Gives the
-/// repro binary a visual check of curve shapes without plotting.
-pub fn ascii_cdf(values: &[f64], probs: &[f64], width: usize) -> String {
+/// repro binary a visual check of curve shapes without plotting. `unit`
+/// follows each value ("ms", "mi", or "" for a plain count).
+pub fn ascii_cdf(values: &[f64], probs: &[f64], width: usize, unit: &str) -> String {
     if values.is_empty() {
         return String::from("(empty)");
     }
@@ -75,7 +76,7 @@ pub fn ascii_cdf(values: &[f64], probs: &[f64], width: usize) -> String {
         let bar = ((x / max) * width as f64).round() as usize;
         let _ = writeln!(
             out,
-            "p{:>3.0} {:>10.1}ms |{}",
+            "p{:>3.0} {:>10.1}{unit} |{}",
             q * 100.0,
             x,
             "#".repeat(bar.min(width))
@@ -123,9 +124,12 @@ mod tests {
     fn ascii_cdf_renders() {
         let values = vec![1.0, 2.0, 3.0, 4.0];
         let probs = vec![0.25, 0.5, 0.75, 1.0];
-        let out = ascii_cdf(&values, &probs, 20);
+        let out = ascii_cdf(&values, &probs, 20, "ms");
         assert!(out.contains("p100"));
         assert!(out.contains("#"));
-        assert_eq!(ascii_cdf(&[], &[], 20), "(empty)");
+        assert!(out.starts_with("p100        4.0ms |"), "{out}");
+        let count = ascii_cdf(&values, &probs, 20, "");
+        assert!(count.starts_with("p100        4.0 |"), "{count}");
+        assert_eq!(ascii_cdf(&[], &[], 20, "ms"), "(empty)");
     }
 }

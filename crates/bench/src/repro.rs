@@ -562,7 +562,7 @@ impl ReproContext {
             pct(over_200)
         );
         let (vals, probs) = dohperf_stats::desc::ecdf(&counts);
-        out += &dohperf_analysis::render::ascii_cdf(&vals, &probs, 50);
+        out += &dohperf_analysis::render::ascii_cdf(&vals, &probs, 50, "");
         out
     }
 
@@ -590,7 +590,7 @@ impl ReproContext {
             .find(|p| p.provider == ProviderKind::Cloudflare)
             .expect("cloudflare panel");
         out += "\nCloudflare DoH1 CDF:\n";
-        out += &dohperf_analysis::render::ascii_cdf(&cf.doh1.values, &cf.doh1.probs, 50);
+        out += &dohperf_analysis::render::ascii_cdf(&cf.doh1.values, &cf.doh1.probs, 50, "ms");
         out
     }
 
@@ -663,7 +663,7 @@ impl ReproContext {
         let q9 = stats_for(&stats, ProviderKind::Quad9);
         out += "\nQuad9 potential-improvement CDF:\n";
         let (vals, probs) = dohperf_stats::desc::ecdf(&q9.improvements_miles);
-        out += &dohperf_analysis::render::ascii_cdf(&vals, &probs, 50);
+        out += &dohperf_analysis::render::ascii_cdf(&vals, &probs, 50, "mi");
         out
     }
 
@@ -1286,7 +1286,12 @@ a traffic-weighted view of the Internet — the direction of bias the paper's §
                 panel.warm.median(),
                 panel.resumed.median(),
             );
-            out += &dohperf_analysis::render::ascii_cdf(&panel.cold.values, &panel.cold.probs, 50);
+            out += &dohperf_analysis::render::ascii_cdf(
+                &panel.cold.values,
+                &panel.cold.probs,
+                50,
+                "ms",
+            );
         }
         out
     }
@@ -1378,7 +1383,12 @@ a traffic-weighted view of the Internet — the direction of bias the paper's §
                 panel.warm.median(),
                 panel.warm.quantile(0.9),
             );
-            out += &dohperf_analysis::render::ascii_cdf(&panel.cold.values, &panel.cold.probs, 50);
+            out += &dohperf_analysis::render::ascii_cdf(
+                &panel.cold.values,
+                &panel.cold.probs,
+                50,
+                "ms",
+            );
         }
         out
     }
@@ -1622,7 +1632,7 @@ mod tests {
     #[test]
     fn every_experiment_renders() {
         let mut ctx = quick_context();
-        for (name, text) in [
+        let rendered = [
             ("table3", ctx.table3()),
             ("table4", ctx.table4()),
             ("table5", ctx.table5()),
@@ -1635,9 +1645,34 @@ mod tests {
             ("fig8", ctx.fig8()),
             ("fig9", ctx.fig9()),
             ("headline", ctx.headline()),
-        ] {
+        ];
+        for (name, text) in &rendered {
             assert!(text.len() > 50, "{name} output too short:\n{text}");
             assert!(!text.contains("NaN"), "{name} contains NaN:\n{text}");
+        }
+        // Each ASCII CDF labels its values with the figure's unit: clients
+        // per country carry none, Quad9's potential improvement is in
+        // miles, resolution times are in milliseconds.
+        for (name, text) in &rendered {
+            let unit = match *name {
+                "fig3" => "",
+                "fig4" => "ms",
+                "fig6" => "mi",
+                _ => continue,
+            };
+            let values: Vec<&str> = text
+                .lines()
+                .filter(|l| l.starts_with('p') && l.contains(" |"))
+                .map(|l| l.split(" |").next().unwrap_or_default())
+                .collect();
+            assert_eq!(values.len(), 10, "{name}: one CDF of 10 rows:\n{text}");
+            for v in values {
+                let number = v.strip_suffix(unit).unwrap_or_default();
+                assert!(
+                    number.ends_with(|c: char| c.is_ascii_digit()),
+                    "{name}: {v:?}"
+                );
+            }
         }
     }
 

@@ -21,9 +21,9 @@
 //! 2. **The stub cache.** A capacity-bounded [`DnsCache`] sits in the
 //!    resolution path: duplicate hostnames inside one page hit
 //!    intra-page, and warm revisits hit cross-page until TTLs expire. A
-//!    periodic timer-wheel tick sweeps expired entries during the visit.
+//!    periodic 1 s sweep event clears expired entries during the visit.
 //! 3. **Dependency scheduling.** Ready nodes resolve concurrently
-//!    through the simulator's timer wheel; a node becomes ready only
+//!    through the simulator's event queue; a node becomes ready only
 //!    when all its parents have resolved. PLT is therefore the last
 //!    completion time minus the visit start — the DAG's critical path
 //!    under whatever concurrency the dependency structure allows.
@@ -263,7 +263,7 @@ pub struct PageOutcome {
     pub queries: u32,
 }
 
-/// One page event, carried through the simulator's timer wheel as a
+/// One page event, carried through the simulator's event queue as a
 /// `u32` token: the kind in the high half, the node in the low half.
 #[derive(Debug, Clone, Copy)]
 enum PageEvent {

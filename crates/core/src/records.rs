@@ -229,18 +229,6 @@ impl ClientRecord {
             .iter()
             .find(|s| s.transport == transport && s.provider == provider)
     }
-
-    /// The windowed summaries for one (transport, provider) cell, in
-    /// measurement order.
-    pub fn window_samples(
-        &self,
-        transport: DnsTransport,
-        provider: ProviderKind,
-    ) -> impl Iterator<Item = &WindowSample> {
-        self.windows
-            .iter()
-            .filter(move |s| s.transport == transport && s.provider == provider)
-    }
 }
 
 /// The campaign's output.

@@ -191,7 +191,7 @@ impl DnsCache {
     }
 
     /// Remove every expired entry eagerly; returns how many were evicted.
-    /// Campaigns call this from a periodic timer-wheel tick so long runs
+    /// Campaigns call this from a periodic sweep event so long runs
     /// stay bounded even when lookups never touch stale keys.
     pub fn evict_expired(&mut self, now: u64) -> usize {
         let before = self.index.len();

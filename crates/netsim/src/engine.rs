@@ -9,7 +9,7 @@
 //! caller drives them with [`Simulator::next_event`] in its own loop and
 //! `match`es on what it popped.
 
-use crate::event::{EventId, TimerWheel};
+use crate::event::{EventHeap, EventId};
 use crate::latency::{LatencyModel, PathModel};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
@@ -24,7 +24,7 @@ pub struct Simulator {
     path: PathModel,
     rng: SimRng,
     trace: TraceLog,
-    queue: TimerWheel<u32>,
+    queue: EventHeap<u32>,
 }
 
 impl Simulator {
@@ -38,7 +38,7 @@ impl Simulator {
             path: PathModel::new(rng.fork("path")),
             rng: rng.fork("engine"),
             trace: TraceLog::disabled(),
-            queue: TimerWheel::new(),
+            queue: EventHeap::new(),
         }
     }
 
@@ -116,7 +116,6 @@ impl Simulator {
             self.queue.len()
         );
         self.now = SimTime::ZERO;
-        self.queue.reset_time();
         self.path.rejitter(epoch.fork("path"));
         self.rng = epoch.fork("engine");
     }

@@ -1,34 +1,34 @@
-//! The discrete-event queue: a hierarchical timer wheel over a slab.
+//! The discrete-event queue: an indexed binary min-heap over a slab.
 //!
 //! Events are payloads ordered by firing time, with a monotonically
 //! increasing sequence number breaking ties so that two events scheduled
 //! for the same instant fire in scheduling order (FIFO). This tie-break is
 //! what makes the engine deterministic.
 //!
-//! [`TimerWheel<P>`] is generic over its payload. The simulator's own
-//! wheel carries a `u32` token, which the page-load workload decodes into
+//! [`EventHeap<P>`] is generic over its payload. The simulator's own
+//! queue carries a `u32` token, which the page-load workload decodes into
 //! a typed event (`core::pageload`), so scheduling there touches no
 //! allocator: event bookkeeping lives in a slab of reusable slots
 //! (`Vec<EventSlot>` plus a free list), and a `Copy` payload needs no
-//! box. [`EventQueue<C>`] is the same wheel carrying boxed closures
+//! box. [`EventQueue<C>`] is the same heap carrying boxed closures
 //! ([`EventAction`]); each of its events allocates the `Box`, so it suits
 //! callers that want a callback API more than speed.
 //!
 //! ## Structure
 //!
-//! * `LEVELS` wheel levels of 64 buckets each; level `l` buckets span
-//!   `64^l` ticks (1 tick = 1 ns), so the wheel covers `64^LEVELS` ns.
-//!   Per-level occupancy bitmaps find the next occupied bucket with a
-//!   `trailing_zeros`, never stepping tick-by-tick.
-//! * Events beyond the wheel horizon sit in a **sorted overflow list**;
-//!   events scheduled at or before the cursor sit in a sorted **due
-//!   list**. Both are kept in descending `(at, seq)` order so the minimum
-//!   pops from the back in O(1).
-//! * `pop`/`peek_time` take the smallest `(at, seq)` across the three
-//!   sources, cascading higher-level buckets down as the cursor advances.
-//!   Level-0 buckets hold a single tick and are kept sorted by `seq`, so
-//!   equal-time events drain in exactly the order a `(at, seq)` heap
-//!   would produce — the replacement is observationally identical.
+//! * Every pending event owns a slab slot holding its `(at, seq)` key.
+//!   A freed slot goes on a LIFO free list and bumps its generation, so
+//!   an [`EventId`] (slot, generation) is a function of the push / cancel
+//!   / pop sequence alone, and a fired or cancelled id never matches again.
+//! * A binary min-heap on `(at, seq)` holds the pending slots' indices.
+//!   Each pending slot records its heap position, so `cancel` removes the
+//!   event in place: no tombstones, and the heap never holds more than
+//!   the pending events.
+//!
+//! The page-load workload never holds more than 33 pending events (one
+//! per page node plus its sweep tick), so `O(log n)` sifts over a few
+//! dozen indices cost less than any structure built for thousands of
+//! timers.
 
 use crate::time::SimTime;
 
@@ -36,7 +36,7 @@ use crate::time::SimTime;
 pub type EventAction<C> = Box<dyn FnOnce(&mut C, SimTime)>;
 
 /// A future-event list of boxed closures over a context `C`.
-pub type EventQueue<C> = TimerWheel<EventAction<C>>;
+pub type EventQueue<C> = EventHeap<EventAction<C>>;
 
 /// Opaque handle identifying a scheduled event; can be used to cancel it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -52,55 +52,33 @@ impl EventId {
     }
 }
 
-/// Number of wheel levels. 64^8 ticks at 1 ns/tick ≈ 78 hours of simulated
-/// time before an event lands in the overflow list.
-const LEVELS: usize = 8;
-/// log2 of the per-level bucket count.
-const LEVEL_BITS: u32 = 6;
-const BUCKETS: usize = 1 << LEVEL_BITS;
-/// Null link in the slab's intrusive lists.
+/// Null link in the slab's free list.
 const NIL: u32 = u32::MAX;
-/// Pending events a new queue has room for. A page holds at most one
-/// event per node (32) plus its sweep tick; most of them can sit in the
-/// due list at once, because a cascade may move the cursor past them.
+/// Pending events a new queue has room for: a page holds at most one
+/// event per node (32) plus its sweep tick.
 const RESERVED_EVENTS: usize = 64;
-
-/// Where a live slot is currently filed (so `cancel` can unlink it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Loc {
-    Wheel { level: u8, bucket: u8 },
-    Due,
-    Overflow,
-    Free,
-}
 
 struct EventSlot<P> {
     at: SimTime,
     seq: u64,
     generation: u32,
-    next: u32,
-    loc: Loc,
+    /// The slot's heap position while pending; the next free slot while
+    /// free.
+    link: u32,
+    /// `Some` exactly while the event is pending.
     payload: Option<P>,
 }
 
 /// A deterministic future-event list carrying payloads of type `P`.
-pub struct TimerWheel<P> {
+pub struct EventHeap<P> {
     slots: Vec<EventSlot<P>>,
     free_head: u32,
-    buckets: [[u32; BUCKETS]; LEVELS],
-    occupancy: [u64; LEVELS],
-    /// Slot indices with `at <= cursor`, descending `(at, seq)`.
-    due: Vec<u32>,
-    /// Slot indices beyond the wheel horizon, descending `(at, seq)`.
-    overflow: Vec<u32>,
-    /// The wheel's notion of "now": the tick of the last popped event (or
-    /// of the last cascade). Only ever advances.
-    cursor: u64,
+    /// Pending slot indices, a binary min-heap on `(at, seq)`.
+    heap: Vec<u32>,
     next_seq: u64,
-    live: usize,
 }
 
-impl<P> Default for TimerWheel<P> {
+impl<P> Default for EventHeap<P> {
     fn default() -> Self {
         Self::new()
     }
@@ -116,22 +94,16 @@ impl<C> EventQueue<C> {
     }
 }
 
-impl<P> TimerWheel<P> {
-    /// Create an empty queue. The slab and the due list start with room
-    /// for 64 pending events, so a queue that never holds more, and never
-    /// schedules past the wheel's ~78 h horizon, allocates nothing after
-    /// construction.
+impl<P> EventHeap<P> {
+    /// Create an empty queue. The slab and the heap start with room for
+    /// 64 pending events, so a queue that never holds more allocates
+    /// nothing after construction.
     pub fn new() -> Self {
-        TimerWheel {
+        EventHeap {
             slots: Vec::with_capacity(RESERVED_EVENTS),
             free_head: NIL,
-            buckets: [[NIL; BUCKETS]; LEVELS],
-            occupancy: [0; LEVELS],
-            due: Vec::with_capacity(RESERVED_EVENTS),
-            overflow: Vec::new(),
-            cursor: 0,
+            heap: Vec::with_capacity(RESERVED_EVENTS),
             next_seq: 0,
-            live: 0,
         }
     }
 
@@ -141,8 +113,9 @@ impl<P> TimerWheel<P> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let idx = self.alloc_slot(at, seq, payload);
-        self.live += 1;
-        self.file(idx);
+        let pos = self.heap.len();
+        self.heap.push(idx);
+        self.sift_up(pos);
         EventId::pack(idx, self.slots[idx as usize].generation)
     }
 
@@ -154,58 +127,30 @@ impl<P> TimerWheel<P> {
         let Some(slot) = self.slots.get(idx as usize) else {
             return;
         };
-        if slot.generation != generation || slot.loc == Loc::Free {
+        if slot.generation != generation || slot.payload.is_none() {
             return; // already fired (generation bumped) or never existed
         }
-        self.unlink(idx);
+        let pos = slot.link as usize;
+        self.remove_at(pos);
         self.free_slot(idx);
-        self.live -= 1;
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.live
+        self.heap.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.heap.is_empty()
     }
 
-    /// Rewind the wheel's notion of "now" to zero so a fresh simulated
-    /// epoch can schedule near time zero without everything landing on the
-    /// due list. Only legal while the queue is empty — with no live slots
-    /// every bucket, the due list and the overflow are empty, so the
-    /// occupancy invariant (no occupied bucket behind the cursor) holds
-    /// trivially at cursor 0. Slot generations are untouched: stale
-    /// [`EventId`]s from before the reset stay dead.
-    pub fn reset_time(&mut self) {
-        assert!(self.is_empty(), "reset_time with {} live events", self.live);
-        self.cursor = 0;
-    }
-
-    /// The firing time of the next live event, if any. May cascade wheel
-    /// buckets internally (hence `&mut`), which never changes the order.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        self.min_slot().map(|idx| self.slots[idx as usize].at)
-    }
-
-    /// Remove and return the next live event.
+    /// Remove and return the next pending event.
     pub fn pop(&mut self) -> Option<(SimTime, P)> {
-        let idx = self.min_slot()?;
-        let slot = &self.slots[idx as usize];
-        let at = slot.at;
-        // The popped event is the global minimum, so every remaining wheel
-        // entry is at or after it; advancing the cursor keeps the
-        // occupancy invariant (no occupied bucket behind the cursor).
-        self.cursor = self.cursor.max(at.as_nanos());
-        self.unlink(idx);
-        let payload = self.slots[idx as usize]
-            .payload
-            .take()
-            .expect("event payload taken twice");
-        self.free_slot(idx);
-        self.live -= 1;
+        let idx = *self.heap.first()?;
+        self.remove_at(0);
+        let at = self.slots[idx as usize].at;
+        let payload = self.free_slot(idx);
         Some((at, payload))
     }
 
@@ -215,10 +160,9 @@ impl<P> TimerWheel<P> {
         if self.free_head != NIL {
             let idx = self.free_head;
             let slot = &mut self.slots[idx as usize];
-            self.free_head = slot.next;
+            self.free_head = slot.link;
             slot.at = at;
             slot.seq = seq;
-            slot.next = NIL;
             slot.payload = Some(payload);
             idx
         } else {
@@ -227,195 +171,81 @@ impl<P> TimerWheel<P> {
                 at,
                 seq,
                 generation: 0,
-                next: NIL,
-                loc: Loc::Free,
+                link: NIL,
                 payload: Some(payload),
             });
             idx
         }
     }
 
-    fn free_slot(&mut self, idx: u32) {
+    /// Return a slot, already out of the heap, to the free list and hand
+    /// back its payload.
+    fn free_slot(&mut self, idx: u32) -> P {
         let slot = &mut self.slots[idx as usize];
         slot.generation = slot.generation.wrapping_add(1);
-        slot.payload = None;
-        slot.loc = Loc::Free;
-        slot.next = self.free_head;
+        slot.link = self.free_head;
         self.free_head = idx;
+        slot.payload
+            .take()
+            .expect("freed a slot with no pending event")
     }
 
-    // ---- filing --------------------------------------------------------
+    // ---- heap ----------------------------------------------------------
 
-    /// File a slot into the structure matching its tick relative to the
-    /// cursor: the due list (at or before), a wheel bucket (within the
-    /// horizon), or the overflow list.
-    fn file(&mut self, idx: u32) {
-        let tick = self.slots[idx as usize].at.as_nanos();
-        if tick <= self.cursor {
-            self.slots[idx as usize].loc = Loc::Due;
-            let pos = self.sorted_pos(&self.due, idx);
-            self.due.insert(pos, idx);
-            return;
-        }
-        // Highest 6-bit group where the tick differs from the cursor
-        // decides the level; within a level the group's value is the
-        // bucket. (Equality was handled above, so the XOR is non-zero.)
-        let group = (63 - (tick ^ self.cursor).leading_zeros()) / LEVEL_BITS;
-        if group as usize >= LEVELS {
-            self.slots[idx as usize].loc = Loc::Overflow;
-            let pos = self.sorted_pos(&self.overflow, idx);
-            self.overflow.insert(pos, idx);
-            return;
-        }
-        let level = group as usize;
-        let bucket = ((tick >> (LEVEL_BITS * group)) & 63) as usize;
-        let slot = &mut self.slots[idx as usize];
-        slot.loc = Loc::Wheel {
-            level: level as u8,
-            bucket: bucket as u8,
-        };
-        if level == 0 {
-            // A level-0 bucket is a single tick: keep it sorted by seq so
-            // equal-time events drain FIFO regardless of cascade order.
-            let seq = slot.seq;
-            let mut prev = NIL;
-            let mut cur = self.buckets[0][bucket];
-            while cur != NIL && self.slots[cur as usize].seq < seq {
-                prev = cur;
-                cur = self.slots[cur as usize].next;
-            }
-            self.slots[idx as usize].next = cur;
-            if prev == NIL {
-                self.buckets[0][bucket] = idx;
-            } else {
-                self.slots[prev as usize].next = idx;
-            }
-        } else {
-            // Higher levels are unordered staging areas; prepend.
-            self.slots[idx as usize].next = self.buckets[level][bucket];
-            self.buckets[level][bucket] = idx;
-        }
-        self.occupancy[level] |= 1u64 << bucket;
+    /// True when slot `a` fires before slot `b`.
+    fn before(&self, a: u32, b: u32) -> bool {
+        let (a, b) = (&self.slots[a as usize], &self.slots[b as usize]);
+        (a.at, a.seq) < (b.at, b.seq)
     }
 
-    /// Position at which `idx` belongs in a descending-`(at, seq)` list.
-    fn sorted_pos(&self, list: &[u32], idx: u32) -> usize {
-        let key = {
-            let s = &self.slots[idx as usize];
-            (s.at, s.seq)
-        };
-        list.partition_point(|&other| {
-            let o = &self.slots[other as usize];
-            (o.at, o.seq) > key
-        })
+    fn place(&mut self, pos: usize, idx: u32) {
+        self.heap[pos] = idx;
+        self.slots[idx as usize].link = pos as u32;
     }
 
-    /// Unlink a live slot from whatever structure holds it.
-    fn unlink(&mut self, idx: u32) {
-        match self.slots[idx as usize].loc {
-            Loc::Wheel { level, bucket } => {
-                let (level, bucket) = (level as usize, bucket as usize);
-                let mut prev = NIL;
-                let mut cur = self.buckets[level][bucket];
-                while cur != idx {
-                    debug_assert_ne!(cur, NIL, "slot missing from its bucket");
-                    prev = cur;
-                    cur = self.slots[cur as usize].next;
-                }
-                let next = self.slots[idx as usize].next;
-                if prev == NIL {
-                    self.buckets[level][bucket] = next;
-                } else {
-                    self.slots[prev as usize].next = next;
-                }
-                if self.buckets[level][bucket] == NIL {
-                    self.occupancy[level] &= !(1u64 << bucket);
-                }
-            }
-            Loc::Due => {
-                let pos = self.list_pos(&self.due, idx);
-                self.due.remove(pos);
-            }
-            Loc::Overflow => {
-                let pos = self.list_pos(&self.overflow, idx);
-                self.overflow.remove(pos);
-            }
-            Loc::Free => unreachable!("unlink of a free slot"),
+    /// Remove the entry at heap position `pos`: the last entry takes its
+    /// place and sifts down or up to restore the heap order.
+    fn remove_at(&mut self, pos: usize) {
+        let last = self.heap.pop().expect("remove from an empty heap");
+        if pos < self.heap.len() {
+            self.heap[pos] = last;
+            self.sift_down(pos);
+            self.sift_up(pos);
         }
     }
 
-    fn list_pos(&self, list: &[u32], idx: u32) -> usize {
-        let start = self.sorted_pos(list, idx);
-        debug_assert_eq!(list[start], idx, "slot missing from its sorted list");
-        start
-    }
-
-    // ---- selection -----------------------------------------------------
-
-    /// The slot index of the next event to fire, cascading wheel buckets
-    /// until the wheel's own minimum (if any) sits in a level-0 bucket.
-    fn min_slot(&mut self) -> Option<u32> {
-        let wheel = self.settle_wheel();
-        let due = self.due.last().copied();
-        let overflow = self.overflow.last().copied();
-        let mut best: Option<u32> = None;
-        for candidate in [due, wheel, overflow].into_iter().flatten() {
-            best = Some(match best {
-                None => candidate,
-                Some(b) => {
-                    let bk = &self.slots[b as usize];
-                    let ck = &self.slots[candidate as usize];
-                    if (ck.at, ck.seq) < (bk.at, bk.seq) {
-                        candidate
-                    } else {
-                        b
-                    }
-                }
-            });
+    fn sift_up(&mut self, mut pos: usize) {
+        let idx = self.heap[pos];
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            if !self.before(idx, self.heap[parent]) {
+                break;
+            }
+            self.place(pos, self.heap[parent]);
+            pos = parent;
         }
-        best
+        self.place(pos, idx);
     }
 
-    /// Cascade until the earliest wheel event (if any) is in a level-0
-    /// bucket, and return its slot.
-    fn settle_wheel(&mut self) -> Option<u32> {
+    fn sift_down(&mut self, mut pos: usize) {
+        let idx = self.heap[pos];
         loop {
-            let mut found = None;
-            for level in 0..LEVELS {
-                let cur = (self.cursor >> (LEVEL_BITS * level as u32)) & 63;
-                // Buckets behind the cursor are never occupied: the cursor
-                // only advances to a popped global minimum or a cascaded
-                // bucket boundary, both at or before every remaining event.
-                debug_assert_eq!(self.occupancy[level] & !(!0u64 << cur), 0);
-                let masked = self.occupancy[level] & (!0u64 << cur);
-                if masked != 0 {
-                    found = Some((level, masked.trailing_zeros() as usize));
-                    break;
-                }
+            let left = 2 * pos + 1;
+            let right = left + 1;
+            let Some(&first) = self.heap.get(left) else {
+                break;
+            };
+            let child = match self.heap.get(right) {
+                Some(&r) if self.before(r, first) => right,
+                _ => left,
+            };
+            if !self.before(self.heap[child], idx) {
+                break;
             }
-            match found {
-                None => return None,
-                Some((0, bucket)) => return Some(self.buckets[0][bucket]),
-                Some((level, bucket)) => {
-                    // Advance the cursor to the bucket's span start, then
-                    // re-file its events one level (or more) down.
-                    let span = LEVEL_BITS * level as u32;
-                    let above = self.cursor >> (span + LEVEL_BITS) << (span + LEVEL_BITS);
-                    let start = above | ((bucket as u64) << span);
-                    debug_assert!(start >= self.cursor);
-                    self.cursor = start;
-                    let mut node = self.buckets[level][bucket];
-                    self.buckets[level][bucket] = NIL;
-                    self.occupancy[level] &= !(1u64 << bucket);
-                    while node != NIL {
-                        let next = self.slots[node as usize].next;
-                        self.slots[node as usize].next = NIL;
-                        self.file(node);
-                        node = next;
-                    }
-                }
-            }
+            self.place(pos, self.heap[child]);
+            pos = child;
         }
+        self.place(pos, idx);
     }
 }
 
@@ -479,15 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_skips_cancelled() {
-        let mut q: EventQueue<()> = EventQueue::new();
-        let first = q.schedule(SimTime::from_millis(1), |_, _| {});
-        q.schedule(SimTime::from_millis(2), |_, _| {});
-        q.cancel(first);
-        assert_eq!(q.peek_time(), Some(SimTime::from_millis(2)));
-    }
-
-    #[test]
     fn event_receives_fire_time() {
         let mut q: EventQueue<Vec<SimTime>> = EventQueue::new();
         q.schedule(SimTime::from_millis(17), |log, at| log.push(at));
@@ -499,8 +320,8 @@ mod tests {
 
     #[test]
     fn past_schedules_fire_before_future_ones_in_time_order() {
-        // Draining to t=10 moves the cursor; events then scheduled at or
-        // before the cursor must still fire in (at, seq) order.
+        // After popping t=10, events scheduled at or before it must still
+        // fire in (at, seq) order.
         let mut q: EventQueue<Vec<u32>> = EventQueue::new();
         q.schedule(SimTime::from_nanos(10), |log, _| log.push(0));
         let mut log = Vec::new();
@@ -519,7 +340,7 @@ mod tests {
     #[test]
     fn far_future_events_take_the_overflow_path() {
         let mut q: EventQueue<Vec<u64>> = EventQueue::new();
-        // Beyond 64^8 ns: overflow territory.
+        // Far beyond any page visit (about 36 years of simulated time).
         let far = 1u64 << 60;
         q.schedule(SimTime::from_nanos(far + 7), |log, _| log.push(3));
         q.schedule(SimTime::from_nanos(far), |log, _| log.push(2));
@@ -536,16 +357,16 @@ mod tests {
     fn cancel_reaches_every_region() {
         let mut q: EventQueue<Vec<u64>> = EventQueue::new();
         q.schedule(SimTime::from_nanos(50), |log, _| log.push(50));
-        let wheel = q.schedule(SimTime::from_millis(1), |log, _| log.push(1));
-        let over = q.schedule(SimTime::from_nanos(1 << 60), |log, _| log.push(60));
+        let near = q.schedule(SimTime::from_millis(1), |log, _| log.push(1));
+        let far = q.schedule(SimTime::from_nanos(1 << 60), |log, _| log.push(60));
         let mut log = Vec::new();
-        let (at, action) = q.pop().unwrap(); // cursor -> 50
+        let (at, action) = q.pop().unwrap(); // the last popped time is 50
         action(&mut log, at);
-        let due = q.schedule(SimTime::from_nanos(10), |log, _| log.push(10));
+        let behind = q.schedule(SimTime::from_nanos(10), |log, _| log.push(10));
         assert_eq!(q.len(), 3);
-        q.cancel(wheel);
-        q.cancel(over);
-        q.cancel(due);
+        q.cancel(near);
+        q.cancel(far);
+        q.cancel(behind);
         assert!(q.is_empty());
         assert!(q.pop().is_none());
         assert_eq!(log, vec![50]);
@@ -569,7 +390,7 @@ mod tests {
         assert!(q.is_empty());
     }
 
-    /// Differential test: the wheel must reproduce a reference (at, seq)
+    /// Differential test: the queue must reproduce a reference (at, seq)
     /// sort over a large batch of colliding and spread-out times.
     #[test]
     fn matches_reference_order_on_mixed_workload() {
@@ -582,11 +403,11 @@ mod tests {
             state ^= state >> 7;
             state ^= state << 17;
             let t = match seq % 5 {
-                0 => state % 64,                    // collides at level 0
-                1 => state % 4_096,                 // level 1
+                0 => state % 64,                    // dense collisions
+                1 => state % 4_096,                 // sparser collisions
                 2 => 1_000,                         // heavy tie
                 3 => state % 1_000_000_000,         // spread over a second
-                _ => (1u64 << 40) + (state % 1024), // deep wheel levels
+                _ => (1u64 << 40) + (state % 1024), // far ahead
             };
             expected.push((t, seq));
             q.schedule(SimTime::from_nanos(t), move |log, _| log.push((t, seq)));
@@ -599,8 +420,8 @@ mod tests {
         assert_eq!(log, expected);
     }
 
-    /// Interleaved schedule/pop with cursor movement: later schedules may
-    /// land behind the cursor and must still sort globally.
+    /// Interleaved schedule/pop: later schedules may land behind the last
+    /// popped time and must still sort globally.
     #[test]
     fn interleaved_schedule_and_pop_sorts_globally() {
         let mut q: EventQueue<Vec<(u64, u64)>> = EventQueue::new();
@@ -618,7 +439,7 @@ mod tests {
             let (at, action) = q.pop().unwrap();
             action(&mut fired, at);
         }
-        // Cursor is now at t=40; these land in the due list.
+        // The last popped time is 40; these land at or behind it.
         for t in [10u64, 40, 39] {
             sched(&mut q, t, &mut seq);
         }
@@ -640,12 +461,102 @@ mod tests {
         );
     }
 
-    /// The payload type is invisible to the wheel: a `Copy` token wheel
+    /// The reserve bounds the slab and the heap: a queue cycling through
+    /// up to 64 pending events, pushed, cancelled and popped in a random
+    /// mix, never grows either `Vec`.
+    #[test]
+    fn reserve_holds_64_pending_events_without_growing() {
+        let mut q: EventHeap<u32> = EventHeap::new();
+        let reserved = (q.slots.capacity(), q.heap.capacity());
+        assert!(reserved.0 >= RESERVED_EVENTS && reserved.1 >= RESERVED_EVENTS);
+        let mut live: Vec<EventId> = Vec::new();
+        let mut state: u64 = 0x2545_f491_4f6c_dd1d;
+        for token in 0..5_000u32 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            // Fill to the reserve first, then mix all three operations.
+            let at = SimTime::from_nanos((state >> 8) % 10_000);
+            let fill = token < RESERVED_EVENTS as u32;
+            if fill || (state.is_multiple_of(3) && q.len() < RESERVED_EVENTS) {
+                live.push(q.push(at, token));
+            } else if state % 3 == 1 && !live.is_empty() {
+                q.cancel(live.swap_remove((state >> 8) as usize % live.len()));
+            } else {
+                q.pop();
+            }
+            assert!(q.len() <= RESERVED_EVENTS);
+        }
+        assert_eq!((q.slots.capacity(), q.heap.capacity()), reserved);
+    }
+
+    /// Pins the ids and the pop order of one fixed script: same-instant
+    /// ties, a push behind the last popped time, a push 2^48 ns ahead,
+    /// cancels of a live, a fired and a stale id, and pops. The literals
+    /// are what the page-load golden trace's `EventId`s depend on.
+    #[test]
+    fn fixed_script_pins_ids_and_pop_order() {
+        let mut q: EventHeap<u32> = EventHeap::new();
+        let ns = SimTime::from_nanos;
+        let a = q.push(ns(10), 0);
+        let b = q.push(ns(10), 1);
+        let c = q.push(ns(5), 2);
+        let mut popped = vec![q.pop().unwrap(), q.pop().unwrap()];
+        q.cancel(c);
+        let d = q.push(ns(3), 3);
+        let e = q.push(ns((1 << 48) + 100), 4);
+        let f = q.push(ns(10), 5);
+        let g = q.push(ns(1_000), 6);
+        q.cancel(g);
+        q.cancel(a);
+        let h = q.push(ns(7), 7);
+        q.cancel(g);
+        let i = q.push(ns(10), 8);
+        popped.push(q.pop().unwrap());
+        q.cancel(c);
+        let j = q.push(ns(1 << 48), 9);
+        assert_eq!(q.len(), 6);
+        popped.extend(std::iter::from_fn(|| q.pop()));
+        q.cancel(b);
+        assert!(q.is_empty());
+        assert_eq!(
+            [a, b, c, d, e, f, g, h, i, j].map(EventId::unpack),
+            [
+                (0, 0),
+                (1, 0),
+                (2, 0),
+                (0, 1),
+                (2, 1),
+                (3, 0),
+                (4, 0),
+                (4, 1),
+                (5, 0),
+                (0, 2),
+            ]
+        );
+        let popped: Vec<(u64, u32)> = popped.iter().map(|&(at, t)| (at.as_nanos(), t)).collect();
+        assert_eq!(
+            popped,
+            [
+                (5, 2),
+                (10, 0),
+                (3, 3),
+                (7, 7),
+                (10, 1),
+                (10, 5),
+                (10, 8),
+                (1 << 48, 9),
+                ((1 << 48) + 100, 4),
+            ]
+        );
+    }
+
+    /// The payload type is invisible to the heap: a `Copy` token heap
     /// and the boxed-closure queue, driven by one schedule / cancel / pop
     /// sequence, hand out the same [`EventId`]s and pop the same order.
     #[test]
     fn typed_and_boxed_wheels_agree_on_ids_and_order() {
-        let mut typed: TimerWheel<u32> = TimerWheel::new();
+        let mut typed: EventHeap<u32> = EventHeap::new();
         let mut boxed: EventQueue<Vec<u32>> = EventQueue::new();
         let mut log = Vec::new();
         let mut popped = Vec::new();

@@ -63,7 +63,7 @@ pub mod trace;
 
 pub use connection::{Acquired, ConnState, Connection, DnsTransport, TlsVersion, Warmth};
 pub use engine::Simulator;
-pub use event::{EventId, EventQueue, TimerWheel};
+pub use event::{EventHeap, EventId, EventQueue};
 pub use latency::{InfraProfile, LatencyModel, PathModel};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -84,11 +84,6 @@ impl SimDuration {
         SimDuration(ms * NANOS_PER_MILLI)
     }
 
-    /// Construct from whole seconds.
-    pub const fn from_secs(s: u64) -> Self {
-        SimDuration(s * NANOS_PER_SEC)
-    }
-
     /// Construct from fractional milliseconds. Negative inputs clamp to zero;
     /// non-finite inputs clamp to zero (latency models occasionally produce
     /// denormal noise and must never panic the engine).
@@ -147,11 +142,6 @@ impl SimDuration {
     /// Halve the span (used to turn an RTT into a one-way delay).
     pub const fn halved(self) -> SimDuration {
         SimDuration(self.0 / 2)
-    }
-
-    /// True if the span is zero.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
     }
 }
 

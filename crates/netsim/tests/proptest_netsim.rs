@@ -1,10 +1,34 @@
 //! Property-based tests for the netsim substrate invariants.
 
+use dohperf_netsim::event::{EventHeap, EventId};
 use dohperf_netsim::prelude::*;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn arb_geo() -> impl Strategy<Value = GeoPoint> {
     (-85.0f64..85.0, -179.0f64..179.0).prop_map(|(lat, lon)| GeoPoint::new(lat, lon))
+}
+
+/// One step of a random event-queue script.
+#[derive(Debug, Clone)]
+enum QueueOp {
+    Push(u64),
+    /// Cancel the id issued by the push with this index (mod the count):
+    /// live, fired or already cancelled.
+    Cancel(usize),
+    /// Cancel an id naming a slot this queue never allocated.
+    CancelUnknown(usize),
+    Pop,
+}
+
+fn arb_queue_op() -> impl Strategy<Value = QueueOp> {
+    (0u8..10, any::<u64>()).prop_map(|(kind, x)| match kind {
+        0..=2 => QueueOp::Push(x % 2_000),
+        3 => QueueOp::Push((1 << 48) + x % 1_000),
+        4 | 5 => QueueOp::Cancel(x as usize),
+        6 => QueueOp::CancelUnknown(x as usize),
+        _ => QueueOp::Pop,
+    })
 }
 
 proptest! {
@@ -92,5 +116,50 @@ proptest! {
         for w in fired.windows(2) {
             prop_assert!(w[0] < w[1]);
         }
+    }
+
+    /// Random interleavings of push, cancel and pop match a reference
+    /// map ordered by `(at, seq)`: every pop, every `len`, and a cancel of
+    /// a fired, cancelled or unknown id changes nothing.
+    #[test]
+    fn queue_matches_an_ordered_map_reference(
+        ops in proptest::collection::vec(arb_queue_op(), 0..100),
+    ) {
+        // At most 100 pushes allocate at most 100 slots, so the ids of
+        // slots 100.. of another queue are unknown to this one.
+        let unknown: Vec<EventId> = {
+            let mut other = EventHeap::new();
+            (0..128u32).map(|t| other.push(SimTime::ZERO, t)).collect::<Vec<_>>()[100..].to_vec()
+        };
+        let mut q: EventHeap<u32> = EventHeap::new();
+        let mut model: BTreeMap<(SimTime, u32), ()> = BTreeMap::new();
+        let mut issued: Vec<(EventId, SimTime)> = Vec::new();
+        for op in ops {
+            match op {
+                QueueOp::Push(t) => {
+                    let at = SimTime::from_nanos(t);
+                    let token = issued.len() as u32;
+                    issued.push((q.push(at, token), at));
+                    model.insert((at, token), ());
+                }
+                QueueOp::Cancel(k) if !issued.is_empty() => {
+                    let token = k % issued.len();
+                    let (id, at) = issued[token];
+                    q.cancel(id);
+                    model.remove(&(at, token as u32));
+                }
+                QueueOp::Cancel(_) => {}
+                QueueOp::CancelUnknown(k) => q.cancel(unknown[k % unknown.len()]),
+                QueueOp::Pop => {
+                    let want = model.pop_first().map(|(key, ())| key);
+                    prop_assert_eq!(q.pop(), want);
+                }
+            }
+            prop_assert_eq!(q.len(), model.len());
+            prop_assert_eq!(q.is_empty(), model.is_empty());
+        }
+        let drained: Vec<(SimTime, u32)> = std::iter::from_fn(|| q.pop()).collect();
+        let want: Vec<(SimTime, u32)> = model.into_keys().collect();
+        prop_assert_eq!(drained, want);
     }
 }

@@ -7,7 +7,6 @@
 //! Atlas for exactly that remedy and cross-validates the two platforms in
 //! §4.4.
 
-use crate::exitnode::ExitNode;
 use dohperf_netsim::engine::Simulator;
 use dohperf_netsim::rng::SimRng;
 use dohperf_netsim::time::SimDuration;
@@ -110,12 +109,6 @@ impl AtlasNetwork {
         sim.advance(total);
         total
     }
-}
-
-/// Check that an Atlas probe's Do53 path matches an exit node's: used by
-/// validation to argue the §3.5 remedy is sound.
-pub fn same_measurement_shape(probe: &AtlasProbe, exit: &ExitNode) -> bool {
-    probe.country_iso == exit.country_iso
 }
 
 #[cfg(test)]

@@ -32,11 +32,6 @@ impl MinMaxScaler {
         Some(MinMaxScaler { mins, maxs })
     }
 
-    /// Number of features.
-    pub fn num_features(&self) -> usize {
-        self.mins.len()
-    }
-
     /// The observed range (max − min) of feature `j`.
     pub fn range(&self, j: usize) -> f64 {
         self.maxs[j] - self.mins[j]

@@ -1137,13 +1137,6 @@ pub fn rle_u32_into(
     }
 }
 
-#[doc(hidden)]
-pub fn decode_rle_u32(c: &mut Cursor<'_>, expected: usize, what: &str) -> Result<Vec<u32>> {
-    let mut values = Vec::new();
-    decode_rle_into(c, expected, what, &mut values, Ok)?;
-    Ok(values)
-}
-
 /// Decode an RLE column of exactly `expected` values into `out` (cleared
 /// first), narrowing each run's value with `narrow`.
 fn decode_rle_into<T: Copy>(
