@@ -74,6 +74,8 @@ examples:
 	cargo run --release --example provider_shootout
 	cargo run --release --example methodology_tour -- ID
 	cargo run --release --example live_do53
+	cargo run --release --example country_report -- BR ID TD
+	cargo run --release --example export_dataset -- target/examples/dataset 0.1
 
 clean:
 	cargo clean

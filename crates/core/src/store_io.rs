@@ -533,7 +533,12 @@ pub fn read_dataset(dir: &Path) -> Result<Dataset> {
 /// decoded what.
 pub fn read_dataset_threads(dir: &Path, threads: usize) -> Result<Dataset> {
     let manifest = read_manifest(dir)?;
-    let mut records = Vec::with_capacity(manifest.total_records as usize);
+    // Every record spends at least 24 bytes on its raw-bit lat, lon and
+    // nameserver-distance columns, so the file size caps what is reserved
+    // for the record count the manifest claims; `check_totals` rejects a
+    // claim the chunks do not hold.
+    let max_records = std::fs::metadata(dir.join(RECORDS_FILE))?.len() / 24;
+    let mut records = Vec::with_capacity(manifest.total_records.min(max_records) as usize);
     let stats = fold_chunks(dir, threads, |mut batch| {
         records.append(&mut batch);
         Ok(())
@@ -603,6 +608,23 @@ mod tests {
         assert_eq!(back.discarded_mismatches, ds.discarded_mismatches);
         assert_eq!(back.observed_ases, ds.observed_ases);
         assert_eq!(back.observed_resolvers, ds.observed_resolvers);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn record_count_beyond_the_file_size_is_not_reserved() {
+        let dir = temp_dir("huge-count");
+        write_dataset(dataset(), &dir, 64).unwrap();
+        let mut manifest = read_manifest(&dir).unwrap();
+        manifest.total_records = 1 << 50;
+        std::fs::write(dir.join(MANIFEST_FILE), manifest.encode()).unwrap();
+        let err = read_dataset(&dir).unwrap_err().to_string();
+        let promised = format!(
+            "manifest promises {} records, chunks hold {}",
+            1u64 << 50,
+            dataset().records.len()
+        );
+        assert!(err.contains(&promised), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,9 +1,9 @@
 //! # dohperf-dns
 //!
 //! A from-scratch DNS implementation: the RFC 1035 wire format (names with
-//! message compression, headers, questions, resource records), EDNS(0)
-//! (RFC 6891), a TTL-driven cache, and the RFC 8484 DNS-over-HTTPS payload
-//! encodings (base64url GET and POST).
+//! message compression, headers, questions, resource records), a
+//! TTL-driven cache, and the RFC 8484 DNS-over-HTTPS payload encodings
+//! (base64url GET and POST).
 //!
 //! This crate is pure protocol logic — no sockets, no simulation — so it is
 //! shared by both the simulated substrate (`dohperf-proxy`,
@@ -24,7 +24,6 @@
 pub mod base64url;
 pub mod cache;
 pub mod doh;
-pub mod edns;
 pub mod error;
 pub mod header;
 pub mod intern;
@@ -33,14 +32,11 @@ pub mod name;
 pub mod pool;
 pub mod rdata;
 pub mod record;
-pub mod resolver;
 pub mod types;
 pub mod wire;
-pub mod zonefile;
 
 pub use cache::{CacheKey, DnsCache};
 pub use doh::{DohMethod, DohRequest};
-pub use edns::{add_edns, edns_of, EdnsOptions};
 pub use error::DnsError;
 pub use header::{Header, HeaderFlags};
 pub use intern::Label;
@@ -49,9 +45,7 @@ pub use name::DnsName;
 pub use pool::PooledBuf;
 pub use rdata::RData;
 pub use record::{Question, ResourceRecord};
-pub use resolver::{Answer, IterativeResolver, ResolveError, Step};
 pub use types::{Opcode, RCode, RecordClass, RecordType};
-pub use zonefile::{format_zone, parse_zone, ZoneFileError};
 
 /// Convenience re-exports.
 pub mod prelude {

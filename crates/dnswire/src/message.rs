@@ -169,39 +169,6 @@ impl Message {
             additionals,
         })
     }
-
-    /// Wire size when encoded.
-    pub fn encoded_len(&self) -> Result<usize, DnsError> {
-        Ok(self.encode()?.len())
-    }
-
-    /// Encode for a size-limited transport (classic UDP): if the full
-    /// message exceeds `limit`, drop answer/authority/additional records
-    /// until it fits and set the TC bit, signalling the client to retry
-    /// over TCP (RFC 1035 §4.2.1 / RFC 2181 §9).
-    pub fn encode_bounded(&self, limit: usize) -> Result<Vec<u8>, DnsError> {
-        let full = self.encode()?;
-        if full.len() <= limit {
-            return Ok(full);
-        }
-        let mut truncated = self.clone();
-        truncated.header.flags.tc = true;
-        // Drop additionals, then authorities, then answers from the back.
-        while truncated.encoded_len()? > limit {
-            if truncated.additionals.pop().is_some() {
-                continue;
-            }
-            if truncated.authorities.pop().is_some() {
-                continue;
-            }
-            if truncated.answers.pop().is_some() {
-                continue;
-            }
-            // Nothing left to drop: the question alone exceeds the limit.
-            return Err(DnsError::MessageTooLong(truncated.encoded_len()?));
-        }
-        truncated.encode()
-    }
 }
 
 #[cfg(test)]
@@ -290,7 +257,7 @@ mod tests {
     #[test]
     fn classic_udp_query_fits() {
         let q = sample_query();
-        assert!(q.encoded_len().unwrap() <= CLASSIC_UDP_LIMIT);
+        assert!(q.encode().unwrap().len() <= CLASSIC_UDP_LIMIT);
     }
 
     #[test]
@@ -301,45 +268,6 @@ mod tests {
         for cut in 0..buf.len() {
             assert!(Message::decode(&buf[..cut]).is_err(), "cut {cut}");
         }
-    }
-
-    #[test]
-    fn encode_bounded_passes_small_messages_untouched() {
-        let q = sample_query();
-        let bounded = q.encode_bounded(512).unwrap();
-        assert_eq!(bounded, q.encode().unwrap());
-        let decoded = Message::decode(&bounded).unwrap();
-        assert!(!decoded.header.flags.tc);
-    }
-
-    #[test]
-    fn encode_bounded_truncates_and_sets_tc() {
-        let q = sample_query();
-        let mut resp = Message::answer_a(&q, Ipv4Addr::new(1, 1, 1, 1), 300);
-        for i in 0..40 {
-            resp.answers.push(ResourceRecord::new(
-                DnsName::parse(&format!("r{i}.a.com")).unwrap(),
-                60,
-                RData::A(Ipv4Addr::new(10, 0, 0, i as u8)),
-            ));
-        }
-        let full_len = resp.encoded_len().unwrap();
-        assert!(full_len > 512);
-        let bounded = resp.encode_bounded(512).unwrap();
-        assert!(bounded.len() <= 512, "{}", bounded.len());
-        let decoded = Message::decode(&bounded).unwrap();
-        assert!(decoded.header.flags.tc, "TC bit must be set");
-        assert!(decoded.answers.len() < 41);
-        assert_eq!(decoded.questions, resp.questions);
-    }
-
-    #[test]
-    fn encode_bounded_impossible_limit_errors() {
-        let q = sample_query();
-        assert!(matches!(
-            q.encode_bounded(10),
-            Err(DnsError::MessageTooLong(_))
-        ));
     }
 
     #[test]

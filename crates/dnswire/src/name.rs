@@ -87,11 +87,6 @@ impl DnsName {
         self.labels.len()
     }
 
-    /// True for the root name.
-    pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
-    }
-
     /// Total wire-encoded length (sum of length octets and label bytes plus
     /// the terminating root octet).
     pub fn encoded_len(&self) -> usize {
@@ -179,8 +174,8 @@ mod tests {
 
     #[test]
     fn root_forms() {
-        assert!(DnsName::parse("").unwrap().is_root());
-        assert!(DnsName::parse(".").unwrap().is_root());
+        assert_eq!(DnsName::parse("").unwrap(), DnsName::root());
+        assert_eq!(DnsName::parse(".").unwrap(), DnsName::root());
         assert_eq!(DnsName::root().to_string(), ".");
         assert_eq!(DnsName::root().encoded_len(), 1);
     }
@@ -231,8 +226,8 @@ mod tests {
         let n = DnsName::parse("a.b.c").unwrap();
         assert_eq!(n.parent().to_string(), "b.c");
         assert_eq!(n.parent().parent().to_string(), "c");
-        assert!(n.parent().parent().parent().is_root());
-        assert!(DnsName::root().parent().is_root());
+        assert_eq!(n.parent().parent().parent(), DnsName::root());
+        assert_eq!(DnsName::root().parent(), DnsName::root());
     }
 
     #[test]

@@ -1,18 +1,9 @@
 //! Property-based tests: encode/decode roundtrips over arbitrary inputs and
 //! decoder robustness against fuzz bytes.
-//!
-//! The zone-file parser gets the same treatment: it never panics on
-//! arbitrary text or on text built from the zone grammar; a valid record
-//! line changed in exactly one way (an rdata field dropped or added, a
-//! bad IPv4 or IPv6 address, a non-numeric TTL or SOA number, an
-//! unquoted TXT segment) is always an `Err`; and `format_zone` output
-//! parses back to the same records, TXT segments with spaces, `;` and
-//! parentheses included.
 
 use dohperf_dns::base64url;
 use dohperf_dns::prelude::*;
 use dohperf_dns::rdata::SoaData;
-use dohperf_dns::{format_zone, parse_zone};
 use proptest::prelude::*;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
@@ -160,141 +151,5 @@ proptest! {
         cache.insert(k.clone(), vec![rr], now, ttl);
         prop_assert!(cache.get(&k, now + u64::from(ttl) - 1).is_some());
         prop_assert!(cache.get(&k, now + u64::from(ttl)).is_none());
-    }
-}
-
-/// `arb_rdata` as a zone file can hold it: TXT segments without `"` or
-/// `\`, and at least one segment.
-fn arb_zone_rdata() -> impl Strategy<Value = RData> {
-    arb_rdata().prop_map(|rdata| match rdata {
-        RData::Txt(segments) if segments.is_empty() => RData::Txt(vec![String::new()]),
-        RData::Txt(segments) => RData::Txt(
-            segments
-                .into_iter()
-                .map(|s| s.replace(['"', '\\'], ""))
-                .collect(),
-        ),
-        other => other,
-    })
-}
-
-/// Whole tokens of the zone grammar, valid and not, for structured junk.
-#[rustfmt::skip]
-const ZONE_TOKENS: &[&str] = &[
-    "$ORIGIN", "$TTL", "$INCLUDE", "$", "@", "IN", "CH", "A", "AAAA", "NS", "CNAME", "PTR", "MX",
-    "TXT", "SOA", "WKS", "a.com.", "www", "b.c", ".", "..", "a..b", "1.2.3.4", "1.2.3.256",
-    "2001:db8::1", "::", ":::", "300", "0", "4294967296", "-1", "3x0", "\"x y\"", "\"\"", "\"",
-    "\"(\"", "\";\"", ";", "(", ")", "é", "\u{0}", " ", "\t", "\n",
-];
-
-/// An address `Ipv4Addr` cannot parse.
-fn bad_ipv4([a, b, c, d]: [u8; 4], pick: u64) -> String {
-    match pick % 5 {
-        0 => format!("{a}.{b}.{c}"),
-        1 => format!("{a}.{b}.{c}.{d}.{a}"),
-        2 => format!("{a}.{b}.{c}.{}", 256 + u32::from(d)),
-        3 => format!("{a}.{b}.{c}.x"),
-        _ => format!("{a}.{b}.{c}.{d}/24"),
-    }
-}
-
-/// An address `Ipv6Addr` cannot parse, derived from the valid `ip`.
-fn bad_ipv6(ip: &str, pick: u64) -> String {
-    match pick % 4 {
-        // A second `::`, or a ninth group.
-        0 => format!("{ip}::1"),
-        1 => format!("{ip}:g"),
-        2 => format!(":{ip}:"),
-        _ => "12345::1".to_string(),
-    }
-}
-
-/// A token that is not a u32, derived from the valid number `n`.
-fn bad_number(n: &str, pick: u64) -> String {
-    match pick % 5 {
-        0 => format!("{n}x"),
-        1 => format!("{n}.5"),
-        2 => format!("-{n}"),
-        3 => format!("0x{n}"),
-        _ => "4294967296".to_string(),
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    /// Arbitrary text, and text built from the grammar's tokens (which
-    /// reaches the directive, owner, TTL/class and rdata branches), is
-    /// parsed or rejected; it never panics.
-    #[test]
-    fn zone_parser_never_panics(
-        bytes in proptest::collection::vec(any::<u8>(), 0..256),
-        tokens in proptest::collection::vec(0..ZONE_TOKENS.len(), 0..32),
-    ) {
-        let origin = DnsName::parse("a.com").unwrap();
-        let grammar: Vec<&str> = tokens.into_iter().map(|t| ZONE_TOKENS[t]).collect();
-        for text in [String::from_utf8_lossy(&bytes).into_owned(), grammar.join(" "), grammar.concat()] {
-            let _ = parse_zone(&text, None);
-            let _ = parse_zone(&text, Some(&origin));
-        }
-    }
-
-    /// A valid record line changed in exactly one way is rejected.
-    #[test]
-    fn zone_line_mutations_are_rejected(
-        kind in 0u8..7,
-        name in arb_name(),
-        ttl in any::<u32>(),
-        rdata in arb_rdata(),
-        v4 in any::<[u8; 4]>(),
-        v6 in any::<[u8; 16]>(),
-        segments in proptest::collection::vec("[a-z0-9=.:()]{1,12}", 1..4),
-        pick in any::<u64>(),
-    ) {
-        let rdata = match kind {
-            2 => RData::A(Ipv4Addr::from(v4)),
-            3 => RData::Aaaa(Ipv6Addr::from(v6)),
-            6 => RData::Txt(segments),
-            // TXT takes any number of fields, so dropping or adding one
-            // is no error; the SOA numbers need an SOA.
-            5 => { prop_assume!(matches!(rdata, RData::Soa(_))); rdata }
-            _ => { prop_assume!(!matches!(rdata, RData::Txt(_))); rdata }
-        };
-        let rr = ResourceRecord::new(name, ttl, rdata);
-        let valid = format_zone(std::slice::from_ref(&rr));
-        prop_assert_eq!(parse_zone(&valid, None), Ok(vec![rr]));
-
-        // Owner, TTL, class, type, then the rdata fields; no field
-        // generated here holds whitespace.
-        let mut tokens: Vec<String> = valid.split_whitespace().map(String::from).collect();
-        let fields = tokens.len() - 4;
-        let field = 4 + (pick % fields as u64) as usize;
-        match kind {
-            0 => { tokens.remove(field); }
-            1 => tokens.insert(4 + (pick % (fields as u64 + 1)) as usize, "x1".to_string()),
-            2 => tokens[4] = bad_ipv4(v4, pick),
-            3 => tokens[4] = bad_ipv6(&tokens[4], pick),
-            4 => tokens[1] = bad_number(&tokens[1], pick),
-            // The five SOA numbers follow mname and rname.
-            5 => {
-                let at = 6 + (pick % 5) as usize;
-                tokens[at] = bad_number(&tokens[at], pick / 5);
-            }
-            _ => tokens[field] = tokens[field].trim_matches('"').to_string(),
-        }
-        let line = tokens.join(" ");
-        prop_assert!(parse_zone(&line, None).is_err(), "mutation {} accepted: {:?}", kind, line);
-    }
-
-    /// Formatting then parsing gives back the same records.
-    #[test]
-    fn format_zone_round_trips(
-        records in proptest::collection::vec(
-            (arb_name(), any::<u32>(), arb_zone_rdata())
-                .prop_map(|(name, ttl, rdata)| ResourceRecord::new(name, ttl, rdata)),
-            1..6,
-        ),
-    ) {
-        prop_assert_eq!(parse_zone(&format_zone(&records), None), Ok(records));
     }
 }

@@ -24,7 +24,7 @@
 //! * [`analysis`] — every table and figure of §5–§6.
 //! * [`store`] — the streaming columnar dataset store (chunked,
 //!   checksummed, thread-count-invariant on disk).
-//! * [`livenet`] — real loopback Do53/DoH servers over `std::net`.
+//! * [`livenet`] — real loopback Do53/DoH servers and a CONNECT proxy over `std::net`.
 //!
 //! ## Quickstart
 //!

@@ -8,7 +8,8 @@
 //! this reproduces the paper's measurement path — client → proxy →
 //! resolver — over actual sockets.
 
-use dohperf_http::codec::{Request, Response, StatusCode};
+use crate::doh::read_request;
+use dohperf_http::codec::{Response, StatusCode};
 use dohperf_http::connect::ConnectRequest;
 use dohperf_http::luminati::{ProxyTimeline, TunTimeline, TIMELINE_HEADER, TUN_TIMELINE_HEADER};
 use dohperf_netsim::time::SimDuration;
@@ -92,20 +93,8 @@ impl Drop for ConnectProxy {
 
 fn serve_tunnel(mut client: TcpStream, established: &AtomicU64) -> io::Result<()> {
     client.set_read_timeout(Some(Duration::from_millis(2000)))?;
-    // Read the CONNECT request head.
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 2048];
-    let request = loop {
-        match Request::decode(&buf) {
-            Ok((req, _)) => break req,
-            Err(_) => {
-                let n = client.read(&mut chunk)?;
-                if n == 0 {
-                    return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "no request"));
-                }
-                buf.extend_from_slice(&chunk[..n]);
-            }
-        }
+    let Some(request) = read_request(&mut client, &mut Vec::new())? else {
+        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "no request"));
     };
     let Ok(connect) = ConnectRequest::from_request(&request) else {
         client.write_all(&Response::new(StatusCode::BAD_REQUEST).encode())?;
@@ -349,5 +338,20 @@ mod tests {
             }
         }
         assert_eq!(proxy.tunnels_established(), 5);
+    }
+
+    #[test]
+    fn garbage_head_gets_400_before_the_read_timeout() {
+        let proxy = ConnectProxy::start().unwrap();
+        let mut stream = TcpStream::connect(proxy.addr()).unwrap();
+        // Half the proxy's 2 s read timeout: a proxy that waits for more
+        // bytes instead of answering fails here.
+        stream
+            .set_read_timeout(Some(Duration::from_millis(1000)))
+            .unwrap();
+        stream.write_all(b"GARBAGE\r\n\r\n").unwrap();
+        let resp = crate::doh::read_response(&mut stream).unwrap();
+        assert_eq!(resp.status, StatusCode::BAD_REQUEST);
+        assert_eq!(proxy.tunnels_established(), 0);
     }
 }

@@ -4,7 +4,7 @@
 use crate::zone::Zone;
 use dohperf_dns::doh::{DohRequest, DNS_MESSAGE_CONTENT_TYPE};
 use dohperf_dns::message::Message;
-use dohperf_http::codec::{Method, Request, Response, StatusCode};
+use dohperf_http::codec::{HttpError, Method, Request, Response, StatusCode};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -75,36 +75,62 @@ impl Drop for DohServer {
     }
 }
 
-/// Serve one connection: handles pipelined requests until EOF.
+/// Largest request a loopback server buffers; a longer one gets a 400.
+const MAX_REQUEST_BYTES: usize = 64 << 10;
+
+/// Read from `stream` until `buf` starts with one whole request, and take
+/// that request out of `buf`. `Ok(None)` means the peer closed first. A
+/// malformed request, or one longer than [`MAX_REQUEST_BYTES`], is
+/// answered `400 Bad Request` and returned as an `InvalidData` error, so
+/// the caller closes the connection.
+pub(crate) fn read_request(
+    stream: &mut TcpStream,
+    buf: &mut Vec<u8>,
+) -> io::Result<Option<Request>> {
+    let mut chunk = [0u8; 4096];
+    loop {
+        let error = match Request::decode(buf) {
+            Ok((request, consumed)) => {
+                buf.drain(..consumed);
+                return Ok(Some(request));
+            }
+            Err(HttpError::IncompleteBody { declared, .. }) if declared > MAX_REQUEST_BYTES => {
+                format!("declared body of {declared} bytes exceeds {MAX_REQUEST_BYTES}")
+            }
+            Err(HttpError::IncompleteHead | HttpError::IncompleteBody { .. }) => {
+                if buf.len() <= MAX_REQUEST_BYTES {
+                    match stream.read(&mut chunk)? {
+                        0 => return Ok(None),
+                        n => buf.extend_from_slice(&chunk[..n]),
+                    }
+                    continue;
+                }
+                format!("request exceeds {MAX_REQUEST_BYTES} bytes")
+            }
+            Err(e) => e.to_string(),
+        };
+        stream.write_all(&Response::new(StatusCode::BAD_REQUEST).encode())?;
+        return Err(io::Error::new(io::ErrorKind::InvalidData, error));
+    }
+}
+
+/// Serve one connection: handles pipelined requests until EOF, a read
+/// timeout or a malformed request.
 fn serve_connection(mut stream: TcpStream, zone: Zone) -> io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(1000)))?;
     let mut buf = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        // Try to parse a complete request from what we have.
-        while let Ok((request, consumed)) = Request::decode(&buf) {
-            buf.drain(..consumed);
-            let response = handle_request(&request, &zone);
-            stream.write_all(&response.encode())?;
-            if request
-                .headers
-                .get("connection")
-                .is_some_and(|v| v.eq_ignore_ascii_case("close"))
-            {
-                return Ok(());
-            }
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return Ok(()), // peer closed
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                return Ok(())
-            }
-            Err(e) => return Err(e),
+    while let Some(request) = read_request(&mut stream, &mut buf)? {
+        let response = handle_request(&request, &zone);
+        stream.write_all(&response.encode())?;
+        if request
+            .headers
+            .get("connection")
+            .is_some_and(|v| v.eq_ignore_ascii_case("close"))
+        {
+            break;
         }
     }
+    Ok(())
 }
 
 fn handle_request(request: &Request, zone: &Zone) -> Response {
@@ -201,7 +227,7 @@ impl DohClient {
     }
 }
 
-fn read_response(stream: &mut TcpStream) -> io::Result<Response> {
+pub(crate) fn read_response(stream: &mut TcpStream) -> io::Result<Response> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 4096];
     loop {
@@ -316,5 +342,25 @@ mod tests {
         stream.write_all(&req.encode()).unwrap();
         let resp = read_response(&mut stream).unwrap();
         assert_eq!(resp.status, StatusCode::BAD_REQUEST);
+    }
+
+    #[test]
+    fn malformed_or_oversized_requests_get_400_before_the_read_timeout() {
+        let server = DohServer::start(serving_zone()).unwrap();
+        let huge = format!(
+            "POST /dns-query HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            u64::MAX / 2
+        );
+        for head in ["GARBAGE\r\n\r\n", huge.as_str()] {
+            let mut stream = TcpStream::connect(server.addr()).unwrap();
+            // Half the server's 1 s read timeout: a server that waits for
+            // more bytes instead of answering fails here.
+            stream
+                .set_read_timeout(Some(Duration::from_millis(500)))
+                .unwrap();
+            stream.write_all(head.as_bytes()).unwrap();
+            let resp = read_response(&mut stream).unwrap();
+            assert_eq!(resp.status, StatusCode::BAD_REQUEST, "{head:?}");
+        }
     }
 }

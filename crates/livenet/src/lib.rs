@@ -3,7 +3,7 @@
 //! Real networking over `std::net`, proving the protocol crates against
 //! actual sockets rather than the simulator:
 //!
-//! * [`zone`] — a tiny authoritative zone shared by both servers.
+//! * [`zone`] — the one authoritative zone model, shared by both servers.
 //! * [`do53`] — a threaded Do53 server over UDP and a stub client with
 //!   retry/timeout semantics (the loopback analogue of the paper's
 //!   BIND9 + default-resolver setup).
@@ -11,33 +11,27 @@
 //!   TCP, plus a client. TLS is intentionally omitted: the point is to
 //!   drive the DNS and HTTP codecs end-to-end over real I/O; handshake
 //!   *cost* modelling lives in the simulator.
+//! * [`connectproxy`] — an HTTP CONNECT proxy that answers with real
+//!   `X-Luminati-*` timing headers, so client → proxy → [`doh`] server
+//!   is the paper's measurement path on loopback.
 //!
 //! Everything binds to `127.0.0.1:0` (ephemeral ports) so tests and
 //! examples run anywhere without configuration.
 
-pub mod authority;
 pub mod connectproxy;
 pub mod do53;
 pub mod doh;
-pub mod recursive;
-pub mod tcp53;
 pub mod zone;
 
-pub use authority::AuthorityServer;
 pub use connectproxy::{open_tunnel, ConnectProxy};
 pub use do53::{Do53Client, Do53Server};
 pub use doh::{DohClient, DohServer};
-pub use recursive::RecursiveResolver;
-pub use tcp53::{query_tcp, FallbackClient, Tcp53Server};
 pub use zone::Zone;
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::authority::AuthorityServer;
     pub use crate::connectproxy::{open_tunnel, ConnectProxy};
     pub use crate::do53::{Do53Client, Do53Server};
     pub use crate::doh::{DohClient, DohServer};
-    pub use crate::recursive::RecursiveResolver;
-    pub use crate::tcp53::{query_tcp, FallbackClient, Tcp53Server};
     pub use crate::zone::Zone;
 }

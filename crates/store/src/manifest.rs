@@ -109,26 +109,59 @@ impl Manifest {
             )));
         }
 
+        // Every declared count is capped at what the rest of the payload
+        // can hold (2 bytes per country, at least 2 per Atlas entry, 8 per
+        // sample) before anything is reserved for it.
         let mut c = Cursor::new(payload, "manifest");
-        let n_countries = c.len(1 << 16, "country table")?;
+        let n_countries = c.len((c.remaining() / 2).min(1 << 16), "country table")?;
         let mut countries = Vec::with_capacity(n_countries);
         for _ in 0..n_countries {
             let b = c.take(2, "country ISO")?;
+            if !b.iter().all(u8::is_ascii_uppercase) {
+                return Err(StoreError::Corrupt(format!(
+                    "manifest: country ISO bytes {b:?} are not two uppercase letters"
+                )));
+            }
             countries.push([b[0], b[1]]);
         }
-        let n_atlas = c.len(n_countries.max(1), "atlas table")?;
-        let mut atlas_do53_ms = Vec::with_capacity(n_atlas);
+        let n_atlas = c.len(n_countries.min(c.remaining() / 2), "atlas table")?;
+        let mut atlas_do53_ms: Vec<(u32, Vec<f64>)> = Vec::with_capacity(n_atlas);
         for _ in 0..n_atlas {
+            // A campaign writes at most one entry per country, in country
+            // order, each with its configured number of samples, and every
+            // sample is a measured latency.
             let idx = c.u64()?;
-            let idx = u32::try_from(idx).map_err(|_| {
-                StoreError::Corrupt(format!("manifest: atlas country index {idx} overflows u32"))
-            })?;
-            let n_samples = c.len(1 << 24, "atlas samples")?;
+            let after_previous = atlas_do53_ms
+                .last()
+                .is_none_or(|&(prev, _)| idx > u64::from(prev));
+            if idx >= n_countries as u64 || !after_previous {
+                return Err(StoreError::Corrupt(format!(
+                    "manifest: atlas country index {idx} is out of order or outside the \
+                     {n_countries}-country table"
+                )));
+            }
+            let n_samples = c.len(c.remaining() / 8, "atlas samples")?;
+            if let Some((first_idx, first)) = atlas_do53_ms.first() {
+                if n_samples != first.len() {
+                    return Err(StoreError::Corrupt(format!(
+                        "manifest: country index {idx} has {n_samples} atlas samples, \
+                         country index {first_idx} has {}",
+                        first.len()
+                    )));
+                }
+            }
             let mut samples = Vec::with_capacity(n_samples);
             for _ in 0..n_samples {
-                samples.push(c.f64()?);
+                let ms = c.f64()?;
+                if !(ms.is_finite() && ms >= 0.0) {
+                    return Err(StoreError::Corrupt(format!(
+                        "manifest: atlas sample {ms} for country index {idx} is not a \
+                         finite non-negative latency"
+                    )));
+                }
+                samples.push(ms);
             }
-            atlas_do53_ms.push((idx, samples));
+            atlas_do53_ms.push((idx as u32, samples));
         }
         let manifest = Manifest {
             countries,
@@ -182,6 +215,44 @@ mod tests {
         bytes[mid] ^= 0x40;
         let err = Manifest::decode(&bytes).unwrap_err().to_string();
         assert!(err.contains("checksum mismatch"), "{err}");
+    }
+
+    /// Frame `payload` as `encode` does, with a valid checksum.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut out = MANIFEST_MAGIC.to_le_bytes().to_vec();
+        out.extend_from_slice(&crate::FORMAT_VERSION.to_le_bytes());
+        out.extend_from_slice(&0u16.to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&crc32(payload).to_le_bytes());
+        out.extend_from_slice(payload);
+        out
+    }
+
+    #[test]
+    fn declared_sample_count_is_capped_by_the_payload() {
+        // One country, one Atlas entry declaring 2^24 samples, no samples:
+        // 25 bytes with a valid checksum must not reserve 128 MiB.
+        let mut payload = vec![1, b'U', b'S', 1, 0];
+        crate::varint::put_u64(&mut payload, 1 << 24);
+        let bytes = framed(&payload);
+        assert_eq!(bytes.len(), 25);
+        let err = Manifest::decode(&bytes).unwrap_err().to_string();
+        assert!(
+            err.contains("atlas samples length 16777216 exceeds cap 0"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn declared_country_count_is_capped_by_the_payload() {
+        let mut payload = Vec::new();
+        crate::varint::put_u64(&mut payload, 1 << 16);
+        payload.extend_from_slice(b"US");
+        let err = Manifest::decode(&framed(&payload)).unwrap_err().to_string();
+        assert!(
+            err.contains("country table length 65536 exceeds cap"),
+            "{err}"
+        );
     }
 
     #[test]

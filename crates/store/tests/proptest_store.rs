@@ -1,17 +1,20 @@
-//! Property tests for the columnar chunk codec.
+//! Property tests for the columnar chunk codec and the store manifest.
 //!
 //! Two invariants back `--from-store`'s byte-identity claim (DESIGN.md
 //! §10): arbitrary record batches survive write → read bit-exactly at
 //! any chunk budget, and a single flipped bit anywhere past the header
 //! prefix is caught by the CRC with a descriptive error rather than
-//! decoding into silently different records.
+//! decoding into silently different records. The manifest, which every
+//! `--from-store` run decodes first, round-trips and rejects a
+//! structurally mutated payload even when the checksum is recomputed.
 
 use dohperf_store::checksum::{crc32, reference};
 use dohperf_store::chunk::{parse_header, CHUNK_HEADER_LEN};
 use dohperf_store::varint::put_u64;
 use dohperf_store::{
-    decode_chunk_columns, encode_chunk, fold_chunks, ChunkColumns, ChunkWriter, StoreDohSample,
-    StoreError, StorePageSample, StoreRecord, StoreTransportSample, StoreWindowSample,
+    decode_chunk_columns, encode_chunk, fold_chunks, ChunkColumns, ChunkWriter, Manifest,
+    StoreDohSample, StoreError, StorePageSample, StoreRecord, StoreTransportSample,
+    StoreWindowSample, FORMAT_VERSION, MANIFEST_MAGIC,
 };
 use proptest::prelude::*;
 
@@ -176,6 +179,96 @@ fn structural_varints(payload: &[u8], records: usize) -> Vec<(usize, usize)> {
     out
 }
 
+/// A manifest shaped like a campaign's: letter ISO codes, Atlas entries
+/// for an ascending subset of the countries, each with the same number of
+/// non-negative latencies, and totals of every varint width.
+fn arb_manifest(s: &mut u64) -> Manifest {
+    let countries: Vec<[u8; 2]> = (0..next(s) % 240)
+        .map(|_| [b'A' + (next(s) % 26) as u8, b'A' + (next(s) % 26) as u8])
+        .collect();
+    // Campaigns take 25 (quick) or 250 (default) samples per country; a
+    // count of 128 or more is a two-byte varint.
+    let samples_per_country = [0, 1, 2, 3, 7, 11, 25, 127, 128, 250][(next(s) % 10) as usize];
+    let mut atlas_do53_ms = Vec::new();
+    for idx in 0..countries.len() as u32 {
+        if next(s).is_multiple_of(4) {
+            let samples = (0..samples_per_country)
+                .map(|_| (next(s) % 4_000_000_000) as f64 / 1e6)
+                .collect();
+            atlas_do53_ms.push((idx, samples));
+        }
+    }
+    let mut total = || next(s) >> (next(s) % 64);
+    Manifest {
+        countries,
+        atlas_do53_ms,
+        discarded_mismatches: total(),
+        observed_ases: total(),
+        observed_resolvers: total(),
+        total_records: total(),
+        total_chunks: total(),
+        total_bytes: total(),
+    }
+}
+
+/// One field of a manifest payload, in encode order.
+#[derive(Debug, Clone, Copy)]
+enum Field {
+    /// A table or sample count (varint).
+    Count(u64),
+    /// Any other varint: an Atlas country index or a total.
+    Value(u64),
+    /// One country ISO code.
+    Iso([u8; 2]),
+    /// One raw-bit f64 Atlas sample.
+    Sample(f64),
+    /// A byte past the end of the format.
+    Trailing(u8),
+}
+
+fn manifest_fields(m: &Manifest) -> Vec<Field> {
+    let mut fields = vec![Field::Count(m.countries.len() as u64)];
+    fields.extend(m.countries.iter().map(|&iso| Field::Iso(iso)));
+    fields.push(Field::Count(m.atlas_do53_ms.len() as u64));
+    for (idx, samples) in &m.atlas_do53_ms {
+        fields.push(Field::Value(u64::from(*idx)));
+        fields.push(Field::Count(samples.len() as u64));
+        fields.extend(samples.iter().map(|&x| Field::Sample(x)));
+    }
+    fields.extend(
+        [
+            m.discarded_mismatches,
+            m.observed_ases,
+            m.observed_resolvers,
+            m.total_records,
+            m.total_chunks,
+            m.total_bytes,
+        ]
+        .map(Field::Value),
+    );
+    fields
+}
+
+/// Encode `fields` as a manifest payload framed with a valid checksum.
+fn frame_manifest(fields: &[Field]) -> Vec<u8> {
+    let mut payload = Vec::new();
+    for field in fields {
+        match *field {
+            Field::Count(v) | Field::Value(v) => put_u64(&mut payload, v),
+            Field::Iso(iso) => payload.extend_from_slice(&iso),
+            Field::Sample(x) => payload.extend_from_slice(&x.to_bits().to_le_bytes()),
+            Field::Trailing(b) => payload.push(b),
+        }
+    }
+    let mut out = MANIFEST_MAGIC.to_le_bytes().to_vec();
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    out.extend_from_slice(&0u16.to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(&payload).to_le_bytes());
+    out.extend_from_slice(&payload);
+    out
+}
+
 proptest! {
     /// The slicing-by-8 CRC equals the bytewise oracle on every length
     /// 0..=64 at every start offset 0..8 (every tail length and
@@ -195,6 +288,67 @@ proptest! {
         }
         let (sliced, bytewise) = (crc32(&buf), reference::crc32(&buf));
         prop_assert!(sliced == bytewise, "{}-byte buffer: {:#x} vs {:#x}", buf.len(), sliced, bytewise);
+    }
+
+    /// A valid manifest round-trips. Re-framed with a correct checksum
+    /// after one structural mutation (a table or sample count moved by
+    /// one or set to `u64::MAX`, one sample dropped or duplicated, or a
+    /// byte appended), it is rejected with `StoreError::Corrupt`.
+    #[test]
+    fn mutated_manifest_is_corrupt(
+        seed in any::<u64>(),
+        kind in any::<u64>(),
+        which in any::<u64>(),
+        up in any::<bool>(),
+        extra in any::<u8>(),
+    ) {
+        let mut s = seed | 1;
+        let manifest = arb_manifest(&mut s);
+        let mut fields = manifest_fields(&manifest);
+        prop_assert_eq!(frame_manifest(&fields), manifest.encode());
+        prop_assert_eq!(Manifest::decode(&manifest.encode()).unwrap(), manifest.clone());
+
+        let counts: Vec<usize> = (0..fields.len())
+            .filter(|&i| matches!(fields[i], Field::Count(_)))
+            .collect();
+        let samples: Vec<usize> = (0..fields.len())
+            .filter(|&i| matches!(fields[i], Field::Sample(_)))
+            .collect();
+        // The sample mutations apply only when there is a sample.
+        let kinds = if samples.is_empty() { 3 } else { 5 };
+        let mutation = match kind % kinds {
+            0 => {
+                let at = counts[which as usize % counts.len()];
+                let Field::Count(v) = fields[at] else { unreachable!() };
+                let bumped = if up || v == 0 { v + 1 } else { v - 1 };
+                fields[at] = Field::Count(bumped);
+                format!("count at field {at} {v} -> {bumped}")
+            }
+            1 => {
+                let at = counts[which as usize % counts.len()];
+                fields[at] = Field::Count(u64::MAX);
+                format!("count at field {at} -> u64::MAX")
+            }
+            2 => {
+                fields.push(Field::Trailing(extra));
+                format!("trailing byte {extra:#04x}")
+            }
+            3 => {
+                let at = samples[which as usize % samples.len()];
+                fields.remove(at);
+                format!("sample at field {at} dropped")
+            }
+            _ => {
+                let at = samples[which as usize % samples.len()];
+                fields.insert(at, fields[at]);
+                format!("sample at field {at} duplicated")
+            }
+        };
+        let outcome = Manifest::decode(&frame_manifest(&fields));
+        prop_assert!(
+            matches!(outcome, Err(StoreError::Corrupt(_))),
+            "{} decoded as {:?}", mutation, outcome
+        );
     }
 
     /// The column decoder never panics on arbitrary payloads, whatever

@@ -16,10 +16,6 @@ use std::collections::HashSet;
 pub const MIN_CLIENTS_PER_COUNTRY: usize = 10;
 /// Maximum clients observed in any country (paper §7).
 pub const MAX_CLIENTS_PER_COUNTRY: usize = 282;
-/// Median clients per country (paper Figure 3).
-pub const MEDIAN_CLIENTS_PER_COUNTRY: f64 = 103.0;
-/// Total unique clients in the paper's dataset.
-pub const TOTAL_CLIENTS: usize = 22_052;
 /// Lognormal median parameter used by the sampler (see `sample`).
 const SAMPLING_MEDIAN: f64 = 104.0;
 

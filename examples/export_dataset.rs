@@ -2,7 +2,7 @@
 //! its dataset, and so does this reproduction.
 //!
 //! ```sh
-//! cargo run --release --example export_dataset -- out/ 0.1
+//! cargo run --release --example export_dataset -- target/examples/dataset 0.1
 //! ```
 
 use dohperf::analysis::robustness::headline_cis;
