@@ -5,7 +5,9 @@
 //! * [`dataset`] — dataset characterisation: Table 3 composition,
 //!   Figure 3 clients-per-country distribution, Figure 8 client map data.
 //! * [`headline`] — §5's headline numbers: global DoH1/Do53 medians,
-//!   first-request and ten-request speedup fractions, per-country medians.
+//!   first-request and ten-request speedup fractions, per-country medians,
+//!   from one exact accumulator fed by records or by a store directory's
+//!   checked columns.
 //! * [`cdfs`] — Figure 4: DoH1 / DoHR / Do53 resolution-time CDFs per
 //!   provider.
 //! * [`geography`] — Figure 5: per-country median DoH per provider plus
@@ -26,8 +28,6 @@
 //! * [`render`] — plain-text table rendering for the `repro` binary, whose
 //!   `report` experiment collects the rendered rows into one markdown
 //!   document.
-//! * [`streaming`] — memory-bounded headline/CDF analyses over a
-//!   columnar store directory, via mergeable quantile sketches.
 //! * [`transports`] — per-protocol (Do53/DoH/DoT/DoQ) lifecycle headline
 //!   tables and cold/warm/resumed CDFs for extended-transport campaigns.
 //! * [`timeline`](mod@timeline) — per-window p50/p95/p99 latency,
@@ -49,7 +49,6 @@ pub mod pop_improvement;
 pub mod regions;
 pub mod render;
 pub mod robustness;
-pub mod streaming;
 pub mod timeline;
 pub mod transports;
 pub mod vantage;
@@ -59,7 +58,7 @@ pub use covariates::{ClientCovariates, CovariateTable};
 pub use dataset::{clients_per_country, composition, CompositionRow};
 pub use deltas::{country_deltas, resolver_delta_summary, CountryDelta};
 pub use geography::{country_medians, CountryMedian};
-pub use headline::{headline_stats, HeadlineStats};
+pub use headline::{headline_from_store_threads, headline_stats, HeadlineStats, StreamingHeadline};
 pub use linear_model::{
     fit_linear_models, fit_table5_threads, fit_table6_threads, LinearModelReport,
 };
@@ -72,10 +71,6 @@ pub use pop_improvement::{pop_improvement, PopImprovementStats};
 pub use regions::{region_summaries, regional_variation, RegionSummary};
 pub use robustness::{
     covariate_correlations, headline_cis, headline_cis_threads, CovariateCorrelations, HeadlineCis,
-};
-pub use streaming::{
-    cdfs_from_store, cdfs_from_store_threads, headline_from_store, headline_from_store_threads,
-    StreamingCdfs, StreamingHeadline,
 };
 pub use timeline::{timeline, Timeline, TimelineCell};
 pub use transports::{

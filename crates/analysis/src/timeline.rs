@@ -23,8 +23,8 @@ use dohperf_stats::GkSketch;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Quantile-sketch error bound for the per-window latency quantiles:
-/// matches the streaming analyses' [`crate::streaming::DEFAULT_EPSILON`].
+/// Quantile-sketch rank error for the per-window latency quantiles: each
+/// p50/p95/p99 is within `TIMELINE_EPSILON · n` ranks of the exact one.
 pub const TIMELINE_EPSILON: f64 = 0.005;
 
 /// One (provider, transport, window) cell of the timeline.

@@ -261,10 +261,14 @@ fn main() {
     if requested.is_empty() {
         usage("no experiment given");
     }
+    // A store records neither the seed nor the scale that wrote it, so a
+    // `--from-store` run names its directory instead.
+    let source = match &config.from_store {
+        Some(dir) => format!("store {}", dir.display()),
+        None => format!("seed {} scale {:.2}", config.seed, config.scale),
+    };
     eprintln!(
-        "# dohperf repro: seed {} scale {:.2} threads {} — running {} experiment(s)",
-        config.seed,
-        config.scale,
+        "# dohperf repro: {source} threads {} — running {} experiment(s)",
         if config.threads == 0 {
             "auto".to_string()
         } else {

@@ -277,15 +277,22 @@ impl Dataset {
 
     /// Country-level Atlas Do53 median, ms, if the remedy covers it.
     pub fn atlas_median_ms(&self, country_index: usize) -> Option<f64> {
-        self.atlas_do53_ms
-            .iter()
-            .find(|(idx, _)| *idx == country_index)
-            .map(|(_, xs)| {
-                let mut v = xs.clone();
-                v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-                v[v.len() / 2]
-            })
+        atlas_median_ms(&self.atlas_do53_ms, country_index)
     }
+}
+
+/// The upper median of a country's samples in an Atlas remedy table
+/// (`Dataset::atlas_do53_ms`, or a store manifest's), if the table
+/// covers the country.
+pub fn atlas_median_ms(atlas_do53_ms: &[(usize, Vec<f64>)], country_index: usize) -> Option<f64> {
+    atlas_do53_ms
+        .iter()
+        .find(|(idx, _)| *idx == country_index)
+        .map(|(_, xs)| {
+            let mut v = xs.clone();
+            v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            v[v.len() / 2]
+        })
 }
 
 #[cfg(test)]

@@ -14,13 +14,16 @@
 //!   same with CRC + column decoding fanned across worker threads;
 //! * [`fold_chunks`] — the parallel streaming primitive: decode and
 //!   convert on `threads` workers, fold record batches on the calling
-//!   thread in canonical chunk order (what keeps sketch-based analyses
-//!   bit-identical to a serial scan at any thread count);
+//!   thread in canonical chunk order (what keeps a fold bit-identical to
+//!   a serial scan at any thread count);
 //! * [`scan_columns`] — the same scan without records: every chunk is
 //!   CRC-verified, fully decoded into flat columns and put through
-//!   `check_columns` (every [`record_from_store`] check), then a
-//!   caller projection is folded in canonical chunk order. The streaming
-//!   §5 analyses run on it.
+//!   `check_columns` (every check the record path makes), then a
+//!   caller projection is folded in canonical chunk order.
+//!   `analysis::headline_from_store_threads` runs on it.
+//!
+//! Both scans check each record's `country_index` against the
+//! manifest's country table, which [`record_from_store`] alone cannot.
 //!
 //! [`crate::campaign::Campaign::run_to_store`] uses the same conversion
 //! while streaming records straight off the measurement loop.
@@ -143,7 +146,9 @@ pub fn record_to_store(r: &ClientRecord) -> StoreRecord {
 /// Every check here has one definition — `provider_of`,
 /// `transport_of`, `finite`, `intern_iso`, `do53_source_of` — shared
 /// with `check_columns`, which applies the same checks in the same
-/// order to a decoded chunk's columns for [`scan_columns`].
+/// order to a decoded chunk's columns for [`scan_columns`]. The
+/// `country_index` range needs the manifest, so the directory readers
+/// check it after this conversion (`record_in_store`).
 pub fn record_from_store(r: &StoreRecord) -> Result<ClientRecord> {
     let id = r.client_id;
     let doh = r
@@ -232,17 +237,27 @@ pub fn record_from_store(r: &StoreRecord) -> Result<ClientRecord> {
     })
 }
 
-/// Apply every check [`record_from_store`] makes to one decoded chunk,
+/// [`record_from_store`] plus the one check that needs the manifest:
+/// the record's `country_index` names one of the `countries` rows of
+/// its country table.
+fn record_in_store(r: &StoreRecord, countries: usize) -> Result<ClientRecord> {
+    let record = record_from_store(r)?;
+    check_country_index(r.country_index, countries, r.client_id)?;
+    Ok(record)
+}
+
+/// Apply every check `record_in_store` makes to one decoded chunk,
 /// straight on its columns and without building a record.
 ///
-/// Record by record, in [`record_from_store`]'s order and through the
+/// Record by record, in `record_in_store`'s order and through the
 /// same check functions: provider and transport ordinal ranges, a
 /// finite value in every f64 column the conversion keeps, both ISO
-/// codes interned against the country table, and the Do53 source. So a
-/// chunk passes here exactly when every one of its records converts,
-/// and a failing chunk raises the same `client N: <field> is …` error
-/// the record path would.
-fn check_columns(c: &ChunkColumns) -> Result<()> {
+/// codes interned against the country table, the Do53 source, and a
+/// country index inside the manifest's `countries` rows. So a chunk
+/// passes here exactly when every one of its records converts, and a
+/// failing chunk raises the same `client N: <field> is …` error the
+/// record path would.
+fn check_columns(c: &ChunkColumns, countries: usize) -> Result<()> {
     let mut doh_spans = sample_spans(&c.doh.counts);
     let mut transport_spans = sample_spans(&c.transports.counts);
     let mut page_spans = sample_spans(&c.pages.counts);
@@ -291,8 +306,23 @@ fn check_columns(c: &ChunkColumns) -> Result<()> {
             finite(ms, id, "do53_ms")?;
         }
         do53_source_of(c.do53.source[i], id)?;
+        check_country_index(c.identity.country_index[i], countries, id)?;
     }
     Ok(())
+}
+
+/// Fail unless `index` is a row of a country table of `countries` rows.
+/// The analyses index per-country arrays by it, so one past the table
+/// would panic there, and a huge one would size an array.
+fn check_country_index(index: u32, countries: usize, client_id: u64) -> Result<()> {
+    if (index as usize) < countries {
+        Ok(())
+    } else {
+        Err(StoreError::Corrupt(format!(
+            "client {client_id}: country_index is {index}, past the manifest's \
+             {countries}-country table"
+        )))
+    }
 }
 
 /// A provider ordinal interned against [`ALL_PROVIDERS`]; `what` names
@@ -419,17 +449,26 @@ pub fn read_manifest(dir: &Path) -> Result<Manifest> {
 ///
 /// The calling thread scans the chunk stream and folds each chunk's
 /// converted [`ClientRecord`] batch **in canonical chunk order**; CRC
-/// verification, column decoding and store→rich conversion run on the
-/// workers (`threads` 0 = one per core, 1 = inline). Results and error
-/// ordinals are identical to a serial scan at every thread count.
+/// verification, column decoding and store→rich conversion (with each
+/// record's country index checked against `manifest`'s country table)
+/// run on the workers (`threads` 0 = one per core, 1 = inline). Results
+/// and error ordinals are identical to a serial scan at every thread
+/// count. Finally the scan must have seen exactly the records and
+/// chunks `manifest` promises.
 ///
 /// Publishes the scan's wall-clock as the per-run `store.decode_ms`
 /// gauge and counts every folded record in `store.records_streamed`.
-pub fn fold_chunks<F>(dir: &Path, threads: usize, mut fold: F) -> Result<ReadStats>
+pub fn fold_chunks<F>(
+    dir: &Path,
+    manifest: &Manifest,
+    threads: usize,
+    mut fold: F,
+) -> Result<ReadStats>
 where
     F: FnMut(Vec<ClientRecord>) -> Result<()>,
 {
     let file = File::open(dir.join(RECORDS_FILE))?;
+    let countries = manifest.countries.len();
     let start = Instant::now();
     let stats = dohperf_store::fold_chunks(
         BufReader::new(file),
@@ -437,7 +476,7 @@ where
         |_, records| {
             records
                 .iter()
-                .map(record_from_store)
+                .map(|r| record_in_store(r, countries))
                 .collect::<Result<Vec<_>>>()
         },
         |records: Vec<ClientRecord>| {
@@ -446,6 +485,7 @@ where
         },
     )?;
     dohperf_telemetry::gauge!("store.decode_ms", per_run).set(start.elapsed().as_millis() as i64);
+    check_totals(dir, manifest, stats)?;
     Ok(stats)
 }
 
@@ -455,7 +495,7 @@ where
 /// read a few fields. Each chunk gets the same validation the record
 /// path gives it: the CRC over the whole payload, a full structural
 /// decode of every column group (flag-gated ones included), and
-/// `check_columns` — every check [`record_from_store`] makes. Then
+/// `check_columns` — every check [`fold_chunks`] makes. Then
 /// `project` copies out what the analysis needs (on the decode workers)
 /// and `fold` consumes it on the calling thread in canonical chunk
 /// order, so a fold is identical at any thread count. Finally the scan
@@ -477,12 +517,13 @@ where
     F: FnMut(T) -> Result<()>,
 {
     let file = File::open(dir.join(RECORDS_FILE))?;
+    let countries = manifest.countries.len();
     let start = Instant::now();
     let stats = dohperf_store::scan_columns(
         BufReader::new(file),
         threads,
         |_, columns| {
-            check_columns(columns)?;
+            check_columns(columns, countries)?;
             Ok((columns.len(), project(columns)))
         },
         |(records, projected)| {
@@ -539,11 +580,10 @@ pub fn read_dataset_threads(dir: &Path, threads: usize) -> Result<Dataset> {
     // claim the chunks do not hold.
     let max_records = std::fs::metadata(dir.join(RECORDS_FILE))?.len() / 24;
     let mut records = Vec::with_capacity(manifest.total_records.min(max_records) as usize);
-    let stats = fold_chunks(dir, threads, |mut batch| {
+    fold_chunks(dir, &manifest, threads, |mut batch| {
         records.append(&mut batch);
         Ok(())
     })?;
-    check_totals(dir, &manifest, stats)?;
     let countries = manifest
         .countries
         .iter()
@@ -733,7 +773,8 @@ mod tests {
             .iter()
             .map(record_to_store)
             .collect();
-        check_columns(&columns_of(&clean)).unwrap();
+        let countries = dataset().countries.len();
+        check_columns(&columns_of(&clean), countries).unwrap();
 
         let transport = StoreTransportSample {
             transport: 1,
@@ -764,6 +805,10 @@ mod tests {
             cache_lookups: 0,
             cache_hits: 0,
         };
+        let bad_country = format!(
+            "country_index is {}, past the manifest's {countries}-country table",
+            countries + 1000
+        );
         type Poison = Box<dyn Fn(&mut StoreRecord)>;
         let poisons: Vec<(&str, Poison)> = vec![
             (
@@ -854,6 +899,10 @@ mod tests {
                 Box::new(|r| r.do53_ms = Some(f64::NEG_INFINITY)),
             ),
             ("do53 source ordinal 7", Box::new(|r| r.do53_source = 7)),
+            (
+                &bad_country,
+                Box::new(move |r| r.country_index = countries as u32 + 1000),
+            ),
         ];
         for (expected, poison) in &poisons {
             for at in [0, 17, 39] {
@@ -864,12 +913,12 @@ mod tests {
                 records[at + 1..].iter_mut().for_each(|r| r.do53_source = 9);
                 let record_err = records
                     .iter()
-                    .map(record_from_store)
+                    .map(|r| record_in_store(r, countries))
                     .find_map(|r| r.err())
                     .expect("a poisoned record fails to convert")
                     .to_string();
                 assert!(record_err.contains(expected), "{record_err}");
-                let column_err = check_columns(&columns_of(&records))
+                let column_err = check_columns(&columns_of(&records), countries)
                     .expect_err("a poisoned chunk fails its column checks")
                     .to_string();
                 assert_eq!(column_err, record_err, "poison {expected:?} at record {at}");

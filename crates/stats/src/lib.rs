@@ -12,8 +12,7 @@
 //!   least squares, reporting odds ratios and Wald p-values (Table 4).
 //! * [`scale`] — min–max feature scaling used for the paper's "scaled
 //!   coefficients".
-//! * [`sketch`] — mergeable Greenwald–Khanna quantile sketches for
-//!   memory-bounded analysis over the columnar store and the per-window
+//! * [`sketch`] — a Greenwald–Khanna quantile sketch for the per-window
 //!   latency quantiles of `repro timeline`.
 //! * [`special`] — `erf` and the standard normal CDF, implemented from
 //!   scratch (the offline crate set has no special-functions crate).

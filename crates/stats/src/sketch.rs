@@ -1,15 +1,12 @@
-//! Streaming, mergeable quantile summaries for memory-bounded analysis.
+//! A bounded-memory quantile summary for the per-window latency
+//! quantiles of `repro timeline`.
 //!
 //! [`GkSketch`] is a Greenwald–Khanna ε-approximate quantile sketch.
 //! Space is O(1/ε · log(εn)) regardless of stream length; any quantile
-//! query is answered within ε of the true rank. Sketches built over
-//! disjoint substreams (e.g. per campaign shard) merge, with the merged
-//! rank error bounded by the sum of the two input errors — so per-shard
-//! sketches at ε/2 answer merged queries at ε.
+//! query is answered within ε of the true rank.
 //!
 //! The sketch is deterministic: the same insertion sequence produces
-//! the same internal state, and merging follows the shard order chosen
-//! by the caller.
+//! the same internal state.
 
 /// One GK tuple: a stored value with its rank-uncertainty bookkeeping.
 ///
@@ -45,19 +42,9 @@ impl GkSketch {
         }
     }
 
-    /// The sketch's rank-error parameter.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
     /// Observations inserted so far.
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Stored tuples — the sketch's memory footprint in entries.
-    pub fn entries(&self) -> usize {
-        self.entries.len()
     }
 
     /// Insert one observation. Non-finite values are ignored (the
@@ -82,56 +69,6 @@ impl GkSketch {
         }
     }
 
-    /// Fold every entry of `other` into `self`.
-    ///
-    /// The merged sketch answers queries within `self.ε + other.ε` of
-    /// the true rank (each side's entries carry the other side's local
-    /// uncertainty after the merge).
-    pub fn merge(&mut self, other: &GkSketch) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            self.entries = other.entries.clone();
-            self.count = other.count;
-            self.since_compress = 0;
-            return;
-        }
-        let self_bound = (2.0 * self.epsilon * self.count as f64).floor() as u64;
-        let other_bound = (2.0 * other.epsilon * other.count as f64).floor() as u64;
-        let mut merged = Vec::with_capacity(self.entries.len() + other.entries.len());
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < self.entries.len() || j < other.entries.len() {
-            let take_self = match (self.entries.get(i), other.entries.get(j)) {
-                (Some(a), Some(b)) => a.value <= b.value,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            // An entry absorbs the other stream's rank uncertainty at
-            // its position — except at the extremes, where min/max
-            // ranks stay exact.
-            if take_self {
-                let mut e = self.entries[i];
-                if j > 0 && j < other.entries.len() {
-                    e.delta += other_bound;
-                }
-                merged.push(e);
-                i += 1;
-            } else {
-                let mut e = other.entries[j];
-                if i > 0 && i < self.entries.len() {
-                    e.delta += self_bound;
-                }
-                merged.push(e);
-                j += 1;
-            }
-        }
-        self.entries = merged;
-        self.count += other.count;
-        self.compress();
-        self.since_compress = 0;
-    }
-
     /// The value at quantile `q` (clamped to [0, 1]); NaN when empty.
     pub fn query(&self, q: f64) -> f64 {
         if self.count == 0 || self.entries.is_empty() {
@@ -150,25 +87,6 @@ impl GkSketch {
             prev = e.value;
         }
         prev
-    }
-
-    /// Query several quantiles at once.
-    pub fn quantiles(&self, qs: &[f64]) -> Vec<f64> {
-        qs.iter().map(|&q| self.query(q)).collect()
-    }
-
-    /// Approximate CDF support points: `n` evenly spaced quantiles as
-    /// `(value, q)` pairs, ready to plot against an exact [`crate::ecdf`].
-    pub fn cdf_points(&self, n: usize) -> Vec<(f64, f64)> {
-        if self.count == 0 || n == 0 {
-            return Vec::new();
-        }
-        (0..=n)
-            .map(|i| {
-                let q = i as f64 / n as f64;
-                (self.query(q), q)
-            })
-            .collect()
     }
 
     /// Drop entries whose combined uncertainty stays within the bound.
@@ -249,29 +167,10 @@ mod tests {
             sk.insert(x);
         }
         assert!(
-            sk.entries() < 2_500,
+            sk.entries.len() < 2_500,
             "{} entries for 50k inserts at eps=0.01",
-            sk.entries()
+            sk.entries.len()
         );
-    }
-
-    #[test]
-    fn merged_shard_sketches_stay_accurate() {
-        // Three disjoint substreams, as per-country shards produce.
-        let all = stream(30_000, 99);
-        let mut merged = GkSketch::new(0.005);
-        for part in all.chunks(10_000) {
-            let mut shard = GkSketch::new(0.005);
-            for &x in part {
-                shard.insert(x);
-            }
-            merged.merge(&shard);
-        }
-        assert_eq!(merged.count(), 30_000);
-        for &q in &[0.1, 0.5, 0.9, 0.99] {
-            let err = rank_error(&all, merged.query(q), q);
-            assert!(err <= 0.02, "q={q}: merged rank error {err}");
-        }
     }
 
     #[test]
@@ -289,33 +188,6 @@ mod tests {
     fn empty_sketch_queries_nan() {
         let sk = GkSketch::new(0.01);
         assert!(sk.query(0.5).is_nan());
-        assert!(sk.cdf_points(10).is_empty());
-    }
-
-    #[test]
-    fn merge_into_empty_adopts_other() {
-        let mut a = GkSketch::new(0.01);
-        let mut b = GkSketch::new(0.01);
-        for &x in &stream(500, 3) {
-            b.insert(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), 500);
-        assert_eq!(a.query(0.5), b.query(0.5));
-    }
-
-    #[test]
-    fn cdf_points_are_monotone() {
-        let mut sk = GkSketch::new(0.01);
-        for &x in &stream(5_000, 11) {
-            sk.insert(x);
-        }
-        let pts = sk.cdf_points(50);
-        assert_eq!(pts.len(), 51);
-        for w in pts.windows(2) {
-            assert!(w[0].0 <= w[1].0, "values not monotone: {w:?}");
-            assert!(w[0].1 < w[1].1);
-        }
     }
 
     #[test]

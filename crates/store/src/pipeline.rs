@@ -13,10 +13,9 @@
 //! every column group (the flag-gated ones included) into the worker's
 //! reusable [`ChunkColumns`] and apply a caller-supplied `map` to them,
 //! and then folds the mapped results **on the calling thread in
-//! canonical chunk order**. The serial fold is what keeps derived analyses (GK
-//! sketches, streaming moments) bit-identical to a serial scan at any
-//! thread count: merge order never varies, only the decode work is
-//! concurrent. Corrupt chunks surface with the same ordinal and message
+//! canonical chunk order**. The serial fold is what keeps a derived
+//! analysis bit-identical to a serial scan at any thread count: fold
+//! order never varies, only the decode work is concurrent. Corrupt chunks surface with the same ordinal and message
 //! a serial scan would report, and the earliest-ordinal error wins when
 //! several chunks fail.
 //!
@@ -24,7 +23,7 @@
 //! chunk's records, assembled from the same columns. A column scan
 //! validates exactly what a record scan does — only the record
 //! assembly is left out — so callers that read a few fields (the
-//! streaming analyses) scan columns and project.
+//! headline re-analysis from a store) scan columns and project.
 //!
 //! [`ChunkWriter`]: crate::ChunkWriter
 

@@ -16,7 +16,8 @@
 //!    `headline_from_store_threads(dir, 1)`, DESIGN.md §17 "Read path")
 //!    allocates per chunk, never per record: at chunk budgets 64 and
 //!    512 it stays within a fixed allowance plus a few allocations per
-//!    chunk on top of the sketch fold's own;
+//!    chunk on top of what folding the same records into the exact
+//!    headline accumulator costs;
 //! 5. writing prebuilt store records through `ChunkWriter::new` into a
 //!    pre-reserved `Vec` (the store's one write path, DESIGN.md §17
 //!    "Write path") allocates nothing per chunk: at chunk budgets 64
@@ -32,7 +33,7 @@
 //! process-global, and the default multi-threaded test runner would let
 //! a concurrent test's allocations bleed into the measured run.
 
-use dohperf::analysis::streaming::{headline_from_store_threads, StreamingHeadline};
+use dohperf::analysis::{headline_from_store_threads, StreamingHeadline};
 use dohperf::core::campaign::{Campaign, CampaignConfig};
 use dohperf::core::export::to_jsonl;
 use dohperf::core::records::Dataset;
@@ -99,7 +100,7 @@ fn warm_campaign_is_allocation_free_and_thread_invariant() {
     store_write_allocations_are_fixed(&cold);
 }
 
-/// Allocations a warm store scan may make on top of the sketches'
+/// Allocations a warm store scan may make on top of the accumulator's
 /// own: opening the file, decoding the manifest, and growing the
 /// column scratch and read buffers to the largest chunk.
 const SCAN_ALLOCS: u64 = 512;
@@ -123,7 +124,7 @@ fn store_scan_allocations_are_per_chunk(ds: &Dataset) {
         let chunks = read_manifest(&dir).expect("manifest").total_chunks;
         let headline = headline_from_store_threads(&dir, 1).expect("cold scan");
 
-        // The sketches' own allocations: the same insertions, from
+        // The accumulator's own allocations: the same samples, from
         // records already in memory.
         alloc::reset();
         let mut acc = StreamingHeadline::new();
@@ -149,7 +150,7 @@ fn store_scan_allocations_are_per_chunk(ds: &Dataset) {
         assert!(
             scan_allocs <= bound,
             "a warm store scan at chunk budget {budget} made {scan_allocs} allocations \
-             over {chunks} chunks and {} records; the sketch fold alone makes {fold_allocs}",
+             over {chunks} chunks and {} records; the record fold alone makes {fold_allocs}",
             ds.records.len()
         );
     }

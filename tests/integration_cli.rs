@@ -8,7 +8,7 @@
 //! outside (0,1] and a `--tolerance` that is negative or not finite, and
 //! a valid protocol list must run the `transports` experiment end to
 //! end. A missing or corrupt `--from-store` directory exits 2 without a
-//! panic. The analysis tables no gate row renders must print the same,
+//! panic, and a `--from-store` run's stderr header names the store. The analysis tables no gate row renders must print the same,
 //! pinned bytes at any `--threads`. `report` must hold every `Analysis`
 //! row's stdout and re-derive from a store byte for byte. `repro gate`
 //! must reject unknown rows with exit 2, and fail a row whose golden
@@ -16,6 +16,9 @@
 //! drift). `export --out-format store` from another store must write the
 //! dataset it reports, never keep a stale store left by an earlier run.
 
+use dohperf_core::campaign::{Campaign, CampaignConfig};
+use dohperf_core::records::Dataset;
+use dohperf_core::store_io::write_dataset;
 use std::process::Command;
 
 fn repro() -> Command {
@@ -650,9 +653,16 @@ fn a_missing_or_corrupt_store_exits_2_without_a_panic() {
     let dir = scratch_dir("bad-store");
     std::fs::create_dir_all(dir.join("junk")).expect("create junk store");
     std::fs::write(dir.join("junk/manifest.bin"), "junk").expect("write junk manifest");
-    for store in ["missing", "junk"] {
+    // Every chunk and the manifest are well formed, but one client names
+    // a country far past the manifest's table.
+    let mut ds = small_dataset();
+    let bad_index = ds.countries.len() + 1000;
+    ds.records[0].country_index = bad_index;
+    write_dataset(&ds, &dir.join("bad-index"), 0).expect("write bad-index store");
+    for store in ["missing", "junk", "bad-index"] {
         let out = repro()
-            .args(["--scale", "0.02", "--from-store", store, "headline"])
+            .args(["--scale", "0.02", "--threads", "1", "--from-store", store])
+            .args(["headline", "fig3", "table3"])
             .current_dir(&dir)
             .output()
             .expect("spawn repro");
@@ -668,7 +678,57 @@ fn a_missing_or_corrupt_store_exits_2_without_a_panic() {
             "{stderr}"
         );
     }
+    let out = repro()
+        .args(["--from-store", "bad-index", "headline"])
+        .current_dir(&dir)
+        .output()
+        .expect("spawn repro");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let client = ds.records[0].client_id;
+    assert!(
+        stderr.contains(&format!("client {client}: country_index is {bad_index}")),
+        "{stderr}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A store records no seed or scale, so a `--from-store` run's stderr
+/// header names the store directory, not the CLI's (default) seed and
+/// scale; stdout is the direct run's.
+#[test]
+fn from_store_header_names_the_store_not_the_cli_seed() {
+    let dir = scratch_dir("store-header");
+    write_dataset(&small_dataset(), &dir.join("s"), 0).expect("write store");
+    let run = |args: &[&str]| {
+        let out = repro()
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn repro");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(0), "repro {args:?}:\n{stderr}");
+        (String::from_utf8(out.stdout).expect("utf-8 stdout"), stderr)
+    };
+    let (stored, stderr) = run(&["--from-store", "s", "--threads", "1", "headline"]);
+    assert!(
+        stderr.contains("# dohperf repro: store s threads 1 — running 1 experiment(s)"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("seed"), "{stderr}");
+    let (direct, stderr) = run(&["--seed", "7", "--scale", "0.02", "headline"]);
+    assert!(stderr.contains("# dohperf repro: seed 7 scale 0.02 threads auto"));
+    assert_eq!(stored, direct);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The campaign behind `repro --seed 7 --scale 0.02`.
+fn small_dataset() -> Dataset {
+    Campaign::new(CampaignConfig {
+        seed: 7,
+        scale: 0.02,
+        ..CampaignConfig::default()
+    })
+    .run()
 }
 
 /// `report` collects every `Analysis` row's stdout verbatim, and a store

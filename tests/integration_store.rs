@@ -10,12 +10,7 @@
 //!   directory must reproduce the direct pipeline's headline numbers
 //!   exactly, because the codec round-trips every f64 bit-for-bit.
 
-use dohperf_analysis::cdfs::ProviderCdfs;
-use dohperf_analysis::headline::{headline_stats, HeadlineStats};
-use dohperf_analysis::streaming::{
-    cdfs_from_store, cdfs_from_store_threads, headline_from_store, headline_from_store_threads,
-    StreamingCdfs, StreamingHeadline,
-};
+use dohperf_analysis::headline::{headline_from_store_threads, headline_stats, HeadlineStats};
 use dohperf_core::campaign::{Campaign, CampaignConfig, ProtocolSet};
 use dohperf_core::records::{ClientRecord, Dataset};
 use dohperf_core::store_io::{read_manifest, write_dataset};
@@ -148,8 +143,8 @@ fn four_protocol_store_round_trips_and_stays_thread_invariant() {
 #[test]
 fn parallel_from_store_reads_are_identical_to_serial() {
     // The parallel decoder fans chunks across threads but folds them in
-    // canonical order, so the materialised dataset AND every sketch-based
-    // streaming analysis are identical — not just close — at any thread
+    // canonical order, so the materialised dataset and the headline
+    // re-derived from the store's columns are identical at any thread
     // count.
     let dir = write_store(2021, 0, 0, "parallel-read");
 
@@ -164,34 +159,14 @@ fn parallel_from_store_reads_are_identical_to_serial() {
         assert_eq!(serial.atlas_do53_ms, parallel.atlas_do53_ms);
     }
 
-    let headline_1 = headline_from_store(&dir).expect("serial headline");
-    let cdfs_1 = cdfs_from_store(&dir).expect("serial cdfs");
-    for threads in [2, 8] {
-        let headline_n = headline_from_store_threads(&dir, threads).expect("parallel headline");
+    let headline = headline_bits(&headline_stats(&serial));
+    for threads in [1, 2, 8] {
+        let scanned = headline_from_store_threads(&dir, threads).expect("column headline");
         assert_eq!(
-            headline_1.median_doh1_ms, headline_n.median_doh1_ms,
-            "sketch median diverged at {threads} decoder threads"
+            headline_bits(&scanned),
+            headline,
+            "headline diverged at {threads} decoder threads"
         );
-        assert_eq!(headline_1.median_do53_ms, headline_n.median_do53_ms);
-        assert_eq!(headline_1.median_dohr_ms, headline_n.median_dohr_ms);
-        assert_eq!(
-            headline_1.first_request_speedup_fraction,
-            headline_n.first_request_speedup_fraction
-        );
-        assert_eq!(headline_1.tripled_fraction, headline_n.tripled_fraction);
-
-        let cdfs_n = cdfs_from_store_threads(&dir, threads).expect("parallel cdfs");
-        assert_eq!(cdfs_1.len(), cdfs_n.len());
-        for (a, b) in cdfs_1.iter().zip(&cdfs_n) {
-            assert_eq!(a.provider, b.provider);
-            assert_eq!(
-                a.doh1.values, b.doh1.values,
-                "{}: CDF support diverged at {threads} decoder threads",
-                a.provider
-            );
-            assert_eq!(a.dohr.values, b.dohr.values);
-            assert_eq!(a.do53.values, b.do53.values);
-        }
     }
     let _ = fs::remove_dir_all(&dir);
 }
@@ -228,7 +203,7 @@ fn corrupt_message<T>(what: &str, outcome: Result<T, StoreError>) -> String {
 }
 
 /// Every way to read a store directory: the full materialising read and
-/// both streaming column scans, at one and two decode threads.
+/// the headline's column scan, at one and two decode threads.
 fn every_reader(dir: &Path) -> Vec<(String, Result<(), StoreError>)> {
     let mut outcomes = Vec::new();
     for threads in [1, 2] {
@@ -240,24 +215,21 @@ fn every_reader(dir: &Path) -> Vec<(String, Result<(), StoreError>)> {
             format!("headline_from_store_threads({threads})"),
             headline_from_store_threads(dir, threads).map(drop),
         ));
-        outcomes.push((
-            format!("cdfs_from_store_threads({threads})"),
-            cdfs_from_store_threads(dir, threads).map(drop),
-        ));
     }
     outcomes
 }
 
-type Poison = fn(&mut ClientRecord);
+/// A defect planted in one client record; the `usize` is the length of
+/// the dataset's country table.
+type Poison = fn(&mut ClientRecord, usize);
 
 /// Write `clean` with each poison applied to one client in turn and
-/// assert every reader — `read_dataset_threads` and the streaming
-/// column scans behind `headline_from_store_threads` and
-/// `cdfs_from_store_threads`, at one and two threads — fails with
-/// `StoreError::Corrupt` naming the client and the poisoned field. The
-/// store keeps raw f64 bits, so a chunk with valid CRCs can carry a
+/// assert every reader — `read_dataset_threads` and the column scan
+/// behind `headline_from_store_threads`, at one and two threads — fails
+/// with `StoreError::Corrupt` naming the client and the poisoned field.
+/// The store keeps raw f64 bits, so a chunk with valid CRCs can carry a
 /// NaN; reading it back must fail cleanly instead of panicking in the
-/// analysis medians downstream, and the column scans, which build no
+/// analysis medians downstream, and the column scan, which builds no
 /// record, must drop none of the record path's checks.
 fn assert_poisons_rejected(clean: &Dataset, poisons: &[(&str, Poison)]) {
     let at = clean
@@ -274,7 +246,7 @@ fn assert_poisons_rejected(clean: &Dataset, poisons: &[(&str, Poison)]) {
     let client = clean.records[at].client_id;
     for (field, poison) in poisons {
         let mut ds = clean.clone();
-        poison(&mut ds.records[at]);
+        poison(&mut ds.records[at], clean.countries.len());
         let dir = temp_store(&format!("nan-{field}"));
         write_dataset(&ds, &dir, 0).expect("the writer stores any bits");
         for (reader, outcome) in every_reader(&dir) {
@@ -304,9 +276,9 @@ fn non_finite_latencies_are_rejected_with_a_typed_error() {
     assert_poisons_rejected(
         &every_column_group(),
         &[
-            ("t_doh_ms", |r| r.doh[0].t_doh_ms = f64::NAN),
-            ("t_dohr_ms", |r| r.doh[0].t_dohr_ms = f64::INFINITY),
-            ("do53_ms", |r| r.do53_ms = Some(f64::NAN)),
+            ("t_doh_ms", |r, _| r.doh[0].t_doh_ms = f64::NAN),
+            ("t_dohr_ms", |r, _| r.doh[0].t_dohr_ms = f64::INFINITY),
+            ("do53_ms", |r, _| r.do53_ms = Some(f64::NAN)),
         ],
     );
 }
@@ -316,13 +288,13 @@ fn non_finite_distances_are_rejected_with_a_typed_error() {
     assert_poisons_rejected(
         &every_column_group(),
         &[
-            ("pop_distance_miles", |r| {
+            ("pop_distance_miles", |r, _| {
                 r.doh[1].pop_distance_miles = f64::NAN
             }),
-            ("nearest_pop_distance_miles", |r| {
+            ("nearest_pop_distance_miles", |r, _| {
                 r.doh[2].nearest_pop_distance_miles = f64::INFINITY
             }),
-            ("nameserver_distance_miles", |r| {
+            ("nameserver_distance_miles", |r, _| {
                 r.nameserver_distance_miles = f64::NAN
             }),
         ],
@@ -334,10 +306,14 @@ fn non_finite_transport_latencies_are_rejected_with_a_typed_error() {
     assert_poisons_rejected(
         &every_column_group(),
         &[
-            ("cold_ms", |r| r.transports[0].cold_ms = f64::NAN),
-            ("warm_ms", |r| r.transports[1].warm_ms = f64::NEG_INFINITY),
-            ("resumed_ms", |r| r.transports[2].resumed_ms = f64::NAN),
-            ("handshake_ms", |r| r.transports[3].handshake_ms = f64::NAN),
+            ("cold_ms", |r, _| r.transports[0].cold_ms = f64::NAN),
+            ("warm_ms", |r, _| {
+                r.transports[1].warm_ms = f64::NEG_INFINITY
+            }),
+            ("resumed_ms", |r, _| r.transports[2].resumed_ms = f64::NAN),
+            ("handshake_ms", |r, _| {
+                r.transports[3].handshake_ms = f64::NAN
+            }),
         ],
     );
 }
@@ -347,8 +323,8 @@ fn non_finite_page_load_times_are_rejected_with_a_typed_error() {
     assert_poisons_rejected(
         &every_column_group(),
         &[
-            ("plt_cold_ms", |r| r.pages[0].plt_cold_ms = f64::NAN),
-            ("plt_warm_ms", |r| r.pages[0].plt_warm_ms = f64::INFINITY),
+            ("plt_cold_ms", |r, _| r.pages[0].plt_cold_ms = f64::NAN),
+            ("plt_warm_ms", |r, _| r.pages[0].plt_warm_ms = f64::INFINITY),
         ],
     );
 }
@@ -357,7 +333,20 @@ fn non_finite_page_load_times_are_rejected_with_a_typed_error() {
 fn non_finite_window_latency_is_rejected_with_a_typed_error() {
     assert_poisons_rejected(
         &every_column_group(),
-        &[("latency_ms", |r| r.windows[0].latency_ms = f64::NAN)],
+        &[("latency_ms", |r, _| r.windows[0].latency_ms = f64::NAN)],
+    );
+}
+
+#[test]
+fn out_of_range_country_index_is_rejected_with_a_typed_error() {
+    // The analyses index per-country arrays by `country_index`, so a
+    // stored index past the manifest's country table must fail the read,
+    // not panic or size an array downstream.
+    assert_poisons_rejected(
+        &every_column_group(),
+        &[("country_index", |r, countries| {
+            r.country_index = countries + 1000
+        })],
     );
 }
 
@@ -412,78 +401,39 @@ fn headline_bits(h: &HeadlineStats) -> [u64; 9] {
     .map(f64::to_bits)
 }
 
-/// Every support point of every panel, as bits.
-fn cdf_bits(panels: &[ProviderCdfs]) -> Vec<u64> {
-    panels
-        .iter()
-        .flat_map(|p| [&p.doh1, &p.dohr, &p.do53])
-        .flat_map(|s| s.values.iter().chain(&s.probs))
-        .map(|v| v.to_bits())
-        .collect()
-}
-
-/// FNV-1a over the little-endian bytes of `bits`.
-fn fnv(bits: &[u64]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for byte in bits.iter().flat_map(|b| b.to_le_bytes()) {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
-
-/// `headline_bits` and the `fnv` of `cdf_bits` for the
-/// `every_column_group` store, recorded with the record-at-a-time
-/// streaming drivers that the column scan replaced.
+/// `headline_bits` of `headline_stats` on the `every_column_group`
+/// dataset.
 const PINNED_HEADLINE: [u64; 9] = [
-    0x407c_a344_31bd_e82c,
-    0x4069_dd8e_d5f1_38bd,
-    0x4072_942f_3908_5f4a,
+    0x407c_a40a_326e_1155,
+    0x406a_5066_4c2f_837c,
+    0x4072_92a7_c17a_8934,
     0x3fb0_7878_7878_7878,
     0x3fc6_5a5a_5a5a_5a5a,
-    0x4059_b2fb_d4f8_1478,
-    0x4079_6462_0ff5_4088,
-    0x4069_76e3_4762_9521,
+    0x4059_bf81_8068_7027,
+    0x407c_853c_b684_8beb,
+    0x406a_959b_2a27_f1b7,
     0x3fd1_3c3c_3c3c_3c3c,
 ];
-const PINNED_CDFS: u64 = 0xfd58_91fa_26c6_fa59;
 
 #[test]
 fn column_scan_is_bit_identical_to_observing_the_records() {
-    // The streaming drivers fold projected columns and build no record;
-    // they must land on exactly the bits of feeding `observe` the
-    // records a full read returns, at every chunk shape and thread
-    // count — and on the bits the record-path drivers produced.
+    // `headline_from_store_threads` folds projected columns and builds
+    // no record; it must land on exactly the bits of `headline_stats`
+    // over the records a full read returns, at every chunk shape and
+    // thread count, and on the pinned bits.
     let ds = every_column_group();
     for budget in [1, 7, 0] {
         let dir = temp_store(&format!("columns-b{budget}"));
         write_dataset(&ds, &dir, budget).expect("write store");
         let read = read_dataset(&dir).expect("read store");
-        let mut headline = StreamingHeadline::new();
-        let mut cdfs = StreamingCdfs::new();
-        for r in &read.records {
-            headline.observe(r);
-            cdfs.observe(r);
-        }
-        let expected = headline_bits(&headline.finish(&read.atlas_do53_ms));
-        let expected_cdfs = cdf_bits(&cdfs.finish());
-        assert_eq!(expected, PINNED_HEADLINE, "observe moved the headline bits");
-        assert_eq!(
-            fnv(&expected_cdfs),
-            PINNED_CDFS,
-            "observe moved the CDF bits"
-        );
+        let expected = headline_bits(&headline_stats(&read));
+        assert_eq!(expected, PINNED_HEADLINE, "headline_stats moved its bits");
         for threads in [1, 2, 8] {
             let scanned = headline_from_store_threads(&dir, threads).expect("column headline");
             assert_eq!(
                 headline_bits(&scanned),
                 expected,
                 "headline bits at chunk budget {budget}, {threads} threads"
-            );
-            let panels = cdfs_from_store_threads(&dir, threads).expect("column cdfs");
-            assert!(
-                cdf_bits(&panels) == expected_cdfs,
-                "CDF support points at chunk budget {budget}, {threads} threads"
             );
         }
         let _ = fs::remove_dir_all(&dir);
