@@ -2,7 +2,7 @@
 
 use dohperf_core::records::Dataset;
 use dohperf_providers::provider::{ProviderKind, ALL_PROVIDERS};
-use dohperf_stats::desc::{ecdf, quantile};
+use dohperf_stats::desc::{ecdf, quantile_sorted};
 
 /// One empirical CDF: values and cumulative probabilities.
 #[derive(Debug, Clone)]
@@ -21,12 +21,12 @@ impl CdfSeries {
 
     /// Median of the series.
     pub fn median(&self) -> f64 {
-        quantile(&self.values, 0.5)
+        quantile_sorted(&self.values, 0.5)
     }
 
     /// Value at a given cumulative probability.
     pub fn quantile(&self, q: f64) -> f64 {
-        quantile(&self.values, q)
+        quantile_sorted(&self.values, q)
     }
 }
 

@@ -2,10 +2,10 @@
 //!
 //! A windowed campaign (`window_nanos > 0`) tags every retained record
 //! with per-(window, provider, transport) [`WindowSample`] summaries.
-//! This module folds those into per-window series — p50/p95/p99 query
-//! latency (one Greenwald–Khanna sketch per cell), availability
-//! (success fraction), and cache hit rate — per (provider, transport)
-//! pair.
+//! This module folds those into per-window series — exact p50/p95/p99
+//! query latency (the type-7 [`quantile_sorted`] every other analysis
+//! uses), availability (success fraction), and cache hit rate — per
+//! (provider, transport) pair.
 //!
 //! # Determinism contract
 //!
@@ -19,13 +19,9 @@
 use dohperf_core::records::{Dataset, WindowSample};
 use dohperf_netsim::connection::DnsTransport;
 use dohperf_providers::provider::{ProviderKind, ALL_PROVIDERS};
-use dohperf_stats::GkSketch;
+use dohperf_stats::desc::quantile_sorted;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-/// Quantile-sketch rank error for the per-window latency quantiles: each
-/// p50/p95/p99 is within `TIMELINE_EPSILON · n` ranks of the exact one.
-pub const TIMELINE_EPSILON: f64 = 0.005;
 
 /// One (provider, transport, window) cell of the timeline.
 #[derive(Debug, Clone)]
@@ -109,36 +105,22 @@ impl Timeline {
     }
 }
 
-/// One cell's tallies and latency sketch while the fold is in flight.
-#[derive(Debug, Clone)]
+/// One cell's tallies and latency samples while the fold is in flight.
+#[derive(Debug, Clone, Default)]
 struct Tally {
     queries: u64,
     successes: u64,
     cache_lookups: u64,
     cache_hits: u64,
-    latency_samples: u64,
-    latency: GkSketch,
-}
-
-impl Default for Tally {
-    fn default() -> Self {
-        Tally {
-            queries: 0,
-            successes: 0,
-            cache_lookups: 0,
-            cache_hits: 0,
-            latency_samples: 0,
-            latency: GkSketch::new(TIMELINE_EPSILON),
-        }
-    }
+    latency: Vec<f64>,
 }
 
 /// Fold a dataset's window samples into the timeline.
 ///
 /// Every (provider, transport, window) cell keeps integer tallies and
-/// one [`GkSketch`] of the latencies of its query-carrying samples,
-/// inserted in record order. Only cells that actually saw a sample
-/// appear.
+/// the latencies of its query-carrying samples, in record order; each
+/// cell is sorted once at the end for its exact quantiles. Only cells
+/// that actually saw a sample appear.
 pub fn timeline(ds: &Dataset) -> Timeline {
     // Keyed by canonical ordinals so the output order never depends on
     // enum declaration details.
@@ -153,19 +135,20 @@ pub fn timeline(ds: &Dataset) -> Timeline {
             t.cache_lookups += u64::from(s.cache_lookups);
             t.cache_hits += u64::from(s.cache_hits);
             if s.queries > 0 {
-                t.latency_samples += 1;
-                t.latency.insert(s.latency_ms);
+                t.latency.push(s.latency_ms);
             }
         }
     }
     let cells = tallies
         .into_iter()
-        .map(|((pi, ti, window), t)| {
+        .map(|((pi, ti, window), mut t)| {
+            t.latency
+                .sort_by(|a, b| a.partial_cmp(b).expect("NaN window latency"));
             let q = |q: f64| {
-                if t.latency_samples > 0 {
-                    t.latency.query(q)
-                } else {
+                if t.latency.is_empty() {
                     0.0
+                } else {
+                    quantile_sorted(&t.latency, q)
                 }
             };
             TimelineCell {
@@ -176,7 +159,7 @@ pub fn timeline(ds: &Dataset) -> Timeline {
                 successes: t.successes,
                 cache_lookups: t.cache_lookups,
                 cache_hits: t.cache_hits,
-                latency_samples: t.latency_samples,
+                latency_samples: t.latency.len() as u64,
                 p50_ms: q(0.5),
                 p95_ms: q(0.95),
                 p99_ms: q(0.99),
@@ -351,7 +334,7 @@ mod tests {
     }
 
     #[test]
-    fn cell_quantiles_lie_within_epsilon_ranks_of_the_exact_ones() {
+    fn cell_quantiles_equal_the_exact_quantiles_of_the_cell_samples() {
         let ds = windowed_dataset();
         let mut exact: BTreeMap<(usize, usize, u32), Vec<f64>> = BTreeMap::new();
         for r in &ds.records {
@@ -375,22 +358,13 @@ mod tests {
             );
             let xs = &exact[&key];
             assert_eq!(xs.len() as u64, c.latency_samples, "{c:?}");
-            let n = xs.len() as f64;
             for (q, v) in [(0.5, c.p50_ms), (0.95, c.p95_ms), (0.99, c.p99_ms)] {
-                // The ranks `v` occupies in the cell's samples, and the
-                // rank of the exact quantile.
-                let lo = xs.iter().filter(|&&x| x < v).count() as f64 + 1.0;
-                let hi = xs.iter().filter(|&&x| x <= v).count() as f64;
-                let target = (q * n).ceil().max(1.0);
-                let slack = TIMELINE_EPSILON * n;
-                assert!(
-                    lo <= target + slack && hi >= target - slack,
-                    "{c:?}: q{q} = {v} holds ranks {lo}..={hi}, exact rank {target}"
-                );
+                let want = dohperf_stats::desc::quantile(xs, q);
+                assert_eq!(v.to_bits(), want.to_bits(), "{c:?}: q{q}");
             }
             checked += 1;
         }
-        assert!(checked > 0);
+        assert_eq!(checked, exact.len());
     }
 
     #[test]

@@ -962,15 +962,14 @@ so DoH-by-default remains a first-connection tax even in a warm-cache world.
         Ok(out)
     }
 
-    /// Write the markdown report to `path`: a title line, then every
+    /// Write the markdown report to `path`: a title line naming what the
+    /// dataset holds (clients, countries, discarded), then every
     /// [`Kind::Analysis`] row of [`EXPERIMENTS`] in registry order, each
     /// under its name and fenced exactly as `repro` prints it.
     pub fn report(&mut self, path: &std::path::Path) -> std::io::Result<String> {
-        let (seed, scale) = (self.config.seed, self.config.scale);
         let ds = self.dataset();
         let mut md = format!(
-            "# dohperf report: seed {seed}, scale {scale:.2}, {} clients, {} countries, \
-             {} discarded\n",
+            "# dohperf report: {} clients, {} countries, {} discarded\n",
             ds.records.len(),
             ds.country_count(),
             ds.discarded_mismatches
@@ -1438,7 +1437,7 @@ a traffic-weighted view of the Internet — the direction of bias the paper's §
             clients,
         );
         out += &dohperf_analysis::timeline::render(&tl);
-        out += "\n(p50/p95/p99 = per-window query-latency quantiles from mergeable GK sketches;\n\
+        out += "\n(p50/p95/p99 = exact per-window query-latency quantiles;\n\
                  avail = success fraction; cache-hit = page-load stub-cache hit rate)\n";
         out
     }
@@ -1797,6 +1796,45 @@ mod tests {
         let guidance = legacy.timeline();
         assert!(guidance.contains("no window samples"), "{guidance}");
         assert!(guidance.contains("--window-hours 1"), "{guidance}");
+    }
+
+    #[test]
+    fn every_analysis_row_renders_the_same_bytes_at_any_thread_count() {
+        // Every protocol, page visits and windows, so `transports`,
+        // `pageload` and `timeline` render real tables, not guidance.
+        let render_all = |threads: usize| {
+            let mut ctx = ReproContext::new(ReproConfig {
+                seed: 7,
+                scale: 0.02,
+                threads,
+                protocols: ProtocolSet::all(),
+                pages: 2,
+                window_hours: 1.0,
+                ..ReproConfig::default()
+            });
+            EXPERIMENTS
+                .iter()
+                .filter(|e| e.kind == Kind::Analysis)
+                .map(|e| (e.name, (e.render)(&mut ctx)))
+                .collect::<Vec<_>>()
+        };
+        let guidance = [
+            "no lifecycle samples",
+            "no page samples",
+            "no window samples",
+        ];
+        let serial = render_all(1);
+        for (name, text) in &serial {
+            assert!(
+                !guidance.iter().any(|g| text.contains(g)),
+                "{name} rendered guidance:\n{text}"
+            );
+        }
+        for threads in [2, 8] {
+            for ((name, a), (_, b)) in serial.iter().zip(render_all(threads)) {
+                assert_eq!(*a, b, "{name} differs at --threads {threads}");
+            }
+        }
     }
 
     #[test]

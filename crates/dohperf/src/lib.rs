@@ -20,7 +20,7 @@
 //! * [`proxy`] — the BrightData Super Proxy network and RIPE Atlas.
 //! * [`core`] — the paper's timing equations, campaign and validation.
 //! * [`stats`] — descriptive statistics, OLS and logistic regression,
-//!   a quantile sketch.
+//!   bootstrap confidence intervals.
 //! * [`analysis`] — every table and figure of §5–§6.
 //! * [`store`] — the streaming columnar dataset store (chunked,
 //!   checksummed, thread-count-invariant on disk).

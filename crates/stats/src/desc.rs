@@ -10,17 +10,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// Sample standard deviation (n-1 denominator); NaN for fewer than two
-/// observations.
-pub fn stddev(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
-        return f64::NAN;
-    }
-    let m = mean(xs);
-    let ss: f64 = xs.iter().map(|x| (x - m).powi(2)).sum();
-    (ss / (xs.len() - 1) as f64).sqrt()
-}
-
 /// Quantile with linear interpolation between order statistics
 /// (type-7, the R/numpy default). `q` is clamped to [0, 1]. NaN for empty
 /// input.
@@ -118,78 +107,21 @@ pub fn ecdf(xs: &[f64]) -> (Vec<f64>, Vec<f64>) {
     (sorted, probs)
 }
 
-/// Fraction of observations strictly below `threshold`.
-pub fn fraction_below(xs: &[f64], threshold: f64) -> f64 {
-    if xs.is_empty() {
-        return f64::NAN;
-    }
-    xs.iter().filter(|&&x| x < threshold).count() as f64 / xs.len() as f64
-}
-
-/// A five-number-plus summary of a sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Sample size.
-    pub n: usize,
-    /// Mean.
-    pub mean: f64,
-    /// Sample standard deviation.
-    pub sd: f64,
-    /// Minimum.
-    pub min: f64,
-    /// 25th percentile.
-    pub p25: f64,
-    /// Median.
-    pub median: f64,
-    /// 75th percentile.
-    pub p75: f64,
-    /// 90th percentile.
-    pub p90: f64,
-    /// Maximum.
-    pub max: f64,
-}
-
-impl Summary {
-    /// Summarise a sample. Returns `None` for empty input.
-    pub fn of(xs: &[f64]) -> Option<Summary> {
-        if xs.is_empty() {
-            return None;
-        }
-        let mut sorted: Vec<f64> = xs.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in summary input"));
-        Some(Summary {
-            n: sorted.len(),
-            mean: mean(&sorted),
-            sd: stddev(&sorted),
-            min: sorted[0],
-            p25: quantile_sorted(&sorted, 0.25),
-            median: quantile_sorted(&sorted, 0.5),
-            p75: quantile_sorted(&sorted, 0.75),
-            p90: quantile_sorted(&sorted, 0.90),
-            max: sorted[sorted.len() - 1],
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn mean_and_stddev() {
+    fn mean_of_a_known_sample() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&xs) - 5.0).abs() < 1e-12);
-        assert!((stddev(&xs) - 2.138089935).abs() < 1e-6);
     }
 
     #[test]
     fn empty_inputs_are_nan() {
         assert!(mean(&[]).is_nan());
-        assert!(stddev(&[1.0]).is_nan());
         assert!(median(&[]).is_nan());
         assert!(quantile(&[], 0.5).is_nan());
-        assert!(fraction_below(&[], 1.0).is_nan());
-        assert!(Summary::of(&[]).is_none());
     }
 
     #[test]
@@ -221,14 +153,6 @@ mod tests {
         let (vals, probs) = ecdf(&xs);
         assert_eq!(vals, vec![1.0, 3.0, 5.0]);
         assert_eq!(probs, vec![1.0 / 3.0, 2.0 / 3.0, 1.0]);
-    }
-
-    #[test]
-    fn fraction_below_counts_strictly() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        assert!((fraction_below(&xs, 3.0) - 0.5).abs() < 1e-12);
-        assert_eq!(fraction_below(&xs, 0.5), 0.0);
-        assert_eq!(fraction_below(&xs, 10.0), 1.0);
     }
 
     #[test]
@@ -267,16 +191,5 @@ mod tests {
         assert_eq!(argsort(&[]).unwrap(), Vec::<usize>::new());
         assert!(argsort(&[1.0, f64::NAN]).is_none());
         assert!(weighted_median(&[1.0, f64::NAN], &[1.0, 1.0]).is_nan());
-    }
-
-    #[test]
-    fn summary_is_ordered() {
-        let xs: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        let s = Summary::of(&xs).unwrap();
-        assert_eq!(s.n, 100);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 100.0);
-        assert!(s.p25 < s.median && s.median < s.p75 && s.p75 < s.p90);
-        assert!((s.median - 50.5).abs() < 1e-12);
     }
 }

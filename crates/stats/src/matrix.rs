@@ -162,11 +162,6 @@ impl Matrix {
         self.solve(&Matrix::identity(self.rows))
     }
 
-    /// Extract a column as a vector.
-    pub fn col_vec(&self, j: usize) -> Vec<f64> {
-        (0..self.rows).map(|i| self[(i, j)]).collect()
-    }
-
     fn swap_rows(&mut self, a: usize, b: usize) {
         if a == b {
             return;
@@ -288,11 +283,5 @@ mod tests {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
         let _ = a.matmul(&b);
-    }
-
-    #[test]
-    fn col_vec_extracts() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        assert_eq!(a.col_vec(1), vec![2.0, 4.0]);
     }
 }

@@ -23,13 +23,6 @@ pub struct Coefficient {
     pub p_value: f64,
 }
 
-impl Coefficient {
-    /// Significance check at a threshold (paper uses p < 0.001).
-    pub fn significant_at(&self, alpha: f64) -> bool {
-        self.p_value < alpha
-    }
-}
-
 /// A fitted OLS model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OlsFit {
@@ -227,7 +220,7 @@ mod tests {
             "slope {}",
             slope.estimate
         );
-        assert!(slope.significant_at(0.001));
+        assert!(slope.p_value < 0.001);
         assert!(slope.std_error > 0.0);
     }
 
@@ -242,8 +235,8 @@ mod tests {
             reg.push(&[x, junk], 2.0 * x + noise);
         }
         let fit = reg.fit().unwrap();
-        assert!(fit.coef("x").unwrap().significant_at(0.001));
-        assert!(!fit.coef("junk").unwrap().significant_at(0.001));
+        assert!(fit.coef("x").unwrap().p_value < 0.001);
+        assert!(fit.coef("junk").unwrap().p_value >= 0.001);
     }
 
     #[test]

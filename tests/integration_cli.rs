@@ -391,6 +391,23 @@ fn valid_window_hours_runs_the_timeline_experiment() {
     ] {
         assert!(stdout.contains(needle), "missing {needle:?} in:\n{stdout}");
     }
+    // README quotes this exact command's output; every quoted line but
+    // the `...` elision must still be printed.
+    const README: &str = include_str!("../README.md");
+    let command = README
+        .find("--seed 7 --scale 0.02 --window-hours 1 timeline")
+        .expect("README shows the timeline command");
+    let block = README[command..]
+        .split_once("```text\n")
+        .and_then(|(_, rest)| rest.split_once("```"))
+        .expect("README quotes the timeline output")
+        .0;
+    for line in block.lines().filter(|l| l.trim() != "...") {
+        assert!(
+            stdout.contains(line),
+            "README line {line:?} not in:\n{stdout}"
+        );
+    }
 }
 
 #[test]
@@ -732,14 +749,15 @@ fn small_dataset() -> Dataset {
 }
 
 /// `report` collects every `Analysis` row's stdout verbatim, and a store
-/// re-derives the same report byte for byte.
+/// re-derives the same report byte for byte. The title line names only
+/// what the dataset holds, so a `--from-store` run without the writing
+/// run's `--seed`/`--scale` still writes it unchanged.
 #[test]
 fn report_holds_every_analysis_row_and_rederives_from_a_store() {
     use dohperf_bench::{Kind, EXPERIMENTS};
     let dir = scratch_dir("report");
-    let run = |args: &[&str]| {
+    let run_bare = |args: &[&str]| {
         let out = repro()
-            .args(["--seed", "7", "--scale", "0.02"])
             .args(args)
             .current_dir(&dir)
             .output()
@@ -752,9 +770,12 @@ fn report_holds_every_analysis_row_and_rederives_from_a_store() {
         );
         String::from_utf8(out.stdout).expect("utf-8 stdout")
     };
+    let run = |args: &[&str]| run_bare(&[&["--seed", "7", "--scale", "0.02"], args].concat());
+    let read_report =
+        || std::fs::read_to_string(dir.join("target/report.md")).expect("read report.md");
     let report = |args: &[&str]| {
         run(args);
-        std::fs::read_to_string(dir.join("target/report.md")).expect("read report.md")
+        read_report()
     };
     let rows: Vec<&str> = EXPERIMENTS
         .iter()
@@ -767,10 +788,7 @@ fn report_holds_every_analysis_row_and_rederives_from_a_store() {
     assert_eq!(blocks.len(), rows.len());
 
     let direct = report(&["report"]);
-    assert!(
-        direct.starts_with("# dohperf report: seed 7, scale 0.02, "),
-        "{direct}"
-    );
+    assert!(direct.starts_with("# dohperf report: "), "{direct}");
     for (name, block) in rows.iter().zip(&blocks) {
         let section = format!("\n## {name}\n\n```\n{block}```\n");
         assert!(direct.contains(&section), "report lacks {name}:\n{block}");
@@ -778,5 +796,7 @@ fn report_holds_every_analysis_row_and_rederives_from_a_store() {
 
     run(&["--out-format", "store", "--store-dir", "s", "headline"]);
     assert_eq!(report(&["--from-store", "s", "report"]), direct);
+    run_bare(&["--from-store", "s", "report"]);
+    assert_eq!(read_report().lines().next(), direct.lines().next());
     let _ = std::fs::remove_dir_all(&dir);
 }
