@@ -26,6 +26,7 @@
 //!   the §4.3 resolver-confirmation trace, and the §4.4 BrightData vs
 //!   RIPE Atlas consistency check).
 
+mod cache;
 pub mod campaign;
 pub mod equations;
 pub mod export;

@@ -18,10 +18,11 @@
 //!    *every* in-flight stream on the connection (head-of-line
 //!    blocking), while QUIC (DoQ) re-transmits inside the affected
 //!    stream and plain Do53 burns its per-datagram retry timer.
-//! 2. **The stub cache.** A capacity-bounded [`DnsCache`] sits in the
-//!    resolution path: duplicate hostnames inside one page hit
-//!    intra-page, and warm revisits hit cross-page until TTLs expire. A
-//!    periodic 1 s sweep event clears expired entries during the visit.
+//! 2. **The stub cache.** A capacity-bounded LRU cache of the page's
+//!    hostname ids sits in the resolution path: duplicate hostnames
+//!    inside one page hit intra-page, and warm revisits hit cross-page
+//!    until TTLs expire. A periodic 1 s sweep event clears expired
+//!    entries during the visit.
 //! 3. **Dependency scheduling.** Ready nodes resolve concurrently
 //!    through the simulator's event queue; a node becomes ready only
 //!    when all its parents have resolved. PLT is therefore the last
@@ -40,11 +41,7 @@
 //! wraps the whole block in `with_rng_checkpoint`, so enabling the
 //! workload never perturbs legacy or transports samples.
 
-use dohperf_dns::cache::{CacheKey, DnsCache};
-use dohperf_dns::name::DnsName;
-use dohperf_dns::rdata::RData;
-use dohperf_dns::record::ResourceRecord;
-use dohperf_dns::types::RecordType;
+use crate::cache::DnsCache;
 use dohperf_netsim::connection::{Connection, DnsTransport};
 use dohperf_netsim::engine::Simulator;
 use dohperf_netsim::event::EventId;
@@ -56,13 +53,12 @@ use dohperf_providers::provider::ProviderKind;
 use dohperf_proxy::exitnode::{ExitNode, BOOTSTRAP_CACHE_HIT_P};
 use dohperf_proxy::lifecycle::{handshake_bill, pop_answer, query_leg};
 use dohperf_telemetry::flight;
-use std::net::Ipv4Addr;
-use std::sync::OnceLock;
 
 /// Fewest resolutions a page can need (root + a handful of assets).
 pub const MIN_PAGE_DOMAINS: usize = 4;
-/// Most resolutions a page can need; keeps node indices in `u16` and
-/// the per-page state small enough to reset without reallocating.
+/// Most resolutions a page can need; keeps node indices in `u16`, the
+/// per-page state small enough to reset without reallocating, and the
+/// stub cache a fixed table indexed by hostname id.
 pub const MAX_PAGE_DOMAINS: usize = 32;
 /// Stub-cache capacity. Deliberately below [`MAX_PAGE_DOMAINS`] so the
 /// widest pages overflow it and the LRU policy is exercised on the
@@ -295,29 +291,11 @@ impl PageEvent {
     }
 }
 
-/// Cache keys for the fixed page hostnames `r0..r31.page.example`,
-/// built once per process. Names are client-independent, so the global
-/// label-intern arena stays bounded, and no page parses a name.
-fn page_keys() -> &'static [CacheKey] {
-    static KEYS: OnceLock<Vec<CacheKey>> = OnceLock::new();
-    KEYS.get_or_init(|| {
-        (0..MAX_PAGE_DOMAINS)
-            .map(|i| CacheKey {
-                name: DnsName::parse(&format!("r{i}.page.example"))
-                    .expect("static page names parse"),
-                rtype: RecordType::A,
-            })
-            .collect()
-    })
-}
-
 /// Mutable state of one page measurement. Events mutate it one at a time
 /// from [`measure_page`]'s dispatch loop.
 struct PageRun<'a> {
     exit: &'a ExitNode,
     model: &'a PageModel,
-    /// Cache key per unique name.
-    keys: &'static [CacheKey],
     pop: NodeId,
     auth: NodeId,
     provider: ProviderKind,
@@ -382,20 +360,20 @@ impl PageRun<'_> {
     /// multiplexed on the page's shared connection. Schedules the
     /// completion event.
     fn node_ready(&mut self, sim: &mut Simulator, node: u16, at: SimTime) {
+        let _hot = dohperf_telemetry::alloc::hot_scope();
         self.started_at[node as usize] = at;
-        let name_id = self.model.name_of[node as usize] as usize;
-        let hit = self.cache.get(&self.keys[name_id], cache_now(at)).is_some();
+        let hit = self
+            .cache
+            .get(self.model.name_of[node as usize], cache_now(at));
         self.was_hit[node as usize] = hit;
         let mut stall_others = SimDuration::ZERO;
         let elapsed = if hit {
             self.cache_hits += 1;
-            let _hot = dohperf_telemetry::alloc::hot_scope();
             // Local answer: stub processing only, no network.
             SimDuration::from_millis_f64(self.rng.lognormal_median(0.2, 0.2))
         } else {
             self.queries += 1;
             let (exit, pop, transport, rng) = (self.exit, self.pop, self.transport, &mut self.rng);
-            let _hot = dohperf_telemetry::alloc::hot_scope();
             // The lifecycle query bill, with the loss asymmetry lifted to
             // page granularity: TCP stalls every in-flight sibling, QUIC
             // and UDP stay stream-local.
@@ -429,19 +407,11 @@ impl PageRun<'_> {
         if let Some(pos) = self.in_flight.iter().position(|slot| slot.0 == node) {
             self.in_flight.swap_remove(pos);
         }
-        let name_id = self.model.name_of[node as usize] as usize;
+        let name_id = self.model.name_of[node as usize];
         if !self.was_hit[node as usize] {
-            // The one allocating step of a page event: the cache owns a
-            // copy of the key and the answer. It runs outside the hot
-            // scope, so the steady-state gate does not cover it.
-            let ttl = self.model.ttl_of[name_id];
-            let key = &self.keys[name_id];
-            let answer = vec![ResourceRecord::new(
-                key.name.clone(),
-                ttl,
-                RData::A(Ipv4Addr::new(198, 51, 100, name_id as u8 + 1)),
-            )];
-            self.cache.insert(key.clone(), answer, cache_now(at), ttl);
+            let _hot = dohperf_telemetry::alloc::hot_scope();
+            let ttl = self.model.ttl_of[usize::from(name_id)];
+            self.cache.insert(name_id, cache_now(at), ttl);
         }
         if self.recording {
             let span = flight::start_span(
@@ -533,7 +503,6 @@ pub fn measure_page(
     let mut run = PageRun {
         exit,
         model,
-        keys: page_keys(),
         pop,
         auth,
         provider,
@@ -640,8 +609,7 @@ pub fn measure_page(
         flight::end_span(page_span, sim.now().as_nanos());
     }
 
-    // Shared counters take one add per page, not one per event; the
-    // cache publishes its own when `run` drops.
+    // Shared counters take one add per page, not one per event.
     dohperf_telemetry::counter!("campaign.page_visits").add(u64::from(visits));
     if run.queries > 0 {
         dohperf_telemetry::counter!("campaign.page_queries").add(u64::from(run.queries));
@@ -650,6 +618,7 @@ pub fn measure_page(
         dohperf_telemetry::counter!("campaign.page_tcp_stalls").add(run.tcp_stalls);
     }
     dohperf_telemetry::counter!("netsim.events_dispatched").add(run.events);
+    run.cache.publish();
 
     PageOutcome {
         plt_cold_ms,

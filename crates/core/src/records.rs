@@ -84,7 +84,7 @@ impl TransportSample {
 /// The page is a synthetic dependency DAG of DNS resolutions; PLT is
 /// the critical path through that DAG with every query multiplexed
 /// over one shared connection. The cold visit starts with an empty
-/// `DnsCache` and a cold connection; warm visits revisit the same page
+/// stub cache and a cold connection; warm visits revisit the same page
 /// with the cache and connection still live.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PageSample {

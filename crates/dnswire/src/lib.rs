@@ -1,9 +1,8 @@
 //! # dohperf-dns
 //!
 //! A from-scratch DNS implementation: the RFC 1035 wire format (names with
-//! message compression, headers, questions, resource records), a
-//! TTL-driven cache, and the RFC 8484 DNS-over-HTTPS payload encodings
-//! (base64url GET and POST).
+//! message compression, headers, questions, resource records) and the
+//! RFC 8484 DNS-over-HTTPS payload encodings (base64url GET and POST).
 //!
 //! This crate is pure protocol logic — no sockets, no simulation — so it is
 //! shared by both the simulated substrate (`dohperf-proxy`,
@@ -22,7 +21,6 @@
 //! ```
 
 pub mod base64url;
-pub mod cache;
 pub mod doh;
 pub mod error;
 pub mod header;
@@ -35,7 +33,6 @@ pub mod record;
 pub mod types;
 pub mod wire;
 
-pub use cache::{CacheKey, DnsCache};
 pub use doh::{DohMethod, DohRequest};
 pub use error::DnsError;
 pub use header::{Header, HeaderFlags};
@@ -49,7 +46,6 @@ pub use types::{Opcode, RCode, RecordClass, RecordType};
 
 /// Convenience re-exports.
 pub mod prelude {
-    pub use crate::cache::{CacheKey, DnsCache};
     pub use crate::doh::{DohMethod, DohRequest};
     pub use crate::error::DnsError;
     pub use crate::header::{Header, HeaderFlags};

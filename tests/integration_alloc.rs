@@ -48,11 +48,10 @@ static ALLOC: alloc::CountingAllocator = alloc::CountingAllocator;
 fn config(threads: usize) -> CampaignConfig {
     // `pages_per_client: 2` folds the page-load workload into every run
     // here, so the warm pair also gates the page path inside its hot
-    // scopes: each resolution's bill on the multiplexed connection and
-    // the typed event loop's schedule, cancel and pop. The miss path's
-    // insert into the bounded page cache allocates (the cache owns a
-    // copy of the key and answer) and runs outside any hot scope, so
-    // this gate does not cover it (DESIGN.md §15).
+    // scopes: the stub-cache probe and each resolution's bill on the
+    // multiplexed connection, the miss path's insert into the page's
+    // fixed id-indexed cache, and the typed event loop's schedule,
+    // cancel and pop (DESIGN.md §15).
     CampaignConfig {
         threads,
         pages_per_client: 2,
