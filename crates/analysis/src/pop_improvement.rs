@@ -9,7 +9,7 @@
 
 use dohperf_core::records::Dataset;
 use dohperf_providers::provider::{ProviderKind, ALL_PROVIDERS};
-use dohperf_stats::desc::{median, quantile};
+use dohperf_stats::desc::quantile_sorted;
 
 /// Figure 6/9 statistics for one provider.
 #[derive(Debug, Clone)]
@@ -51,10 +51,10 @@ pub fn pop_improvement(ds: &Dataset) -> Vec<PopImprovementStats> {
             let optimal = improvements.iter().filter(|&&x| x < 10.0).count() as f64 / n;
             PopImprovementStats {
                 provider,
-                median_improvement_miles: median(&improvements),
+                median_improvement_miles: quantile_sorted(&improvements, 0.5),
                 over_1000_miles_fraction: over_1000,
                 optimal_fraction: optimal,
-                p90_distance_miles: quantile(&distances, 0.9),
+                p90_distance_miles: quantile_sorted(&distances, 0.9),
                 improvements_miles: improvements,
                 distances_miles: distances,
             }
@@ -140,8 +140,14 @@ mod tests {
         // With 26 PoPs vs 146, Google clients sit farther from their
         // servicing PoP (Figure 9) even though assignment is cleaner.
         let stats = pop_improvement(shared_dataset());
-        let gg = median(&stats_for(&stats, ProviderKind::Google).distances_miles);
-        let cf = median(&stats_for(&stats, ProviderKind::Cloudflare).distances_miles);
+        let gg = quantile_sorted(
+            &stats_for(&stats, ProviderKind::Google).distances_miles,
+            0.5,
+        );
+        let cf = quantile_sorted(
+            &stats_for(&stats, ProviderKind::Cloudflare).distances_miles,
+            0.5,
+        );
         assert!(gg > cf, "google {gg} cloudflare {cf}");
     }
 

@@ -158,7 +158,7 @@ mod tests {
     }
 
     /// The straightforward definition: one filtered pass per (region,
-    /// provider) cell, an ISO lookup per record, and a sort per quantile.
+    /// provider) cell, an ISO lookup per record, and a selection per quantile.
     fn naive_region_summaries(ds: &Dataset) -> Vec<RegionSummary> {
         use dohperf_stats::desc::{median, quantile};
         use dohperf_world::countries::country;

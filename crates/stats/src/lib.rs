@@ -33,7 +33,7 @@ pub use desc::{ecdf, mean, median, quantile};
 pub use logistic::{LogisticFit, LogisticRegression};
 pub use matrix::Matrix;
 pub use ols::{OlsFit, OlsRegression};
-pub use resample::{bootstrap_ci, median_ci, spearman, ConfidenceInterval};
+pub use resample::{median_ci, spearman, ConfidenceInterval};
 pub use scale::MinMaxScaler;
 pub use special::{erf, normal_cdf};
 

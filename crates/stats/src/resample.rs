@@ -33,48 +33,21 @@ impl ConfidenceInterval {
     }
 }
 
-/// Percentile bootstrap for an arbitrary statistic.
-///
-/// `resamples` of 1,000–2,000 are plenty for 95% intervals. Deterministic:
-/// the same inputs always produce the same interval. `None` for empty
-/// input, a level outside [0, 1), a NaN in `xs`, or a NaN statistic.
-pub fn bootstrap_ci<F>(
-    xs: &[f64],
-    statistic: F,
-    resamples: usize,
-    level: f64,
-    seed: u64,
-) -> Option<ConfidenceInterval>
-where
-    F: Fn(&[f64]) -> f64,
-{
-    if xs.is_empty() || !(0.0..1.0).contains(&level) || xs.iter().any(|x| x.is_nan()) {
-        return None;
-    }
-    let estimate = statistic(xs);
-    let mut rng = XorShift::new(seed);
-    let mut stats = Vec::with_capacity(resamples);
-    let mut buffer = vec![0.0; xs.len()];
-    for _ in 0..resamples.max(1) {
-        for slot in buffer.iter_mut() {
-            *slot = xs[rng.next_index(xs.len())];
-        }
-        stats.push(statistic(&buffer));
-    }
-    percentile_interval(estimate, stats, level)
-}
-
 /// Bootstrap CI for the median — the workhorse for latency summaries.
 ///
-/// Bit-identical to `bootstrap_ci(xs, desc::median, 1000, level, seed)`,
-/// by a rank-count kernel: `xs` is sorted once, and each resample draws
-/// the same n indices from the same xorshift stream but only counts how
-/// often each rank is drawn. A prefix scan over the counts then finds the
-/// two middle order statistics, which are combined with the arithmetic of
+/// A percentile bootstrap over 1000 resamples by a rank-count kernel:
+/// `xs` is sorted once, and each resample draws n indices from a
+/// deterministic xorshift stream but only counts how often each rank is
+/// drawn. A prefix scan over the counts then finds the two middle order
+/// statistics, which are combined with the arithmetic of
 /// `desc::quantile_sorted`. O(n) per resample, with no comparisons and
-/// no allocation inside the resample loop. (A `-0.0` drawn beside a
-/// `+0.0` may come out with either sign in the generic path; latencies
-/// are never `-0.0`.)
+/// no allocation inside the resample loop. The unit tests hold it
+/// bit-identical to the generic bootstrap that copies each resample and
+/// takes its `desc::median`, with one exception: when `xs` holds both
+/// `-0.0` and `+0.0`, the generic path orders tied zeros by draw order
+/// and this kernel by their order in `xs`, so a zero bound may differ
+/// in sign. Latencies are never `-0.0`. `None` for empty input, a level
+/// outside [0, 1), a NaN in `xs` or a NaN resample median.
 pub fn median_ci(xs: &[f64], level: f64, seed: u64) -> Option<ConfidenceInterval> {
     const RESAMPLES: usize = 1000;
     if xs.is_empty() || !(0.0..1.0).contains(&level) {
@@ -209,6 +182,41 @@ impl XorShift {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Percentile bootstrap for an arbitrary statistic: the oracle that
+    /// `median_ci` is held to. Each resample is copied out and handed to
+    /// `statistic`. `None` for empty input, a level outside [0, 1), a
+    /// NaN in `xs`, or a NaN statistic.
+    fn bootstrap_ci<F>(
+        xs: &[f64],
+        statistic: F,
+        resamples: usize,
+        level: f64,
+        seed: u64,
+    ) -> Option<ConfidenceInterval>
+    where
+        F: Fn(&[f64]) -> f64,
+    {
+        if xs.is_empty() || !(0.0..1.0).contains(&level) || xs.iter().any(|x| x.is_nan()) {
+            return None;
+        }
+        let estimate = statistic(xs);
+        let mut rng = XorShift::new(seed);
+        let mut stats = Vec::with_capacity(resamples);
+        let mut buffer = vec![0.0; xs.len()];
+        for _ in 0..resamples.max(1) {
+            for slot in buffer.iter_mut() {
+                *slot = xs[rng.next_index(xs.len())];
+            }
+            stats.push(statistic(&buffer));
+        }
+        percentile_interval(estimate, stats, level)
+    }
+
+    fn finite_vec(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
+        proptest::collection::vec(-1e6f64..1e6, len)
+    }
 
     fn sample(n: usize) -> Vec<f64> {
         // Deterministic right-skewed sample.
@@ -269,10 +277,43 @@ mod tests {
     fn bootstrap_ci_returns_none_on_nan() {
         let mut xs = sample(100);
         xs[0] = f64::NAN;
-        assert!(bootstrap_ci(&xs, crate::desc::median, 100, 0.95, 7).is_none());
+        assert!(bootstrap_ci(&xs, desc::median, 100, 0.95, 7).is_none());
         // A statistic that is NaN on finite input is rejected too.
         let nan_stat = |_: &[f64]| f64::NAN;
         assert!(bootstrap_ci(&sample(10), nan_stat, 100, 0.95, 7).is_none());
+    }
+
+    proptest! {
+        // Each case runs the generic bootstrap: 1000 medians of up to
+        // 3000 values, slow in a debug build.
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The rank-count median bootstrap is bit-identical to the
+        /// generic bootstrap over `desc::median`: tiny, odd and even
+        /// lengths, with and without heavy ties. (No `-0.0`: see
+        /// `median_ci`.)
+        #[test]
+        fn median_ci_is_the_generic_bootstrap(
+            xs in prop_oneof![
+                finite_vec(1..8),
+                finite_vec(1..3000),
+                // Heavy ties: at most 8 distinct values.
+                proptest::collection::vec((0u32..8).prop_map(|v| f64::from(v) * 12.5), 1..3000),
+            ],
+            level in 0.0f64..1.0,
+            seed in any::<u64>(),
+        ) {
+            let fast = median_ci(&xs, level, seed).unwrap();
+            let generic = bootstrap_ci(&xs, desc::median, 1000, level, seed).unwrap();
+            for (a, b) in [
+                (fast.estimate, generic.estimate),
+                (fast.lo, generic.lo),
+                (fast.hi, generic.hi),
+                (fast.level, generic.level),
+            ] {
+                prop_assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
     }
 
     #[test]

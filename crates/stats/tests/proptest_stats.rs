@@ -1,7 +1,6 @@
 //! Property-based tests for the statistics substrate.
 
 use dohperf_stats::prelude::*;
-use dohperf_stats::{bootstrap_ci, median_ci};
 use proptest::prelude::*;
 
 fn finite_vec(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f64>> {
@@ -104,39 +103,6 @@ proptest! {
                     prop_assert!((-1e-9..=1.0 + 1e-9).contains(&v));
                 }
             }
-        }
-    }
-}
-
-proptest! {
-    // Each case runs the generic bootstrap: 1000 sorts of up to 3000
-    // values, slow in a debug build.
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The rank-count median bootstrap is bit-identical to the generic
-    /// bootstrap over `desc::median`: tiny, odd and even lengths, with
-    /// and without heavy ties. (No `-0.0`: the generic path's sign for a
-    /// `-0.0`/`+0.0` tie depends on draw order.)
-    #[test]
-    fn median_ci_is_the_generic_bootstrap(
-        xs in prop_oneof![
-            finite_vec(1..8),
-            finite_vec(1..3000),
-            // Heavy ties: at most 8 distinct values.
-            proptest::collection::vec((0u32..8).prop_map(|v| f64::from(v) * 12.5), 1..3000),
-        ],
-        level in 0.0f64..1.0,
-        seed in any::<u64>(),
-    ) {
-        let fast = median_ci(&xs, level, seed).unwrap();
-        let generic = bootstrap_ci(&xs, median, 1000, level, seed).unwrap();
-        for (a, b) in [
-            (fast.estimate, generic.estimate),
-            (fast.lo, generic.lo),
-            (fast.hi, generic.hi),
-            (fast.level, generic.level),
-        ] {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 }
