@@ -24,6 +24,7 @@ use dohperf_providers::provider::{ProviderKind, ALL_PROVIDERS};
 use dohperf_stats::desc::median;
 use dohperf_telemetry::flight::{QueryTrace, SpanRecord};
 use dohperf_telemetry::{perfetto, phases};
+use std::cell::OnceCell;
 use std::fmt::Write as _;
 
 /// What the `export` experiment writes, and how the campaign stores its
@@ -215,6 +216,9 @@ pub const EXPERIMENTS: &[Experiment] = &[
 pub struct ReproContext {
     config: ReproConfig,
     dataset: Option<Dataset>,
+    /// The untweaked reduced-scale campaign every ablation compares its
+    /// variant against, run on first use.
+    variant_base: OnceCell<Dataset>,
     /// Failures from artifact writers and inconsistent inputs; the
     /// binary turns a non-empty list into a nonzero exit.
     errors: Vec<String>,
@@ -226,6 +230,7 @@ impl ReproContext {
         ReproContext {
             config,
             dataset: None,
+            variant_base: OnceCell::new(),
             errors: Vec::new(),
         }
     }
@@ -782,9 +787,9 @@ impl ReproContext {
 
     /// Ablation: TLS 1.2 vs TLS 1.3 (the paper's §7 limitation note).
     pub fn ablation_tls12(&self) -> String {
-        let base = self.variant_dataset(|_| {});
+        let base = self.variant_base();
         let tls12 = self.variant_dataset(|cfg| cfg.measurement.tls = TlsVersion::V1_2);
-        let h13 = headline_stats(&base);
+        let h13 = headline_stats(base);
         let h12 = headline_stats(&tls12);
         let mut out = String::from(
             "Ablation: TLS 1.2 clients (paper §7: \"clients that still use TLS 1.2 will have slower DoH performance overall\")
@@ -817,13 +822,13 @@ impl ReproContext {
 
     /// Ablation: perfect anycast routing for every provider.
     pub fn ablation_anycast(&self) -> String {
-        let base = self.variant_dataset(|_| {});
+        let base = self.variant_base();
         let perfect = self.variant_dataset(|cfg| cfg.perfect_anycast = true);
         let mut out = String::from(
             "Ablation: perfect nearest-PoP anycast (how much of the slowdown is routing?)
 ",
         );
-        let base_cdfs = provider_cdfs(&base);
+        let base_cdfs = provider_cdfs(base);
         let perf_cdfs = provider_cdfs(&perfect);
         for (b, p) in base_cdfs.iter().zip(&perf_cdfs) {
             let _ = writeln!(
@@ -853,12 +858,12 @@ impl ReproContext {
 
     /// Ablation: warm caches (the §7 "cache hits and misses" future work).
     pub fn ablation_cache(&self) -> String {
-        let base = self.variant_dataset(|_| {});
+        let base = self.variant_base();
         let warm = self.variant_dataset(|cfg| {
             cfg.measurement.doh_cache_hit_p = 0.7;
             cfg.measurement.do53_cache_hit_p = 0.7;
         });
-        let hb = headline_stats(&base);
+        let hb = headline_stats(base);
         let hw = headline_stats(&warm);
         let mut out = String::from(
             "Ablation: 70% cache-hit world vs the paper's forced misses (§7 future work)
@@ -1103,9 +1108,9 @@ a traffic-weighted view of the Internet — the direction of bias the paper's §
     /// Ablation: 2% access-link packet loss — UDP timers vs TCP
     /// head-of-line stalls.
     pub fn ablation_loss(&self) -> String {
-        let base = self.variant_dataset(|_| {});
+        let base = self.variant_base();
         let lossy = self.variant_dataset(|cfg| cfg.measurement.extra_loss_p = 0.02);
-        let hb = headline_stats(&base);
+        let hb = headline_stats(base);
         let hl = headline_stats(&lossy);
         let mut out = format!(
             "Ablation: 2% access-link loss (UDP pays ~1s retransmission timers; TCP stalls \
@@ -1129,7 +1134,7 @@ a traffic-weighted view of the Internet — the direction of bias the paper's §
         let _ = writeln!(
             out,
             "p95 Do53:    clean {:>6.1}ms   lossy {:>6.1}ms   <- the timer tail",
-            p95(&base, |r| r.do53_ms),
+            p95(base, |r| r.do53_ms),
             p95(&lossy, |r| r.do53_ms)
         );
         let _ = writeln!(
@@ -1139,6 +1144,13 @@ a traffic-weighted view of the Internet — the direction of bias the paper's §
             pct(hl.ten_request_speedup_fraction)
         );
         out
+    }
+
+    /// The ablations' shared baseline: [`Self::variant_dataset`] with no
+    /// tweak, run once per context.
+    fn variant_base(&self) -> &Dataset {
+        self.variant_base
+            .get_or_init(|| self.variant_dataset(|_| {}))
     }
 
     fn variant_dataset(&self, tweak: impl FnOnce(&mut CampaignConfig)) -> Dataset {

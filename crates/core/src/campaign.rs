@@ -767,7 +767,7 @@ impl Campaign {
             .take(spec.end - spec.start)
         {
             // The range's first client walks every cold path (latency
-            // cache fills, label interning, pool priming); it is warmup
+            // cache fills, scratch-buffer growth); it is warmup
             // for the steady-state allocation gate, the rest are not.
             dohperf_telemetry::alloc::set_warmup(offset == spec.start);
             // Chunk boundaries anchor at country-absolute offsets that are
@@ -935,7 +935,6 @@ impl Campaign {
                 };
                 dohperf_telemetry::counter!("campaign.doh_queries").inc();
                 if flight::active() {
-                    record_wire_phase(&format!("c{}-r{run}.{}", exit.id, provider.hostname()));
                     // record_derivation calls the same derive_* functions
                     // the batch mirrors op-for-op, so the traced spans
                     // carry exactly the values the batch will derive.
@@ -1466,27 +1465,6 @@ fn observed_infrastructure(records: usize, countries: usize) -> (usize, usize) {
     let observed_resolvers = records.min(1_896 * records / 22_052 + 1);
     let observed_ases = (records / 10).max(countries);
     (observed_ases, observed_resolvers)
-}
-
-/// Exercise the dnswire message phases for a traced DoH run: encode the
-/// query as a GET, then decode it server-side, each emitting a flight
-/// event. The simulated transport is time-only (it never builds wire
-/// bytes), so this reconstructs the wire work the client logically did.
-/// The query name is synthesised from immutable state — never
-/// [`Testbed::fresh_subdomain`], which advances a counter and would make
-/// tracing perturb the simulation.
-fn record_wire_phase(qname: &str) {
-    use dohperf_dns::doh::DohRequest;
-    use dohperf_dns::message::Message;
-    use dohperf_dns::name::DnsName;
-    use dohperf_dns::types::RecordType;
-    let Ok(name) = DnsName::parse(qname) else {
-        return;
-    };
-    let message = Message::query(0, name, RecordType::A);
-    if let Ok(request) = DohRequest::get(&message) {
-        let _ = request.decode_message();
-    }
 }
 
 /// The deterministic trace id of a recorded query: a pure function of

@@ -8,7 +8,6 @@
 use crate::base64url;
 use crate::error::DnsError;
 use crate::message::Message;
-use dohperf_telemetry::flight;
 
 /// The DoH media type (RFC 8484 §6).
 pub const DNS_MESSAGE_CONTENT_TYPE: &str = "application/dns-message";
@@ -43,12 +42,6 @@ impl DohRequest {
         let mut normalized = message.clone();
         normalized.header.id = 0;
         let wire = normalized.encode()?;
-        if flight::active() {
-            flight::event_here(format!(
-                "dnswire: encode GET /dns-query ({} wire bytes, id zeroed)",
-                wire.len()
-            ));
-        }
         Ok(DohRequest {
             method: DohMethod::Get,
             path: format!("/dns-query?dns={}", base64url::encode(&wire)),
@@ -59,12 +52,6 @@ impl DohRequest {
     /// Build a POST request.
     pub fn post(message: &Message) -> Result<Self, DnsError> {
         let body = message.encode()?;
-        if flight::active() {
-            flight::event_here(format!(
-                "dnswire: encode POST /dns-query ({} wire bytes)",
-                body.len()
-            ));
-        }
         Ok(DohRequest {
             method: DohMethod::Post,
             path: "/dns-query".to_string(),
@@ -74,13 +61,6 @@ impl DohRequest {
 
     /// Recover the DNS message from a request (server side).
     pub fn decode_message(&self) -> Result<Message, DnsError> {
-        if flight::active() {
-            flight::event_here(format!(
-                "dnswire: decode {:?} {}",
-                self.method,
-                self.path.split('?').next().unwrap_or(&self.path)
-            ));
-        }
         match self.method {
             DohMethod::Get => {
                 let query = self

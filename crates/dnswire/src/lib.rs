@@ -4,9 +4,9 @@
 //! message compression, headers, questions, resource records) and the
 //! RFC 8484 DNS-over-HTTPS payload encodings (base64url GET and POST).
 //!
-//! This crate is pure protocol logic — no sockets, no simulation — so it is
-//! shared by both the simulated substrate (`dohperf-proxy`,
-//! `dohperf-providers`) and the real loopback servers in `dohperf-livenet`.
+//! This crate is pure protocol logic — no sockets, no simulation. Its one
+//! runtime caller is the real loopback stack in `dohperf-livenet`; the
+//! simulated campaign is time-only and builds no DNS wire bytes.
 //!
 //! ## Example
 //!
@@ -24,7 +24,6 @@ pub mod base64url;
 pub mod doh;
 pub mod error;
 pub mod header;
-pub mod intern;
 pub mod message;
 pub mod name;
 pub mod pool;
@@ -36,7 +35,6 @@ pub mod wire;
 pub use doh::{DohMethod, DohRequest};
 pub use error::DnsError;
 pub use header::{Header, HeaderFlags};
-pub use intern::Label;
 pub use message::Message;
 pub use name::DnsName;
 pub use pool::PooledBuf;

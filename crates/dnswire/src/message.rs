@@ -31,8 +31,7 @@ pub struct Message {
 
 impl Message {
     /// Build a standard recursive query for `name`/`rtype`. The name is
-    /// taken by value — callers that still need theirs clone explicitly,
-    /// and hot paths hand over an interned name with no copy at all.
+    /// taken by value; callers that still need theirs clone explicitly.
     pub fn query(id: u16, name: DnsName, rtype: RecordType) -> Self {
         let mut header = Header::new_query(id);
         header.qdcount = 1;

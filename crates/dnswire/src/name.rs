@@ -1,12 +1,13 @@
 //! Domain names.
 //!
-//! [`DnsName`] stores a validated, lowercase label sequence. Comparison is
+//! [`DnsName`] owns a validated, lowercase label sequence. Comparison is
 //! case-insensitive per RFC 1035 §2.3.3 (achieved by normalising at
 //! construction). Hostname validation follows the LDH rule with underscores
 //! additionally permitted (service labels like `_dns` appear in the wild).
+//! Labels read off the wire skip that rule: any bytes decode, lossily, to
+//! text (see `label_from_wire`).
 
 use crate::error::DnsError;
-use crate::intern::{self, Label};
 use std::fmt;
 use std::str::FromStr;
 
@@ -17,14 +18,20 @@ pub const MAX_LABEL_LEN: usize = 63;
 
 /// A validated, normalised (lowercase) domain name.
 ///
-/// Labels are interned handles (see [`crate::intern`]): cloning a name
-/// copies a vector of thin pointers, and no label string is ever
-/// re-allocated. Comparison, ordering, and hashing go through the label
-/// *content*, so behaviour is identical to the `Vec<String>`
-/// representation this replaced.
+/// The name owns its labels and drops them with itself. Equality,
+/// ordering and hashing compare the label text, most-specific label
+/// first.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DnsName {
-    labels: Vec<Label>,
+    labels: Vec<Box<str>>,
+}
+
+/// One label as the wire reader hands it over: the bytes decoded as
+/// UTF-8 (invalid sequences become U+FFFD) and ASCII lowercased.
+pub(crate) fn label_from_wire(bytes: &[u8]) -> Box<str> {
+    let mut label = String::from_utf8_lossy(bytes).into_owned();
+    label.make_ascii_lowercase();
+    label.into_boxed_str()
 }
 
 impl DnsName {
@@ -54,14 +61,12 @@ impl DnsName {
 
     /// Build from pre-validated lowercase labels (used by the wire reader,
     /// which already enforces length limits).
-    pub(crate) fn from_labels_unchecked(labels: Vec<Label>) -> Self {
+    pub(crate) fn from_labels_unchecked(labels: Vec<Box<str>>) -> Self {
         DnsName { labels }
     }
 
-    /// Validate and intern one label. The charset check guarantees ASCII,
-    /// so lowercasing happens on a stack buffer — no allocation unless
-    /// the label has never been seen before.
-    fn validate_label(raw: &str) -> Result<Label, DnsError> {
+    /// Validate one label and return its lowercase copy.
+    fn validate_label(raw: &str) -> Result<Box<str>, DnsError> {
         if raw.is_empty() {
             return Err(DnsError::EmptyLabel);
         }
@@ -74,11 +79,11 @@ impl DnsName {
         if !ok {
             return Err(DnsError::InvalidLabel(raw.to_string()));
         }
-        Ok(intern::intern_bytes_lossy_lower(raw.as_bytes()))
+        Ok(raw.to_ascii_lowercase().into_boxed_str())
     }
 
     /// The labels, most-specific first.
-    pub fn labels(&self) -> &[Label] {
+    pub fn labels(&self) -> &[Box<str>] {
         &self.labels
     }
 
@@ -139,7 +144,7 @@ impl fmt::Display for DnsName {
                 if i > 0 {
                     f.write_str(".")?;
                 }
-                f.write_str(label.as_str())?;
+                f.write_str(label)?;
             }
             Ok(())
         }
@@ -162,6 +167,25 @@ mod tests {
         let n = DnsName::parse("WWW.Example.COM").unwrap();
         assert_eq!(n.to_string(), "www.example.com");
         assert_eq!(n.label_count(), 3);
+    }
+
+    #[test]
+    fn wire_labels_lowercase_ascii() {
+        assert_eq!(&*label_from_wire(b"WWW"), "www");
+        assert_eq!(&*label_from_wire(b"MiXeD-09"), "mixed-09");
+    }
+
+    #[test]
+    fn distinct_labels_differ() {
+        let (alpha, beta) = (
+            DnsName::parse("alpha").unwrap(),
+            DnsName::parse("beta").unwrap(),
+        );
+        assert_ne!(alpha, beta);
+        assert!(alpha < beta);
+        // Ordering and equality read the text, whatever case it came in.
+        assert_eq!(DnsName::parse("ALPHA").unwrap(), alpha);
+        assert!(DnsName::parse("Alpha.beta").unwrap() < DnsName::parse("beta.alpha").unwrap());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! The [`WireReader`] follows pointers with loop protection.
 
 use crate::error::DnsError;
-use crate::intern::{self, Label};
+use crate::name::label_from_wire;
 use crate::pool::{self, PooledBuf};
 use bytes::{BufMut, BytesMut};
 
@@ -123,7 +123,7 @@ impl WireWriter {
     /// Write a domain name given as lowercase labels, using compression
     /// pointers for any suffix already present in the message.
     ///
-    /// Accepts any label representation (`&[Label]`, `&[String]`, …).
+    /// Accepts any label representation (`&[Box<str>]`, `&[String]`, …).
     pub fn put_name<L: AsRef<str>>(&mut self, labels: &[L]) -> Result<(), DnsError> {
         for start in 0..labels.len() {
             if let Some(offset) = self.find_suffix(&labels[start..]) {
@@ -258,11 +258,11 @@ impl<'a> WireReader<'a> {
         Ok(())
     }
 
-    /// Read a (possibly compressed) domain name, returning lowercase
-    /// interned labels. The cursor advances past the name as it appears
+    /// Read a (possibly compressed) domain name, returning its lowercase
+    /// labels. The cursor advances past the name as it appears
     /// at the current position; pointer targets are followed without
     /// moving the cursor.
-    pub fn get_name(&mut self) -> Result<Vec<Label>, DnsError> {
+    pub fn get_name(&mut self) -> Result<Vec<Box<str>>, DnsError> {
         let mut labels = Vec::new();
         let mut pos = self.pos;
         let mut followed_pointer = false;
@@ -311,7 +311,7 @@ impl<'a> WireReader<'a> {
                 return Err(DnsError::NameTooLong(total_len));
             }
             let label = &self.data[start..end];
-            labels.push(intern::intern_bytes_lossy_lower(label));
+            labels.push(label_from_wire(label));
             pos = end;
         }
     }
@@ -321,9 +321,9 @@ impl<'a> WireReader<'a> {
 mod tests {
     use super::*;
 
-    /// Interned labels as plain strings, for comparison with expectations.
-    fn strs(labels: Vec<Label>) -> Vec<String> {
-        labels.into_iter().map(|l| l.as_str().to_string()).collect()
+    /// Labels as plain strings, for comparison with expectations.
+    fn strs(labels: Vec<Box<str>>) -> Vec<String> {
+        labels.into_iter().map(String::from).collect()
     }
 
     #[test]
@@ -452,6 +452,18 @@ mod tests {
             strs(r.get_name().unwrap()),
             vec!["www".to_string(), "com".to_string()]
         );
+    }
+
+    #[test]
+    fn non_ascii_bytes_match_the_lossy_string_path() {
+        let raw: &[u8] = &[0x46, 0xff, 0x6f]; // F <invalid> o
+        let expected = String::from_utf8_lossy(raw).to_ascii_lowercase();
+        assert_eq!(expected, "f\u{fffd}o");
+        let mut buf = vec![raw.len() as u8];
+        buf.extend_from_slice(raw);
+        buf.push(0);
+        let mut r = WireReader::new(&buf);
+        assert_eq!(strs(r.get_name().unwrap()), vec![expected]);
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //! validation and analyses on top of it:
 //!
 //! * [`netsim`] — the discrete-event network simulator substrate.
-//! * [`dns`] — the DNS wire format, caching and RFC 8484 DoH payloads.
-//! * [`http`] — HTTP/1.1, CONNECT tunnels, BrightData timing headers,
-//!   TLS handshake modelling.
+//! * [`dns`] — the DNS wire format and RFC 8484 DoH payloads.
+//! * [`http`] — HTTP/1.1, CONNECT tunnels, BrightData timing headers.
 //! * [`world`] — countries, cities, geodesy, geolocation, population.
 //! * [`providers`] — Cloudflare / Google / NextDNS / Quad9 PoP fleets,
 //!   anycast policies, and the ISP default-resolver model.

@@ -6,7 +6,11 @@
 //! crate's `src/`, `tests/` or `examples/`, or under one of the paths
 //! its `[[test]]` / `[[example]]` / `[[bin]]` targets name; a
 //! `[features]` entry forwarding to the dependency also counts as a
-//! use. And every `[workspace.dependencies]` entry must be declared by
+//! use. A `[dependencies]` entry must moreover be used by non-test code:
+//! a crate's `src/` files up to their first top-level `#[cfg(test)]`, or
+//! the paths its `[[bin]]` / `[[example]]` targets name; a dependency
+//! only tests use belongs under `[dev-dependencies]`, where it stays out
+//! of the crate's dependents' builds. And every `[workspace.dependencies]` entry must be declared by
 //! at least one member, and every `shims/*` directory must be the path
 //! of such an entry (`members = ["shims/*"]` would otherwise keep
 //! building a leftover shim). A declared-but-unused crate only costs
@@ -20,6 +24,8 @@ use std::path::{Path, PathBuf};
 struct Manifest {
     /// Dependency names from the dependency sections.
     deps: Vec<String>,
+    /// The names under `[dependencies]` alone.
+    runtime_deps: Vec<String>,
     /// `[workspace.dependencies]` names (root manifest only).
     workspace_deps: Vec<String>,
     /// `path = "..."` values of the `[workspace.dependencies]` entries.
@@ -28,6 +34,8 @@ struct Manifest {
     features: String,
     /// `path = "..."` values of the explicit targets.
     target_paths: Vec<PathBuf>,
+    /// The `[[bin]]` / `[[example]]` subset of `target_paths`.
+    runtime_target_paths: Vec<PathBuf>,
 }
 
 /// A line-based reader for the small TOML subset the manifests use:
@@ -50,7 +58,11 @@ fn read_manifest(path: &Path) -> Manifest {
         let key = key.trim();
         let name = key.strip_suffix(".workspace").unwrap_or(key).to_string();
         match section.as_str() {
-            "dependencies" | "dev-dependencies" | "build-dependencies" => m.deps.push(name),
+            "dependencies" => {
+                m.runtime_deps.push(name.clone());
+                m.deps.push(name);
+            }
+            "dev-dependencies" | "build-dependencies" => m.deps.push(name),
             "workspace.dependencies" => {
                 m.workspace_deps.push(name);
                 let path = value
@@ -60,8 +72,11 @@ fn read_manifest(path: &Path) -> Manifest {
             }
             "features" => m.features.push_str(value),
             "test" | "example" | "bin" | "bench" if key == "path" => {
-                m.target_paths
-                    .push(PathBuf::from(value.trim().trim_matches('"')));
+                let path = PathBuf::from(value.trim().trim_matches('"'));
+                if matches!(section.as_str(), "example" | "bin") {
+                    m.runtime_target_paths.push(path.clone());
+                }
+                m.target_paths.push(path);
             }
             _ => {}
         }
@@ -157,6 +172,63 @@ fn every_crate_dependency_is_used() {
     );
 }
 
+/// `text` up to its first top-level `#[cfg(test)]` line: the part of a
+/// source file a non-test build compiles.
+fn non_test_part(text: &str) -> &str {
+    let mut at = 0;
+    for line in text.split_inclusive('\n') {
+        if line.trim_end() == "#[cfg(test)]" {
+            break;
+        }
+        at += line.len();
+    }
+    &text[..at]
+}
+
+#[test]
+fn every_runtime_dependency_is_used_outside_tests() {
+    let root = workspace_root();
+    let mut test_only = Vec::new();
+    let mut checked = 0;
+    for manifest_path in member_manifests(&root) {
+        let crate_dir = manifest_path.parent().expect("crate dir");
+        if !crate_dir.starts_with(root.join("crates")) {
+            continue;
+        }
+        let manifest = read_manifest(&manifest_path);
+        let mut files = Vec::new();
+        rust_files(&crate_dir.join("src"), &mut files);
+        let mut sources: Vec<String> = files
+            .iter()
+            .map(|f| fs::read_to_string(f).unwrap_or_else(|e| panic!("{}: {e}", f.display())))
+            .map(|text| non_test_part(&text).to_string())
+            .collect();
+        let mut targets = Vec::new();
+        for target in &manifest.runtime_target_paths {
+            rust_files(&crate_dir.join(target), &mut targets);
+        }
+        sources.extend(
+            targets
+                .iter()
+                .map(|f| fs::read_to_string(f).unwrap_or_else(|e| panic!("{}: {e}", f.display()))),
+        );
+        for dep in &manifest.runtime_deps {
+            checked += 1;
+            let lib = dep.replace('-', "_");
+            let forwarded = manifest.features.contains(&format!("\"{dep}/"))
+                || manifest.features.contains(&format!("\"dep:{dep}\""));
+            if !forwarded && !sources.iter().any(|s| mentions_ident(s, &lib)) {
+                test_only.push(format!("{}: {dep}", manifest_path.display()));
+            }
+        }
+    }
+    assert!(checked > 0, "no [dependencies] found under crates/");
+    assert!(
+        test_only.is_empty(),
+        "[dependencies] entries no non-test code uses (move them to [dev-dependencies]): {test_only:#?}"
+    );
+}
+
 #[test]
 fn every_workspace_dependency_is_declared_by_a_member() {
     let root = workspace_root();
@@ -207,6 +279,16 @@ fn reader_finds_declared_dependencies_and_uses() {
     assert!(manifest
         .target_paths
         .contains(&PathBuf::from("../../tests/integration_manifest.rs")));
+    assert!(!manifest
+        .runtime_target_paths
+        .contains(&PathBuf::from("../../tests/integration_manifest.rs")));
+    assert!(!manifest.runtime_deps.iter().any(|d| d == "proptest"));
+    let code = "pub fn f() {}\n#[cfg(test)]\nmod tests {\n    #[cfg(test)]\n}\n";
+    assert_eq!(non_test_part(code), "pub fn f() {}\n");
+    assert_eq!(
+        non_test_part("    #[cfg(test)]\nfn g() {}"),
+        "    #[cfg(test)]\nfn g() {}"
+    );
     assert!(mentions_ident("use dohperf_dns::name;", "dohperf_dns"));
     assert!(!mentions_ident("use dohperf_dnsx::name;", "dohperf_dns"));
     assert!(!mentions_ident("let operand = 1;", "rand"));
