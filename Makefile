@@ -13,11 +13,11 @@ test:
 doc:
 	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
-# Quick reproduction of every table and figure (25% scale, ~1 min).
+# Quick reproduction of every table and figure (25% scale).
 repro:
 	cargo run --release -p dohperf-bench --bin repro -- all
 
-# The paper's full 22k-client scale (~5 min).
+# The paper's full 22k-client scale.
 repro-full:
 	cargo run --release -p dohperf-bench --bin repro -- --scale 1.0 all
 
@@ -37,8 +37,8 @@ clippy:
 	cargo clippy --workspace --all-targets -- -D warnings
 
 # Every byte-identity and metrics gate, one row each of
-# crates/bench/src/gates.rs: metrics vs ci/baseline-metrics*.json at
-# tolerance 0 (exit 3 on drift), --from-store and thread/shard store
+# crates/bench/src/gates.rs: metrics vs ci/baseline-metrics*.json,
+# exactly (exit 3 on drift), --from-store and thread/shard store
 # bytes identical to the direct run, and the golden traces.
 # `repro gate NAME...` runs single rows.
 gates:

@@ -42,7 +42,7 @@ pub struct LogisticModelReport {
 }
 
 /// The four DoH-N horizons of Table 4.
-pub const HORIZONS: [u32; 4] = [1, 10, 100, 1000];
+const HORIZONS: [u32; 4] = [1, 10, 100, 1000];
 
 const FEATURES: [&str; 7] = [
     "bandwidth_slow",

@@ -13,7 +13,7 @@ use dohperf_stats::desc::quantile_sorted;
 use dohperf_world::countries::Region;
 
 /// All regions in display order.
-pub const ALL_REGIONS: [Region; 6] = [
+const ALL_REGIONS: [Region; 6] = [
     Region::Africa,
     Region::Asia,
     Region::Europe,

@@ -61,7 +61,7 @@ impl TimelineCell {
     }
 
     /// Cache hit fraction (0.0 without lookups).
-    pub fn cache_hit_rate(&self) -> f64 {
+    fn cache_hit_rate(&self) -> f64 {
         if self.cache_lookups == 0 {
             0.0
         } else {
@@ -93,11 +93,7 @@ impl Timeline {
     }
 
     /// One (provider, transport) pair's cells, in window order.
-    pub fn series_for(
-        &self,
-        provider: ProviderKind,
-        transport: DnsTransport,
-    ) -> Vec<&TimelineCell> {
+    fn series_for(&self, provider: ProviderKind, transport: DnsTransport) -> Vec<&TimelineCell> {
         self.cells
             .iter()
             .filter(|c| c.provider == provider && c.transport == transport)

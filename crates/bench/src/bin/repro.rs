@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! repro [--seed N] [--scale F] [--threads N] [--shard-size N]
-//!       [--metrics PATH] [--baseline PATH] [--tolerance F]
+//!       [--metrics PATH] [--baseline PATH]
 //!       [--protocols LIST] [--pages N] [--window-hours H]
 //!       [--out-format both|csv|jsonl|store]
 //!       [--store-dir DIR] [--from-store DIR] [--trace-out PATH]
@@ -77,8 +77,8 @@
 //! experiments finish and prints the human-readable table to stderr.
 //! `--baseline PATH` additionally compares the snapshot's deterministic
 //! section against a previously written one, exiting with code 3 when any
-//! metric drifts beyond `--tolerance` (a finite relative bound >= 0,
-//! default 0 = exact).
+//! field of any metric differs (deterministic metrics are exact integers,
+//! so the comparison is exact).
 //!
 //! `gate` runs the rows of `dohperf_bench::gates::GATES`: every
 //! byte-identity and metrics gate CI holds the tree to (metrics vs
@@ -101,7 +101,6 @@ fn main() {
     let mut requested = Vec::new();
     let mut metrics_path: Option<std::path::PathBuf> = None;
     let mut baseline_path: Option<std::path::PathBuf> = None;
-    let mut tolerance = 0.0f64;
     let mut explain_mode = false;
     let mut explain_query: Option<u64> = None;
     let mut args = std::env::args().skip(1).peekable();
@@ -146,13 +145,6 @@ fn main() {
                         .unwrap_or_else(|| usage("--baseline needs a path"))
                         .into(),
                 );
-            }
-            "--tolerance" => {
-                tolerance = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&t: &f64| t >= 0.0 && t.is_finite())
-                    .unwrap_or_else(|| usage("--tolerance needs a finite float >= 0"));
             }
             "--seed" => {
                 config.seed = args
@@ -325,7 +317,7 @@ fn main() {
                     eprintln!("error: reading baseline {}: {e}", path.display());
                     std::process::exit(2);
                 });
-            let report = snap.compare_deterministic(&baseline, tolerance);
+            let report = snap.compare_deterministic(&baseline);
             eprint!("{}", report.render());
             if !report.ok() {
                 std::process::exit(3);
@@ -349,7 +341,7 @@ fn usage(err: &str) -> ! {
     }
     eprintln!(
         "usage: repro [--seed N] [--scale F] [--threads N] [--shard-size N] [--metrics PATH] \
-         [--baseline PATH] [--tolerance F] [--protocols do53,doh,dot,doq] [--pages N] \
+         [--baseline PATH] [--protocols do53,doh,dot,doq] [--pages N] \
          [--window-hours H] [--out-format both|csv|jsonl|store] \
          [--store-dir DIR] [--from-store DIR] [--trace-out PATH] [--trace-sample N] \
          <experiment>...\n       repro all\n       repro explain --query ID\n       \

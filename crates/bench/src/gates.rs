@@ -5,8 +5,8 @@
 //! runner applies the same checks to every row:
 //!
 //! * **store rows** (a metrics baseline): the campaign streams through the
-//!   columnar store and its deterministic metrics are compared against the
-//!   baseline at tolerance 0 (exit 3 on drift); `--from-store` at
+//!   columnar store and its deterministic metrics must equal the
+//!   baseline field for field (exit 3 on drift); `--from-store` at
 //!   `--threads 1` and `--threads 8` must print the direct run's bytes;
 //!   and the stores written at `--shard-size 5` on 1 and on 8 threads must
 //!   equal the direct run's `records.chunks` and `manifest.bin`.

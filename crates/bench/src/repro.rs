@@ -243,13 +243,13 @@ impl ReproContext {
     }
 
     /// Report a failure on stderr and record it for exit-code propagation.
-    pub fn record_error(&mut self, message: String) {
+    fn record_error(&mut self, message: String) {
         eprintln!("error: {message}");
         self.errors.push(message);
     }
 
     /// Record an I/O failure for exit-code propagation.
-    pub fn record_io_error(&mut self, context: &str, err: &std::io::Error) {
+    fn record_io_error(&mut self, context: &str, err: &std::io::Error) {
         self.record_error(format!("{context}: {err}"));
     }
 
@@ -786,7 +786,7 @@ impl ReproContext {
     }
 
     /// Ablation: TLS 1.2 vs TLS 1.3 (the paper's §7 limitation note).
-    pub fn ablation_tls12(&self) -> String {
+    fn ablation_tls12(&self) -> String {
         let base = self.variant_base();
         let tls12 = self.variant_dataset(|cfg| cfg.measurement.tls = TlsVersion::V1_2);
         let h13 = headline_stats(base);
@@ -821,7 +821,7 @@ impl ReproContext {
     }
 
     /// Ablation: perfect anycast routing for every provider.
-    pub fn ablation_anycast(&self) -> String {
+    fn ablation_anycast(&self) -> String {
         let base = self.variant_base();
         let perfect = self.variant_dataset(|cfg| cfg.perfect_anycast = true);
         let mut out = String::from(
@@ -857,7 +857,7 @@ impl ReproContext {
     }
 
     /// Ablation: warm caches (the §7 "cache hits and misses" future work).
-    pub fn ablation_cache(&self) -> String {
+    fn ablation_cache(&self) -> String {
         let base = self.variant_base();
         let warm = self.variant_dataset(|cfg| {
             cfg.measurement.doh_cache_hit_p = 0.7;
@@ -927,7 +927,7 @@ so DoH-by-default remains a first-connection tax even in a warm-cache world.
     }
 
     /// Write gnuplot-ready .dat files for every figure into `dir`.
-    pub fn figdata(&mut self, dir: &std::path::Path) -> std::io::Result<String> {
+    fn figdata(&mut self, dir: &std::path::Path) -> std::io::Result<String> {
         let ds = self.dataset();
         std::fs::create_dir_all(dir)?;
         let files = [
@@ -1080,7 +1080,7 @@ so DoH-by-default remains a first-connection tax even in a warm-cache world.
     }
 
     /// Ablation: vantage-point bias (the §7 single-proxy limitation).
-    pub fn ablation_vantage(&mut self) -> String {
+    fn ablation_vantage(&mut self) -> String {
         let ds = self.dataset();
         let cmp = dohperf_analysis::vantage::vantage_comparison(ds);
         let mut out = String::from(
@@ -1107,7 +1107,7 @@ a traffic-weighted view of the Internet — the direction of bias the paper's §
 
     /// Ablation: 2% access-link packet loss — UDP timers vs TCP
     /// head-of-line stalls.
-    pub fn ablation_loss(&self) -> String {
+    fn ablation_loss(&self) -> String {
         let base = self.variant_base();
         let lossy = self.variant_dataset(|cfg| cfg.measurement.extra_loss_p = 0.02);
         let hb = headline_stats(base);

@@ -47,6 +47,7 @@ use dohperf_proxy::atlas::AtlasNetwork;
 use dohperf_proxy::exitnode::ExitNode;
 use dohperf_proxy::network::MeasurementOptions;
 use dohperf_proxy::superproxy::SuperProxy;
+use dohperf_stats::desc::median_in_place;
 use dohperf_store::{
     ChunkWriter, Manifest, WriterStats, DEFAULT_CHUNK_BUDGET, MANIFEST_FILE, RECORDS_FILE,
 };
@@ -148,7 +149,7 @@ impl ProtocolSet {
 /// stealable ranges (the US alone holds thousands of clients at scale
 /// 1.0), large enough that per-range setup (testbed assembly, geoloc
 /// service) stays well under a percent of the range's simulation work.
-pub const DEFAULT_SHARD_SIZE: usize = 256;
+const DEFAULT_SHARD_SIZE: usize = 256;
 
 /// Campaign parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -178,7 +179,7 @@ pub struct CampaignConfig {
     /// Any value yields a byte-identical [`Dataset`]; see the module-level
     /// determinism contract.
     pub threads: usize,
-    /// Maximum clients per work unit (0 = [`DEFAULT_SHARD_SIZE`]).
+    /// Maximum clients per work unit (0 = the default, 256).
     /// Countries larger than this split into multiple client-ID ranges
     /// that idle workers can steal. Like `threads`, any value yields a
     /// byte-identical [`Dataset`]; see the module-level determinism
@@ -233,7 +234,7 @@ impl Default for CampaignConfig {
 impl CampaignConfig {
     /// The clients-per-work-unit granularity actually used (resolves the
     /// `0 = default` convention of [`CampaignConfig::shard_size`]).
-    pub fn effective_shard_size(&self) -> usize {
+    fn effective_shard_size(&self) -> usize {
         if self.shard_size == 0 {
             DEFAULT_SHARD_SIZE
         } else {
@@ -336,7 +337,7 @@ impl Campaign {
     }
 
     /// Arm the flight recorder for exactly one client (explain mode).
-    pub fn with_trace_client(mut self, client_id: u64) -> Self {
+    fn with_trace_client(mut self, client_id: u64) -> Self {
         let plan = self.flight.get_or_insert_with(FlightPlan::disabled);
         plan.only_client = Some(client_id);
         self
@@ -678,16 +679,8 @@ impl Campaign {
                         steals,
                     );
                     if range_count > 0 {
-                        let secs = wall.as_secs_f64().max(1e-9);
                         dohperf_telemetry::histogram!("campaign.worker_wall_ms", per_run)
-                            .record_ms(secs * 1_000.0);
-                        if threads > 1 {
-                            eprintln!(
-                                "[campaign] worker {worker}: {range_count} ranges, \
-                                 {client_count} clients in {secs:.2}s ({:.0} clients/s)",
-                                client_count as f64 / secs
-                            );
-                        }
+                            .record_ms(wall.as_secs_f64() * 1_000.0);
                     }
                 });
             }
@@ -950,8 +943,8 @@ impl Campaign {
                 exit.position
                     .distance_km(&deployment.sites()[pop_index].position)
             });
-            let t_doh_ms = median(batch.t_doh_ms_mut());
-            let t_dohr_ms = median(batch.t_dohr_ms_mut());
+            let t_doh_ms = median_in_place(batch.t_doh_ms_mut());
+            let t_dohr_ms = median_in_place(batch.t_dohr_ms_mut());
             if flight::active() {
                 let now = tb.sim.now().as_nanos();
                 let span = flight::start_span("campaign", format!("summary {provider}"), now);
@@ -1001,7 +994,10 @@ impl Campaign {
         let (do53_ms, do53_source) = if hijacked {
             (None, Do53Source::RipeAtlasRemedy)
         } else {
-            (Some(median(&mut do53_runs)), Do53Source::BrightDataHeader)
+            (
+                Some(median_in_place(&mut do53_runs)),
+                Do53Source::BrightDataHeader,
+            )
         };
         if flight::active() {
             let now = tb.sim.now().as_nanos();
@@ -1474,19 +1470,6 @@ fn trace_id(seed: u64, country_iso: &str, client_id: u64) -> TraceId {
     TraceId(splitmix64(
         splitmix64(seed ^ fnv1a(country_iso.as_bytes())) ^ splitmix64(client_id),
     ))
-}
-
-/// The median of a non-empty finite sample (the mean of the two middle
-/// values for an even count); sorts `xs` in place.
-pub(crate) fn median(xs: &mut [f64]) -> f64 {
-    debug_assert!(!xs.is_empty());
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    let n = xs.len();
-    if n % 2 == 1 {
-        xs[n / 2]
-    } else {
-        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
-    }
 }
 
 #[cfg(test)]

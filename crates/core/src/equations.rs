@@ -173,7 +173,7 @@ impl DerivationBatch {
 /// — not by re-deriving them locally — so the explained numbers are
 /// **bit-for-bit** the ones the campaign stores.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DerivationExplain {
+struct DerivationExplain {
     /// `T_D`, simulated nanoseconds.
     pub t_d_nanos: u64,
     /// Eq 1 input: `T_B − T_A`, ms.
@@ -205,7 +205,7 @@ pub struct DerivationExplain {
 impl DerivationExplain {
     /// Work Eq 1–8 for `obs`, preserving bit-exact equality with the
     /// plain `derive_*` functions.
-    pub fn from_observation(obs: &DohObservation) -> Self {
+    fn from_observation(obs: &DohObservation) -> Self {
         DerivationExplain {
             t_d_nanos: obs.t_d.as_nanos(),
             tb_ta_ms: obs.t_b.saturating_since(obs.t_a).as_millis_f64(),
@@ -224,7 +224,7 @@ impl DerivationExplain {
     }
 
     /// The `t3+t4+t5+t6` tunnel total, ms.
-    pub fn tun_total_ms(&self) -> f64 {
+    fn tun_total_ms(&self) -> f64 {
         self.tun_dns_ms + self.tun_connect_ms
     }
 
@@ -232,7 +232,7 @@ impl DerivationExplain {
     /// attributes, one per equation. Values use Rust's shortest
     /// round-trip `f64` formatting, so a reader can recover the exact
     /// bits the campaign stored.
-    pub fn annotate_span(&self, span: telemetry::flight::SpanToken) {
+    fn annotate_span(&self, span: telemetry::flight::SpanToken) {
         use telemetry::flight::attr;
         let tun = self.tun_total_ms();
         attr(span, "eq1.tb_ta_ms", format!("{}", self.tb_ta_ms));
@@ -300,7 +300,7 @@ impl DerivationExplain {
 
 /// Eq T1: the bootstrap resolution time of the provider hostname, ms
 /// (the `t3+t4` analogue; zero for plain Do53).
-pub fn derive_transport_bootstrap_ms(obs: &TransportObservation) -> f64 {
+fn derive_transport_bootstrap_ms(obs: &TransportObservation) -> f64 {
     obs.t_bs.saturating_since(obs.t_a).as_millis_f64()
 }
 
@@ -336,7 +336,7 @@ pub fn derive_transport_resumed_ms(obs: &TransportObservation) -> f64 {
 
 /// Eq T6: how much of the cold handshake the resumption machinery
 /// saved, ms (the 0-RTT advantage Kosek et al. identify for DoQ).
-pub fn derive_transport_resumption_saving_ms(obs: &TransportObservation) -> f64 {
+fn derive_transport_resumption_saving_ms(obs: &TransportObservation) -> f64 {
     derive_transport_handshake_ms(obs)
         - obs
             .t_resumed_hs

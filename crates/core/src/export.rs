@@ -14,7 +14,7 @@ use crate::records::{ClientRecord, Dataset};
 use std::fmt::Write as _;
 
 /// CSV header for the per-observation export.
-pub const CSV_HEADER: &str = "client_id,country,maxmind_country,prefix,lat,lon,ns_distance_miles,\
+const CSV_HEADER: &str = "client_id,country,maxmind_country,prefix,lat,lon,ns_distance_miles,\
 provider,t_doh_ms,t_dohr_ms,pop_index,pop_distance_miles,nearest_pop_distance_miles,\
 do53_ms,do53_source";
 

@@ -52,10 +52,11 @@ use dohperf_providers::pops::PopDeployment;
 use dohperf_providers::provider::ProviderKind;
 use dohperf_proxy::exitnode::{ExitNode, BOOTSTRAP_CACHE_HIT_P};
 use dohperf_proxy::lifecycle::{handshake_bill, pop_answer, query_leg};
+use dohperf_stats::desc::median_in_place;
 use dohperf_telemetry::flight;
 
 /// Fewest resolutions a page can need (root + a handful of assets).
-pub const MIN_PAGE_DOMAINS: usize = 4;
+const MIN_PAGE_DOMAINS: usize = 4;
 /// Most resolutions a page can need; keeps node indices in `u16`, the
 /// per-page state small enough to reset without reallocating, and the
 /// stub cache a fixed table indexed by hostname id.
@@ -232,12 +233,12 @@ impl PageModel {
     }
 
     /// Node `i`'s parents.
-    pub fn parents_of(&self, i: usize) -> &[u16] {
+    fn parents_of(&self, i: usize) -> &[u16] {
         &self.edges[self.edge_index[i] as usize..self.edge_index[i + 1] as usize]
     }
 
     /// Node `i`'s children, in ascending index order.
-    pub fn children_of(&self, i: usize) -> &[u16] {
+    fn children_of(&self, i: usize) -> &[u16] {
         &self.children[self.child_index[i] as usize..self.child_index[i + 1] as usize]
     }
 }
@@ -622,19 +623,11 @@ pub fn measure_page(
 
     PageOutcome {
         plt_cold_ms,
-        plt_warm_ms: median(&mut warm_plts),
+        plt_warm_ms: median_in_place(&mut warm_plts),
         cold_cache_hits: cold_hits,
         warm_cache_hits: run.cache_hits - cold_hits,
         queries: run.queries,
     }
-}
-
-/// Median of a non-empty slice (lower middle for even lengths — with
-/// the default single warm revisit this is the identity).
-fn median(xs: &mut [f64]) -> f64 {
-    assert!(!xs.is_empty());
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("PLTs are finite"));
-    xs[(xs.len() - 1) / 2]
 }
 
 #[cfg(test)]
@@ -744,7 +737,9 @@ mod tests {
     /// `[plt_cold_ms bits, plt_warm_ms bits, cold hits, warm hits,
     /// queries]`, in `DnsTransport::ALL` × `ALL_PROVIDERS` order. The
     /// pairs share one simulator and epoch, as in the campaign, so the
-    /// simulator's jitter streams carry from pair to pair.
+    /// simulator's jitter streams carry from pair to pair. Each page is
+    /// visited three times, so `plt_warm_ms` is the type-7 median of two
+    /// warm visits, the mean of the pair.
     fn pinned_outcomes(extra_loss_p: f64) -> Vec<[u64; 5]> {
         use crate::testbed::Testbed;
         use dohperf_providers::provider::ALL_PROVIDERS;
@@ -821,43 +816,43 @@ mod tests {
     /// [`pinned_outcomes`] at `extra_loss_p` 0: Do53, DoH, DoT, DoQ rows
     /// of Cloudflare, Google, Quad9, NextDNS.
     const PINNED_LOSS_FREE: [[u64; 5]; 16] = [
-        [0x4080ec0f416bdb1a, 0x40763bdbf8b9baa1, 3, 37, 56],
-        [0x4083df92da122fad, 0x4082ac7c91d14e3c, 3, 36, 57],
-        [0x408b6319567dbb17, 0x40823c4b89d6adf7, 4, 35, 57],
-        [0x40817960620ab713, 0x4080fc508893b7d8, 3, 35, 58],
-        [0x408a0d519934efcc, 0x407e9a7faf42784b, 4, 33, 59],
-        [0x408d8cf58afc47e5, 0x408442b242070b8d, 4, 35, 57],
-        [0x4090bd15a57646ae, 0x408204bd556084a5, 4, 36, 56],
-        [0x408d040384ba0e84, 0x408211950b955f78, 4, 34, 58],
-        [0x4086944a07f66e87, 0x407e3243c18b502b, 4, 35, 57],
-        [0x409109731fcd24e1, 0x407e48fae7924af1, 3, 37, 56],
-        [0x40916ea382e44b6f, 0x408a73ce1deacc92, 4, 33, 59],
-        [0x408a7fbc46d82ba6, 0x407ba39d60631727, 4, 36, 56],
-        [0x408bca2e34fc610f, 0x40777d9a6a444178, 3, 35, 58],
-        [0x408d17cfdeb52c9d, 0x4083652443914f48, 4, 35, 57],
-        [0x4093bcdda22f6a51, 0x408705cfd86a8fc1, 5, 35, 56],
-        [0x4089fc61626b2f23, 0x40830d208aefb2ab, 5, 36, 55],
+        [0x4080ec0f416bdb1a, 0x4079e2958e219652, 3, 37, 56],
+        [0x4083df92da122fad, 0x4082e60baba7b917, 3, 36, 57],
+        [0x408b6319567dbb17, 0x40841ae7967caea7, 4, 35, 57],
+        [0x40817960620ab713, 0x40810111ea359360, 3, 35, 58],
+        [0x408a0d519934efcc, 0x407f28760285ec3e, 4, 33, 59],
+        [0x408d8cf58afc47e5, 0x40846b830446b69e, 4, 35, 57],
+        [0x4090bd15a57646ae, 0x408539e198288052, 4, 36, 56],
+        [0x408d040384ba0e84, 0x40823bd682730c67, 4, 34, 58],
+        [0x4086944a07f66e87, 0x407ea41d4cfd08d5, 4, 35, 57],
+        [0x409109731fcd24e1, 0x407ee91a272862f6, 3, 37, 56],
+        [0x40916ea382e44b6f, 0x408b532dbf487fcc, 4, 33, 59],
+        [0x408a7fbc46d82ba6, 0x407f6a30196d8f50, 4, 36, 56],
+        [0x408bca2e34fc610f, 0x407b6a3570c564fa, 3, 35, 58],
+        [0x408d17cfdeb52c9d, 0x40836d23122b7bae, 4, 35, 57],
+        [0x4093bcdda22f6a51, 0x408785f6c93a7115, 5, 35, 56],
+        [0x4089fc61626b2f23, 0x40835d66256366d8, 5, 36, 55],
     ];
 
     /// [`pinned_outcomes`] at `extra_loss_p` 0.3: TCP head-of-line stalls
     /// on DoH/DoT, stream-local stalls on DoQ, retry timers on Do53.
     const PINNED_LOSSY: [[u64; 5]; 16] = [
-        [0x40a34a181669ced1, 0x40a18ccf2ef0ae53, 3, 36, 57],
-        [0x40a314e60ac7da1f, 0x40a32a0b1a6d6990, 5, 39, 52],
-        [0x40a54d147325918a, 0x4094fcb27e953155, 5, 38, 53],
-        [0x40a3e634a42aed14, 0x407980168e820e63, 3, 37, 56],
-        [0x4092850bb906466b, 0x4084cbce115592da, 4, 35, 57],
-        [0x409636644d877250, 0x408bdeba2b5a20de, 4, 35, 57],
-        [0x409718844e0daa0d, 0x408d3746c54bcf0b, 4, 35, 57],
-        [0x40981905881a1555, 0x408aa67940fecdd1, 4, 35, 57],
-        [0x408fb1c9fadafd11, 0x4083aa38a2a90cd4, 4, 36, 56],
-        [0x409471ea00e27e0f, 0x408310ec881e4713, 4, 35, 57],
-        [0x409509e78854cdb8, 0x408ba68d9513f8db, 3, 34, 59],
-        [0x4093b96c3d68405b, 0x4088503cc39ffd61, 4, 35, 57],
-        [0x408b8c1f3bea91da, 0x40805fd38a3b57c5, 4, 35, 57],
-        [0x408f31d2becedd48, 0x4084b754eebf65dc, 4, 35, 57],
-        [0x4091401e90bc7b46, 0x40865715286b5914, 4, 35, 57],
-        [0x408ee757c88e79ab, 0x4082ebd66490a351, 4, 35, 57],
+        [0x40a34a181669ced1, 0x40a1f266b9f559b4, 3, 36, 57],
+        [0x40a314e60ac7da1f, 0x40a6ff66b53d640e, 5, 39, 52],
+        [0x40a54d147325918a, 0x4099ba013d31b9b6, 5, 38, 53],
+        [0x40a3e634a42aed14, 0x40971977e6f71a7e, 3, 37, 56],
+        [0x4092850bb906466b, 0x4085e3c2328f9f45, 4, 35, 57],
+        [0x409636644d877250, 0x408db65e7c49fd7a, 4, 35, 57],
+        [0x409718844e0daa0d, 0x4090a827e1975f2d, 4, 35, 57],
+        [0x40981905881a1555, 0x408ab486aa8eb464, 4, 35, 57],
+        [0x408fb1c9fadafd11, 0x4083c64fc1df3301, 4, 36, 56],
+        [0x409471ea00e27e0f, 0x40870fadeacc9214, 4, 35, 57],
+        [0x409509e78854cdb8, 0x408bde2d19157abc, 3, 34, 59],
+        [0x4093b96c3d68405b, 0x4089551bf8769ec3, 4, 35, 57],
+        [0x408b8c1f3bea91da, 0x4080d6a4156e264e, 4, 35, 57],
+        [0x408f31d2becedd48, 0x40857e67cb2d905c, 4, 35, 57],
+        [0x4091401e90bc7b46, 0x4087d4a5ab7dc7ac, 4, 35, 57],
+        [0x408ee757c88e79ab, 0x40832fa4f97edc7f, 4, 35, 57],
     ];
 
     /// The page-execution rewrite must fire every event at the same
@@ -873,12 +868,5 @@ mod tests {
                 assert_eq!(g, p, "pair {i} at extra_loss_p {loss}");
             }
         }
-    }
-
-    #[test]
-    fn median_takes_the_lower_middle() {
-        assert_eq!(median(&mut [3.0]), 3.0);
-        assert_eq!(median(&mut [4.0, 1.0, 3.0]), 3.0);
-        assert_eq!(median(&mut [4.0, 1.0]), 1.0);
     }
 }

@@ -13,7 +13,7 @@ use dohperf_proxy::network::BrightDataNetwork;
 use dohperf_world::countries::country;
 
 /// The measurement zone the authors control.
-pub const MEASUREMENT_ZONE: &str = "a.com";
+const MEASUREMENT_ZONE: &str = "a.com";
 
 /// The assembled testbed.
 pub struct Testbed {

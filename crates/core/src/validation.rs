@@ -16,23 +16,22 @@
 //! In the simulation, "ground truth" is the hidden `truth_*` fields of
 //! the observations — quantities the derivation never reads.
 
-use crate::campaign::median;
 use crate::equations::{derive_t_doh_ms, derive_t_dohr_ms};
 use crate::testbed::Testbed;
 use dohperf_netsim::rng::SimRng;
 use dohperf_providers::provider::ProviderKind;
 use dohperf_proxy::atlas::AtlasNetwork;
 use dohperf_proxy::exitnode::ExitNode;
+use dohperf_stats::desc::median_in_place;
 use dohperf_world::countries::country;
 use dohperf_world::geoloc::GeolocationService;
 
 /// The six ground-truth countries of Table 1.
-pub const TABLE1_COUNTRIES: [&str; 6] = ["IE", "BR", "SE", "IT", "IN", "US"];
+const TABLE1_COUNTRIES: [&str; 6] = ["IE", "BR", "SE", "IT", "IN", "US"];
 /// The four Do53-valid ground-truth countries of Table 2.
-pub const TABLE2_COUNTRIES: [&str; 4] = ["IE", "BR", "SE", "IT"];
+const TABLE2_COUNTRIES: [&str; 4] = ["IE", "BR", "SE", "IT"];
 /// The §4.4 overlap countries (paper footnote 3 lists 13; ten are used).
-pub const OVERLAP_COUNTRIES: [&str; 10] =
-    ["BE", "ZA", "SE", "IT", "IR", "GR", "CH", "ES", "NO", "DK"];
+const OVERLAP_COUNTRIES: [&str; 10] = ["BE", "ZA", "SE", "IT", "IR", "GR", "CH", "ES", "NO", "DK"];
 
 /// One country row of Table 1.
 #[derive(Debug, Clone)]
@@ -141,10 +140,10 @@ pub fn run_table1(seed: u64, runs: u32) -> Vec<DohValidationRow> {
         }
         rows.push(DohValidationRow {
             country: country(iso).unwrap().iso,
-            derived_doh_ms: median(&mut derived_doh),
-            truth_doh_ms: median(&mut truth_doh),
-            derived_dohr_ms: median(&mut derived_dohr),
-            truth_dohr_ms: median(&mut truth_dohr),
+            derived_doh_ms: median_in_place(&mut derived_doh),
+            truth_doh_ms: median_in_place(&mut truth_doh),
+            derived_dohr_ms: median_in_place(&mut derived_dohr),
+            truth_dohr_ms: median_in_place(&mut truth_dohr),
         });
     }
     rows
@@ -180,8 +179,8 @@ pub fn run_table2(seed: u64, runs: u32) -> Vec<Do53ValidationRow> {
         }
         rows.push(Do53ValidationRow {
             country: country(iso).unwrap().iso,
-            derived_ms: median(&mut derived),
-            truth_ms: median(&mut truth),
+            derived_ms: median_in_place(&mut derived),
+            truth_ms: median_in_place(&mut truth),
         });
     }
     rows
@@ -263,7 +262,10 @@ pub fn run_platform_consistency(seed: u64, runs: u32) -> PlatformConsistency {
             );
             ripe.push(d.as_millis_f64());
         }
-        per_country.push((c.iso, (median(&mut bright) - median(&mut ripe)).abs()));
+        per_country.push((
+            c.iso,
+            (median_in_place(&mut bright) - median_in_place(&mut ripe)).abs(),
+        ));
     }
     let diffs: Vec<f64> = per_country.iter().map(|(_, d)| *d).collect();
     let mean = diffs.iter().sum::<f64>() / diffs.len() as f64;

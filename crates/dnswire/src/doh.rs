@@ -85,22 +85,21 @@ impl DohRequest {
     }
 }
 
-/// Parse the `dns` parameter out of a raw path+query string (used by the
-/// live HTTP server, which receives paths rather than `DohRequest`s).
-pub fn message_from_get_path(path: &str) -> Result<Message, DnsError> {
-    let req = DohRequest {
-        method: DohMethod::Get,
-        path: path.to_string(),
-        body: Vec::new(),
-    };
-    req.decode_message()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::name::DnsName;
     use crate::types::RecordType;
+
+    /// Parse the `dns` parameter out of a raw path+query string.
+    fn message_from_get_path(path: &str) -> Result<Message, DnsError> {
+        let req = DohRequest {
+            method: DohMethod::Get,
+            path: path.to_string(),
+            body: Vec::new(),
+        };
+        req.decode_message()
+    }
 
     fn sample() -> Message {
         Message::query(0x77, DnsName::parse("abc123.a.com").unwrap(), RecordType::A)

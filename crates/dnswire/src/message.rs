@@ -11,9 +11,6 @@ use crate::wire::{WireReader, WireWriter};
 use bytes::BytesMut;
 use std::net::Ipv4Addr;
 
-/// Conventional maximum UDP payload without EDNS (RFC 1035 §4.2.1).
-pub const CLASSIC_UDP_LIMIT: usize = 512;
-
 /// A complete DNS message: header plus four sections.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Message {
@@ -173,6 +170,9 @@ impl Message {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Conventional maximum UDP payload without EDNS (RFC 1035 §4.2.1).
+    const CLASSIC_UDP_LIMIT: usize = 512;
 
     fn sample_query() -> Message {
         Message::query(

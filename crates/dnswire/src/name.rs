@@ -12,9 +12,9 @@ use std::fmt;
 use std::str::FromStr;
 
 /// Maximum total encoded length of a name (RFC 1035 §3.1).
-pub const MAX_NAME_LEN: usize = 255;
+const MAX_NAME_LEN: usize = 255;
 /// Maximum length of a single label.
-pub const MAX_LABEL_LEN: usize = 63;
+const MAX_LABEL_LEN: usize = 63;
 
 /// A validated, normalised (lowercase) domain name.
 ///
@@ -85,11 +85,6 @@ impl DnsName {
     /// The labels, most-specific first.
     pub fn labels(&self) -> &[Box<str>] {
         &self.labels
-    }
-
-    /// Number of labels (0 for the root).
-    pub fn label_count(&self) -> usize {
-        self.labels.len()
     }
 
     /// Total wire-encoded length (sum of length octets and label bytes plus
@@ -166,7 +161,7 @@ mod tests {
     fn parse_and_display() {
         let n = DnsName::parse("WWW.Example.COM").unwrap();
         assert_eq!(n.to_string(), "www.example.com");
-        assert_eq!(n.label_count(), 3);
+        assert_eq!(n.labels().len(), 3);
     }
 
     #[test]
@@ -278,6 +273,6 @@ mod tests {
     #[test]
     fn fromstr_works() {
         let n: DnsName = "example.org".parse().unwrap();
-        assert_eq!(n.label_count(), 2);
+        assert_eq!(n.labels().len(), 2);
     }
 }

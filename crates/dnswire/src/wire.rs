@@ -16,7 +16,7 @@ use bytes::{BufMut, BytesMut};
 const MAX_POINTER_HOPS: usize = 128;
 
 /// Maximum encodable DNS message (TCP length prefix is 16-bit).
-pub const MAX_MESSAGE_LEN: usize = 65_535;
+const MAX_MESSAGE_LEN: usize = 65_535;
 
 /// Growable big-endian writer with compression bookkeeping.
 ///

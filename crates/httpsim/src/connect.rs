@@ -10,9 +10,9 @@ use crate::luminati::{ProxyTimeline, TunTimeline, TIMELINE_HEADER, TUN_TIMELINE_
 
 /// Header carrying the requested exit-node country (stand-in for the
 /// `country-XX` username suffix of the real service).
-pub const COUNTRY_HEADER: &str = "X-BrightData-Country";
+const COUNTRY_HEADER: &str = "X-BrightData-Country";
 /// Header carrying the session id used to pin an exit node across requests.
-pub const SESSION_HEADER: &str = "X-BrightData-Session";
+const SESSION_HEADER: &str = "X-BrightData-Session";
 
 /// A parsed CONNECT request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,32 +130,34 @@ impl ConnectResponse {
         }
         resp
     }
-
-    /// Parse from an HTTP response.
-    pub fn from_response(resp: &Response) -> Self {
-        if !resp.status.is_success() {
-            return ConnectResponse::failed();
-        }
-        let tun = resp
-            .headers
-            .get(TUN_TIMELINE_HEADER)
-            .and_then(|v| TunTimeline::parse(v).ok());
-        let proxy = resp
-            .headers
-            .get(TIMELINE_HEADER)
-            .and_then(|v| ProxyTimeline::parse(v).ok());
-        ConnectResponse {
-            established: true,
-            tun_timeline: tun,
-            proxy_timeline: proxy,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dohperf_netsim::time::SimDuration;
+
+    impl ConnectResponse {
+        /// Parse from an HTTP response.
+        fn from_response(resp: &Response) -> Self {
+            if !resp.status.is_success() {
+                return ConnectResponse::failed();
+            }
+            let tun = resp
+                .headers
+                .get(TUN_TIMELINE_HEADER)
+                .and_then(|v| TunTimeline::parse(v).ok());
+            let proxy = resp
+                .headers
+                .get(TIMELINE_HEADER)
+                .and_then(|v| ProxyTimeline::parse(v).ok());
+            ConnectResponse {
+                established: true,
+                tun_timeline: tun,
+                proxy_timeline: proxy,
+            }
+        }
+    }
 
     #[test]
     fn connect_request_roundtrip() {

@@ -44,7 +44,7 @@ impl TunTimeline {
 
     /// Append the header value to a caller-owned scratch string, reusing
     /// its capacity (the string is cleared first).
-    pub fn write_header_value(&self, out: &mut String) {
+    fn write_header_value(&self, out: &mut String) {
         use std::fmt::Write;
         out.clear();
         write!(
@@ -116,7 +116,7 @@ impl ProxyTimeline {
 
     /// Append the header value to a caller-owned scratch string, reusing
     /// its capacity (the string is cleared first).
-    pub fn write_header_value(&self, out: &mut String) {
+    fn write_header_value(&self, out: &mut String) {
         use std::fmt::Write;
         out.clear();
         write!(

@@ -25,6 +25,8 @@ pub struct ConnectProxy {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
+    /// Tunnels established so far, read by the tests.
+    #[cfg(test)]
     tunnels: Arc<AtomicU64>,
 }
 
@@ -58,6 +60,7 @@ impl ConnectProxy {
             addr,
             shutdown,
             handle: Some(handle),
+            #[cfg(test)]
             tunnels,
         })
     }
@@ -65,11 +68,6 @@ impl ConnectProxy {
     /// The proxy's address.
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Tunnels successfully established so far.
-    pub fn tunnels_established(&self) -> u64 {
-        self.tunnels.load(Ordering::Relaxed)
     }
 
     /// Stop accepting (existing tunnels drain on their own threads).
@@ -235,6 +233,13 @@ mod tests {
     use dohperf_dns::types::RecordType;
     use dohperf_http::codec::Method;
     use std::net::Ipv4Addr;
+
+    impl ConnectProxy {
+        /// Tunnels successfully established so far.
+        fn tunnels_established(&self) -> u64 {
+            self.tunnels.load(Ordering::Relaxed)
+        }
+    }
 
     fn doh_backend() -> DohServer {
         let zone = Zone::new();

@@ -11,14 +11,14 @@
 //!   TCP, plus a client. TLS is intentionally omitted: the point is to
 //!   drive the DNS and HTTP codecs end-to-end over real I/O; handshake
 //!   *cost* modelling lives in the simulator.
-//! * [`connectproxy`] — an HTTP CONNECT proxy that answers with real
+//! * [`ConnectProxy`] — an HTTP CONNECT proxy that answers with real
 //!   `X-Luminati-*` timing headers, so client → proxy → [`doh`] server
 //!   is the paper's measurement path on loopback.
 //!
 //! Everything binds to `127.0.0.1:0` (ephemeral ports) so tests and
 //! examples run anywhere without configuration.
 
-pub mod connectproxy;
+mod connectproxy;
 pub mod do53;
 pub mod doh;
 pub mod zone;

@@ -66,7 +66,7 @@ impl TlsVersion {
 
     /// Round trips for a resumed handshake (session tickets / PSK;
     /// TLS 1.3 sends the query as 0-RTT early data).
-    pub fn resumed_handshake_rtts(self) -> u32 {
+    fn resumed_handshake_rtts(self) -> u32 {
         match self {
             TlsVersion::V1_2 => 1,
             TlsVersion::V1_3 => 0,
@@ -319,7 +319,7 @@ impl Connection {
     ///
     /// Panics if called while a usable connection exists — check
     /// [`Connection::try_reuse`] first.
-    pub fn begin_handshake(&mut self, now: SimTime) -> Warmth {
+    fn begin_handshake(&mut self, now: SimTime) -> Warmth {
         assert!(
             !matches!(
                 self.state(now),
@@ -338,7 +338,7 @@ impl Connection {
     /// Step 2: the handshake flight completed at `now`. Bumps the
     /// generation, stores a session ticket for future resumption and
     /// opens the keep-alive window.
-    pub fn complete_handshake(&mut self, now: SimTime) {
+    fn complete_handshake(&mut self, now: SimTime) {
         debug_assert_eq!(self.state, ConnState::Handshaking, "no handshake in flight");
         self.state = ConnState::Established;
         self.generation += 1;
@@ -349,7 +349,7 @@ impl Connection {
     /// Reuse the established connection if its keep-alive window is
     /// still open at `now`. On success the window restarts; on idle
     /// expiry the state decays to `TimedOut` and `None` is returned.
-    pub fn try_reuse(&mut self, now: SimTime) -> Option<Acquired> {
+    fn try_reuse(&mut self, now: SimTime) -> Option<Acquired> {
         if self.state != ConnState::Established {
             return None;
         }

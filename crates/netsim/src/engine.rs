@@ -62,11 +62,6 @@ impl Simulator {
         self.trace.set_enabled(enabled);
     }
 
-    /// Clear the trace log.
-    pub fn clear_trace(&mut self) {
-        self.trace.clear();
-    }
-
     /// Mutable access to the engine's own stream (loss draws etc.).
     pub fn rng_mut(&mut self) -> &mut SimRng {
         &mut self.rng
@@ -187,7 +182,7 @@ impl Simulator {
     }
 
     /// Jump the clock to an absolute instant, if it is in the future.
-    pub fn advance_to(&mut self, at: SimTime) {
+    fn advance_to(&mut self, at: SimTime) {
         if at > self.now {
             self.now = at;
         }
@@ -239,6 +234,13 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::topology::{GeoPoint, NodeRole};
+
+    impl Simulator {
+        /// Clear the trace log.
+        fn clear_trace(&mut self) {
+            self.trace.clear();
+        }
+    }
 
     fn sim_with_pair() -> (Simulator, NodeId, NodeId) {
         let mut sim = Simulator::new(11);

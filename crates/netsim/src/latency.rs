@@ -29,7 +29,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// One-way speed of signal propagation in fibre, km per millisecond.
-pub const FIBRE_KM_PER_MS: f64 = 200.0;
+const FIBRE_KM_PER_MS: f64 = 200.0;
 
 /// Infrastructure quality of the network surrounding a node.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -107,7 +107,7 @@ impl SimRng {
     }
 
     /// Standard normal draw via Box–Muller.
-    pub fn standard_normal(&mut self) -> f64 {
+    fn standard_normal(&mut self) -> f64 {
         // Draw u1 in (0,1] to keep ln() finite.
         let u1 = 1.0 - self.unit();
         let u2 = self.unit();

@@ -56,11 +56,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked difference between two instants.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -219,6 +214,13 @@ impl fmt::Display for SimDuration {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SimTime {
+        /// Checked difference between two instants.
+        fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
+            self.0.checked_sub(earlier.0).map(SimDuration)
+        }
+    }
 
     #[test]
     fn time_arithmetic_roundtrips() {

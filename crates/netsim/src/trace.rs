@@ -74,11 +74,6 @@ impl TraceLog {
         self.records.iter().filter(move |r| r.proto == proto)
     }
 
-    /// Records sent by a node.
-    pub fn sent_by(&self, node: NodeId) -> impl Iterator<Item = &PacketRecord> + '_ {
-        self.records.iter().filter(move |r| r.src == node)
-    }
-
     /// Drop all records.
     pub fn clear(&mut self) {
         self.records.clear();
@@ -98,6 +93,13 @@ impl TraceLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TraceLog {
+        /// Records sent by a node.
+        fn sent_by(&self, node: NodeId) -> impl Iterator<Item = &PacketRecord> + '_ {
+            self.records.iter().filter(move |r| r.src == node)
+        }
+    }
 
     fn rec(src: u32, dst: u32, proto: &'static str) -> PacketRecord {
         PacketRecord {

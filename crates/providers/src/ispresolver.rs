@@ -66,7 +66,7 @@ pub struct IspResolverModel {
 ///
 /// Keyed by a stable hash of the ISO code: a market's quality is a fact
 /// about the country, not about the simulation seed.
-pub fn poor_resolver_market(country: &Country) -> bool {
+fn poor_resolver_market(country: &Country) -> bool {
     fnv1a(country.iso.as_bytes()) % 100 < POOR_MARKET_FRACTION
 }
 

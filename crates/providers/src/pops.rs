@@ -147,7 +147,7 @@ const GOOGLE_HUBS: [&str; 26] = [
 
 impl PopDeployment {
     /// Select the city list for a provider (deterministic, no RNG).
-    pub fn select_cities(kind: ProviderKind) -> Vec<(usize, &'static City)> {
+    fn select_cities(kind: ProviderKind) -> Vec<(usize, &'static City)> {
         let all = cities();
         match kind {
             ProviderKind::Google => all

@@ -82,13 +82,6 @@ impl AtlasNetwork {
         &self.probes
     }
 
-    /// Probes in a country.
-    pub fn probes_in<'a>(&'a self, iso: &'a str) -> impl Iterator<Item = &'a AtlasProbe> {
-        self.probes
-            .iter()
-            .filter(move |p| p.country_iso.eq_ignore_ascii_case(iso))
-    }
-
     /// Run a direct Do53 cache-miss measurement at a probe: stub hop to
     /// its resolver, recursion to the authoritative server, processing.
     /// This is the same physical path an exit node's genuine Do53 takes,
@@ -115,6 +108,15 @@ impl AtlasNetwork {
 mod tests {
     use super::*;
     use dohperf_world::countries::country;
+
+    impl AtlasNetwork {
+        /// Probes in a country.
+        fn probes_in<'a>(&'a self, iso: &'a str) -> impl Iterator<Item = &'a AtlasProbe> {
+            self.probes
+                .iter()
+                .filter(move |p| p.country_iso.eq_ignore_ascii_case(iso))
+        }
+    }
 
     fn auth_node(sim: &mut Simulator) -> NodeId {
         sim.add_node(NodeSpec::new(

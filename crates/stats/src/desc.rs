@@ -106,12 +106,22 @@ pub fn median(xs: &[f64]) -> f64 {
     quantile(xs, 0.5)
 }
 
+/// [`median`] without the copy: sorts `xs` in place with a stable sort
+/// (so `-0.0`/`+0.0` ties keep input order), then takes the type-7 0.5
+/// [`quantile_sorted`]. Bit-identical to [`median`] of the unsorted
+/// input; NaN for empty input. Panics with "NaN in median input" on a
+/// NaN in `xs` when `xs.len() >= 2`.
+pub fn median_in_place(xs: &mut [f64]) -> f64 {
+    xs.sort_by(|a, b| a.partial_cmp(b).expect("NaN in median input"));
+    quantile_sorted(xs, 0.5)
+}
+
 /// Weighted quantile with the Harrell–Davis-free "sorted cumulative
 /// weight" definition: sort by value, walk the cumulative normalised
 /// weight, return the first value whose cumulative weight reaches `q`.
 /// Weights must be non-negative; NaN for empty/degenerate input, a NaN
 /// value or a NaN `q`.
-pub fn weighted_quantile(xs: &[f64], weights: &[f64], q: f64) -> f64 {
+fn weighted_quantile(xs: &[f64], weights: &[f64], q: f64) -> f64 {
     if xs.is_empty() || xs.len() != weights.len() || q.is_nan() {
         return f64::NAN;
     }

@@ -1,5 +1,6 @@
 //! Property-based tests for the statistics substrate.
 
+use dohperf_stats::desc::median_in_place;
 use dohperf_stats::prelude::*;
 use proptest::prelude::*;
 
@@ -25,6 +26,28 @@ proptest! {
     fn median_translation(xs in finite_vec(1..100), shift in -1e5f64..1e5) {
         let shifted: Vec<f64> = xs.iter().map(|x| x + shift).collect();
         prop_assert!((median(&shifted) - (median(&xs) + shift)).abs() < 1e-6);
+    }
+
+    /// The in-place median the campaign and validation take (sort, then
+    /// the type-7 0.5 quantile) equals `median` to the bit, at odd and
+    /// even lengths 1-64, and always at the campaign's two runs per
+    /// client and the validation's ten runs.
+    #[test]
+    fn in_place_median_is_bit_identical_to_median(
+        xs in proptest::collection::vec(1e-3f64..1e4, 1..65),
+    ) {
+        for n in [xs.len(), 2, 10] {
+            if n > xs.len() {
+                continue;
+            }
+            let sample = &xs[..n];
+            let mut sorted = sample.to_vec();
+            let (in_place, copied) = (median_in_place(&mut sorted), median(sample));
+            prop_assert!(
+                in_place.to_bits() == copied.to_bits(),
+                "n {}: {} vs {}", n, in_place, copied
+            );
+        }
     }
 
     /// The ECDF is a valid distribution function: probabilities ascend to 1

@@ -8,8 +8,8 @@
 //! eight input bytes per step with eight independent table loads instead
 //! of a serial chain of eight byte steps. Same polynomial, init and
 //! final xor as the classic byte-at-a-time loop, so every checksum is
-//! unchanged; that loop survives in [`reference`](mod@reference) as the
-//! test oracle.
+//! unchanged; that loop survives as the test-only `reference` module, the
+//! oracle of the unit tests.
 
 /// The bit-reversed ISO-HDLC polynomial.
 const POLY: u32 = 0xEDB8_8320;
@@ -74,13 +74,13 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 }
 
 /// The original byte-at-a-time CRC-32, kept as the oracle the sliced
-/// kernel is tested against. Not part of the supported API.
-#[doc(hidden)]
-pub mod reference {
+/// kernel is tested against.
+#[cfg(test)]
+pub(crate) mod reference {
     use super::TABLES;
 
     /// CRC-32 of `bytes`, one table lookup per byte.
-    pub fn crc32(bytes: &[u8]) -> u32 {
+    pub(crate) fn crc32(bytes: &[u8]) -> u32 {
         let mut crc = 0xFFFF_FFFFu32;
         for &b in bytes {
             crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
@@ -92,6 +92,7 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn known_vectors() {
@@ -111,6 +112,28 @@ mod tests {
                 assert_ne!(crc32(&data), clean, "flip at byte {i} bit {bit}");
                 data[i] ^= 1 << bit;
             }
+        }
+    }
+
+    proptest! {
+        /// The slicing-by-8 CRC equals the bytewise oracle on every length
+        /// 0..=64 at every start offset 0..8 (every tail length and
+        /// alignment the 8-byte kernel meets), and on whole buffers up to
+        /// 64 KiB.
+        #[test]
+        fn sliced_crc_matches_the_bytewise_oracle(
+            head in proptest::collection::vec(any::<u8>(), 72),
+            buf in proptest::collection::vec(any::<u8>(), 0..65_536),
+        ) {
+            for offset in 0..8 {
+                for len in 0..=64 {
+                    let slice = &head[offset..offset + len];
+                    let (sliced, bytewise) = (crc32(slice), reference::crc32(slice));
+                    prop_assert!(sliced == bytewise, "offset {} len {}: {:#x} vs {:#x}", offset, len, sliced, bytewise);
+                }
+            }
+            let (sliced, bytewise) = (crc32(&buf), reference::crc32(&buf));
+            prop_assert!(sliced == bytewise, "{}-byte buffer: {:#x} vs {:#x}", buf.len(), sliced, bytewise);
         }
     }
 }

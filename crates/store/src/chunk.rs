@@ -12,7 +12,7 @@
 //!
 //! `flags` gates optional trailing groups: bit 0
 //! ([`FLAG_TRANSPORTS`]) marks a fifth **transports** column group,
-//! bit 1 ([`FLAG_PAGELOAD`]) a sixth **pageload** group, and bit 2
+//! bit 1 (`FLAG_PAGELOAD`) a sixth **pageload** group, and bit 2
 //! ([`FLAG_TIMESERIES`]) a seventh **timeseries** group. A chunk whose
 //! records all have empty transport, page and window vectors writes
 //! `flags = 0` and no trailing groups, so legacy chunks are
@@ -66,7 +66,7 @@
 //! from [`crate::varint`], so a long-lived writer performs **zero
 //! per-chunk allocations** once its scratch has warmed up. The bytes
 //! are identical to the original byte-at-a-time encoder, which is kept
-//! verbatim in [`reference`](mod@reference) as the test oracle.
+//! verbatim in the test-only `reference` module as the tests' oracle.
 //! [`encode_chunk`] is the convenience wrapper that allocates a fresh
 //! scratch per call.
 //!
@@ -97,7 +97,7 @@ pub const FORMAT_VERSION: u16 = 1;
 pub const FLAG_TRANSPORTS: u16 = 0x1;
 
 /// Header flag bit: the payload carries a sixth (pageload) group.
-pub const FLAG_PAGELOAD: u16 = 0x2;
+const FLAG_PAGELOAD: u16 = 0x2;
 
 /// Header flag bit: the payload carries a seventh (timeseries) group.
 pub const FLAG_TIMESERIES: u16 = 0x4;
@@ -361,8 +361,8 @@ impl EncodeScratch {
 
 /// Encode `records` as one self-contained chunk, appending to `out`.
 ///
-/// Byte-identical to [`encode_chunk`] (and to [`reference::encode_chunk`],
-/// the original scalar encoder) but stages every column through
+/// Byte-identical to [`encode_chunk`] (and to the original scalar
+/// encoder the tests keep as their reference) but stages every column through
 /// `scratch`, so repeated calls on a warmed-up scratch allocate nothing
 /// per chunk beyond `out`'s own growth.
 pub fn encode_chunk_into(records: &[StoreRecord], scratch: &mut EncodeScratch, out: &mut Vec<u8>) {
@@ -1117,12 +1117,7 @@ impl WindowColumns {
 /// Run-length encode a u32 column as (varint value, varint run) pairs,
 /// prefixed by the pair count. `runs` is caller-owned scratch — cleared
 /// here, retained across calls to avoid per-column allocation.
-#[doc(hidden)]
-pub fn rle_u32_into(
-    out: &mut Vec<u8>,
-    values: impl Iterator<Item = u32>,
-    runs: &mut Vec<(u32, u64)>,
-) {
+fn rle_u32_into(out: &mut Vec<u8>, values: impl Iterator<Item = u32>, runs: &mut Vec<(u32, u64)>) {
     runs.clear();
     for v in values {
         match runs.last_mut() {
@@ -1213,14 +1208,12 @@ fn decode_rle_pair_into(
 }
 
 /// The original byte-at-a-time chunk encoder, retained verbatim as the
-/// byte-level reference the block-kernel encoder is proptested (and
-/// benchmarked) against. It uses the scalar varint encoders from
-/// [`crate::varint::scalar`] and the bytewise
-/// [`crate::checksum::reference`] CRC, so the two paths share no kernel
-/// code.
-/// Not part of the supported API.
-#[doc(hidden)]
-pub mod reference {
+/// byte-level reference the block-kernel encoder is tested against. It
+/// uses the scalar varint encoders from [`crate::varint::scalar`] and the
+/// bytewise [`crate::checksum::reference`] CRC, so the two paths share no
+/// kernel code.
+#[cfg(test)]
+mod reference {
     use super::{
         StoreRecord, CHUNK_HEADER_LEN, CHUNK_MAGIC, FLAG_PAGELOAD, FLAG_TIMESERIES,
         FLAG_TRANSPORTS, FORMAT_VERSION, MAX_RECORDS_PER_CHUNK,
@@ -1424,7 +1417,7 @@ pub mod reference {
     }
 
     /// The allocating RLE encoder the scratch variant replaced.
-    pub fn encode_rle_u32(out: &mut Vec<u8>, values: impl Iterator<Item = u32>) {
+    fn encode_rle_u32(out: &mut Vec<u8>, values: impl Iterator<Item = u32>) {
         let mut runs: Vec<(u32, u64)> = Vec::new();
         for v in values {
             match runs.last_mut() {

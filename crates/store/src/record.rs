@@ -168,10 +168,15 @@ impl StoreRecord {
             windows: Vec::new(),
         }
     }
+}
 
+/// Fixtures for the flag-gated column groups, used by the chunk codec's
+/// unit tests.
+#[cfg(test)]
+impl StoreRecord {
     /// [`StoreRecord::test_record`] plus two lifecycle samples, for
     /// exercising the flag-gated transports column group.
-    pub fn test_record_with_transports(client_id: u64) -> StoreRecord {
+    pub(crate) fn test_record_with_transports(client_id: u64) -> StoreRecord {
         let mut record = StoreRecord::test_record(client_id);
         record.transports = vec![
             StoreTransportSample {
@@ -196,7 +201,7 @@ impl StoreRecord {
 
     /// [`StoreRecord::test_record`] plus two page-load samples, for
     /// exercising the flag-gated pageload column group.
-    pub fn test_record_with_pages(client_id: u64) -> StoreRecord {
+    pub(crate) fn test_record_with_pages(client_id: u64) -> StoreRecord {
         let mut record = StoreRecord::test_record(client_id);
         record.pages = vec![
             StorePageSample {
@@ -227,7 +232,7 @@ impl StoreRecord {
 
     /// [`StoreRecord::test_record`] plus two windowed summaries, for
     /// exercising the flag-gated timeseries column group.
-    pub fn test_record_with_windows(client_id: u64) -> StoreRecord {
+    pub(crate) fn test_record_with_windows(client_id: u64) -> StoreRecord {
         let mut record = StoreRecord::test_record(client_id);
         record.windows = vec![
             StoreWindowSample {

@@ -14,7 +14,7 @@
 //! branch-free `leading_zeros` length computation and take a whole-word
 //! fast path when an entire block fits in one byte per value. Both tiers
 //! are byte-for-byte identical to the original byte-at-a-time encoders,
-//! which survive in [`scalar`] as the test oracle.
+//! which survive in the test-only `scalar` module as the tests' oracle.
 
 use crate::{Result, StoreError};
 
@@ -129,35 +129,6 @@ pub fn put_f64_block(out: &mut Vec<u8>, values: &[f64]) {
     out.resize(start + values.len() * 8, 0);
     for (dst, &v) in out[start..].chunks_exact_mut(8).zip(values) {
         dst.copy_from_slice(&v.to_bits().to_le_bytes());
-    }
-}
-
-/// The original byte-at-a-time encoders, kept verbatim as the reference
-/// the fast-path and block kernels are proptested (and benchmarked)
-/// against. Not part of the supported API.
-#[doc(hidden)]
-pub mod scalar {
-    /// Append `v` as a LEB128 varint, one push per byte.
-    pub fn put_u64(out: &mut Vec<u8>, mut v: u64) {
-        loop {
-            let byte = (v & 0x7F) as u8;
-            v >>= 7;
-            if v == 0 {
-                out.push(byte);
-                return;
-            }
-            out.push(byte | 0x80);
-        }
-    }
-
-    /// Append `v` zigzag-mapped then LEB128-encoded.
-    pub fn put_i64(out: &mut Vec<u8>, v: i64) {
-        put_u64(out, ((v << 1) ^ (v >> 63)) as u64);
-    }
-
-    /// Append the raw little-endian bits of `v`.
-    pub fn put_f64(out: &mut Vec<u8>, v: f64) {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 }
 
@@ -310,6 +281,34 @@ impl<'a> Cursor<'a> {
                 self.bytes.len() - self.pos
             )))
         }
+    }
+}
+
+/// The original byte-at-a-time encoders, kept verbatim as the reference
+/// the fast-path and block kernels are tested against.
+#[cfg(test)]
+pub(crate) mod scalar {
+    /// Append `v` as a LEB128 varint, one push per byte.
+    pub(crate) fn put_u64(out: &mut Vec<u8>, mut v: u64) {
+        loop {
+            let byte = (v & 0x7F) as u8;
+            v >>= 7;
+            if v == 0 {
+                out.push(byte);
+                return;
+            }
+            out.push(byte | 0x80);
+        }
+    }
+
+    /// Append `v` zigzag-mapped then LEB128-encoded.
+    pub(crate) fn put_i64(out: &mut Vec<u8>, v: i64) {
+        put_u64(out, ((v << 1) ^ (v >> 63)) as u64);
+    }
+
+    /// Append the raw little-endian bits of `v`.
+    pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
+        out.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 }
 

@@ -93,8 +93,9 @@ pub fn set_warmup(on: bool) {
 
 /// Record one allocation of `size` bytes. Called by the counting
 /// allocator; safe to call from any thread, never allocates.
+#[cfg(any(test, feature = "alloc-count"))]
 #[inline]
-pub fn note_alloc(size: usize) {
+fn note_alloc(size: usize) {
     TOTAL_ALLOCS.fetch_add(1, Ordering::Relaxed);
     TOTAL_BYTES.fetch_add(size as u64, Ordering::Relaxed);
     // `try_with` because TLS may be gone during thread teardown; those
@@ -156,7 +157,7 @@ pub fn publish() {
 }
 
 /// A `#[global_allocator]` shim that counts every allocation through
-/// [`note_alloc`] and otherwise defers to the system allocator.
+/// `note_alloc` and otherwise defers to the system allocator.
 ///
 /// ```ignore
 /// #[global_allocator]

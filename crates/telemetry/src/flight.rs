@@ -215,17 +215,6 @@ pub fn attr(token: SpanToken, key: &'static str, value: impl Into<String>) {
     });
 }
 
-/// Attach a key/value annotation to the query's root span.
-pub fn root_attr(key: &'static str, value: impl Into<String>) {
-    CURRENT.with(|c| {
-        let mut cur = c.borrow_mut();
-        let Some(rec) = cur.as_mut() else { return };
-        if let Some(span) = rec.trace.spans.first_mut() {
-            span.attrs.push((key, value.into()));
-        }
-    });
-}
-
 /// Record a point event on the innermost open span (no-op when nothing is
 /// open or recording is inactive).
 pub fn event(label: impl Into<String>, at_nanos: u64) {
@@ -235,34 +224,6 @@ pub fn event(label: impl Into<String>, at_nanos: u64) {
         let Some(&open) = rec.open.last() else { return };
         rec.trace.spans[open as usize].events.push(SpanEvent {
             at_nanos,
-            label: label.into(),
-        });
-    });
-}
-
-/// Record a point event on the innermost open span at the latest
-/// timestamp the recording has seen so far. For instrumentation sites
-/// with no clock of their own (wire codecs, header builders): the
-/// attachment time is a pure function of what was recorded before, so
-/// determinism is preserved.
-pub fn event_here(label: impl Into<String>) {
-    CURRENT.with(|c| {
-        let mut cur = c.borrow_mut();
-        let Some(rec) = cur.as_mut() else { return };
-        let Some(&open) = rec.open.last() else { return };
-        let latest = rec
-            .trace
-            .spans
-            .iter()
-            .flat_map(|s| {
-                std::iter::once(s.start_nanos)
-                    .chain(std::iter::once(s.end_nanos))
-                    .chain(s.events.iter().map(|e| e.at_nanos))
-            })
-            .max()
-            .unwrap_or(0);
-        rec.trace.spans[open as usize].events.push(SpanEvent {
-            at_nanos: latest,
             label: label.into(),
         });
     });
@@ -319,6 +280,17 @@ pub fn take() -> Option<QueryTrace> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Attach a key/value annotation to the query's root span.
+    fn root_attr(key: &'static str, value: impl Into<String>) {
+        CURRENT.with(|c| {
+            let mut cur = c.borrow_mut();
+            let Some(rec) = cur.as_mut() else { return };
+            if let Some(span) = rec.trace.spans.first_mut() {
+                span.attrs.push((key, value.into()));
+            }
+        });
+    }
 
     #[test]
     fn inactive_recording_is_a_noop() {

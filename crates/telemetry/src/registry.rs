@@ -73,7 +73,7 @@ impl Registry {
     }
 
     /// Register (or fetch) a counter with an explicit determinism class.
-    pub fn counter_with(&self, name: &str, det: Determinism) -> &'static Counter {
+    fn counter_with(&self, name: &str, det: Determinism) -> &'static Counter {
         self.register(
             name,
             det,
@@ -96,7 +96,7 @@ impl Registry {
     }
 
     /// Register (or fetch) a gauge with an explicit determinism class.
-    pub fn gauge_with(&self, name: &str, det: Determinism) -> &'static Gauge {
+    fn gauge_with(&self, name: &str, det: Determinism) -> &'static Gauge {
         self.register(
             name,
             det,
@@ -119,7 +119,7 @@ impl Registry {
     }
 
     /// Register (or fetch) a histogram with an explicit determinism class.
-    pub fn histogram_with(&self, name: &str, det: Determinism) -> &'static Histogram {
+    fn histogram_with(&self, name: &str, det: Determinism) -> &'static Histogram {
         self.register(
             name,
             det,

@@ -71,7 +71,7 @@ pub struct WorkerRow {
 impl WorkerRow {
     /// Fraction of the worker's lifetime spent in range bodies
     /// (1.0 for a worker with no recorded lifetime).
-    pub fn busy_fraction(&self) -> f64 {
+    fn busy_fraction(&self) -> f64 {
         let total = self.busy_ms + self.idle_ms;
         if total <= 0 {
             1.0

@@ -7,11 +7,11 @@
 
 use crate::json::{escape_string, JsonValue};
 use crate::metrics::{Determinism, Histogram, HISTOGRAM_BUCKETS};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// Schema tag embedded in every snapshot document.
-pub const SCHEMA: &str = "dohperf-metrics/1";
+const SCHEMA: &str = "dohperf-metrics/1";
 
 /// Frozen histogram state.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -277,54 +277,61 @@ impl Snapshot {
     }
 
     /// Compare this snapshot's deterministic section against a `baseline`,
-    /// flagging every metric whose relative drift exceeds `rel_tolerance`
-    /// (0.0 demands exact equality; NaN flags every field). Metrics
+    /// exactly and field by field: a counter's or gauge's value, and a
+    /// histogram's count, sum, min, max and every bucket count. Metrics
     /// present here but absent from the baseline are reported as new
     /// without failing the comparison — they signal that the baseline
     /// wants regenerating.
-    pub fn compare_deterministic(
-        &self,
-        baseline: &Snapshot,
-        rel_tolerance: f64,
-    ) -> ComparisonReport {
+    pub fn compare_deterministic(&self, baseline: &Snapshot) -> ComparisonReport {
         let mut drifts = Vec::new();
         let mut new_metrics = Vec::new();
         for (name, base) in baseline.section(Determinism::Deterministic) {
-            let Some(current) = self.metrics.get(name) else {
-                drifts.push(Drift {
-                    metric: name.to_string(),
-                    field: "presence",
-                    baseline: 0.0,
-                    current: 0.0,
-                    rel_drift: f64::INFINITY,
-                });
-                continue;
-            };
-            let fields: Vec<(&'static str, f64, f64)> = match (&base.value, &current.value) {
-                (MetricValue::Counter(b), MetricValue::Counter(c)) => {
-                    vec![("value", *b as f64, *c as f64)]
-                }
-                (MetricValue::Gauge(b), MetricValue::Gauge(c)) => {
-                    vec![("value", *b as f64, *c as f64)]
-                }
-                (MetricValue::Histogram(b), MetricValue::Histogram(c)) => vec![
-                    ("count", b.count as f64, c.count as f64),
-                    ("sum_micros", b.sum_micros as f64, c.sum_micros as f64),
-                ],
-                _ => vec![("kind", 0.0, 1.0)],
-            };
-            for (field, b, c) in fields {
-                let rel = (c - b).abs() / b.abs().max(1.0);
-                // A NaN tolerance admits nothing: every field drifts.
-                if rel > rel_tolerance || rel_tolerance.is_nan() {
+            let mut drift = |field: String, baseline: i128, current: i128| {
+                if baseline != current {
                     drifts.push(Drift {
                         metric: name.to_string(),
                         field,
-                        baseline: b,
-                        current: c,
-                        rel_drift: rel,
+                        baseline,
+                        current,
                     });
                 }
+            };
+            let Some(current) = self.metrics.get(name) else {
+                drift("presence".into(), 1, 0);
+                continue;
+            };
+            match (&base.value, &current.value) {
+                (MetricValue::Counter(b), MetricValue::Counter(c)) => {
+                    drift("value".into(), (*b).into(), (*c).into());
+                }
+                (MetricValue::Gauge(b), MetricValue::Gauge(c)) => {
+                    drift("value".into(), (*b).into(), (*c).into());
+                }
+                (MetricValue::Histogram(b), MetricValue::Histogram(c)) => {
+                    drift("count".into(), b.count.into(), c.count.into());
+                    drift(
+                        "sum_micros".into(),
+                        b.sum_micros.into(),
+                        c.sum_micros.into(),
+                    );
+                    drift(
+                        "min_micros".into(),
+                        b.min_micros.into(),
+                        c.min_micros.into(),
+                    );
+                    drift(
+                        "max_micros".into(),
+                        b.max_micros.into(),
+                        c.max_micros.into(),
+                    );
+                    let indices: BTreeSet<usize> =
+                        b.buckets.keys().chain(c.buckets.keys()).copied().collect();
+                    for i in indices {
+                        let count = |h: &HistogramSnapshot| h.buckets.get(&i).copied().unwrap_or(0);
+                        drift(format!("buckets[{i}]"), count(b).into(), count(c).into());
+                    }
+                }
+                _ => drift("kind".into(), 0, 1),
             }
         }
         for (name, _) in self.section(Determinism::Deterministic) {
@@ -335,7 +342,6 @@ impl Snapshot {
         ComparisonReport {
             drifts,
             new_metrics,
-            rel_tolerance,
         }
     }
 }
@@ -408,30 +414,28 @@ fn metric_from_json(name: &str, v: &JsonValue) -> Result<MetricValue, String> {
     }
 }
 
-/// One metric whose value moved beyond tolerance (or vanished).
-#[derive(Debug, Clone, PartialEq)]
+/// One field of a deterministic metric that differs from the baseline
+/// (or a metric that vanished).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Drift {
     /// Metric name.
     pub metric: String,
-    /// Which field drifted (`value`, `count`, `sum_micros`, `presence`).
-    pub field: &'static str,
+    /// Which field drifted: `value`, `count`, `sum_micros`,
+    /// `min_micros`, `max_micros`, `buckets[i]`, `kind` or `presence`.
+    pub field: String,
     /// Baseline value.
-    pub baseline: f64,
+    pub baseline: i128,
     /// Current value.
-    pub current: f64,
-    /// `|current - baseline| / max(|baseline|, 1)`.
-    pub rel_drift: f64,
+    pub current: i128,
 }
 
 /// Result of [`Snapshot::compare_deterministic`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ComparisonReport {
-    /// Metrics beyond tolerance.
+    /// Fields that differ from the baseline.
     pub drifts: Vec<Drift>,
     /// Deterministic metrics present now but absent from the baseline.
     pub new_metrics: Vec<String>,
-    /// Tolerance the comparison ran with.
-    pub rel_tolerance: f64,
 }
 
 impl ComparisonReport {
@@ -444,26 +448,14 @@ impl ComparisonReport {
     pub fn render(&self) -> String {
         let mut out = String::new();
         if self.ok() {
-            let _ = writeln!(
-                out,
-                "metrics match baseline (tolerance {:.1}%)",
-                self.rel_tolerance * 100.0
-            );
+            out.push_str("metrics match baseline exactly\n");
         } else {
-            let _ = writeln!(
-                out,
-                "METRICS DRIFT from baseline (tolerance {:.1}%):",
-                self.rel_tolerance * 100.0
-            );
+            out.push_str("METRICS DRIFT from baseline:\n");
             for d in &self.drifts {
                 let _ = writeln!(
                     out,
-                    "  {}.{}: baseline {} -> current {} ({:+.2}%)",
-                    d.metric,
-                    d.field,
-                    d.baseline,
-                    d.current,
-                    (d.current - d.baseline) / d.baseline.abs().max(1.0) * 100.0
+                    "  {}.{}: baseline {} -> current {}",
+                    d.metric, d.field, d.baseline, d.current
                 );
             }
         }
@@ -556,16 +548,26 @@ mod tests {
     }
 
     #[test]
-    fn comparison_flags_drift_and_tolerates_within_band() {
+    fn comparison_flags_drift_exactly() {
         let base = sample_registry().snapshot();
+        assert!(base.compare_deterministic(&base).ok());
         let r = sample_registry();
-        r.counter("a.queries").add(2); // 42 -> 44: ~4.8% drift
-        let cur = r.snapshot();
-        assert!(!cur.compare_deterministic(&base, 0.0).ok());
-        assert!(cur.compare_deterministic(&base, 0.10).ok());
-        // Missing metric always fails.
-        let empty = Snapshot::default();
-        let report = empty.compare_deterministic(&base, 0.5);
+        r.counter("a.queries").add(2);
+        let report = r.snapshot().compare_deterministic(&base);
+        assert_eq!(
+            report.drifts,
+            [Drift {
+                metric: "a.queries".into(),
+                field: "value".into(),
+                baseline: 42,
+                current: 44,
+            }]
+        );
+        assert!(report
+            .render()
+            .contains("a.queries.value: baseline 42 -> current 44"));
+        // A missing metric fails.
+        let report = Snapshot::default().compare_deterministic(&base);
         assert!(report
             .drifts
             .iter()
@@ -573,21 +575,46 @@ mod tests {
     }
 
     #[test]
-    fn nan_tolerance_flags_every_field_as_drift() {
-        // Identical snapshots: one counter value plus a histogram's
-        // count and sum, all three flagged.
-        let snap = sample_registry().snapshot();
-        let report = snap.compare_deterministic(&snap, f64::NAN);
-        let fields: Vec<_> = report.drifts.iter().map(|d| d.field).collect();
-        assert_eq!(fields, ["count", "sum_micros", "value"]);
-        assert!(!report.ok());
+    fn histogram_drift_in_buckets_or_extremes_alone_is_caught() {
+        let snapshot = |h: HistogramSnapshot| Snapshot {
+            metrics: BTreeMap::from([(
+                "h".to_string(),
+                MetricSnapshot {
+                    determinism: Determinism::Deterministic,
+                    value: MetricValue::Histogram(h),
+                },
+            )]),
+        };
+        let base = HistogramSnapshot {
+            count: 2,
+            sum_micros: 30,
+            min_micros: 10,
+            max_micros: 20,
+            buckets: BTreeMap::from([(4, 1), (5, 1)]),
+        };
+        // Same count, sum, min and max; one value moved to the next bucket.
+        let moved = HistogramSnapshot {
+            buckets: BTreeMap::from([(5, 2)]),
+            ..base.clone()
+        };
+        let report = snapshot(moved).compare_deterministic(&snapshot(base.clone()));
+        let fields: Vec<_> = report.drifts.iter().map(|d| d.field.as_str()).collect();
+        assert_eq!(fields, ["buckets[4]", "buckets[5]"]);
+        let widened = HistogramSnapshot {
+            min_micros: 9,
+            max_micros: 21,
+            ..base.clone()
+        };
+        let report = snapshot(widened).compare_deterministic(&snapshot(base));
+        let fields: Vec<_> = report.drifts.iter().map(|d| d.field.as_str()).collect();
+        assert_eq!(fields, ["min_micros", "max_micros"]);
     }
 
     #[test]
     fn comparison_reports_new_metrics_without_failing() {
         let base = Snapshot::default();
         let cur = sample_registry().snapshot();
-        let report = cur.compare_deterministic(&base, 0.0);
+        let report = cur.compare_deterministic(&base);
         assert!(report.ok());
         assert!(report.new_metrics.contains(&"a.queries".to_string()));
         assert!(report.render().contains("regenerate"));
@@ -626,7 +653,7 @@ mod tests {
         let r = Registry::new();
         r.gauge("a.queries").set(42); // was a counter in the baseline
         r.histogram("a.lat_ms").record_ms(1.0);
-        let report = r.snapshot().compare_deterministic(&base, 0.5);
+        let report = r.snapshot().compare_deterministic(&base);
         assert!(report
             .drifts
             .iter()

@@ -104,11 +104,6 @@ impl GeolocationService {
         self.reported.get(&prefix).copied()
     }
 
-    /// The ground-truth country for a prefix (for validation only).
-    pub fn ground_truth(&self, prefix: Prefix24) -> Option<&'static str> {
-        self.assignments.get(&prefix).copied()
-    }
-
     /// Number of allocated prefixes.
     pub fn len(&self) -> usize {
         self.assignments.len()
@@ -136,6 +131,13 @@ impl GeolocationService {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl GeolocationService {
+        /// The ground-truth country for a prefix (for validation only).
+        fn ground_truth(&self, prefix: Prefix24) -> Option<&'static str> {
+            self.assignments.get(&prefix).copied()
+        }
+    }
 
     fn service(error: f64) -> GeolocationService {
         GeolocationService::new(SimRng::new(7), error, vec!["US", "BR", "DE", "NG", "JP"])

@@ -116,25 +116,7 @@ impl PopulationModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dohperf_stats_shim::median_usize;
-
-    /// Tiny local median helper to avoid a circular dev-dependency on
-    /// dohperf-stats.
-    mod dohperf_stats_shim {
-        pub fn median_usize(xs: &[usize]) -> f64 {
-            let mut v = xs.to_vec();
-            v.sort_unstable();
-            if v.is_empty() {
-                return f64::NAN;
-            }
-            let n = v.len();
-            if n % 2 == 1 {
-                v[n / 2] as f64
-            } else {
-                (v[n / 2 - 1] + v[n / 2]) as f64 / 2.0
-            }
-        }
-    }
+    use dohperf_stats::desc::median;
 
     fn model() -> PopulationModel {
         let mut rng = SimRng::new(2021);
@@ -156,7 +138,8 @@ mod tests {
     #[test]
     fn median_near_paper_value() {
         let m = model();
-        let med = median_usize(m.counts());
+        let counts: Vec<f64> = m.counts().iter().map(|&n| n as f64).collect();
+        let med = median(&counts);
         assert!(
             (70.0..=140.0).contains(&med),
             "median {med} too far from the paper's 103"

@@ -1,4 +1,4 @@
-//! Dead-dependency check over the workspace manifests.
+//! Dead-dependency and hidden-API checks over the workspace.
 //!
 //! Every `[dependencies]` / `[dev-dependencies]` entry of a
 //! `crates/*/Cargo.toml` must be used by that crate: its lib name
@@ -15,6 +15,11 @@
 //! of such an entry (`members = ["shims/*"]` would otherwise keep
 //! building a leftover shim). A declared-but-unused crate only costs
 //! build time, so nothing else would notice it drifting back in.
+//!
+//! No `#[doc(hidden)]` attribute may appear in the non-test part of a
+//! `crates/*/src` file: a test oracle or a test-only helper goes under
+//! `#[cfg(test)]`, where a release build leaves it out, instead of
+//! shipping as public API that the docs hide.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -226,6 +231,39 @@ fn every_runtime_dependency_is_used_outside_tests() {
     assert!(
         test_only.is_empty(),
         "[dependencies] entries no non-test code uses (move them to [dev-dependencies]): {test_only:#?}"
+    );
+}
+
+#[test]
+fn no_hidden_item_outside_tests() {
+    let root = workspace_root();
+    let mut hidden = Vec::new();
+    let mut scanned = 0;
+    for manifest_path in member_manifests(&root) {
+        let crate_dir = manifest_path.parent().expect("crate dir");
+        if !crate_dir.starts_with(root.join("crates")) {
+            continue;
+        }
+        let mut files = Vec::new();
+        rust_files(&crate_dir.join("src"), &mut files);
+        for file in files {
+            scanned += 1;
+            let text =
+                fs::read_to_string(&file).unwrap_or_else(|e| panic!("{}: {e}", file.display()));
+            for (i, line) in non_test_part(&text).lines().enumerate() {
+                let line = line.trim_start();
+                if line.starts_with('#') && line.contains("doc(hidden)") {
+                    let rel = file.strip_prefix(&root).expect("under root");
+                    hidden.push(format!("{}:{}", rel.display(), i + 1));
+                }
+            }
+        }
+    }
+    assert!(scanned > 0, "no sources found under crates/*/src");
+    assert!(
+        hidden.is_empty(),
+        "#[doc(hidden)] outside #[cfg(test)] (put the item under #[cfg(test)] or make it \
+         supported API): {hidden:#?}"
     );
 }
 

@@ -98,11 +98,11 @@ fn baseline_comparison_accepts_same_seed_and_rejects_other() {
     let base = campaign_metrics(11, 1);
     let same = campaign_metrics(11, 4);
     assert!(
-        same.compare_deterministic(&base, 0.0).ok(),
+        same.compare_deterministic(&base).ok(),
         "same seed must match its own baseline exactly"
     );
     let other = campaign_metrics(12, 4);
-    let report = other.compare_deterministic(&base, 0.0);
+    let report = other.compare_deterministic(&base);
     assert!(
         !report.ok(),
         "a different seed should drift from the baseline"
