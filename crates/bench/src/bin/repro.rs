@@ -223,6 +223,7 @@ fn main() {
             }
             "--help" | "-h" => usage(""),
             "all" => requested.extend(EXPERIMENTS),
+            other if other.starts_with("--") => usage(&format!("unknown option {other:?}")),
             other => match EXPERIMENTS.iter().find(|e| e.name == other) {
                 Some(experiment) => requested.push(experiment),
                 None => usage(&format!("unknown experiment {other:?}")),

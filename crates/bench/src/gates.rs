@@ -93,9 +93,14 @@ pub fn run(args: &[String]) -> i32 {
         match GATES.iter().find(|g| g.name == name.as_str()) {
             Some(gate) => rows.push(gate),
             None => {
+                let what = if name.starts_with("--") {
+                    "option"
+                } else {
+                    "gate"
+                };
                 let all: Vec<&str> = GATES.iter().map(|g| g.name).collect();
                 eprintln!(
-                    "error: unknown gate {name:?}\nusage: repro gate [--bless] [NAME...]\ngates: {}",
+                    "error: unknown {what} {name:?}\nusage: repro gate [--bless] [NAME...]\ngates: {}",
                     all.join(" ")
                 );
                 return 2;

@@ -154,8 +154,10 @@ impl Manifest {
             for _ in 0..n_samples {
                 let ms = c.f64()?;
                 if !(ms.is_finite() && ms >= 0.0) {
+                    // `{:?}` keeps a subnormal to its shortest digits;
+                    // `{}` would spell out over 300 of them.
                     return Err(StoreError::Corrupt(format!(
-                        "manifest: atlas sample {ms} for country index {idx} is not a \
+                        "manifest: atlas sample {ms:?} for country index {idx} is not a \
                          finite non-negative latency"
                     )));
                 }
@@ -251,6 +253,17 @@ mod tests {
         let err = Manifest::decode(&framed(&payload)).unwrap_err().to_string();
         assert!(
             err.contains("country table length 65536 exceeds cap"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_subnormal_negative_sample_is_named_in_short() {
+        let mut payload = vec![1, b'U', b'S', 1, 0, 1];
+        payload.extend_from_slice(&(-1e-310f64).to_bits().to_le_bytes());
+        let err = Manifest::decode(&framed(&payload)).unwrap_err().to_string();
+        assert!(
+            err.contains("atlas sample -1e-310 for country index 0"),
             "{err}"
         );
     }

@@ -156,6 +156,39 @@ mod tests {
     }
 
     #[test]
+    fn written_chunk_crcs_match_the_bytewise_oracle() {
+        // Every record shape, in chunks of several kilobytes: each
+        // header's CRC must be the bytewise CRC of its payload.
+        use crate::checksum::reference;
+        use crate::chunk::{parse_header, CHUNK_HEADER_LEN};
+        let mut out = Vec::new();
+        let mut w = ChunkWriter::new(&mut out, 100);
+        for id in 1..=400u64 {
+            w.push(match id % 4 {
+                0 => StoreRecord::test_record(id),
+                1 => StoreRecord::test_record_with_transports(id),
+                2 => StoreRecord::test_record_with_pages(id),
+                _ => StoreRecord::test_record_with_windows(id),
+            })
+            .unwrap();
+        }
+        let stats = w.finish().unwrap();
+        assert_eq!(stats.chunks, 4);
+
+        let (mut rest, mut index) = (&out[..], 0);
+        while !rest.is_empty() {
+            let header: &[u8; CHUNK_HEADER_LEN] = rest[..CHUNK_HEADER_LEN].try_into().unwrap();
+            let (_, len, crc, _) = parse_header(header, index).unwrap();
+            let payload = &rest[CHUNK_HEADER_LEN..CHUNK_HEADER_LEN + len];
+            assert!(len > 4096, "chunk {index} holds only {len} payload bytes");
+            assert_eq!(crc, reference::crc32(payload), "chunk {index}");
+            rest = &rest[CHUNK_HEADER_LEN + len..];
+            index += 1;
+        }
+        assert_eq!(index, stats.chunks);
+    }
+
+    #[test]
     fn zero_budget_falls_back_to_default() {
         let w = ChunkWriter::new(Vec::new(), 0);
         assert_eq!(w.budget(), crate::DEFAULT_CHUNK_BUDGET);

@@ -22,10 +22,16 @@
 //!    pre-reserved `Vec` (the store's one write path, DESIGN.md §17
 //!    "Write path") allocates nothing per chunk: at chunk budgets 64
 //!    and 512 it stays within one fixed allowance, however many chunks
-//!    it writes.
+//!    it writes;
+//! 6. `Manifest::decode` reserves at most [`MANIFEST_BYTES_PER_BYTE`]
+//!    bytes per input byte, plus one error message, on a valid
+//!    manifest and on copies whose declared country, Atlas-entry and
+//!    sample counts are raised to the largest value the decoder's caps
+//!    admit (CRC recomputed), so no declared count sizes a reservation
+//!    the bytes behind it cannot pay for.
 //!
 //! Built with `--features alloc-count` (as the CI alloc job does)
-//! the counting allocator is installed and checks 1, 4 and 5 have teeth. Without
+//! the counting allocator is installed and checks 1, 4, 5 and 6 have teeth. Without
 //! the feature the totals stay zero and the test still exercises the
 //! determinism checks.
 //!
@@ -38,7 +44,9 @@ use dohperf::core::campaign::{Campaign, CampaignConfig};
 use dohperf::core::export::to_jsonl;
 use dohperf::core::records::Dataset;
 use dohperf::core::store_io::{read_manifest, record_to_store, write_dataset};
-use dohperf::store::{ChunkWriter, StoreRecord};
+use dohperf::store::checksum::crc32;
+use dohperf::store::varint::put_u64;
+use dohperf::store::{ChunkWriter, Manifest, StoreRecord, FORMAT_VERSION, MANIFEST_MAGIC};
 use dohperf::telemetry::alloc;
 
 #[cfg(feature = "alloc-count")]
@@ -97,6 +105,7 @@ fn warm_campaign_is_allocation_free_and_thread_invariant() {
 
     store_scan_allocations_are_per_chunk(&cold);
     store_write_allocations_are_fixed(&cold);
+    manifest_decode_allocations_are_bounded(&cold);
 }
 
 /// Allocations a warm store scan may make on top of the accumulator's
@@ -208,6 +217,168 @@ fn store_write_allocations_are_fixed(ds: &Dataset) {
             "writing {} chunks at chunk budget {budget} made {write_allocs} allocations; \
              the fixed allowance is {WRITE_ALLOCS}",
             stats.chunks
+        );
+    }
+}
+
+/// Bytes `Manifest::decode` may reserve per input byte. It caps every
+/// declared count by the payload bytes left before it reserves, so the
+/// layout bounds each table:
+/// - countries: 2 bytes each, at most one per 2 bytes left, so at most
+///   1 byte per input byte;
+/// - Atlas entries: one `(u32, Vec<f64>)` each (32 bytes on 64-bit), at
+///   most one per country and one per 2 bytes left after the country
+///   table; with `C` countries (2C bytes) and `R` bytes after them that
+///   is at most (2C + R) / 4 entries, so 32 / 4 = 8 bytes per input byte;
+/// - samples: 8 bytes each, at most one per 8 bytes left. An entry that
+///   decodes has consumed the bytes its reserve was sized by, and the
+///   entry that fails reserves at most what is left, so all entries
+///   together reserve at most 1 byte per input byte.
+///
+/// That is 1 + 8 + 1 = 10 on a 64-bit target.
+const MANIFEST_BYTES_PER_BYTE: u64 = 1 + std::mem::size_of::<(u32, Vec<f64>)>() as u64 / 4 + 1;
+
+/// Bytes of the one error message a rejected manifest formats, each
+/// reallocation of the growing string counted at its new size.
+const MANIFEST_ERROR_BYTES: u64 = 1024;
+
+/// The declared counts of a manifest payload, in encode order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Count {
+    Countries,
+    AtlasEntries,
+    /// The first Atlas entry's sample count.
+    Samples,
+}
+
+impl Count {
+    /// The name `Manifest::decode` gives the count when it exceeds its cap.
+    fn what(self) -> &'static str {
+        match self {
+            Count::Countries => "country table",
+            Count::AtlasEntries => "atlas table",
+            Count::Samples => "atlas samples",
+        }
+    }
+}
+
+/// `m` framed as `Manifest::encode` frames it, with `count` declared
+/// as `value` and every other byte as encoded.
+fn manifest_declaring(m: &Manifest, count: Count, value: u64) -> Vec<u8> {
+    let declared = |c: Count, real: usize| if c == count { value } else { real as u64 };
+    let mut payload = Vec::new();
+    put_u64(&mut payload, declared(Count::Countries, m.countries.len()));
+    for iso in &m.countries {
+        payload.extend_from_slice(iso);
+    }
+    put_u64(
+        &mut payload,
+        declared(Count::AtlasEntries, m.atlas_do53_ms.len()),
+    );
+    for (i, (country_index, samples)) in m.atlas_do53_ms.iter().enumerate() {
+        put_u64(&mut payload, u64::from(*country_index));
+        let n = samples.len();
+        put_u64(
+            &mut payload,
+            if i == 0 {
+                declared(Count::Samples, n)
+            } else {
+                n as u64
+            },
+        );
+        for s in samples {
+            payload.extend_from_slice(&s.to_bits().to_le_bytes());
+        }
+    }
+    for total in [
+        m.discarded_mismatches,
+        m.observed_ases,
+        m.observed_resolvers,
+        m.total_records,
+        m.total_chunks,
+        m.total_bytes,
+    ] {
+        put_u64(&mut payload, total);
+    }
+    let mut out = MANIFEST_MAGIC.to_le_bytes().to_vec();
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    out.extend_from_slice(&0u16.to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(&payload).to_le_bytes());
+    out.extend_from_slice(&payload);
+    out
+}
+
+/// Whether `bytes` gets past the cap on `count` (it may still be
+/// rejected later).
+fn within_cap(bytes: &[u8], count: Count) -> bool {
+    match Manifest::decode(bytes) {
+        Ok(_) => true,
+        Err(e) => !e.to_string().contains(&format!("{} length", count.what())),
+    }
+}
+
+/// `Manifest::decode` of the manifest of a store of `ds`, and of copies
+/// with each declared count raised to the largest value within its cap,
+/// allocates at most [`MANIFEST_BYTES_PER_BYTE`] bytes per input byte
+/// plus [`MANIFEST_ERROR_BYTES`].
+fn manifest_decode_allocations_are_bounded(ds: &Dataset) {
+    let dir = std::env::temp_dir().join(format!("dohperf-alloc-manifest-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    write_dataset(ds, &dir, 512).expect("write store");
+    let manifest = read_manifest(&dir).expect("manifest");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        !manifest.atlas_do53_ms.is_empty(),
+        "the manifest needs an Atlas entry to raise its sample count"
+    );
+
+    let mut cases = vec![("valid".to_string(), manifest.encode())];
+    for count in [Count::Countries, Count::AtlasEntries, Count::Samples] {
+        // `within_cap` holds up to the cap and fails above it; the cap
+        // is below the input length.
+        let (mut lo, mut hi) = (0u64, manifest.encode().len() as u64);
+        assert!(within_cap(&manifest_declaring(&manifest, count, lo), count));
+        assert!(!within_cap(
+            &manifest_declaring(&manifest, count, hi),
+            count
+        ));
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if within_cap(&manifest_declaring(&manifest, count, mid), count) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        cases.push((
+            format!("{count:?} raised to {lo}"),
+            manifest_declaring(&manifest, count, lo),
+        ));
+    }
+
+    for (case, bytes) in cases {
+        alloc::reset();
+        let outcome = Manifest::decode(&bytes);
+        let allocated = alloc::totals().bytes;
+        let bound = MANIFEST_BYTES_PER_BYTE * bytes.len() as u64 + MANIFEST_ERROR_BYTES;
+        eprintln!(
+            "manifest decode, {case}: {} input bytes, {allocated} bytes allocated \
+             (bound {bound}), {}",
+            bytes.len(),
+            match &outcome {
+                Ok(_) => "decoded".to_string(),
+                Err(e) => format!("rejected: {e}"),
+            }
+        );
+        if case == "valid" {
+            assert_eq!(outcome.expect("valid manifest"), manifest);
+        }
+        assert!(
+            allocated <= bound,
+            "decoding the {case} manifest ({} bytes) allocated {allocated} bytes; \
+             the bound is {MANIFEST_BYTES_PER_BYTE} per input byte plus {MANIFEST_ERROR_BYTES}",
+            bytes.len()
         );
     }
 }

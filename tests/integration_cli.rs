@@ -10,7 +10,9 @@
 //! panic, and a `--from-store` run's stderr header names the store. The analysis tables no gate row renders must print the same,
 //! pinned bytes at any `--threads`. `report` must hold every `Analysis`
 //! row's stdout and re-derive from a store byte for byte. `repro gate`
-//! must reject unknown rows with exit 2, and fail a row whose golden
+//! must reject unknown rows with exit 2, and an unrecognised `--` argument
+//! is named as an unknown option (exit 2), never as an experiment or a
+//! gate row. `repro gate` must fail a row whose golden
 //! trace or metrics baseline no longer matches (exit 3 for metrics
 //! drift). `export --out-format store` from another store must write the
 //! dataset it reports, never keep a stale store left by an earlier run.
@@ -512,6 +514,24 @@ fn ci_copy(tag: &str) -> std::path::PathBuf {
         std::fs::copy(&path, dir.join("ci").join(path.file_name().unwrap())).expect("copy ci file");
     }
     dir
+}
+
+#[test]
+fn an_unknown_flag_is_reported_as_an_option_not_an_experiment() {
+    // `--tolerance` was a flag once; a removed or mistyped flag must be
+    // named as an option, both before experiments and before gate rows.
+    for args in [
+        &["--tolerance", "0", "headline"][..],
+        &["gate", "--tolerance"][..],
+    ] {
+        let out = repro().args(args).output().expect("spawn repro");
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("unknown option \"--tolerance\""),
+            "{args:?}:\n{stderr}"
+        );
+    }
 }
 
 #[test]
